@@ -36,34 +36,32 @@ type TLSRecord struct {
 // itself is appended verbatim; the simulation does not need real
 // encryption, only real sizes.
 func MarshalTLSRecord(contentType uint8, body []byte) []byte {
-	if len(body) <= MaxTLSPlaintext {
-		return marshalOneTLSRecord(nil, contentType, body)
-	}
-	records := (len(body) + MaxTLSPlaintext - 1) / MaxTLSPlaintext
+	records := max(1, (len(body)+MaxTLSPlaintext-1)/MaxTLSPlaintext)
 	out := make([]byte, 0, len(body)+records*(TLSRecordHeaderLen+TLSRecordOverhead))
-	for len(body) > 0 {
-		n := len(body)
-		if n > MaxTLSPlaintext {
-			n = MaxTLSPlaintext
-		}
-		out = marshalOneTLSRecord(out, contentType, body[:n])
-		body = body[n:]
-	}
-	return out
+	return AppendTLSRecord(out, contentType, body)
 }
 
-// marshalOneTLSRecord appends a single record framing body (which must fit
+// AppendTLSRecord appends MarshalTLSRecord's image of body to dst and
+// returns the extended slice; with enough capacity in dst it allocates
+// nothing. body must not overlap dst's spare capacity.
+func AppendTLSRecord(dst []byte, contentType uint8, body []byte) []byte {
+	for {
+		n := min(len(body), MaxTLSPlaintext)
+		dst = appendOneTLSRecord(dst, contentType, body[:n])
+		if body = body[n:]; len(body) == 0 {
+			return dst
+		}
+	}
+}
+
+// appendOneTLSRecord appends a single record framing body (which must fit
 // MaxTLSPlaintext) to dst.
-func marshalOneTLSRecord(dst []byte, contentType uint8, body []byte) []byte {
-	off := len(dst)
-	dst = append(dst, make([]byte, TLSRecordHeaderLen+len(body)+TLSRecordOverhead)...)
-	out := dst[off:]
-	out[0] = contentType
-	out[1] = 3
-	out[2] = 3 // TLS 1.2 wire version
-	binary.BigEndian.PutUint16(out[3:5], uint16(len(body)+TLSRecordOverhead))
-	copy(out[TLSRecordHeaderLen:], body)
-	return dst
+func appendOneTLSRecord(dst []byte, contentType uint8, body []byte) []byte {
+	dst = append(dst, contentType, 3, 3) // TLS 1.2 wire version
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(body)+TLSRecordOverhead))
+	dst = append(dst, body...)
+	var aead [TLSRecordOverhead]byte // explicit nonce and tag: zero in this lab
+	return append(dst, aead[:]...)
 }
 
 // Errors distinguishing an incomplete TLS record (feed more bytes) from a

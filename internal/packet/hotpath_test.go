@@ -89,6 +89,27 @@ func TestMarshalToAllocFree(t *testing.T) {
 	}
 }
 
+// TestAppendTLSRecordAllocFree: AppendTLSRecord extends dst by exactly
+// MarshalTLSRecord's image (split records included), and framing into a
+// warm buffer allocates nothing — the secure layer's per-record path.
+func TestAppendTLSRecordAllocFree(t *testing.T) {
+	prefix := []byte("prefix")
+	for _, n := range []int{0, 1, 4096, MaxTLSPlaintext, MaxTLSPlaintext + 1, 3*MaxTLSPlaintext + 7} {
+		body := bytes.Repeat([]byte{0xa5}, n)
+		got := AppendTLSRecord(append([]byte(nil), prefix...), TLSApplicationData, body)
+		if want := append(append([]byte(nil), prefix...), MarshalTLSRecord(TLSApplicationData, body)...); !bytes.Equal(got, want) {
+			t.Fatalf("%d-byte body: AppendTLSRecord differs from MarshalTLSRecord", n)
+		}
+	}
+	body := make([]byte, 4096)
+	buf := AppendTLSRecord(nil, TLSApplicationData, body)
+	if avg := testing.AllocsPerRun(500, func() {
+		buf = AppendTLSRecord(buf[:0], TLSApplicationData, body)
+	}); avg != 0 {
+		t.Fatalf("AppendTLSRecord allocates %.2f objects/op into a warm buffer, want 0", avg)
+	}
+}
+
 // TestDecodeIntoReusesStructs: repeated same-protocol decodes into one
 // destination must reuse the transport struct and payload backing array —
 // the property the capture scratch-decode path depends on.

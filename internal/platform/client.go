@@ -174,21 +174,21 @@ func (c *Client) request(reqType byte, rest []byte) {
 	if err != nil {
 		panic(fmt.Sprintf("platform: client %q room %q: %v", c.User, c.RoomName, err))
 	}
-	c.ctrl.Send(secure.MarshalMsg(secure.MsgRequest, body))
+	c.ctrl.SendMsg(secure.MsgRequest, body)
 }
 
 // download fetches n bytes from the platform's asset/CDN host over a
-// dedicated HTTPS connection (the §5.2 background downloads).
-func (c *Client) download(n int) {
+// dedicated HTTPS connection (the §5.2 background downloads). The client
+// never looks at the asset, so the session has no OnData: it only counts
+// the response's bytes as they arrive.
+func (c *Client) download(n int) *secure.Session {
 	ep := c.Dep.AssetEndpoint(c.Profile)
-	conn := c.Stack.DialTCP(ep)
-	sess := secure.Client(conn)
-	reader := &secure.MsgReader{OnMsg: func(kind byte, body []byte) {}}
-	sess.OnData = reader.Feed
+	sess := secure.Client(c.Stack.DialTCP(ep))
 	req := make([]byte, 5)
 	req[0] = reqAsset
 	binary.BigEndian.PutUint32(req[1:5], uint32(n))
-	sess.Send(secure.MarshalMsg(secure.MsgRequest, req))
+	sess.SendMsg(secure.MsgRequest, req)
+	return sess
 }
 
 // JoinEvent enters a social event. Position defaults to a random spot; use
@@ -405,7 +405,7 @@ func (c *Client) sendAvatar(actionID uint32, triggeredLocal time.Duration) {
 			c.Dep.Metrics().Inc("platform.wire_marshal_err")
 			return
 		}
-		c.ctrl.Send(secure.MarshalMsg(secure.MsgPush, body))
+		c.ctrl.SendMsg(secure.MsgPush, body)
 		c.seq++
 		return
 	}

@@ -8,7 +8,9 @@ import (
 	"github.com/svrlab/svrlab/internal/capture"
 	"github.com/svrlab/svrlab/internal/device"
 	"github.com/svrlab/svrlab/internal/packet"
+	"github.com/svrlab/svrlab/internal/secure"
 	"github.com/svrlab/svrlab/internal/simtime"
+	"github.com/svrlab/svrlab/internal/transport"
 )
 
 // TestGestureDrivesRemoteExpression reproduces the Figure 5 behaviour:
@@ -100,6 +102,52 @@ func TestInitDownloadSizes(t *testing.T) {
 	}
 	if got := measure(Hubs, 60*time.Second); got < 15<<20 || got > 30<<20 {
 		t.Errorf("Hubs join download = %d MB, want ~20", got>>20)
+	}
+}
+
+// TestDownloadDeliversWholeResponse pins the download misparse: VRChat's
+// 22 MiB response exceeds the message reader's bound, so the client's old
+// no-op reader dropped its header as corrupt and parsed the zero body as
+// millions of empty messages. The client session must count exactly the
+// response's 5+n bytes, and the asset connection must end drained: every
+// byte the server sent acked, none left queued.
+func TestDownloadDeliversWholeResponse(t *testing.T) {
+	sched := simtime.NewScheduler()
+	dep := NewDeployment(sched, 77)
+	c := NewClient(dep, VRChat, "dl", SiteCampus, 10)
+	n := c.Profile.Traffic.InitDownloadBytes
+	if n <= secure.MaxMsgLen {
+		t.Fatalf("VRChat init download %d bytes no longer exceeds the reader bound %d", n, secure.MaxMsgLen)
+	}
+	var sess *secure.Session
+	sched.At(0, func() { sess = c.download(n) })
+	sched.RunUntil(60 * time.Second)
+	if sess.AppBytesRecv != 5+n {
+		t.Fatalf("client session received %d application bytes, want %d", sess.AppBytesRecv, 5+n)
+	}
+	local := sess.Conn().Local
+	found := false
+	for _, ep := range dep.Net.Endpoints() {
+		st, ok := ep.(*transport.Stack)
+		if !ok {
+			continue
+		}
+		for _, a := range st.AuditConns() {
+			if a.Remote != local {
+				continue
+			}
+			found = true
+			if a.StreamAcked != a.StreamSent || a.BufferedBytes != 0 {
+				t.Fatalf("asset connection not drained: %d of %d bytes acked, %d buffered",
+					a.StreamAcked, a.StreamSent, a.BufferedBytes)
+			}
+			if got := int64(sess.Conn().DataRecv); got != a.StreamSent {
+				t.Fatalf("client received %d stream bytes, server sent %d", got, a.StreamSent)
+			}
+		}
+	}
+	if !found {
+		t.Fatal("no server-side asset connection found")
 	}
 }
 

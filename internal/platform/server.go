@@ -509,7 +509,7 @@ func newCtrlServer(d *Deployment, p *Profile, be *Backend, h *netsim.Host, priva
 
 // push delivers a server-initiated message (Hubs avatar forwards, sync).
 func (cs *ctrlSession) push(payload []byte) {
-	cs.sess.Send(secure.MarshalMsg(secure.MsgPush, payload))
+	cs.sess.SendMsg(secure.MsgPush, payload)
 }
 
 // control request body layout: [reqType][userLen][user][roomLen][room][rest...]
@@ -577,10 +577,11 @@ func (cs *ctrlSession) onMsg(kind byte, body []byte) {
 			cs.respond(make([]byte, 2_000))
 		case reqAsset:
 			if len(rest) >= 4 {
-				// Cap like the asset server: a 4-byte field must not be
-				// able to demand a multi-GiB response allocation.
+				// A 4-byte field must not be able to demand a multi-GiB
+				// response allocation. The cap is the client reader's
+				// bound: a larger response would only be dropped there.
 				n := int(binary.BigEndian.Uint32(rest))
-				if n > maxAssetBytes {
+				if n > secure.MaxMsgLen {
 					s.dep.Metrics().Inc("platform.ctrl_oversize_req")
 					return
 				}
@@ -607,7 +608,7 @@ func (cs *ctrlSession) onMsg(kind byte, body []byte) {
 }
 
 func (cs *ctrlSession) respond(body []byte) {
-	cs.sess.Send(secure.MarshalMsg(secure.MsgResponse, body))
+	cs.sess.SendMsg(secure.MsgResponse, body)
 }
 
 func maxInt(a, b int) int {
@@ -643,7 +644,7 @@ func newAssetServer(d *Deployment, p *Profile, h *netsim.Host) *AssetServer {
 			if n > maxAssetBytes {
 				return
 			}
-			sess.Send(secure.MarshalMsg(secure.MsgResponse, make([]byte, n)))
+			sess.SendMsg(secure.MsgResponse, make([]byte, n))
 		}}
 		sess.OnData = reader.Feed
 	})

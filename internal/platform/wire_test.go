@@ -2,6 +2,7 @@ package platform
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"strings"
 	"testing"
@@ -254,19 +255,24 @@ func TestDataServerSurvivesHostileDatagrams(t *testing.T) {
 
 // TestCtrlOversizeAssetRequestCapped pins the unbounded-allocation fix: a
 // 4-byte asset-size field could demand a multi-GiB response buffer; the
-// control server now refuses anything over maxAssetBytes and counts it.
+// control server now refuses anything over the client reader's bound,
+// secure.MaxMsgLen (a larger response would only be dropped there), and
+// counts it.
 func TestCtrlOversizeAssetRequestCapped(t *testing.T) {
 	dep := NewDeployment(simtime.NewScheduler(), 1)
 	cs := &ctrlSession{srv: &CtrlServer{dep: dep, profile: Get(VRChat), be: dep.Backend(VRChat)}}
-	body, err := marshalCtrlReq(reqAsset, "u1", "room-1", []byte{0xff, 0xff, 0xff, 0xff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Before the cap this allocated 4 GiB (and with a response, marshaled
-	// it); now it must return after counting, without touching cs.sess.
-	cs.onMsg(secure.MsgRequest, body)
-	if got := counterValue(dep.Metrics(), "platform.ctrl_oversize_req"); got != 1 {
-		t.Fatalf("ctrl_oversize_req = %d, want 1", got)
+	for i, n := range []uint32{0xffffffff, secure.MaxMsgLen + 1} {
+		body, err := marshalCtrlReq(reqAsset, "u1", "room-1", binary.BigEndian.AppendUint32(nil, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Before the cap this allocated up to 4 GiB (and with a response,
+		// marshaled it); now it must return after counting, without
+		// touching cs.sess.
+		cs.onMsg(secure.MsgRequest, body)
+		if got := counterValue(dep.Metrics(), "platform.ctrl_oversize_req"); got != int64(i+1) {
+			t.Fatalf("%d-byte request: ctrl_oversize_req = %d, want %d", n, got, i+1)
+		}
 	}
 }
 

@@ -39,10 +39,19 @@ type Session struct {
 
 	// OnEstablished fires when the handshake completes.
 	OnEstablished func()
-	// OnData receives defragmented application record bodies.
+	// OnData receives each application record body. The slice is a view
+	// into the receive buffer, valid only during the call: copy what must
+	// outlive it.
 	OnData func([]byte)
 
+	// rxBuf holds the undecoded tail of the TCP byte stream, compacted to
+	// the front after every delivery, so it stays about one record long.
 	rxBuf []byte
+
+	// Send-side scratch, reused for every record: rec holds one record's
+	// wire image (the connection copies it), head the plaintext of a
+	// message's first record (its header plus the body's first bytes).
+	rec, head []byte
 
 	// queued application data written before the handshake finished.
 	pending [][]byte
@@ -71,7 +80,7 @@ func Client(conn *transport.Conn) *Session {
 		hello := make([]byte, clientHelloLen)
 		hello[0] = 1 // ClientHello type marker inside the record body
 		conn.Tracer().TLS(conn.Now(), conn.Span(), conn.HostID(), "client-hello")
-		conn.Send(packet.MarshalTLSRecord(packet.TLSHandshake, hello))
+		s.sendRecord(packet.TLSHandshake, hello)
 	}
 	if conn.State() == transport.StateEstablished {
 		start()
@@ -100,6 +109,10 @@ func (s *Session) Established() bool { return s.ready }
 // Conn exposes the underlying transport connection (for drain hooks).
 func (s *Session) Conn() *transport.Conn { return s.conn }
 
+// maxRecord is the plaintext size at which application data is cut into
+// records.
+const maxRecord = 4096
+
 // Send transmits application bytes as one or more records. Data written
 // before the handshake completes is queued and flushed on establishment.
 func (s *Session) Send(data []byte) {
@@ -110,19 +123,53 @@ func (s *Session) Send(data []byte) {
 	s.sendNow(data)
 }
 
+// SendMsg sends one framed message: the same bytes on the wire as
+// Send(MarshalMsg(kind, body)), cut into records straight from header‖body
+// without building the frame. body may be reused once SendMsg returns.
+func (s *Session) SendMsg(kind byte, body []byte) {
+	if !s.ready {
+		s.pending = append(s.pending, MarshalMsg(kind, body))
+		return
+	}
+	s.conn.Grow(wireLen(msgHeaderLen + len(body)))
+	k := min(len(body), maxRecord-msgHeaderLen)
+	s.head = append(appendMsgHeader(s.head[:0], kind, len(body)), body[:k]...)
+	s.sendAppRecord(s.head)
+	s.sendRecords(body[k:])
+}
+
 func (s *Session) sendNow(data []byte) {
-	const maxRecord = 4096
+	s.conn.Grow(wireLen(len(data)))
+	s.sendRecords(data)
+}
+
+// sendRecords cuts data into maxRecord-sized application records.
+func (s *Session) sendRecords(data []byte) {
 	for len(data) > 0 {
-		n := len(data)
-		if n > maxRecord {
-			n = maxRecord
-		}
-		s.conn.Send(packet.MarshalTLSRecord(packet.TLSApplicationData, data[:n]))
-		s.AppBytesSent += n
-		s.cRecordsSent.Inc()
-		s.cAppBytesSent.Add(int64(n))
+		n := min(len(data), maxRecord)
+		s.sendAppRecord(data[:n])
 		data = data[n:]
 	}
+}
+
+func (s *Session) sendAppRecord(plain []byte) {
+	s.sendRecord(packet.TLSApplicationData, plain)
+	s.AppBytesSent += len(plain)
+	s.cRecordsSent.Inc()
+	s.cAppBytesSent.Add(int64(len(plain)))
+}
+
+// sendRecord frames plain as one record in the scratch buffer and queues
+// it; the connection copies it, so the scratch is free again on return.
+func (s *Session) sendRecord(contentType uint8, plain []byte) {
+	s.rec = packet.AppendTLSRecord(s.rec[:0], contentType, plain)
+	s.conn.Send(s.rec)
+}
+
+// wireLen is the record-layer size of n application bytes.
+func wireLen(n int) int {
+	records := (n + maxRecord - 1) / maxRecord
+	return n + records*(packet.TLSRecordHeaderLen+packet.TLSRecordOverhead)
 }
 
 func (s *Session) flushPending() {
@@ -138,19 +185,18 @@ func (s *Session) flushPending() {
 // event counted — a real TLS peer would send a fatal alert here.
 func (s *Session) onRaw(b []byte) {
 	s.rxBuf = append(s.rxBuf, b...)
+	off := 0
 	for {
-		rec, body, rest, err := packet.DecodeTLSRecord(s.rxBuf)
+		rec, body, rest, err := packet.DecodeTLSRecord(s.rxBuf[off:])
 		if errors.Is(err, packet.ErrTLSMalformed) {
-			s.rxBuf = nil
+			s.rxBuf = s.rxBuf[:0]
 			s.metrics.Inc("secure.bad_records")
 			return
 		}
 		if err != nil {
-			return // need more bytes
+			break // need more bytes
 		}
-		// Consume exactly one record.
-		consumed := len(s.rxBuf) - len(rest)
-		s.rxBuf = s.rxBuf[consumed:]
+		off = len(s.rxBuf) - len(rest)
 		switch rec.ContentType {
 		case packet.TLSHandshake:
 			s.onHandshake(body)
@@ -159,10 +205,11 @@ func (s *Session) onRaw(b []byte) {
 			s.cRecordsRecv.Inc()
 			s.cAppBytesRecv.Add(int64(len(body)))
 			if s.OnData != nil {
-				s.OnData(append([]byte(nil), body...))
+				s.OnData(body)
 			}
 		}
 	}
+	s.rxBuf = s.rxBuf[:copy(s.rxBuf, s.rxBuf[off:])]
 }
 
 func (s *Session) onHandshake(body []byte) {
@@ -172,7 +219,7 @@ func (s *Session) onHandshake(body []byte) {
 			fin := make([]byte, clientFinishedLen)
 			fin[0] = 20
 			s.conn.Tracer().TLS(s.conn.Now(), s.conn.Span(), s.conn.HostID(), "client-finished")
-			s.conn.Send(packet.MarshalTLSRecord(packet.TLSHandshake, fin))
+			s.sendRecord(packet.TLSHandshake, fin)
 			s.ready = true
 			s.cHandshakes.Inc()
 			s.conn.Tracer().TLS(s.conn.Now(), s.conn.Span(), s.conn.HostID(), "established")
@@ -188,7 +235,7 @@ func (s *Session) onHandshake(body []byte) {
 		reply := make([]byte, serverHelloLen)
 		reply[0] = 2
 		s.conn.Tracer().TLS(s.conn.Now(), s.conn.Span(), s.conn.HostID(), "server-hello")
-		s.conn.Send(packet.MarshalTLSRecord(packet.TLSHandshake, reply))
+		s.sendRecord(packet.TLSHandshake, reply)
 		return
 	}
 	if len(body) > 0 && body[0] == 20 { // client Finished
@@ -219,21 +266,31 @@ const (
 	MsgReport   = 4 // periodic client report (the §4.1 HTTPS spikes)
 )
 
-// MarshalMsg frames a message.
+// MaxMsgLen is the largest message body a MsgReader accepts by default,
+// and so the largest response a control server may send.
+const MaxMsgLen = 16 << 20
+
+// MarshalMsg frames a message. SendMsg puts the same bytes on the wire
+// without building the frame; MarshalMsg remains the reference framer.
 func MarshalMsg(kind byte, body []byte) []byte {
-	out := make([]byte, msgHeaderLen+len(body))
-	out[0] = kind
-	binary.BigEndian.PutUint32(out[1:5], uint32(len(body)))
-	copy(out[msgHeaderLen:], body)
-	return out
+	out := appendMsgHeader(make([]byte, 0, msgHeaderLen+len(body)), kind, len(body))
+	return append(out, body...)
+}
+
+func appendMsgHeader(dst []byte, kind byte, n int) []byte {
+	return binary.BigEndian.AppendUint32(append(dst, kind), uint32(n))
 }
 
 // MsgReader incrementally parses framed messages from Session.OnData
-// deliveries (records may split or merge messages).
+// deliveries (records may split or merge messages). It copies what it
+// keeps, so it may be fed views that are valid only during the call.
 type MsgReader struct {
-	buf    []byte
+	// buf holds the unparsed tail of the stream, compacted to the front
+	// after every Feed.
+	buf []byte
+	// OnMsg receives each message; body is the receiver's own copy.
 	OnMsg  func(kind byte, body []byte)
-	MaxLen int // safety bound; 0 means 16 MB
+	MaxLen int // safety bound; 0 means MaxMsgLen
 }
 
 // Feed appends bytes and dispatches every complete message.
@@ -241,23 +298,25 @@ func (r *MsgReader) Feed(b []byte) {
 	r.buf = append(r.buf, b...)
 	limit := r.MaxLen
 	if limit == 0 {
-		limit = 16 << 20
+		limit = MaxMsgLen
 	}
-	for len(r.buf) >= msgHeaderLen {
-		n := int(binary.BigEndian.Uint32(r.buf[1:5]))
+	off := 0
+	for len(r.buf)-off >= msgHeaderLen {
+		m := r.buf[off:]
+		n := int(binary.BigEndian.Uint32(m[1:5]))
 		if n > limit {
 			// Corrupt stream; drop everything.
-			r.buf = nil
+			r.buf = r.buf[:0]
 			return
 		}
-		if len(r.buf) < msgHeaderLen+n {
-			return
+		if len(m) < msgHeaderLen+n {
+			break
 		}
-		kind := r.buf[0]
-		body := append([]byte(nil), r.buf[msgHeaderLen:msgHeaderLen+n]...)
-		r.buf = r.buf[msgHeaderLen+n:]
+		body := append([]byte(nil), m[msgHeaderLen:msgHeaderLen+n]...)
+		off += msgHeaderLen + n
 		if r.OnMsg != nil {
-			r.OnMsg(kind, body)
+			r.OnMsg(m[0], body)
 		}
 	}
+	r.buf = r.buf[:copy(r.buf, r.buf[off:])]
 }

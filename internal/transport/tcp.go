@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -273,13 +274,26 @@ func (c *Conn) sendSeg(hdr *packet.TCP, payload []byte) {
 	})
 }
 
-// Send queues application bytes and pumps the window.
+// Send queues a copy of data and pumps the window; the caller may reuse
+// data as soon as Send returns.
 func (c *Conn) Send(data []byte) {
 	if c.state == StateClosed || len(data) == 0 {
 		return
 	}
 	c.sendBuf = append(c.sendBuf, data...)
 	c.pump()
+}
+
+// Grow reserves send-buffer room for n more bytes, so a message written as
+// several Sends moves the buffer at most once instead of once per growth
+// step. Like append, it moves the buffer to a new array rather than
+// compacting in place: in-flight segments alias sendBuf and must never see
+// their bytes overwritten.
+func (c *Conn) Grow(n int) {
+	if c.state == StateClosed {
+		return
+	}
+	c.sendBuf = slices.Grow(c.sendBuf, n)
 }
 
 // pump transmits new segments while congestion and flow windows allow.

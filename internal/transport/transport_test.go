@@ -171,6 +171,44 @@ func TestTCPHandshakeAndTransfer(t *testing.T) {
 	}
 }
 
+// TestGrowReservesOnceAndKeepsInFlightBytes: after Grow(n), Sends totalling
+// n bytes append into one backing array. Grow must move the buffer, never
+// compact it in place: segments in flight alias sendBuf, so once an ACK has
+// trimmed its front, compacting would overwrite their bytes before delivery.
+func TestGrowReservesOnceAndKeepsInFlightBytes(t *testing.T) {
+	r := newRig(t)
+	client, server := dialPair(t, r)
+	var got bytes.Buffer
+	server.OnData = func(b []byte) { got.Write(b) }
+	first := make([]byte, 8*MSS)
+	for i := range first {
+		first[i] = byte(i % 251)
+	}
+	client.Send(first)
+	// Run to the first ACK: the buffer's front is trimmed and the segments
+	// that ACK released are in flight.
+	for una := client.sndUna; client.sndUna == una; {
+		r.s.RunUntil(r.s.Now() + time.Millisecond)
+	}
+	if client.Unacked() == 0 {
+		t.Fatal("no segments in flight after the first ACK")
+	}
+	client.Grow(64 * 1024)
+	moved := &client.sendBuf[0]
+	rest := bytes.Repeat([]byte{0xff}, 1024)
+	for i := 0; i < 64; i++ {
+		client.Send(rest)
+	}
+	if &client.sendBuf[0] != moved {
+		t.Fatal("Sends within the reservation reallocated the send buffer")
+	}
+	r.s.RunUntil(r.s.Now() + 10*time.Second)
+	want := append(append([]byte(nil), first...), bytes.Repeat([]byte{0xff}, 64*1024)...)
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("received %d bytes, want %d intact", got.Len(), len(want))
+	}
+}
+
 func TestTCPBidirectional(t *testing.T) {
 	r := newRig(t)
 	client, server := dialPair(t, r)
