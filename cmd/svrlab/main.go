@@ -84,7 +84,6 @@ func main() {
 		if *metrics || *auditFlag {
 			opts.Metrics = svrlab.NewMetricsRegistry()
 		}
-		opts.Audit = *auditFlag
 		loadChaos(&opts, *chaosFile)
 		setupSink(&opts, *traceOut, *pcapDir)
 		stopProfiles := startProfiles(*cpuProfile, *memProfile)
@@ -98,14 +97,13 @@ func main() {
 		if *metrics {
 			emitMetrics(opts.Metrics)
 		}
-		emitAudit(opts)
+		emitAudit(*auditFlag, opts.Metrics)
 		exportTrace(opts.Trace, *traceOut, *traceFormat)
 	case "all":
 		if err := fs.Parse(os.Args[2:]); err != nil {
 			os.Exit(2)
 		}
 		opts := buildOpts(*seed, *repeats, *platformName, *users, *workers)
-		opts.Audit = *auditFlag
 		loadChaos(&opts, *chaosFile)
 		// One collector across all experiments: cell labels are prefixed by
 		// experiment id, so the combined trace stays unambiguous.
@@ -127,7 +125,7 @@ func main() {
 			if *metrics {
 				emitMetrics(opts.Metrics)
 			}
-			emitAudit(opts)
+			emitAudit(*auditFlag, opts.Metrics)
 			fmt.Println()
 		}
 		stopProfiles()
@@ -247,11 +245,11 @@ func loadChaos(opts *svrlab.Options, path string) {
 // emitAudit prints the conservation-audit coverage summary when -audit was
 // given. The auditor itself always runs (and panics on violation); these
 // counters only report how much it covered.
-func emitAudit(opts svrlab.Options) {
-	if !opts.Audit || opts.Metrics == nil {
+func emitAudit(audit bool, reg *svrlab.MetricsRegistry) {
+	if !audit {
 		return
 	}
-	s := opts.Metrics.Snapshot()
+	s := reg.Snapshot()
 	fmt.Printf("\n-- audit -- %d labs conserved: %d links, %d conns (%d paired) checked\n",
 		s.Counter("audit.labs"), s.Counter("audit.links"),
 		s.Counter("audit.conns"), s.Counter("audit.pairs"))

@@ -218,7 +218,11 @@ func checkTrace(n *netsim.Network, r *Report) {
 	}
 	// Refused sends (unroutable, host-down-tx) record drop spans too, even
 	// though they sit outside the conservation identity.
-	if want := c.Dropped() + c.Unroutable + c.HostDownTx; drops != want {
+	var want int64
+	for _, d := range c.Drops {
+		want += d
+	}
+	if drops != want {
 		r.fail("trace", "%d drop spans recorded, ledger says %d", drops, want)
 	}
 }

@@ -90,7 +90,7 @@ func TestAuditLossyRun(t *testing.T) {
 	if !rep.OK() {
 		t.Fatalf("lossy run reported violations:\n%s", rep)
 	}
-	if rep.Conservation.DropNetemLossUp == 0 {
+	if rep.Conservation.Drops[netsim.CauseNetemLossUp] == 0 {
 		t.Fatal("20% uplink loss produced no netem drops")
 	}
 }

@@ -78,15 +78,18 @@ func NewLabTraced(seed int64, m *obs.Registry, tr *trace.Tracer) *Lab {
 // Trace returns the lab's flight recorder (nil when tracing is disabled).
 func (l *Lab) Trace() *trace.Tracer { return l.Dep.Net.Tracer }
 
-// MustConserve runs the end-of-run conservation auditor (package audit)
-// over this lab's fabric and panics with the full report if any invariant
-// fails. Every experiment calls it once its cell finishes driving the
-// scheduler, so the auditor runs automatically in every experiment test.
-// The auditor only reads state the run already produced — never the
-// scheduler, RNG, or a counter the artifact renders — so artifacts stay
-// byte-identical whether or not anyone looks at the report. Coverage is
-// tallied into the registry for the CLI -audit summary.
+// MustConserve is the lab's teardown. It folds the fabric's packet ledger
+// into the metrics registry (netsim.Network.FlushMetrics), then runs the
+// end-of-run conservation auditor (package audit) over the fabric and
+// panics with the full report if any invariant fails. Every experiment
+// calls it once its cell finishes driving the scheduler, so the auditor
+// runs automatically in every experiment test. The auditor only reads
+// state the run already produced — never the scheduler, RNG, or a counter
+// the artifact renders — so artifacts stay byte-identical whether or not
+// anyone looks at the report. Coverage is tallied into the registry for
+// the CLI -audit summary.
 func (l *Lab) MustConserve() {
+	l.Dep.Net.FlushMetrics()
 	rep := audit.Run(l.Dep.Net)
 	if !rep.OK() {
 		panic("experiment: conservation audit failed (seed " +

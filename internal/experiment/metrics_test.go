@@ -56,7 +56,9 @@ func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestLabPrivateRegistryByDefault: experiments invoked with a nil registry
-// still observe into a per-lab registry reachable via Lab.Metrics().
+// still observe into a per-lab registry reachable via Lab.Metrics(). The
+// fabric's packet counts arrive at teardown, when MustConserve flushes the
+// ledger.
 func TestLabPrivateRegistryByDefault(t *testing.T) {
 	l := NewLab(7)
 	if l.Metrics() == nil {
@@ -64,6 +66,7 @@ func TestLabPrivateRegistryByDefault(t *testing.T) {
 	}
 	l.Spawn(platform.RecRoom, 1, SpawnOpts{})
 	l.Sched.RunUntil(5e9)
+	l.MustConserve()
 	if l.Metrics().Snapshot().Counter("netsim.packets.sent") == 0 {
 		t.Fatal("private registry recorded nothing")
 	}

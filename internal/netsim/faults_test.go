@@ -25,8 +25,8 @@ func TestHostDownRefusesSend(t *testing.T) {
 		t.Fatal("Send from a down host returned true")
 	}
 	c := n.Conservation()
-	if c.HostDownTx != 1 || c.Sent != 0 {
-		t.Fatalf("HostDownTx=%d Sent=%d, want 1/0", c.HostDownTx, c.Sent)
+	if c.Drops[CauseHostDownTx] != 1 || c.Sent != 0 {
+		t.Fatalf("HostDownTx=%d Sent=%d, want 1/0", c.Drops[CauseHostDownTx], c.Sent)
 	}
 	mustConserve(t, n)
 
@@ -58,8 +58,8 @@ func TestHostDownDropsInboundInFlight(t *testing.T) {
 		t.Fatal("packet delivered to a crashed host")
 	}
 	c := n.Conservation()
-	if c.DropHostDown != 1 {
-		t.Fatalf("DropHostDown = %d, want 1", c.DropHostDown)
+	if c.Drops[CauseHostDown] != 1 {
+		t.Fatalf("HostDown drops = %d, want 1", c.Drops[CauseHostDown])
 	}
 	mustConserve(t, n)
 }
@@ -117,8 +117,8 @@ func TestLinkDownDropsInFlightPacket(t *testing.T) {
 		t.Fatal("packet delivered across a downed link")
 	}
 	c := n.Conservation()
-	if c.DropLinkDown != 1 {
-		t.Fatalf("DropLinkDown = %d, want 1", c.DropLinkDown)
+	if c.Drops[CauseLinkDown] != 1 {
+		t.Fatalf("LinkDown drops = %d, want 1", c.Drops[CauseLinkDown])
 	}
 	mustConserve(t, n)
 	_ = east
@@ -131,8 +131,8 @@ func TestSitePartitionIsolatesAndHeals(t *testing.T) {
 		t.Fatal("Send into a partitioned site returned true (should be unroutable)")
 	}
 	c := n.Conservation()
-	if c.Unroutable != 1 {
-		t.Fatalf("Unroutable = %d, want 1", c.Unroutable)
+	if c.Drops[CauseUnroutable] != 1 {
+		t.Fatalf("Unroutable = %d, want 1", c.Drops[CauseUnroutable])
 	}
 	n.SetSitePartitioned(west, false)
 	delivered := 0
@@ -219,8 +219,8 @@ func TestConservationWithTTLAndICMP(t *testing.T) {
 	}
 	n.Sched.Run()
 	c := n.Conservation()
-	if c.DropTTL != 1 {
-		t.Fatalf("DropTTL = %d, want 1", c.DropTTL)
+	if c.Drops[CauseTTL] != 1 {
+		t.Fatalf("TTL drops = %d, want 1", c.Drops[CauseTTL])
 	}
 	if c.ICMPInjected != 1 {
 		t.Fatalf("ICMPInjected = %d, want 1", c.ICMPInjected)

@@ -15,8 +15,9 @@
 // forwarding-state struct through every hop (scheduled via the scheduler's
 // pooled fire-and-forget events), delivery patches the hop-decremented TTL
 // into the existing buffer with an incremental checksum update
-// (packet.PatchTTL), and all fabric metrics go through precomputed obs
-// handles. See DESIGN.md "The packet hot path".
+// (packet.PatchTTL), and every packet fact lands in one plain-int ledger
+// (Conservation) that FlushMetrics folds into the metrics registry at lab
+// teardown. See DESIGN.md "The packet hot path".
 package netsim
 
 import (
@@ -94,9 +95,8 @@ type Link struct {
 	// route computation excludes it (see Network.SetLinkDown).
 	down bool
 
-	// Conservation ledger, audited at end of run (package audit): every
-	// packet offered to the link is either carried or dropped here, and the
-	// per-cause obs counters must agree with these independent tallies.
+	// Per-link ledger, audited at end of run (package audit): every packet
+	// offered to the link is either carried or dropped here.
 	OfferedPackets, DroppedPackets int
 	OfferedBytes, CarriedBytes     int64
 }
@@ -234,8 +234,10 @@ type Network struct {
 	Sched    *simtime.Scheduler
 	Rng      *rand.Rand
 	Registry *geo.Registry
-	// Metrics receives fabric-level counters and histograms (drops by
-	// cause, per-link-class queueing delay, ICMP errors). Never nil.
+	// Metrics receives the fabric's per-link-class queueing-delay
+	// histograms and ICMP error counts as they happen, and the ledger's
+	// packet counts (sent, delivered, drops by cause) when FlushMetrics
+	// runs. Never nil.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records packet-lifecycle spans and protocol
 	// events into the lab's flight recorder. Nil (the default) disables
@@ -267,27 +269,19 @@ type Network struct {
 
 	ipid uint16
 
-	// cons is the Network-local conservation ledger. It mirrors the obs
-	// counters below but lives on the Network itself, because the obs
-	// registry may be shared across sweep cells (NewLabObserved): per-lab
-	// conservation can only be audited against per-network tallies.
-	cons Conservation
+	// cons is the Network-local packet ledger. It lives on the Network, not
+	// in the registry, because the registry may be shared across sweep
+	// cells (NewLabObserved): per-lab conservation can only be audited
+	// against per-network tallies. flushed is the part of cons already
+	// added to Metrics.
+	cons, flushed Conservation
 
 	// endpoints lists transport layers attached to this fabric, in
 	// registration order, for the end-of-run auditor (package audit
 	// type-asserts them to its own interfaces; netsim stays transport-free).
 	endpoints []any
 
-	// Precomputed metric handles for the per-packet/per-hop path.
-	cSent, cDelivered, cUnroutable          obs.Counter
-	cDropAccessUp, cDropAccessDown          obs.Counter
-	cDropBackbone                           obs.Counter
-	cNetemLossUp, cNetemLossDown            obs.Counter
-	cNetemQueueUp, cNetemQueueDown          obs.Counter
-	cDropTTL                                obs.Counter
-	cDropHostDown, cDropLinkDown            obs.Counter
-	cHostDownTx                             obs.Counter
-	cICMPInjected                           obs.Counter
+	// Precomputed metric handles for facts the ledger does not hold.
 	hQdAccessUp, hQdAccessDown, hQdBackbone obs.Hist
 	cICMPTimeExceeded, cICMPDestUnreach     obs.Counter
 	cICMPOther                              obs.Counter
@@ -315,21 +309,6 @@ func NewObserved(s *simtime.Scheduler, seed int64, m *obs.Registry) *Network {
 		anycast:      make(map[packet.Addr][]*Host),
 		anycastCache: make(map[anycastKey]*Host),
 	}
-	n.cSent = m.Counter("netsim.packets.sent")
-	n.cDelivered = m.Counter("netsim.packets.delivered")
-	n.cUnroutable = m.Counter("netsim.packets.unroutable")
-	n.cDropAccessUp = m.Counter("netsim.drop.link.access_up")
-	n.cDropAccessDown = m.Counter("netsim.drop.link.access_down")
-	n.cDropBackbone = m.Counter("netsim.drop.link.backbone")
-	n.cNetemLossUp = m.Counter("netsim.drop.netem.loss.up")
-	n.cNetemLossDown = m.Counter("netsim.drop.netem.loss.down")
-	n.cNetemQueueUp = m.Counter("netsim.drop.netem.queue.up")
-	n.cNetemQueueDown = m.Counter("netsim.drop.netem.queue.down")
-	n.cDropTTL = m.Counter("netsim.drop.ttl")
-	n.cDropHostDown = m.Counter("netsim.drop.host_down")
-	n.cDropLinkDown = m.Counter("netsim.drop.link_down")
-	n.cHostDownTx = m.Counter("netsim.send.host_down")
-	n.cICMPInjected = m.Counter("netsim.packets.icmp_injected")
 	n.hQdAccessUp = m.Hist("netsim.qdelay.access_up")
 	n.hQdAccessDown = m.Hist("netsim.qdelay.access_down")
 	n.hQdBackbone = m.Hist("netsim.qdelay.backbone")
@@ -698,6 +677,20 @@ func (n *Network) releaseFwd(fs *fwdState) {
 	n.fwdFree = append(n.fwdFree, fs)
 }
 
+// drop is the one place a packet leaves the fabric undelivered: it books the
+// cause in the ledger, records the drop span under the cause's label at the
+// host or site named by where, and releases the forwarding state. fs is nil
+// for a refused send, which never acquired one.
+func (n *Network) drop(fs *fwdState, cause Cause, where string) {
+	n.cons.Drops[cause]++
+	if fs == nil {
+		n.Tracer.Packet(n.Sched.Now(), trace.KindPacketDrop, 0, where, causes[cause].label, 0)
+		return
+	}
+	n.Tracer.Packet(n.Sched.Now(), trace.KindPacketDrop, fs.span, where, causes[cause].label, fs.size)
+	n.releaseFwd(fs)
+}
+
 // Send transmits pkt from host h. The IP source defaults to h's address
 // when unset; services answering on an anycast address set it explicitly.
 // TTL defaults to DefaultTTL when zero. Returns false if the destination is
@@ -723,28 +716,22 @@ func (n *Network) Send(h *Host, pkt *packet.Packet) bool {
 
 	// A crashed host cannot put packets on the wire at all; like unroutable
 	// sends this refusal happens before any send accounting, so it sits
-	// outside the conservation identity (no cSent, no in-flight state).
+	// outside the conservation identity (no Sent, no in-flight state).
 	if h.down {
-		n.cons.HostDownTx++
-		n.cHostDownTx.Inc()
-		n.Tracer.Packet(n.Sched.Now(), trace.KindPacketDrop, 0, h.ID, "host-down-tx", 0)
+		n.drop(nil, CauseHostDownTx, h.ID)
 		return false
 	}
 
 	dst, ok := n.hosts[pkt.IP.Dst]
 	if !ok {
 		if dst, ok = n.ResolveAnycast(pkt.IP.Dst, h.Site); !ok {
-			n.cons.Unroutable++
-			n.cUnroutable.Inc()
-			n.Tracer.Packet(n.Sched.Now(), trace.KindPacketDrop, 0, h.ID, "unroutable", 0)
+			n.drop(nil, CauseUnroutable, h.ID)
 			return false
 		}
 	}
 	path := n.sitePath(h.Site, dst.Site)
 	if path == nil {
-		n.cons.Unroutable++
-		n.cUnroutable.Inc()
-		n.Tracer.Packet(n.Sched.Now(), trace.KindPacketDrop, 0, h.ID, "unroutable", 0)
+		n.drop(nil, CauseUnroutable, h.ID)
 		return false
 	}
 
@@ -763,21 +750,14 @@ func (n *Network) Send(h *Host, pkt *packet.Packet) bool {
 	h.SentPackets++
 	h.SentBytes += fs.size
 	n.cons.Sent++
-	n.cSent.Inc()
 	n.Tracer.Packet(now, trace.KindPacketSend, fs.span, h.ID, protoName(pkt), fs.size)
 
 	// Uplink netem first (loss, shaping, delay)...
 	depart := now
 	if h.UpNetem.matches(pkt) {
-		d, cause := n.applyNetem(h.UpNetem, depart, fs.size, n.cNetemLossUp, n.cNetemQueueUp)
-		if cause != netemPass {
-			if cause == netemLoss {
-				n.cons.DropNetemLossUp++
-			} else {
-				n.cons.DropNetemQueueUp++
-			}
-			n.Tracer.Packet(now, trace.KindPacketDrop, fs.span, h.ID, netemDropName(cause, DirUp), fs.size)
-			n.releaseFwd(fs)
+		d, cause, dropped := n.applyNetem(h.UpNetem, depart, fs.size, DirUp)
+		if dropped {
+			n.drop(fs, cause, h.ID)
 			return true // consumed (dropped) — still "sent"
 		}
 		depart = d
@@ -789,28 +769,6 @@ func (n *Network) Send(h *Host, pkt *packet.Packet) bool {
 		n.Sched.Post(depart, fs.emitFn)
 	}
 	return true
-}
-
-// Netem drop causes, distinguished so the flight recorder can name them.
-const (
-	netemPass = iota
-	netemLoss
-	netemQueue
-)
-
-// netemDropName maps a drop cause and direction to a constant label, so the
-// hot path records causes without formatting or allocation.
-func netemDropName(cause int, dir Dir) string {
-	if cause == netemLoss {
-		if dir == DirUp {
-			return "netem-loss-up"
-		}
-		return "netem-loss-down"
-	}
-	if dir == DirUp {
-		return "netem-queue-up"
-	}
-	return "netem-queue-down"
 }
 
 // protoName labels a packet's protocol with a constant string.
@@ -826,15 +784,14 @@ func protoName(p *packet.Packet) string {
 	return "ip"
 }
 
-// applyNetem applies loss, rate limiting and delay; returns the new departure
-// time and a drop cause (netemPass means the packet goes through).
-// lossDrop/queueDrop are the direction's drop-cause counters.
-func (n *Network) applyNetem(ne *Netem, now time.Duration, size int, lossDrop, queueDrop obs.Counter) (time.Duration, int) {
+// applyNetem applies loss, rate limiting and delay to a packet crossing in
+// direction dir. It returns the new departure time, or dropped and the
+// cause.
+func (n *Network) applyNetem(ne *Netem, now time.Duration, size int, dir Dir) (depart time.Duration, cause Cause, dropped bool) {
 	if ne.Loss > 0 && n.Rng.Float64() < ne.Loss {
-		lossDrop.Inc()
-		return 0, netemLoss
+		return 0, CauseNetemLossUp + Cause(dir), true
 	}
-	depart := now
+	depart = now
 	if ne.RateBps > 0 {
 		start := depart
 		if ne.busyUntil > start {
@@ -843,14 +800,13 @@ func (n *Network) applyNetem(ne *Netem, now time.Duration, size int, lossDrop, q
 		// Bounded shaping queue: beyond 250 ms of backlog the shaper tail-drops,
 		// as tbf/netem with a finite limit would.
 		if start-now > 250*time.Millisecond {
-			queueDrop.Inc()
-			return 0, netemQueue
+			return 0, CauseNetemQueueUp + Cause(dir), true
 		}
 		tx := time.Duration(float64(size*8) / ne.RateBps * float64(time.Second))
 		ne.busyUntil = start + tx
 		depart = ne.busyUntil
 	}
-	return depart + ne.Delay, netemPass
+	return depart + ne.Delay, 0, false
 }
 
 // emit runs the uplink tap and access-link transmission at departure time.
@@ -859,19 +815,13 @@ func (fs *fwdState) emit() {
 	h := fs.src
 	// The host may have crashed between Send (netem delay) and departure.
 	if h.down {
-		n.cons.DropHostDown++
-		n.cDropHostDown.Inc()
-		n.Tracer.Packet(n.Sched.Now(), trace.KindPacketDrop, fs.span, h.ID, "host-down", fs.size)
-		n.releaseFwd(fs)
+		n.drop(fs, CauseHostDown, h.ID)
 		return
 	}
 	h.runTaps(n.Sched.Now(), DirUp, fs.wire)
 	arrive, qd, drop := h.Up.transmit(n.Sched.Now(), fs.size, n.Rng)
 	if drop {
-		n.cons.DropAccessUp++
-		n.cDropAccessUp.Inc()
-		n.Tracer.Packet(n.Sched.Now(), trace.KindPacketDrop, fs.span, h.ID, "access-up", fs.size)
-		n.releaseFwd(fs)
+		n.drop(fs, CauseAccessUp, h.ID)
 		return
 	}
 	n.hQdAccessUp.Observe(qd)
@@ -886,11 +836,8 @@ func (fs *fwdState) forward() {
 	pkt := fs.pkt
 	// Router TTL handling.
 	if pkt.IP.TTL <= 1 {
-		n.cons.DropTTL++
-		n.cDropTTL.Inc()
-		n.Tracer.Packet(n.Sched.Now(), trace.KindPacketDrop, fs.span, site.Name, "ttl-exceeded", fs.size)
 		n.sendICMPError(site.Router, fs.src, pkt, packet.ICMPTimeExceeded, 0)
-		n.releaseFwd(fs)
+		n.drop(fs, CauseTTL, site.Name)
 		return
 	}
 	pkt.IP.TTL--
@@ -901,23 +848,14 @@ func (fs *fwdState) forward() {
 		depart := n.Sched.Now() + perHopCost
 		arrive, qd, drop := fs.dst.Down.transmit(depart, fs.size, n.Rng)
 		if drop {
-			n.cons.DropAccessDown++
-			n.cDropAccessDown.Inc()
-			n.Tracer.Packet(n.Sched.Now(), trace.KindPacketDrop, fs.span, fs.dst.ID, "access-down", fs.size)
-			n.releaseFwd(fs)
+			n.drop(fs, CauseAccessDown, fs.dst.ID)
 			return
 		}
 		n.hQdAccessDown.Observe(qd)
 		if fs.dst.DownNetem.matches(pkt) {
-			d, cause := n.applyNetem(fs.dst.DownNetem, arrive, fs.size, n.cNetemLossDown, n.cNetemQueueDown)
-			if cause != netemPass {
-				if cause == netemLoss {
-					n.cons.DropNetemLossDown++
-				} else {
-					n.cons.DropNetemQueueDown++
-				}
-				n.Tracer.Packet(n.Sched.Now(), trace.KindPacketDrop, fs.span, fs.dst.ID, netemDropName(cause, DirDown), fs.size)
-				n.releaseFwd(fs)
+			d, cause, dropped := n.applyNetem(fs.dst.DownNetem, arrive, fs.size, DirDown)
+			if dropped {
+				n.drop(fs, cause, fs.dst.ID)
 				return
 			}
 			arrive = d
@@ -930,19 +868,13 @@ func (fs *fwdState) forward() {
 	// A link taken down after this packet was routed drops it here — the
 	// in-flight casualty of a chaos link-down/partition event.
 	if l.down {
-		n.cons.DropLinkDown++
-		n.cDropLinkDown.Inc()
 		l.noteDownDrop(fs.size)
-		n.Tracer.Packet(n.Sched.Now(), trace.KindPacketDrop, fs.span, site.Name, "link-down", fs.size)
-		n.releaseFwd(fs)
+		n.drop(fs, CauseLinkDown, site.Name)
 		return
 	}
 	arrive, qd, drop := l.transmit(n.Sched.Now()+perHopCost, fs.size, n.Rng)
 	if drop {
-		n.cons.DropBackbone++
-		n.cDropBackbone.Inc()
-		n.Tracer.Packet(n.Sched.Now(), trace.KindPacketDrop, fs.span, site.Name, "backbone", fs.size)
-		n.releaseFwd(fs)
+		n.drop(fs, CauseBackbone, site.Name)
 		return
 	}
 	n.hQdBackbone.Observe(qd)
@@ -958,10 +890,7 @@ func (fs *fwdState) deliver() {
 	// The destination may have crashed while the packet was in flight; a
 	// down host's NIC is gone, so the packet dies at the access link.
 	if fs.dst.down {
-		fs.n.cons.DropHostDown++
-		fs.n.cDropHostDown.Inc()
-		fs.n.Tracer.Packet(fs.n.Sched.Now(), trace.KindPacketDrop, fs.span, fs.dst.ID, "host-down", fs.size)
-		fs.n.releaseFwd(fs)
+		fs.n.drop(fs, CauseHostDown, fs.dst.ID)
 		return
 	}
 	packet.PatchTTL(fs.wire, fs.pkt.IP.TTL)
@@ -974,7 +903,6 @@ func (n *Network) deliverWire(dst *Host, pkt *packet.Packet, wire []byte) {
 	dst.RecvPackets++
 	dst.RecvBytes += len(wire)
 	n.cons.Delivered++
-	n.cDelivered.Inc()
 	dst.runTaps(n.Sched.Now(), DirDown, wire)
 	if dst.Handler != nil {
 		dst.Handler(pkt)
@@ -1019,13 +947,12 @@ func (n *Network) sendICMPError(from packet.Addr, to *Host, orig *packet.Packet,
 			return
 		}
 		// Injected deliveries bypass the normal Send path, so they carry
-		// their own conservation accounting: cICMPInjected balances the
-		// cDelivered increment inside deliverWire, and InjectedBytes feeds
+		// their own conservation accounting: ICMPInjected balances the
+		// Delivered increment inside deliverWire, and InjectedBytes feeds
 		// the capture-bytes audit bound (the bytes never crossed to.Down).
 		// Both trace stamps are recorded here, at delivery time, so the
 		// span count identity (#send == sent+injected) holds at teardown.
 		n.cons.ICMPInjected++
-		n.cICMPInjected.Inc()
 		to.InjectedBytes += int64(len(wire))
 		span := n.Tracer.NextSpan()
 		n.Tracer.Packet(n.Sched.Now(), trace.KindPacketSend, span, "icmp-router", "icmp", len(wire))

@@ -72,18 +72,12 @@ type Scheduler struct {
 	// value now can take. The scalar fields stay ahead of the slot arrays
 	// so the per-dispatch state fits in the struct's first cache lines.
 	elapsed   uint64
-	levelMask uint32 // bit ℓ set iff level ℓ has any occupied slot
-	pending   int    // queued events across staged + wheel + overflow
-	// staged is the singleton fast path: an event enqueued into an empty
-	// queue is held here and the wheel is never touched. The drain-loop
-	// steady state (dispatch one event, schedule the next) runs entirely
-	// through this pointer. A staged event never migrates into the wheel;
-	// findMin arbitrates staged vs wheel minimum by (at, seq).
-	staged   *Event
-	overflow overflowHeap       // events past the wheel horizon
-	occupied [numLevels]uint64  // per-level slot occupancy bitmaps
-	head     [wheelSlots]*Event // per-slot list heads (FIFO within a tick)
-	tail     [wheelSlots]*Event // per-slot list tails
+	levelMask uint32             // bit ℓ set iff level ℓ has any occupied slot
+	pending   int                // queued events across wheel + overflow
+	overflow  overflowHeap       // events past the wheel horizon
+	occupied  [numLevels]uint64  // per-level slot occupancy bitmaps
+	head      [wheelSlots]*Event // per-slot list heads (FIFO within a tick)
+	tail      [wheelSlots]*Event // per-slot list tails
 }
 
 // NewScheduler returns a scheduler with the clock at zero.
@@ -188,13 +182,7 @@ func (s *Scheduler) Cancel(e *Event) {
 // dispatch removes e from the queue, advances the clock, and runs its
 // callback. e must be the findMin result.
 func (s *Scheduler) dispatch(e *Event) {
-	if e.slot == slotStaged {
-		s.staged = nil
-		e.slot = slotNone
-		s.pending--
-	} else {
-		s.take(e)
-	}
+	s.take(e)
 	e.fired = true
 	s.now = e.at
 	// Drag the wheel cursor along: e is the global minimum, so no pending
@@ -218,13 +206,9 @@ func (s *Scheduler) Step() bool {
 	if s.stopped || s.pending == 0 {
 		return false
 	}
-	// Staged-singleton fast path: with exactly one pending event it is the
-	// minimum by construction — skip findMin entirely.
-	e := s.staged
-	if e == nil || s.pending != 1 {
-		if e = s.findMin(^uint64(0)); e == nil {
-			return false
-		}
+	e := s.findMin(^uint64(0))
+	if e == nil {
+		return false
 	}
 	s.dispatch(e)
 	return true

@@ -42,8 +42,7 @@ const (
 // Event location markers (Event.slot).
 const (
 	slotNone     int32 = -1 // not queued (never scheduled, fired, or cancelled)
-	slotStaged   int32 = -2 // held in the staged-singleton fast path (Scheduler.staged)
-	slotOverflow int32 = -3 // parked in the overflow heap at index 0; index i is -3-i
+	slotOverflow int32 = -2 // parked in the overflow heap at index 0; index i is -2-i
 )
 
 // heapSlot encodes overflow-heap index i into Event.slot; heapIdx decodes it.
@@ -65,28 +64,9 @@ func levelSlot(tick, elapsed uint64) (lvl, idx int, ok bool) {
 	return lvl, lvl*slotsPerLevel + int((tick>>(uint(lvl)*levelBits))&slotMask), true
 }
 
-// enqueue files e (with e.at already set) into its wheel slot, the staged
-// singleton, or the overflow heap, and bumps the pending count.
-//
-// The staged singleton is the ping-pong fast path: when the queue is empty
-// — the steady state of a drain loop where each dispatched event schedules
-// the next — the event is held in s.staged and the wheel is never touched.
-// A staged event never migrates into the wheel (that would invert the
-// level-monotonicity ordering invariant); if later, earlier events arrive
-// they go to the wheel and findMin arbitrates by (at, seq).
+// enqueue files e (with e.at already set) into its wheel slot or the
+// overflow heap, and bumps the pending count.
 func (s *Scheduler) enqueue(e *Event) {
-	if s.pending == 0 {
-		e.slot = slotStaged
-		s.staged = e
-		s.pending = 1
-		return
-	}
-	s.enqueueWheel(e)
-}
-
-// enqueueWheel files e into the wheel or overflow heap (the non-staged
-// path, kept out of enqueue so the staged check inlines into At/Post).
-func (s *Scheduler) enqueueWheel(e *Event) {
 	tick := uint64(e.at)
 	lvl, idx, ok := levelSlot(tick, s.elapsed)
 	if !ok {
@@ -158,8 +138,6 @@ func (s *Scheduler) take(e *Event) {
 	switch {
 	case e.slot >= 0:
 		s.unlink(e)
-	case e.slot == slotStaged:
-		s.staged = nil
 	case e.slot <= slotOverflow:
 		s.overflow.remove(heapIdx(e.slot))
 	default:
@@ -171,43 +149,12 @@ func (s *Scheduler) take(e *Event) {
 
 // findMin returns the earliest pending event in (at, seq) order without
 // removing it, or nil if there is none at tick <= limit. It is the peek
-// the dispatch loop and RunUntil share. With a staged singleton and an
-// otherwise empty queue this is a pointer read; with both staged and
-// wheel events it arbitrates exactly: at equal ticks the staged event
-// wins, since everything scheduled after it carries a higher seq.
-func (s *Scheduler) findMin(limit uint64) *Event {
-	if st := s.staged; st != nil {
-		t := uint64(st.at)
-		if s.pending == 1 {
-			if t > limit {
-				return nil
-			}
-			return st
-		}
-		// Bound the wheel scan by the staged tick as well as the caller's
-		// horizon, so cascades can never carry the cursor past the true
-		// minimum (elapsed must stay <= every pending tick).
-		bound := t
-		if limit < bound {
-			bound = limit
-		}
-		if w := s.scanMin(bound); w != nil && uint64(w.at) < t {
-			return w
-		}
-		if t > limit {
-			return nil
-		}
-		return st
-	}
-	return s.scanMin(limit)
-}
-
-// scanMin is the cold path of findMin: a bitmap scan over the levels plus
+// the dispatch loop and RunUntil share: a bitmap scan over the levels plus
 // the overflow head. Higher-level slots that stand between the cursor and
 // the minimum are cascaded down as a side effect; the cursor never
 // advances past limit, so events scheduled after a bounded peek
 // (RunUntil's horizon) can never land behind it.
-func (s *Scheduler) scanMin(limit uint64) *Event {
+func (s *Scheduler) findMin(limit uint64) *Event {
 	for {
 		// Earliest candidate slot per level. A slot at level ℓ covers ticks
 		// [base, base+64^ℓ), so base is an exact firing tick at level 0 and

@@ -94,7 +94,7 @@ func TestOverflowHeapPath(t *testing.T) {
 	s := NewScheduler()
 	far := time.Duration(1) << (horizonBits + 2) // well past the horizon
 	var order []int
-	s.At(time.Millisecond, func() { order = append(order, 1) }) // occupies the staged slot
+	s.At(time.Millisecond, func() { order = append(order, 1) }) // wheel-resident
 	s.At(far+2*time.Hour, func() { order = append(order, 3) })
 	s.At(far+time.Hour, func() { order = append(order, 2) })
 	doomed := s.At(far+30*time.Minute, func() { t.Fatal("cancelled overflow event ran") })
@@ -126,11 +126,12 @@ func TestOverflowSameTickBeatsWheel(t *testing.T) {
 	s := NewScheduler()
 	target := time.Duration(1)<<horizonBits + 5*time.Minute
 	var order []int
-	// Staged; dispatching it drags the wheel cursor across the boundary.
+	// Both start past the horizon; dispatching the first drags the wheel
+	// cursor across the boundary.
 	s.At(target-time.Minute, func() { order = append(order, -1) })
-	s.At(target, func() { order = append(order, 0) }) // past horizon from t=0
-	if len(s.overflow) != 1 {
-		t.Fatalf("overflow holds %d events, want 1", len(s.overflow))
+	s.At(target, func() { order = append(order, 0) })
+	if len(s.overflow) != 2 {
+		t.Fatalf("overflow holds %d events, want 2", len(s.overflow))
 	}
 	s.RunUntil(target - time.Minute)
 	s.At(target, func() { order = append(order, 1) }) // same tick, lone wheel slot
@@ -146,15 +147,15 @@ func TestOverflowSameTickBeatsWheel(t *testing.T) {
 	}
 }
 
-// TestStagedSingletonArbitration: the first event into an empty queue is
-// held outside the wheel; later events must still interleave correctly —
-// earlier ticks preempt it, equal ticks follow it.
-func TestStagedSingletonArbitration(t *testing.T) {
+// TestFirstEventArbitration: events scheduled after the first one into an
+// empty queue must interleave with it by (at, seq) — earlier ticks preempt
+// it, equal ticks follow it.
+func TestFirstEventArbitration(t *testing.T) {
 	s := NewScheduler()
 	var order []int
-	s.At(10*time.Millisecond, func() { order = append(order, 1) }) // staged
-	s.At(5*time.Millisecond, func() { order = append(order, 0) })  // earlier → wheel
-	s.At(10*time.Millisecond, func() { order = append(order, 2) }) // same tick → after staged
+	s.At(10*time.Millisecond, func() { order = append(order, 1) })
+	s.At(5*time.Millisecond, func() { order = append(order, 0) })  // earlier tick
+	s.At(10*time.Millisecond, func() { order = append(order, 2) }) // same tick, later seq
 	s.Run()
 	want := []int{0, 1, 2}
 	for i := range want {
@@ -164,20 +165,20 @@ func TestStagedSingletonArbitration(t *testing.T) {
 	}
 }
 
-// TestCancelStagedEvent: cancelling the staged singleton must empty the
+// TestCancelOnlyEvent: cancelling the only queued event must empty the
 // queue and leave the scheduler usable.
-func TestCancelStagedEvent(t *testing.T) {
+func TestCancelOnlyEvent(t *testing.T) {
 	s := NewScheduler()
 	e := s.At(time.Millisecond, func() { t.Fatal("cancelled event ran") })
 	s.Cancel(e)
 	if s.Pending() != 0 {
-		t.Fatalf("pending = %d after cancelling staged event, want 0", s.Pending())
+		t.Fatalf("pending = %d after cancelling the only event, want 0", s.Pending())
 	}
 	ran := false
 	s.At(2*time.Millisecond, func() { ran = true })
 	s.Run()
 	if !ran {
-		t.Fatal("scheduler unusable after staged cancel")
+		t.Fatal("scheduler unusable after cancelling the only event")
 	}
 }
 
@@ -234,9 +235,6 @@ func TestCursorNeverPassesPendingTicks(t *testing.T) {
 		900 * time.Millisecond, 10 * time.Second, 20 * time.Minute, 2 * time.Hour,
 	}
 	check := func() {
-		if s.staged != nil && uint64(s.staged.at) < s.elapsed {
-			t.Fatalf("cursor %d passed staged tick %d", s.elapsed, s.staged.at)
-		}
 		for i := range s.head {
 			for e := s.head[i]; e != nil; e = e.next {
 				if uint64(e.at) < s.elapsed {

@@ -122,11 +122,6 @@ type Options struct {
 	// driven entirely by the deterministic scheduler — an empty or nil
 	// spec is byte-identical to no chaos at all.
 	Chaos *ChaosSpec
-	// Audit has no effect on experiment execution: the end-of-run
-	// conservation auditor (package audit) always runs at every lab's
-	// teardown and panics on violation. The flag only asks the CLI to
-	// print the audit coverage summary after the artifact.
-	Audit bool
 }
 
 // ChaosSpec is a declarative, JSON-loadable fault schedule. Parse one from

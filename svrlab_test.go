@@ -139,9 +139,10 @@ func TestConcurrentRunsAreIndependent(t *testing.T) {
 	}
 }
 
-// TestAuditAndEmptyChaosAreByteIdentical: the conservation auditor only
-// reads, and an empty chaos spec schedules nothing, so flipping both on
-// must not change a single artifact byte.
+// TestAuditAndEmptyChaosAreByteIdentical: a shared registry, which receives
+// the flushed fabric ledger and the auditor's coverage tallies at every
+// lab's teardown, and an empty chaos spec, which schedules nothing, must
+// not change a single artifact byte.
 func TestAuditAndEmptyChaosAreByteIdentical(t *testing.T) {
 	base, err := svrlab.Run("resilience", svrlab.Options{Seed: 42, Repeats: 1, Workers: 2})
 	if err != nil {
@@ -149,7 +150,6 @@ func TestAuditAndEmptyChaosAreByteIdentical(t *testing.T) {
 	}
 	flipped, err := svrlab.Run("resilience", svrlab.Options{
 		Seed: 42, Repeats: 1, Workers: 2,
-		Audit:   true,
 		Metrics: svrlab.NewMetricsRegistry(),
 		Chaos:   &svrlab.ChaosSpec{},
 	})
@@ -157,7 +157,7 @@ func TestAuditAndEmptyChaosAreByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if b, f := base.Render(), flipped.Render(); b != f {
-		t.Fatalf("audit+empty-chaos changed the artifact:\n--- base ---\n%s\n--- flipped ---\n%s", b, f)
+		t.Fatalf("shared registry+empty chaos changed the artifact:\n--- base ---\n%s\n--- flipped ---\n%s", b, f)
 	}
 }
 
