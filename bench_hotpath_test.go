@@ -50,7 +50,6 @@ func BenchmarkHotpathSendDeliver(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pkt.IP.TTL = netsim.DefaultTTL
 		n.Send(h1, pkt)
 		n.Sched.Run()
 	}
@@ -66,7 +65,6 @@ func BenchmarkHotpathSendDeliverTapped(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pkt.IP.TTL = netsim.DefaultTTL
 		n.Send(h1, pkt)
 		n.Sched.Run()
 		if s1.Len()+s2.Len() >= 4096 {
@@ -356,7 +354,6 @@ func BenchmarkHotpathCaptureIngest(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pkt.IP.TTL = netsim.DefaultTTL
 		n.Send(h1, pkt)
 		n.Sched.Run()
 		if sn.Len() >= 4096 {

@@ -29,7 +29,7 @@ func TestWireFidelityAcrossFabric(t *testing.T) {
 		}
 	})
 	var got *packet.Packet
-	h2.Handler = func(p *packet.Packet) { got = p }
+	h2.Handler = func(p *packet.Packet) { got = p.Clone() }
 
 	n.Send(h1, udpTo(h2.Addr, []byte("fidelity-check")))
 	n.Sched.Run()
@@ -87,33 +87,56 @@ func TestUnroutableSendDoesNotConsumeIPID(t *testing.T) {
 	}
 }
 
-// TestPacketOwnershipAfterSend asserts the documented ownership contract:
-// the wire bytes are serialized synchronously inside Send, so scribbling
-// over the caller's payload buffer afterwards must not change what the
-// network delivers.
+// TestPacketOwnershipAfterSend asserts the documented ownership contract in
+// both directions. Once Send returns, the caller's packet and payload are the
+// caller's again: overwriting the payload and reusing the same Packet for a
+// second send must not change what the first send delivers. And the packet a
+// handler receives is the fabric's copy of what was put on the wire, with
+// its own payload, ports, IP ID and hop-decremented TTL.
 func TestPacketOwnershipAfterSend(t *testing.T) {
 	n, h1, h2, _, _ := buildTestNet(t)
-	var down []byte
+	var down [][]byte
 	h2.Tap(func(at time.Duration, dir Dir, wire []byte) {
 		if dir == DirDown {
-			down = append([]byte(nil), wire...)
+			down = append(down, append([]byte(nil), wire...))
 		}
 	})
-	h2.Handler = func(p *packet.Packet) {}
+	type seen struct {
+		port    uint16
+		id      uint16
+		ttl     uint8
+		payload string
+	}
+	var got []seen
+	h2.Handler = func(p *packet.Packet) {
+		got = append(got, seen{p.UDP.DstPort, p.IP.ID, p.IP.TTL, string(p.Payload)})
+	}
 
 	payload := []byte("owned-by-netsim")
-	want := append([]byte(nil), payload...)
-	n.Send(h1, udpTo(h2.Addr, payload))
-	for i := range payload { // caller violates the buffer after Send returns
+	pkt := udpTo(h2.Addr, payload)
+	n.Send(h1, pkt)
+	copy(payload, "second-datagram") // the caller reuses buffer and Packet
+	pkt.UDP.DstPort = 2001
+	n.Send(h1, pkt)
+	for i := range payload { // and scribbles over the buffer once more
 		payload[i] = 0xFF
 	}
 	n.Sched.Run()
-	if down == nil {
-		t.Fatal("packet not delivered")
+
+	want := []seen{
+		{2000, 1, DefaultTTL - 3, "owned-by-netsim"},
+		{2001, 2, DefaultTTL - 3, "second-datagram"},
 	}
-	gotPayload := down[len(down)-len(want):]
-	if !bytes.Equal(gotPayload, want) {
-		t.Fatalf("delivered payload reflects post-Send mutation: %q", gotPayload)
+	if len(got) != len(want) || len(down) != len(want) {
+		t.Fatalf("delivered %d packets (%d on the down-tap), want %d", len(got), len(down), len(want))
+	}
+	for i, w := range want {
+		if got[i] != w {
+			t.Errorf("handler saw packet %d as %+v, want %+v", i, got[i], w)
+		}
+		if p := down[i][len(down[i])-len(w.payload):]; string(p) != w.payload {
+			t.Errorf("down-tap payload %d = %q, want %q", i, p, w.payload)
+		}
 	}
 }
 
@@ -125,8 +148,7 @@ func TestSendDeliverAllocs(t *testing.T) {
 	n, h1, h2, _, _ := buildTestNet(t)
 	h2.Handler = func(p *packet.Packet) {}
 	pkt := udpTo(h2.Addr, []byte("alloc-budget-check"))
-	send := func() {
-		pkt.IP.TTL = DefaultTTL // reset the hop-decremented field for reuse
+	send := func() { // Send leaves the caller's packet as it was, so reuse it
 		n.Send(h1, pkt)
 		n.Sched.Run()
 	}
@@ -147,7 +169,6 @@ func TestSendDeliverAllocsTraced(t *testing.T) {
 	h2.Handler = func(p *packet.Packet) {}
 	pkt := udpTo(h2.Addr, []byte("alloc-budget-check"))
 	send := func() {
-		pkt.IP.TTL = DefaultTTL
 		n.Send(h1, pkt)
 		n.Sched.Run()
 	}
@@ -191,7 +212,7 @@ func TestManySiteRouting(t *testing.T) {
 	}
 
 	var got *packet.Packet
-	b.Handler = func(p *packet.Packet) { got = p }
+	b.Handler = func(p *packet.Packet) { got = p.Clone() }
 	n.Send(a, udpTo(b.Addr, []byte("long-haul")))
 	s.Run()
 	if got == nil {

@@ -11,13 +11,13 @@
 // overload, and realistic traceroute/ping behaviour.
 //
 // The per-packet path is engineered to be (near-)zero-allocation: a packet
-// is marshaled exactly once at Send, the wire buffer rides a pooled
-// forwarding-state struct through every hop (scheduled via the scheduler's
-// pooled fire-and-forget events), delivery patches the hop-decremented TTL
-// into the existing buffer with an incremental checksum update
-// (packet.PatchTTL), and every packet fact lands in one plain-int ledger
-// (Conservation) that FlushMetrics folds into the metrics registry at lab
-// teardown. See DESIGN.md "The packet hot path".
+// is marshaled exactly once at Send, the wire buffer and a copy of the
+// headers ride a pooled forwarding-state struct through every hop
+// (scheduled via the scheduler's pooled fire-and-forget events), delivery
+// patches the hop-decremented TTL into the existing buffer with an
+// incremental checksum update (packet.PatchTTL), and every packet fact
+// lands in one plain-int ledger (Conservation) that FlushMetrics folds into
+// the metrics registry at lab teardown. See DESIGN.md "The packet hot path".
 package netsim
 
 import (
@@ -173,7 +173,9 @@ type Host struct {
 	UpNetem, DownNetem *Netem
 
 	// Handler receives every packet addressed to this host. Typically the
-	// transport demultiplexer.
+	// transport demultiplexer. The packet, headers and Payload included, is
+	// the fabric's copy and is valid only during the call, like a tap's wire
+	// bytes: a handler that keeps anything past the call must copy it.
 	Handler func(*packet.Packet)
 
 	taps []TapFunc
@@ -632,14 +634,20 @@ func (n *Network) ResolveAnycast(addr packet.Addr, from *Site) (*Host, bool) {
 	return best, best != nil
 }
 
-// fwdState carries one in-flight packet across its hops: the decoded packet,
-// the single wire serialization, and the route. Its step methods are bound
-// to func values once at construction, so scheduling the next hop costs no
+// fwdState carries one in-flight packet across its hops: the fabric's own
+// copy of the packet, the single wire serialization, and the route. The copy
+// holds the headers by value (tcp, udp and icmp back its transport pointer)
+// and its Payload aliases the payload bytes of wire, so nothing of the
+// sender's packet is kept once Send returns. Its step methods are bound to
+// func values once at construction, so scheduling the next hop costs no
 // closure allocation, and released states (wire buffer included) are pooled
 // on the owning Network.
 type fwdState struct {
 	n        *Network
-	pkt      *packet.Packet
+	pkt      packet.Packet
+	tcp      packet.TCP
+	udp      packet.UDP
+	icmp     packet.ICMP
 	src, dst *Host
 	path     []*Site
 	hop      int
@@ -668,11 +676,14 @@ func (n *Network) acquireFwd() *fwdState {
 }
 
 // releaseFwd returns a terminal (delivered or dropped) state to the pool.
-// The wire buffer is kept for reuse by the next packet; taps only see it
-// during their call, per the TapFunc contract.
+// The wire buffer is kept for reuse by the next packet; taps and handlers
+// only see it during their call, per the TapFunc and Host.Handler contracts.
+// The packet copy is zeroed because Send sets only the transport pointer the
+// next packet carries.
 func (n *Network) releaseFwd(fs *fwdState) {
 	n.fwdLive--
-	fs.pkt, fs.src, fs.dst, fs.path = nil, nil, nil, nil
+	fs.pkt = packet.Packet{}
+	fs.src, fs.dst, fs.path = nil, nil, nil
 	fs.hop, fs.size, fs.span = 0, 0, 0
 	n.fwdFree = append(n.fwdFree, fs)
 }
@@ -696,12 +707,14 @@ func (n *Network) drop(fs *fwdState, cause Cause, where string) {
 // TTL defaults to DefaultTTL when zero. Returns false if the destination is
 // unroutable (the packet is silently dropped, as the real Internet would).
 //
-// Ownership: the fabric owns pkt from the moment Send returns true. It is
-// marshaled to wire bytes exactly once, synchronously, inside Send — so the
-// payload may alias a buffer the caller appends to afterwards — but the
-// Packet struct itself (notably IP.TTL, mutated per hop, and IP.ID) must not
-// be reused for another Send while in flight, and callers must not mutate
-// the payload bytes in place. See TestPacketOwnershipAfterSend.
+// Ownership: Send fills the caller's IP.Src, IP.TTL and IP.ID defaults,
+// marshals the packet to wire bytes exactly once, and copies its headers
+// into the fabric's forwarding state; the copy's payload is the marshaled
+// payload. Once Send returns, pkt and its payload are the caller's again:
+// the caller may reuse the Packet for another Send or overwrite the payload
+// bytes in place, and what the fabric delivers does not change. Send keeps
+// no reference to pkt, so a caller's Packet and header literals stay on its
+// stack. See TestPacketOwnershipAfterSend.
 //
 // The capture tap sits after the uplink netem impairment — the paper's
 // vantage point (tc-netem and Wireshark on the same AP, with capture seeing
@@ -741,20 +754,37 @@ func (n *Network) Send(h *Host, pkt *packet.Packet) bool {
 	pkt.IP.ID = n.ipid
 
 	fs := n.acquireFwd()
-	fs.pkt, fs.src, fs.dst, fs.path = pkt, h, dst, path
+	fs.src, fs.dst, fs.path = h, dst, path
 	fs.wire = pkt.MarshalTo(fs.wire[:0])
 	fs.size = len(fs.wire)
 	fs.span = n.Tracer.NextSpan()
+	// The fabric's copy, made field by field: assigning *pkt whole, storing
+	// any pointer or slice taken from pkt, or handing pkt to a func value
+	// (Netem.Filter) would make the caller's packet escape again.
+	fs.pkt.IP = pkt.IP
+	if pkt.UDP != nil {
+		fs.udp = *pkt.UDP
+		fs.pkt.UDP = &fs.udp
+	}
+	if pkt.TCP != nil {
+		fs.tcp = *pkt.TCP
+		fs.pkt.TCP = &fs.tcp
+	}
+	if pkt.ICMP != nil {
+		fs.icmp = *pkt.ICMP
+		fs.pkt.ICMP = &fs.icmp
+	}
+	fs.pkt.Payload = fs.wire[fs.size-len(pkt.Payload):]
 
 	now := n.Sched.Now()
 	h.SentPackets++
 	h.SentBytes += fs.size
 	n.cons.Sent++
-	n.Tracer.Packet(now, trace.KindPacketSend, fs.span, h.ID, protoName(pkt), fs.size)
+	n.Tracer.Packet(now, trace.KindPacketSend, fs.span, h.ID, protoName(&fs.pkt), fs.size)
 
 	// Uplink netem first (loss, shaping, delay)...
 	depart := now
-	if h.UpNetem.matches(pkt) {
+	if h.UpNetem.matches(&fs.pkt) {
 		d, cause, dropped := n.applyNetem(h.UpNetem, depart, fs.size, DirUp)
 		if dropped {
 			n.drop(fs, cause, h.ID)
@@ -833,7 +863,7 @@ func (fs *fwdState) emit() {
 func (fs *fwdState) forward() {
 	n := fs.n
 	site := fs.path[fs.hop]
-	pkt := fs.pkt
+	pkt := &fs.pkt
 	// Router TTL handling.
 	if pkt.IP.TTL <= 1 {
 		n.sendICMPError(site.Router, fs.src, pkt, packet.ICMPTimeExceeded, 0)
@@ -895,7 +925,7 @@ func (fs *fwdState) deliver() {
 	}
 	packet.PatchTTL(fs.wire, fs.pkt.IP.TTL)
 	fs.n.Tracer.Packet(fs.n.Sched.Now(), trace.KindPacketDeliver, fs.span, fs.dst.ID, "deliver", fs.size)
-	fs.n.deliverWire(fs.dst, fs.pkt, fs.wire)
+	fs.n.deliverWire(fs.dst, &fs.pkt, fs.wire)
 	fs.n.releaseFwd(fs)
 }
 

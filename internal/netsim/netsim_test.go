@@ -37,7 +37,8 @@ func TestDeliveryAcrossBackbone(t *testing.T) {
 	n, h1, h2, _, _ := buildTestNet(t)
 	var got *packet.Packet
 	var at time.Duration
-	h2.Handler = func(p *packet.Packet) { got, at = p, n.Sched.Now() }
+	// A delivered packet is valid only during the call: keep a copy.
+	h2.Handler = func(p *packet.Packet) { got, at = p.Clone(), n.Sched.Now() }
 
 	if !n.Send(h1, udpTo(h2.Addr, []byte("hello"))) {
 		t.Fatal("Send returned false")
@@ -74,7 +75,7 @@ func TestTTLExpiryGeneratesTimeExceeded(t *testing.T) {
 	var icmp *packet.Packet
 	h1.Handler = func(p *packet.Packet) {
 		if p.ICMP != nil {
-			icmp = p
+			icmp = p.Clone()
 		}
 	}
 	pkt := udpTo(h2.Addr, []byte("probe"))

@@ -1,0 +1,81 @@
+package transport
+
+import (
+	"testing"
+
+	"github.com/svrlab/svrlab/internal/packet"
+)
+
+// TestTCPSegmentAllocBound: on a warmed connection, a 10-segment message
+// allocates at most once — the send buffer's growth for the message. The
+// data segments and the ACKs that answer them allocate nothing: the fabric
+// copies their headers, so the Packet and TCP literals in sendSeg, pump and
+// receive stay on the stack.
+func TestTCPSegmentAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc bound only holds without -race")
+	}
+	r := newRig(t)
+	client, server := dialPair(t, r)
+	got := 0
+	server.OnData = func(b []byte) { got += len(b) }
+	const segs = 10
+	msg := make([]byte, segs*MSS)
+	send := func() {
+		client.Send(msg)
+		r.s.Run()
+	}
+	for i := 0; i < 8; i++ { // open the window and warm the pools
+		send()
+	}
+	got = 0
+	sentA, sentB := r.a.SentPackets, r.b.SentPackets
+	const runs = 50
+	if allocs := testing.AllocsPerRun(runs, send); allocs > 1 {
+		t.Fatalf("a %d-segment message allocates %.2f, want <= 1", segs, allocs)
+	}
+	// AllocsPerRun adds a warm-up run. Every message must arrive whole, as
+	// at least segs data segments answered by at least segs ACKs.
+	if want := (runs + 1) * len(msg); got != want {
+		t.Fatalf("delivered %d bytes, want %d", got, want)
+	}
+	if data, acks := r.a.SentPackets-sentA, r.b.SentPackets-sentB; data < (runs+1)*segs || acks < (runs+1)*segs {
+		t.Fatalf("sent %d data segments and %d ACKs for %d messages, want >= %d each", data, acks, runs+1, (runs+1)*segs)
+	}
+}
+
+// TestUDPSendToAllocFree: a warmed UDPSocket.SendTo → deliver round trip
+// allocates nothing.
+func TestUDPSendToAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc bound only holds without -race")
+	}
+	r := newRig(t)
+	srv, err := r.sb.BindUDP(9000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := 0
+	srv.OnRecv = func(src packet.Endpoint, payload []byte) { got += len(payload) }
+	cli, err := r.sa.BindUDP(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := packet.Endpoint{Addr: r.b.Addr, Port: srv.Port}
+	payload := []byte("avatar-update-avatar-update-avat")
+	send := func() {
+		cli.SendTo(dst, payload)
+		r.s.Run()
+	}
+	for i := 0; i < 64; i++ {
+		send()
+	}
+	got = 0
+	const runs = 200
+	if allocs := testing.AllocsPerRun(runs, send); allocs != 0 {
+		t.Fatalf("SendTo→deliver allocates %.2f per datagram, want 0", allocs)
+	}
+	if want := (runs + 1) * len(payload); got != want {
+		t.Fatalf("delivered %d bytes, want %d", got, want)
+	}
+}

@@ -286,9 +286,9 @@ func (c *Conn) Send(data []byte) {
 
 // Grow reserves send-buffer room for n more bytes, so a message written as
 // several Sends moves the buffer at most once instead of once per growth
-// step. Like append, it moves the buffer to a new array rather than
-// compacting in place: in-flight segments alias sendBuf and must never see
-// their bytes overwritten.
+// step. Like append, it moves the buffer to a new array when the room is
+// short. Segments already sent never alias sendBuf: the fabric copies each
+// one into its own wire buffer inside Network.Send.
 func (c *Conn) Grow(n int) {
 	if c.state == StateClosed {
 		return

@@ -39,7 +39,7 @@ func TestUDPSendReceive(t *testing.T) {
 	}
 	var got []byte
 	var from packet.Endpoint
-	srv.OnRecv = func(src packet.Endpoint, payload []byte) { got, from = payload, src }
+	srv.OnRecv = func(src packet.Endpoint, payload []byte) { got, from = bytes.Clone(payload), src }
 	cli, err := r.sa.BindUDP(0)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestUDPPortConflict(t *testing.T) {
 func TestUDPClosedPortGeneratesUnreachable(t *testing.T) {
 	r := newRig(t)
 	var gotICMP *packet.Packet
-	r.sa.ICMPHandler = func(p *packet.Packet) { gotICMP = p }
+	r.sa.ICMPHandler = func(p *packet.Packet) { gotICMP = p.Clone() }
 	cli, _ := r.sa.BindUDP(0)
 	cli.SendTo(packet.Endpoint{Addr: r.b.Addr, Port: 4444}, []byte("probe"))
 	r.s.Run()
@@ -104,7 +104,7 @@ func TestICMPEchoReply(t *testing.T) {
 	var reply *packet.Packet
 	r.sa.ICMPHandler = func(p *packet.Packet) {
 		if p.ICMP.Type == packet.ICMPEchoReply {
-			reply = p
+			reply = p.Clone()
 		}
 	}
 	r.net.Send(r.a, &packet.Packet{
@@ -172,9 +172,9 @@ func TestTCPHandshakeAndTransfer(t *testing.T) {
 }
 
 // TestGrowReservesOnceAndKeepsInFlightBytes: after Grow(n), Sends totalling
-// n bytes append into one backing array. Grow must move the buffer, never
-// compact it in place: segments in flight alias sendBuf, so once an ACK has
-// trimmed its front, compacting would overwrite their bytes before delivery.
+// n bytes append into one backing array, and growing the buffer while an
+// ACK has trimmed its front and segments are in flight delivers every byte
+// intact.
 func TestGrowReservesOnceAndKeepsInFlightBytes(t *testing.T) {
 	r := newRig(t)
 	client, server := dialPair(t, r)
