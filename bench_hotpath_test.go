@@ -316,12 +316,13 @@ func BenchmarkHotpathSchedTicker(b *testing.B) {
 	}
 }
 
-// BenchmarkHotpathObsHandle records through precomputed handles — the
-// per-packet metrics path after the conversion.
+// BenchmarkHotpathObsHandle records through a precomputed counter handle
+// and into a single-owner Durations — the per-packet and per-hop metrics
+// paths.
 func BenchmarkHotpathObsHandle(b *testing.B) {
 	r := obs.NewRegistry()
 	c := r.Counter("bench.counter")
-	h := r.Hist("bench.hist")
+	var h obs.Durations
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,6 +1,10 @@
 package netsim
 
-import "sort"
+import (
+	"sort"
+
+	"github.com/svrlab/svrlab/internal/obs"
+)
 
 // Cause is why a packet left the fabric undelivered. The first ten are
 // in-fabric drops of packets Send accepted; the last two are refused sends,
@@ -84,11 +88,38 @@ func (n *Network) Conservation() Conservation {
 	return c
 }
 
-// FlushMetrics adds the ledger's growth since the previous call to the
-// metrics registry; a second call with no traffic in between adds nothing.
-// Labs call it once, at teardown (experiment.Lab.MustConserve). Registry
-// adds commute, so a registry shared by parallel cells stays byte-identical
-// at any worker count (DESIGN §4.6).
+// Link classes index Network.qdelay; ICMP classes index Network.icmp.
+const (
+	linkAccessUp = iota
+	linkAccessDown
+	linkBackbone
+	numLinkClasses
+)
+
+const (
+	icmpTimeExceeded = iota
+	icmpDestUnreach
+	icmpOther
+	numICMPClasses
+)
+
+// Metric names of the queueing-delay histograms and ICMP counts.
+var (
+	qdelayMetrics = [numLinkClasses]string{
+		"netsim.qdelay.access_up", "netsim.qdelay.access_down", "netsim.qdelay.backbone",
+	}
+	icmpMetrics = [numICMPClasses]string{
+		"netsim.icmp.time_exceeded", "netsim.icmp.dest_unreach", "netsim.icmp.other",
+	}
+)
+
+// FlushMetrics adds the ledger's growth since the previous call, and the
+// queueing delays and ICMP errors recorded since then, to the metrics
+// registry; a second call with no traffic in between adds nothing. Every
+// entry is created even when it adds zero, so a quiet lab still lists
+// them. Labs call it once, at teardown (experiment.Lab.MustConserve).
+// Registry adds commute, so a registry shared by parallel cells stays
+// byte-identical at any worker count (DESIGN §4.6).
 func (n *Network) FlushMetrics() {
 	c, f, m := n.cons, n.flushed, n.Metrics
 	m.Add("netsim.packets.sent", c.Sent-f.Sent)
@@ -98,6 +129,13 @@ func (n *Network) FlushMetrics() {
 		m.Add(causes[i].metric, c.Drops[i]-f.Drops[i])
 	}
 	n.flushed = c
+	for i, name := range qdelayMetrics {
+		m.AddDurations(name, &n.qdelay[i])
+	}
+	for i, name := range icmpMetrics {
+		m.Add(name, n.icmp[i])
+	}
+	n.qdelay, n.icmp = [numLinkClasses]obs.Durations{}, [numICMPClasses]int64{}
 }
 
 // Hosts returns every host sorted by address — a deterministic iteration

@@ -114,7 +114,8 @@ func TestLedgerIsTheOnlyRecord(t *testing.T) {
 
 // TestFlushAddsOnlyTheDifference: traffic after a flush arrives at the next
 // flush without double-counting, and two networks sharing one registry add
-// up, as sweep cells sharing a registry do.
+// up, as sweep cells sharing a registry do — the ledger's counts, the
+// queueing-delay histograms and the ICMP counts alike.
 func TestFlushAddsOnlyTheDifference(t *testing.T) {
 	reg := obs.NewRegistry()
 	nets := make([]*Network, 2)
@@ -145,4 +146,17 @@ func TestFlushAddsOnlyTheDifference(t *testing.T) {
 		t.Fatalf("ledgers sum to %+v, want 20 sent and 4 unroutable", sum)
 	}
 	requireRegistryIsLedger(t, reg, sum)
+	// Every delivered packet crossed both access links once; no router sent
+	// ICMP, yet each ICMP count is listed, at zero.
+	snap := reg.Snapshot()
+	for _, name := range qdelayMetrics[:linkBackbone] {
+		if e, ok := snap.Get(name); !ok || e.Count != sum.Delivered {
+			t.Errorf("registry %s = %+v, want %d observations", name, e, sum.Delivered)
+		}
+	}
+	for _, name := range icmpMetrics {
+		if e, ok := snap.Get(name); !ok || e.Kind != obs.KindCounter || e.Value != 0 {
+			t.Errorf("registry %s = %+v, %v; want a zero counter", name, e, ok)
+		}
+	}
 }

@@ -16,8 +16,10 @@
 // (scheduled via the scheduler's pooled fire-and-forget events), delivery
 // patches the hop-decremented TTL into the existing buffer with an
 // incremental checksum update (packet.PatchTTL), and every packet fact
-// lands in one plain-int ledger (Conservation) that FlushMetrics folds into
-// the metrics registry at lab teardown. See DESIGN.md "The packet hot path".
+// lands in one plain-int ledger (Conservation), and every queue delay and
+// router ICMP error in plain tallies beside it, which FlushMetrics folds
+// into the metrics registry at lab teardown. See DESIGN.md "The packet hot
+// path".
 package netsim
 
 import (
@@ -236,10 +238,9 @@ type Network struct {
 	Sched    *simtime.Scheduler
 	Rng      *rand.Rand
 	Registry *geo.Registry
-	// Metrics receives the fabric's per-link-class queueing-delay
-	// histograms and ICMP error counts as they happen, and the ledger's
-	// packet counts (sent, delivered, drops by cause) when FlushMetrics
-	// runs. Never nil.
+	// Metrics receives the ledger's packet counts (sent, delivered, drops
+	// by cause), the per-link-class queueing-delay histograms and the ICMP
+	// error counts when FlushMetrics runs, at lab teardown. Never nil.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records packet-lifecycle spans and protocol
 	// events into the lab's flight recorder. Nil (the default) disables
@@ -283,10 +284,12 @@ type Network struct {
 	// type-asserts them to its own interfaces; netsim stays transport-free).
 	endpoints []any
 
-	// Precomputed metric handles for facts the ledger does not hold.
-	hQdAccessUp, hQdAccessDown, hQdBackbone obs.Hist
-	cICMPTimeExceeded, cICMPDestUnreach     obs.Counter
-	cICMPOther                              obs.Counter
+	// qdelay and icmp hold the facts the ledger does not: queueing delay
+	// per link class and router ICMP errors per type, recorded since the
+	// previous FlushMetrics. Like the ledger they are plain single-owner
+	// tallies, so the per-hop path touches no shared cache line.
+	qdelay [numLinkClasses]obs.Durations
+	icmp   [numICMPClasses]int64
 }
 
 // New creates an empty network bound to a scheduler and seeded RNG, with a
@@ -302,7 +305,7 @@ func NewObserved(s *simtime.Scheduler, seed int64, m *obs.Registry) *Network {
 	if m == nil {
 		m = obs.NewRegistry()
 	}
-	n := &Network{
+	return &Network{
 		Sched:        s,
 		Rng:          rand.New(rand.NewSource(seed)),
 		Registry:     geo.NewRegistry(),
@@ -311,13 +314,6 @@ func NewObserved(s *simtime.Scheduler, seed int64, m *obs.Registry) *Network {
 		anycast:      make(map[packet.Addr][]*Host),
 		anycastCache: make(map[anycastKey]*Host),
 	}
-	n.hQdAccessUp = m.Hist("netsim.qdelay.access_up")
-	n.hQdAccessDown = m.Hist("netsim.qdelay.access_down")
-	n.hQdBackbone = m.Hist("netsim.qdelay.backbone")
-	n.cICMPTimeExceeded = m.Counter("netsim.icmp.time_exceeded")
-	n.cICMPDestUnreach = m.Counter("netsim.icmp.dest_unreach")
-	n.cICMPOther = m.Counter("netsim.icmp.other")
-	return n
 }
 
 // invalidateRoutes drops the route matrix and the anycast cache after a
@@ -854,7 +850,7 @@ func (fs *fwdState) emit() {
 		n.drop(fs, CauseAccessUp, h.ID)
 		return
 	}
-	n.hQdAccessUp.Observe(qd)
+	n.qdelay[linkAccessUp].Observe(qd)
 	n.Sched.Post(arrive, fs.forwardFn)
 }
 
@@ -881,7 +877,7 @@ func (fs *fwdState) forward() {
 			n.drop(fs, CauseAccessDown, fs.dst.ID)
 			return
 		}
-		n.hQdAccessDown.Observe(qd)
+		n.qdelay[linkAccessDown].Observe(qd)
 		if fs.dst.DownNetem.matches(pkt) {
 			d, cause, dropped := n.applyNetem(fs.dst.DownNetem, arrive, fs.size, DirDown)
 			if dropped {
@@ -907,7 +903,7 @@ func (fs *fwdState) forward() {
 		n.drop(fs, CauseBackbone, site.Name)
 		return
 	}
-	n.hQdBackbone.Observe(qd)
+	n.qdelay[linkBackbone].Observe(qd)
 	fs.hop++
 	n.Sched.Post(arrive, fs.forwardFn)
 }
@@ -1017,11 +1013,11 @@ func (n *Network) SendICMPFromHost(h *Host, orig *packet.Packet, icmpType, code 
 func (n *Network) countICMP(icmpType uint8) {
 	switch icmpType {
 	case packet.ICMPTimeExceeded:
-		n.cICMPTimeExceeded.Inc()
+		n.icmp[icmpTimeExceeded]++
 	case packet.ICMPDestUnreach:
-		n.cICMPDestUnreach.Inc()
+		n.icmp[icmpDestUnreach]++
 	default:
-		n.cICMPOther.Inc()
+		n.icmp[icmpOther]++
 	}
 }
 

@@ -1,12 +1,15 @@
 package obs
 
 import (
+	"sort"
+	"strings"
 	"testing"
 	"time"
 )
 
 // TestHandleStringEquivalence: handle ops and string ops land in the same
-// slot, so converting a call site to a handle never changes a snapshot.
+// slot, and a folded Durations in the same histogram as ObserveDuration, so
+// converting a call site to a handle never changes a snapshot.
 func TestHandleStringEquivalence(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("mixed.counter")
@@ -15,8 +18,9 @@ func TestHandleStringEquivalence(t *testing.T) {
 	c.Add(3)
 	r.Add("mixed.counter", 5)
 
-	h := r.Hist("mixed.hist")
-	h.Observe(3 * time.Millisecond)
+	var d Durations
+	d.Observe(3 * time.Millisecond)
+	r.AddDurations("mixed.hist", &d)
 	r.ObserveDuration("mixed.hist", 90*time.Millisecond)
 
 	g := r.MaxGauge("mixed.max")
@@ -45,16 +49,56 @@ func TestNilRegistryHandles(t *testing.T) {
 	c := r.Counter("x")
 	c.Inc()
 	c.Add(9)
-	r.Hist("h").Observe(time.Second)
+	var d Durations
+	d.Observe(time.Second)
+	r.AddDurations("h", &d)
 	r.MaxGauge("g").Set(1)
 	var zeroC Counter
 	zeroC.Inc() // zero-value handles must also be safe
-	var zeroH Hist
-	zeroH.Observe(time.Second)
 	var zeroG MaxGauge
 	zeroG.Set(1)
 	if n := len(r.Snapshot().Entries); n != 0 {
 		t.Fatalf("nil registry snapshot has %d entries", n)
+	}
+}
+
+// TestAddDurationsKeepsEmptyRow: folding an empty Durations still creates
+// the histogram, so a snapshot of a quiet run lists it with n=0, and the
+// owner's tally is left as it was.
+func TestAddDurationsKeepsEmptyRow(t *testing.T) {
+	r := NewRegistry()
+	var d Durations
+	r.AddDurations("quiet.hist", &d)
+	e, ok := r.Snapshot().Get("quiet.hist")
+	if !ok || e.Kind != KindHistogram || e.Count != 0 || len(e.Buckets) != len(durBounds)+1 {
+		t.Fatalf("empty fold = %+v, %v", e, ok)
+	}
+	if !strings.Contains(r.Snapshot().String(), "quiet.hist  n=0") {
+		t.Fatalf("snapshot lacks the n=0 row:\n%s", r.Snapshot())
+	}
+	d.Observe(7 * time.Microsecond)
+	r.AddDurations("quiet.hist", &d)
+	r.AddDurations("quiet.hist", &d)
+	if e, _ := r.Snapshot().Get("quiet.hist"); e.Count != 2 || e.SumMicro != 14 || e.Buckets[3] != 2 || d.count != 1 {
+		t.Fatalf("two folds of one observation = %+v, tally %+v", e, d)
+	}
+}
+
+// TestDurationsBucketIsSearch: Observe's bucket lookup agrees with a binary
+// search of durBounds at and around every bound, at zero, for negative
+// durations and past the last bound.
+func TestDurationsBucketIsSearch(t *testing.T) {
+	values := []int64{-5, 0, 1 << 40, 1<<63/1000 - 1}
+	for _, b := range durBounds {
+		values = append(values, b-1, b, b+1)
+	}
+	for _, us := range values {
+		var d Durations
+		d.Observe(time.Duration(us) * time.Microsecond)
+		want := sort.Search(len(durBounds), func(i int) bool { return max(us, 0) <= durBounds[i] })
+		if d.buckets[want] != 1 {
+			t.Errorf("%dµs landed in buckets %v, want index %d", us, d.buckets, want)
+		}
 	}
 }
 
@@ -75,12 +119,12 @@ func TestResolvedButUnsetGaugeAbsent(t *testing.T) {
 }
 
 // TestHandleOpsAllocFree pins the whole point of handles: recording through
-// one is allocation-free (the string path allocates on map lookups under
-// lock contention and name interning).
+// one, or into a Durations, is allocation-free (the string path allocates on
+// map lookups under lock contention and name interning).
 func TestHandleOpsAllocFree(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("hot.counter")
-	h := r.Hist("hot.hist")
+	var h Durations
 	g := r.MaxGauge("hot.max")
 	if avg := testing.AllocsPerRun(1000, func() {
 		c.Inc()
@@ -93,24 +137,26 @@ func TestHandleOpsAllocFree(t *testing.T) {
 }
 
 // TestHandleConcurrentCommute: the shared-registry determinism contract must
-// survive the handle conversion — atomic handle ops from many goroutines
-// yield an exact final snapshot.
+// survive the handle conversion — atomic handle ops from many goroutines,
+// and each goroutine's own Durations folded in at its end, yield an exact
+// final snapshot.
 func TestHandleConcurrentCommute(t *testing.T) {
 	r := NewRegistry()
 	const workers, per = 8, 1000
 	c := r.Counter("shared.counter")
 	g := r.MaxGauge("shared.max")
-	h := r.Hist("shared.hist")
 	done := make(chan struct{})
 	for w := 0; w < workers; w++ {
 		w := w
 		go func() {
 			defer func() { done <- struct{}{} }()
+			var h Durations
 			for i := 0; i < per; i++ {
 				c.Inc()
 				g.Set(float64(w*per + i))
 				h.Observe(time.Duration(i) * time.Microsecond)
 			}
+			r.AddDurations("shared.hist", &h)
 		}()
 	}
 	for w := 0; w < workers; w++ {
@@ -125,7 +171,7 @@ func TestHandleConcurrentCommute(t *testing.T) {
 		t.Fatalf("max = %v", ge.Gauge)
 	}
 	he, _ := s.Get("shared.hist")
-	if he.Count != workers*per {
-		t.Fatalf("hist count = %d", he.Count)
+	if he.Count != workers*per || he.SumMicro != workers*per*(per-1)/2 {
+		t.Fatalf("hist count = %d sum = %d", he.Count, he.SumMicro)
 	}
 }

@@ -14,19 +14,22 @@
 // All methods are nil-safe: a nil *Registry discards every operation, so
 // instrumented packages never need to guard call sites.
 //
-// Two call styles coexist. The string-keyed methods (Inc, Add, SetMax,
+// Three call styles coexist. The string-keyed methods (Inc, Add, SetMax,
 // ObserveDuration) take the registry mutex and a map lookup per call and are
-// meant for cold paths. Hot paths — anything executed per packet or per hop —
-// resolve a handle once (Registry.Counter, Registry.Hist, Registry.MaxGauge)
-// and thereafter mutate through a precomputed pointer with a single atomic
-// operation: no lock, no map lookup, no key concatenation, no allocation.
-// Atomic adds and atomic max commute exactly like their locked counterparts,
-// so handles preserve the shared-registry byte-identity contract.
+// meant for cold paths. Paths executed per packet resolve a Counter or
+// MaxGauge handle once and thereafter mutate through a precomputed pointer
+// with a single atomic operation: no lock, no map lookup, no allocation.
+// Paths executed per hop, where even an atomic add on a registry shared by
+// parallel workers bounces cache lines, record into a Durations the owner
+// holds and fold it in once with AddDurations (the fabric does so at lab
+// teardown). Atomic adds, atomic max and folded sums all commute, so every
+// style preserves the shared-registry byte-identity contract.
 package obs
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -38,40 +41,72 @@ import (
 // sequence from 1µs to 10s, wide enough for both per-hop queueing delay
 // and whole-connection stalls. A final implicit +Inf bucket catches the
 // rest.
-var durBounds = []int64{
+var durBounds = [...]int64{
 	1, 2, 5, 10, 20, 50, 100, 200, 500,
 	1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000, 200_000, 500_000,
 	1_000_000, 2_000_000, 5_000_000, 10_000_000,
 }
 
-type histogram struct {
-	volatile bool
-	count    atomic.Int64
-	sum      atomic.Int64 // microseconds
-	buckets  []atomic.Int64
+// Durations is a duration histogram with a single owner: plain fields, no
+// lock and no atomics. A hot path observes into its own Durations and
+// folds it into a registry with AddDurations; the registry keeps its
+// histograms in the same type under its mutex.
+type Durations struct {
+	count   int64
+	sum     int64                     // microseconds
+	buckets [len(durBounds) + 1]int64 // per durBounds bucket, then +Inf
 }
 
-func (h *histogram) observe(d time.Duration) {
-	us := d.Microseconds()
-	if us < 0 {
-		us = 0
+// durIndex[n] is the first durBounds index whose bound is at least the
+// smallest value of bit length n. Each bound is at least twice the one
+// before it, so a value of bit length n falls in that bucket or the next:
+// Observe finds its bucket with one lookup and one comparison, not a search.
+var durIndex = func() (idx [64]uint8) {
+	for n := 1; n < len(idx); n++ {
+		lo := int64(1) << (n - 1)
+		idx[n] = uint8(sort.Search(len(durBounds), func(i int) bool { return lo <= durBounds[i] }))
 	}
-	i := sort.Search(len(durBounds), func(i int) bool { return us <= durBounds[i] })
-	h.count.Add(1)
-	h.sum.Add(us)
-	h.buckets[i].Add(1)
+	return idx
+}()
+
+// Observe records a simulated-time duration.
+func (d *Durations) Observe(dur time.Duration) {
+	us := max(dur.Microseconds(), 0)
+	i := int(durIndex[bits.Len64(uint64(us))])
+	if i < len(durBounds) && us > durBounds[i] {
+		i++
+	}
+	d.count++
+	d.sum += us
+	d.buckets[i]++
+}
+
+// add folds o into d.
+func (d *Durations) add(o *Durations) {
+	d.count += o.count
+	d.sum += o.sum
+	for i, n := range o.buckets {
+		d.buckets[i] += n
+	}
+}
+
+// hist is one registry histogram.
+type hist struct {
+	volatile bool
+	Durations
 }
 
 // Registry holds one lab's metrics. The zero value is not usable; create
 // with NewRegistry. A nil Registry is valid and ignores all writes.
 //
-// The mutex guards only the name→slot maps; the slots themselves are
-// mutated with atomic operations so handle writers never contend on it.
+// The mutex guards the name→slot maps and the histograms; counter and
+// gauge slots are mutated with atomic operations so handle writers never
+// contend on it.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*atomic.Int64
 	gauges   map[string]*atomic.Uint64 // math.Float64bits encoding
-	hists    map[string]*histogram
+	hists    map[string]*hist
 }
 
 // NewRegistry returns an empty registry.
@@ -79,7 +114,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*atomic.Int64),
 		gauges:   make(map[string]*atomic.Uint64),
-		hists:    make(map[string]*histogram),
+		hists:    make(map[string]*hist),
 	}
 }
 
@@ -107,14 +142,14 @@ func (r *Registry) gaugeSlot(name string) *atomic.Uint64 {
 	return g
 }
 
-func (r *Registry) histSlot(name string, volatile bool) *histogram {
-	r.mu.Lock()
+// histSlot returns the named histogram, creating it empty if absent. The
+// caller holds r.mu.
+func (r *Registry) histSlot(name string, volatile bool) *hist {
 	h := r.hists[name]
 	if h == nil {
-		h = &histogram{volatile: volatile, buckets: make([]atomic.Int64, len(durBounds)+1)}
+		h = &hist{volatile: volatile}
 		r.hists[name] = h
 	}
-	r.mu.Unlock()
 	return h
 }
 
@@ -144,25 +179,6 @@ func (r *Registry) Counter(name string) Counter {
 		return Counter{}
 	}
 	return Counter{v: r.counterSlot(name)}
-}
-
-// Hist is a nil-safe handle to one named duration histogram.
-type Hist struct{ h *histogram }
-
-// Observe records a simulated-time duration.
-func (h Hist) Observe(d time.Duration) {
-	if h.h != nil {
-		h.h.observe(d)
-	}
-}
-
-// Hist resolves a handle to the named (non-volatile) duration histogram. A
-// nil registry yields a discarding handle.
-func (r *Registry) Hist(name string) Hist {
-	if r == nil {
-		return Hist{}
-	}
-	return Hist{h: r.histSlot(name, false)}
 }
 
 // MaxGauge is a nil-safe handle to one named max-gauge.
@@ -218,19 +234,33 @@ func (r *Registry) SetMax(name string, v float64) {
 // ObserveDuration records d into the named histogram. Use only for
 // simulated-time durations; wall-clock time goes through ObserveWall.
 func (r *Registry) ObserveDuration(name string, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.histSlot(name, false).observe(d)
+	r.observe(name, false, d)
 }
 
 // ObserveWall records a wall-clock duration. The series is marked
 // volatile and excluded from Snapshot.Stable.
 func (r *Registry) ObserveWall(name string, d time.Duration) {
+	r.observe(name, true, d)
+}
+
+func (r *Registry) observe(name string, volatile bool, d time.Duration) {
 	if r == nil {
 		return
 	}
-	r.histSlot(name, true).observe(d)
+	r.mu.Lock()
+	r.histSlot(name, volatile).Observe(d)
+	r.mu.Unlock()
+}
+
+// AddDurations folds d into the named (non-volatile) histogram, creating
+// it even when d is empty, so a snapshot lists it with n=0.
+func (r *Registry) AddDurations(name string, d *Durations) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.histSlot(name, false).add(d)
+	r.mu.Unlock()
 }
 
 // Kind discriminates Entry payloads.
@@ -279,16 +309,12 @@ func (r *Registry) Snapshot() Snapshot {
 		entries = append(entries, Entry{Name: name, Kind: KindGauge, Gauge: math.Float64frombits(bits)})
 	}
 	for name, h := range r.hists {
-		buckets := make([]int64, len(h.buckets))
-		for i := range h.buckets {
-			buckets[i] = h.buckets[i].Load()
-		}
 		entries = append(entries, Entry{
 			Name:     name,
 			Kind:     KindHistogram,
-			Count:    h.count.Load(),
-			SumMicro: h.sum.Load(),
-			Buckets:  buckets,
+			Count:    h.count,
+			SumMicro: h.sum,
+			Buckets:  append([]int64(nil), h.buckets[:]...),
 			Volatile: h.volatile,
 		})
 	}

@@ -578,14 +578,14 @@ func (cs *ctrlSession) onMsg(kind byte, body []byte) {
 		case reqAsset:
 			if len(rest) >= 4 {
 				// A 4-byte field must not be able to demand a multi-GiB
-				// response allocation. The cap is the client reader's
-				// bound: a larger response would only be dropped there.
+				// response. The cap is the client reader's bound: a
+				// larger response would only be dropped there.
 				n := int(binary.BigEndian.Uint32(rest))
 				if n > secure.MaxMsgLen {
 					s.dep.Metrics().Inc("platform.ctrl_oversize_req")
 					return
 				}
-				cs.respond(make([]byte, n))
+				cs.sess.SendZeros(secure.MsgResponse, n)
 			}
 		}
 	case secure.MsgPush:
@@ -627,8 +627,8 @@ type AssetServer struct {
 }
 
 // maxAssetBytes bounds any single asset/CDN response (512 MiB): download
-// sizes come off the wire as a 32-bit field, and the allocation they demand
-// must be capped, not trusted.
+// sizes come off the wire as a 32-bit field, and the bytes they make the
+// server send must be capped, not trusted.
 const maxAssetBytes = 512 << 20
 
 func newAssetServer(d *Deployment, p *Profile, h *netsim.Host) *AssetServer {
@@ -644,7 +644,7 @@ func newAssetServer(d *Deployment, p *Profile, h *netsim.Host) *AssetServer {
 			if n > maxAssetBytes {
 				return
 			}
-			sess.SendMsg(secure.MsgResponse, make([]byte, n))
+			sess.SendZeros(secure.MsgResponse, n)
 		}}
 		sess.OnData = reader.Feed
 	})

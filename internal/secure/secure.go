@@ -138,6 +138,37 @@ func (s *Session) SendMsg(kind byte, body []byte) {
 	s.sendRecords(body[k:])
 }
 
+// zeros is the plaintext of every SendZeros record. It is only read.
+var zeros [maxRecord]byte
+
+// SendZeros sends one framed message with an n-byte zero body: the same
+// bytes on the wire as SendMsg(kind, make([]byte, n)), without the body.
+// The connection streams the records, framing each into its send buffer
+// only when TCP needs it, so a large download holds about one window of
+// send buffer instead of the whole response. The records are counted when
+// SendZeros is called, as SendMsg counts them.
+func (s *Session) SendZeros(kind byte, n int) {
+	if !s.ready {
+		s.pending = append(s.pending, MarshalMsg(kind, make([]byte, n)))
+		return
+	}
+	total := msgHeaderLen + n
+	s.AppBytesSent += total
+	s.cRecordsSent.Add(int64((total + maxRecord - 1) / maxRecord))
+	s.cAppBytesSent.Add(int64(total))
+	left := total
+	s.conn.Stream(wireLen(total), wireLen(maxRecord), func(dst []byte) []byte {
+		k := min(left, maxRecord)
+		body := len(dst) + packet.TLSRecordHeaderLen
+		dst = packet.AppendTLSRecord(dst, packet.TLSApplicationData, zeros[:k])
+		if left == total { // the first record opens with the message header
+			appendMsgHeader(dst[body:body], kind, n)
+		}
+		left -= k
+		return dst
+	})
+}
+
 func (s *Session) sendNow(data []byte) {
 	s.conn.Grow(wireLen(len(data)))
 	s.sendRecords(data)

@@ -22,10 +22,15 @@ type tapped struct {
 // wireTrace runs one rig in which send frames each body as a message from
 // the client, and (after the handshake) from the server too. With early the
 // client sends before the handshake, so the messages queue and flush on
-// establishment. It returns every packet the client's access point saw.
-func wireTrace(t *testing.T, early bool, bodies [][]byte, send func(s *Session, kind byte, body []byte)) []tapped {
+// establishment. up, when set, impairs the server's uplink. It returns
+// every packet the client's access point saw.
+func wireTrace(t *testing.T, early bool, up *netsim.Netem, bodies [][]byte, send func(s *Session, kind byte, body []byte)) []tapped {
 	t.Helper()
 	r := newRig(t)
+	if up != nil {
+		// A fresh copy per rig: a Netem carries its shaper's queue state.
+		r.b.UpNetem = &netsim.Netem{Loss: up.Loss, RateBps: up.RateBps}
+	}
 	var out []tapped
 	r.a.Tap(func(at time.Duration, dir netsim.Dir, wire []byte) {
 		out = append(out, tapped{at, dir, append([]byte(nil), wire...)})
@@ -46,34 +51,60 @@ func wireTrace(t *testing.T, early bool, bodies [][]byte, send func(s *Session, 
 	return out
 }
 
+// requireSameWire fails at the first packet where got differs from want.
+func requireSameWire(t *testing.T, sender string, got, want []tapped) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s put %d packets on the wire, framed Send %d", sender, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].at != want[i].at || got[i].dir != want[i].dir || !bytes.Equal(got[i].wire, want[i].wire) {
+			t.Fatalf("packet %d differs: %s %v %v %d bytes, framed Send %v %v %d bytes",
+				i, sender, got[i].at, got[i].dir, len(got[i].wire), want[i].at, want[i].dir, len(want[i].wire))
+		}
+	}
+}
+
 // TestSendMsgWireIdenticalToMarshalMsg: SendMsg must put exactly the bytes
 // of Send(MarshalMsg(kind, body)) on the wire — same records, same
-// segments, same times — for bodies around the 4096-byte record cut (where
-// the 5-byte message header shifts the boundary), whether sent before or
-// after the handshake.
+// segments, same times — and SendZeros(kind, n) exactly those of
+// Send(MarshalMsg(kind, make([]byte, n))). Bodies sit around the 4096-byte
+// record cut (where the 5-byte message header shifts the boundary), up to
+// a 2 MiB body that outgrows the window; they are sent before or after the
+// handshake, with the client sending while the server streams, over a clean
+// path, 2% and 20% loss on the server's uplink, and a 2 Mbit/s cap on it.
 func TestSendMsgWireIdenticalToMarshalMsg(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	lengths := []int{0, 1, 4090, 4091, 4096, 4097, 3*4096 + 7, rng.Intn(8 * 4096)}
+	lengths := []int{0, 1, 4090, 4091, 4096, 4097, 3*4096 + 7, rng.Intn(8 * 4096), 2 << 20}
+	paths := []struct {
+		name string
+		up   *netsim.Netem
+	}{
+		{"clean", nil},
+		{"loss=2%", &netsim.Netem{Loss: 0.02}},
+		{"loss=20%", &netsim.Netem{Loss: 0.2}},
+		{"rate=2Mbps", &netsim.Netem{RateBps: 2e6}},
+	}
 	viaFrame := func(s *Session, kind byte, body []byte) { s.Send(MarshalMsg(kind, body)) }
 	viaSendMsg := func(s *Session, kind byte, body []byte) { s.SendMsg(kind, body) }
+	viaSendZeros := func(s *Session, kind byte, body []byte) { s.SendZeros(kind, len(body)) }
 	for _, early := range []bool{true, false} {
 		for _, n := range lengths {
+			body := make([]byte, n)
+			rng.Read(body)
+			zero := make([]byte, n)
 			t.Run(fmt.Sprintf("early=%v/len=%d", early, n), func(t *testing.T) {
-				body := make([]byte, n)
-				rng.Read(body)
-				// Two messages back to back, so a record cut that leaks
-				// into the next message would show too.
-				bodies := [][]byte{body, body[:n/2]}
-				want := wireTrace(t, early, bodies, viaFrame)
-				got := wireTrace(t, early, bodies, viaSendMsg)
-				if len(got) != len(want) {
-					t.Fatalf("SendMsg put %d packets on the wire, framed Send %d", len(got), len(want))
-				}
-				for i := range want {
-					if got[i].at != want[i].at || got[i].dir != want[i].dir || !bytes.Equal(got[i].wire, want[i].wire) {
-						t.Fatalf("packet %d differs: SendMsg %v %v %d bytes, framed Send %v %v %d bytes",
-							i, got[i].at, got[i].dir, len(got[i].wire), want[i].at, want[i].dir, len(want[i].wire))
-					}
+				for _, p := range paths {
+					t.Run(p.name, func(t *testing.T) {
+						// Two messages back to back, so a record cut that
+						// leaks into the next message would show too.
+						bodies := [][]byte{body, body[:n/2]}
+						want := wireTrace(t, early, p.up, bodies, viaFrame)
+						requireSameWire(t, "SendMsg", wireTrace(t, early, p.up, bodies, viaSendMsg), want)
+						zeros := [][]byte{zero, zero[:n/2]}
+						want = wireTrace(t, early, p.up, zeros, viaFrame)
+						requireSameWire(t, "SendZeros", wireTrace(t, early, p.up, zeros, viaSendZeros), want)
+					})
 				}
 			})
 		}

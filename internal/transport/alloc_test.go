@@ -2,7 +2,9 @@ package transport
 
 import (
 	"testing"
+	"time"
 
+	"github.com/svrlab/svrlab/internal/netsim"
 	"github.com/svrlab/svrlab/internal/packet"
 )
 
@@ -77,5 +79,54 @@ func TestUDPSendToAllocFree(t *testing.T) {
 	}
 	if want := (runs + 1) * len(payload); got != want {
 		t.Fatalf("delivered %d bytes, want %d", got, want)
+	}
+}
+
+// TestStreamAllocBound: a 22 MiB Stream through a lossy path delivers every
+// byte in order while the send array stays at most 2 MiB: the bytes in
+// flight, at most the 524 KB receive window, plus one chunk, with room to
+// grow. The pattern is not zero, so a compaction that slid the wrong bytes
+// would show. A Send of the same 22 MiB grows the send buffer past 22 MiB.
+func TestStreamAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc bound only holds without -race")
+	}
+	r := newRig(t)
+	client, server := dialPair(t, r)
+	r.b.UpNetem = &netsim.Netem{Loss: 0.02}
+	const n, chunk, bound = 22 << 20, 4125, 2 << 20
+	pattern := func(i int) byte { return byte(i % 251) }
+	got, maxCap := 0, 0
+	client.OnData = func(b []byte) {
+		for j, c := range b {
+			if c != pattern(got+j) {
+				t.Fatalf("stream byte %d = %d, want %d", got+j, c, pattern(got+j))
+			}
+		}
+		got += len(b)
+		maxCap = max(maxCap, cap(server.sendMem))
+	}
+	next := 0
+	server.Stream(n, chunk, func(dst []byte) []byte {
+		k := min(chunk, n-next)
+		for i := range k {
+			dst = append(dst, pattern(next+i))
+		}
+		next += k
+		return dst
+	})
+	maxCap = max(maxCap, cap(server.sendMem))
+	r.s.RunUntil(r.s.Now() + 10*time.Minute)
+	if got != n {
+		t.Fatalf("delivered %d of %d bytes", got, n)
+	}
+	if server.Retransmits == 0 {
+		t.Fatal("no retransmissions: the path was not lossy")
+	}
+	if maxCap > bound {
+		t.Fatalf("send array grew to %d bytes, want <= %d", maxCap, bound)
+	}
+	if server.Buffered() != 0 || server.fill != nil {
+		t.Fatalf("after the stream: %d bytes buffered, fill kept: %v", server.Buffered(), server.fill != nil)
 	}
 }

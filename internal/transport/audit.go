@@ -35,7 +35,7 @@ func (c *Conn) audit(closeReason string) ConnAudit {
 		Remote:        c.Remote,
 		State:         c.state.String(),
 		CloseReason:   closeReason,
-		BufferedBytes: len(c.sendBuf),
+		BufferedBytes: c.queued(),
 	}
 	if c.maxRelSeq > 0 {
 		a.StreamSent = int64(c.maxRelSeq - 1) // minus the SYN

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"slices"
 	"sort"
 	"time"
 
@@ -83,11 +82,19 @@ type Conn struct {
 	sndUna   uint32 // oldest unacknowledged sequence
 	sndNxt   uint32 // next sequence to transmit
 	sendBuf  []byte // bytes [sndUna, sndUna+len) not yet fully acked
+	sendMem  []byte // the array sendBuf lives in, kept to reuse its front
 	cwnd     float64
 	ssthresh float64
 	rwnd     uint32
 	dupAcks  int
 	retries  int
+
+	// owed bytes follow sendBuf in the stream but are not in it yet: Stream
+	// queued them, and fill appends them at most chunk bytes at a time when
+	// pump or retransmitHead reach them.
+	owed  int
+	chunk int
+	fill  func(dst []byte) []byte
 
 	// NewReno fast recovery state.
 	inRecovery bool
@@ -182,7 +189,11 @@ func (c *Conn) State() ConnState { return c.state }
 func (c *Conn) Unacked() int { return int(c.sndNxt - c.sndUna) }
 
 // Buffered returns bytes queued (acked-window excluded) awaiting transmit.
-func (c *Conn) Buffered() int { return len(c.sendBuf) }
+func (c *Conn) Buffered() int { return c.queued() }
+
+// queued is the unacknowledged length of the stream: the send buffer plus
+// the bytes owed to it.
+func (c *Conn) queued() int { return len(c.sendBuf) + c.owed }
 
 // DialTCP opens a connection to dst. The returned Conn is usable for Send
 // immediately: bytes queue until the handshake completes.
@@ -280,20 +291,88 @@ func (c *Conn) Send(data []byte) {
 	if c.state == StateClosed || len(data) == 0 {
 		return
 	}
+	c.materialize(c.queued()) // bytes owed to the stream go first
+	c.reserve(len(data))
 	c.sendBuf = append(c.sendBuf, data...)
 	c.pump()
 }
 
+// Stream queues n bytes whose content fill appends to dst, at most chunk
+// bytes per call, only when they are needed. While the window is open,
+// Stream appends one chunk and pumps, then repeats, as one Send per chunk
+// would. Once the window closes, the rest stays owed: pump and
+// retransmitHead fill chunks until they hold the bytes they would have cut
+// from a full buffer, so the segments match a Send of the whole stream and
+// the send buffer holds about one window instead of n bytes. fill is
+// dropped when the stream is complete or the connection closes.
+func (c *Conn) Stream(n, chunk int, fill func(dst []byte) []byte) {
+	if c.state == StateClosed || n <= 0 {
+		return
+	}
+	c.materialize(c.queued()) // an earlier stream's bytes go first
+	c.chunk, c.fill = chunk, fill
+	for n > 0 && c.state == StateEstablished && c.window() >= 1 {
+		n -= c.appendChunk()
+		c.pump()
+	}
+	if c.owed = n; n == 0 {
+		c.fill = nil
+	}
+}
+
+// materialize fills owed chunks into the send buffer until it holds want
+// bytes or nothing is owed.
+func (c *Conn) materialize(want int) {
+	for len(c.sendBuf) < want && c.owed > 0 {
+		if c.owed -= c.appendChunk(); c.owed == 0 {
+			c.fill = nil
+		}
+	}
+}
+
+// appendChunk appends fill's next chunk and returns its length.
+func (c *Conn) appendChunk() int {
+	c.reserve(c.chunk)
+	n := len(c.sendBuf)
+	c.sendBuf = c.fill(c.sendBuf)
+	if len(c.sendBuf) == n {
+		panic("transport: Stream fill appended nothing")
+	}
+	return len(c.sendBuf) - n
+}
+
 // Grow reserves send-buffer room for n more bytes, so a message written as
 // several Sends moves the buffer at most once instead of once per growth
-// step. Like append, it moves the buffer to a new array when the room is
-// short. Segments already sent never alias sendBuf: the fabric copies each
-// one into its own wire buffer inside Network.Send.
+// step.
 func (c *Conn) Grow(n int) {
 	if c.state == StateClosed {
 		return
 	}
-	c.sendBuf = slices.Grow(c.sendBuf, n)
+	c.reserve(n)
+}
+
+// reserve makes room for k more bytes after sendBuf. When the live bytes
+// plus k fit in half the array, they slide to its start; otherwise they
+// move to a new array of twice the old one, or twice what they need if
+// that is more. Doubling from the array, not from the live bytes, keeps a
+// window that congestion avoidance grows a little per round trip from
+// reallocating once per window. Sent segments never alias sendBuf: the
+// fabric copies each one into its own wire buffer inside Network.Send.
+func (c *Conn) reserve(k int) {
+	if cap(c.sendBuf)-len(c.sendBuf) >= k {
+		return
+	}
+	live := len(c.sendBuf)
+	if live+k > cap(c.sendMem)/2 {
+		c.sendMem = make([]byte, 0, max(2*cap(c.sendMem), 2*(live+k)))
+	}
+	c.sendBuf = c.sendMem[:copy(c.sendMem[:live], c.sendBuf)]
+}
+
+// window is the number of bytes the congestion and flow windows allow
+// beyond those in flight.
+func (c *Conn) window() int {
+	return min(int(c.cwnd), int(c.rwnd)) - int(c.sndNxt-c.sndUna)
 }
 
 // pump transmits new segments while congestion and flow windows allow.
@@ -302,24 +381,14 @@ func (c *Conn) pump() {
 		return
 	}
 	for {
-		inflight := int(c.sndNxt - c.sndUna)
-		win := int(c.cwnd)
-		if int(c.rwnd) < win {
-			win = int(c.rwnd)
-		}
-		avail := win - inflight
+		avail := c.window()
 		offset := int(c.sndNxt - c.sndUna)
-		remain := len(c.sendBuf) - offset
+		remain := c.queued() - offset
 		if avail < 1 || remain <= 0 {
 			return
 		}
-		n := MSS
-		if n > remain {
-			n = remain
-		}
-		if n > avail {
-			n = avail
-		}
+		n := min(MSS, remain, avail)
+		c.materialize(offset + n)
 		seg := c.sendBuf[offset : offset+n]
 		c.sendSeg(&packet.TCP{Flags: packet.FlagACK | packet.FlagPSH, Seq: c.sndNxt, Ack: c.rcvNxt}, seg)
 		if !c.timing {
@@ -435,13 +504,11 @@ func (c *Conn) retransmitHead() {
 	case StateSynReceived:
 		c.sendSeg(&packet.TCP{Flags: packet.FlagSYN | packet.FlagACK, Seq: c.iss, Ack: c.rcvNxt}, nil)
 	case StateEstablished:
-		n := len(c.sendBuf)
-		if n > MSS {
-			n = MSS
-		}
+		n := min(c.queued(), MSS)
 		if n == 0 {
 			return
 		}
+		c.materialize(n)
 		c.sendSeg(&packet.TCP{Flags: packet.FlagACK | packet.FlagPSH, Seq: c.sndUna, Ack: c.rcvNxt}, c.sendBuf[:n])
 	}
 }
@@ -461,7 +528,8 @@ func (c *Conn) close(reason string) {
 	// Release the payload memory pinned by the send window and the
 	// reassembly queue — a closed conn otherwise holds both for the rest of
 	// the sweep cell (the same pinning class as capture's Clear fix).
-	c.sendBuf = nil
+	c.sendBuf, c.sendMem = nil, nil
+	c.owed, c.fill = 0, nil
 	c.ooo = nil
 	if c.OnClose != nil {
 		c.OnClose(reason)
@@ -526,7 +594,7 @@ func (c *Conn) receive(p *packet.Packet) {
 		// After a go-back-N rewind, a cumulative ACK for pre-rewind data can
 		// exceed the rewound sndNxt. It is still a genuine ACK for bytes the
 		// receiver holds; fast-forward sndNxt so the advance is accepted.
-		if seqLT(c.sndNxt, t.Ack) && t.Ack-c.sndUna <= uint32(len(c.sendBuf))+1 {
+		if seqLT(c.sndNxt, t.Ack) && t.Ack-c.sndUna <= uint32(c.queued())+1 {
 			c.sndNxt = t.Ack
 			c.noteSndNxt()
 		}
@@ -534,10 +602,8 @@ func (c *Conn) receive(p *packet.Packet) {
 			acked := t.Ack - c.sndUna
 			// The SYN consumes a sequence number that never entered the
 			// send buffer; clamp buffer consumption accordingly.
-			bufAck := int(acked)
-			if bufAck > len(c.sendBuf) {
-				bufAck = len(c.sendBuf)
-			}
+			bufAck := min(int(acked), c.queued())
+			c.materialize(bufAck)
 			c.sendBuf = c.sendBuf[bufAck:]
 			c.sndUna = t.Ack
 			c.dupAcks = 0
@@ -583,7 +649,7 @@ func (c *Conn) receive(p *packet.Packet) {
 			}
 			c.noteCwnd()
 			c.armRTO()
-			if c.Unacked() == 0 && len(c.sendBuf) == 0 && c.OnDrained != nil {
+			if c.Unacked() == 0 && c.queued() == 0 && c.OnDrained != nil {
 				c.OnDrained()
 			}
 			c.pump()

@@ -209,6 +209,95 @@ func TestGrowReservesOnceAndKeepsInFlightBytes(t *testing.T) {
 	}
 }
 
+// chunker returns a Stream fill that appends b chunk bytes at a time.
+func chunker(b []byte, chunk int) func([]byte) []byte {
+	return func(dst []byte) []byte {
+		k := min(chunk, len(b))
+		dst = append(dst, b[:k]...)
+		b = b[k:]
+		return dst
+	}
+}
+
+// TestStreamKeepsOrderBehindOwedBytes: a Send or a second Stream queued
+// while a stream's bytes are still owed lands after them; Buffered and the
+// audit count owed bytes as queued, and OnDrained waits for them.
+func TestStreamKeepsOrderBehindOwedBytes(t *testing.T) {
+	r := newRig(t)
+	client, server := dialPair(t, r)
+	var got bytes.Buffer
+	server.OnData = func(b []byte) { got.Write(b) }
+	part := func(n int, salt byte) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i%251) ^ salt
+		}
+		return b
+	}
+	first, middle, last := part(200_000, 1), part(3_000, 2), part(100_000, 3)
+	want := append(append(append([]byte(nil), first...), middle...), last...)
+	drained := 0
+	client.OnDrained = func() {
+		drained++
+		if got.Len() != len(want) {
+			t.Fatalf("OnDrained fired with %d of %d bytes delivered", got.Len(), len(want))
+		}
+	}
+	client.Stream(len(first), 1000, chunker(first, 1000))
+	if client.owed == 0 {
+		t.Fatal("the window never closed: nothing is owed")
+	}
+	if client.Buffered() != len(first) {
+		t.Fatalf("Buffered = %d, want %d", client.Buffered(), len(first))
+	}
+	client.Send(middle)
+	client.Stream(len(last), 1000, chunker(last, 1000))
+	if client.Buffered() != len(want) || client.audit("").BufferedBytes != len(want) {
+		t.Fatalf("Buffered = %d, audit BufferedBytes = %d, want %d",
+			client.Buffered(), client.audit("").BufferedBytes, len(want))
+	}
+	r.s.RunUntil(r.s.Now() + 30*time.Second)
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("received %d bytes, want %d in order", got.Len(), len(want))
+	}
+	if drained != 1 {
+		t.Fatalf("OnDrained fired %d times, want once", drained)
+	}
+}
+
+// TestOnDrainedWaitsForOwedBytes: an ACK that covers every byte in flight
+// and empties the send buffer does not fire OnDrained while a stream still
+// owes bytes. The stream's first two chunks fill the initial window
+// exactly, and the first ACK is dropped, so the second covers them both.
+func TestOnDrainedWaitsForOwedBytes(t *testing.T) {
+	r := newRig(t)
+	client, server := dialPair(t, r)
+	var got bytes.Buffer
+	server.OnData = func(b []byte) { got.Write(b) }
+	acks := 0
+	r.b.UpNetem = &netsim.Netem{Loss: 1, Filter: func(*packet.Packet) bool {
+		acks++
+		return acks == 1
+	}}
+	data := bytes.Repeat([]byte("owed"), 10_000)
+	drained := 0
+	client.OnDrained = func() {
+		drained++
+		if got.Len() != len(data) {
+			t.Fatalf("OnDrained fired with %d of %d bytes delivered", got.Len(), len(data))
+		}
+	}
+	client.Stream(len(data), MSS, chunker(data, MSS))
+	if client.Unacked() != 2*MSS || len(client.sendBuf) != 2*MSS || client.owed == 0 {
+		t.Fatalf("%d bytes in flight, %d buffered, %d owed; want the window to end at a chunk boundary",
+			client.Unacked(), len(client.sendBuf), client.owed)
+	}
+	r.s.RunUntil(r.s.Now() + 30*time.Second)
+	if !bytes.Equal(got.Bytes(), data) || drained != 1 {
+		t.Fatalf("received %d of %d bytes, OnDrained fired %d times", got.Len(), len(data), drained)
+	}
+}
+
 func TestTCPBidirectional(t *testing.T) {
 	r := newRig(t)
 	client, server := dialPair(t, r)
