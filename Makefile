@@ -1,7 +1,7 @@
 # Tier-1 gate: everything must build, vet clean, and pass the full test
 # suite with the race detector on (the parallel experiment runner makes the
 # whole suite a concurrency test).
-.PHONY: check build vet test race bench bench-artifacts bench-hotpath bench-save bench-compare audit fuzz gencorpus
+.PHONY: check build vet test race bench bench-artifacts bench-hotpath audit fuzz gencorpus
 
 check: build vet race
 
@@ -66,17 +66,3 @@ bench-artifacts:
 # is the regression contract — see DESIGN.md "The packet hot path".
 bench-hotpath:
 	go test -run '^$$' -bench=Hotpath -benchmem .
-
-# Same runs, archived: newline-delimited go-test JSON events, one file per
-# day, for tracking perf drift across PRs. Archives the figure-level suite
-# and the hot-path suite side by side.
-bench-save:
-	go test -json -bench=. -benchmem > BENCH_$$(date +%Y%m%d).json
-	go test -json -run '^$$' -bench=Hotpath -benchmem . > BENCH_HOTPATH_$$(date +%Y%m%d).json
-
-# Perf drift gate: run the hot-path suite fresh and diff it against the
-# most recent archived BENCH_HOTPATH_*.json (cmd/benchcompare). Fails on
-# ns/op regressions beyond the tool's threshold or any allocs/op increase.
-bench-compare:
-	go test -json -run '^$$' -bench=Hotpath -benchmem . > /tmp/bench_hotpath_current.json
-	go run ./cmd/benchcompare /tmp/bench_hotpath_current.json

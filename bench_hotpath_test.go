@@ -227,30 +227,47 @@ func BenchmarkHotpathCaptureFlows(b *testing.B) {
 	}
 }
 
-// BenchmarkHotpathSchedPostDispatch measures raw scheduler throughput on
-// the packet-hop shape: pooled fire-and-forget posts at staggered near
-// deltas, drained in batches. Per op = one post + one dispatch.
+// BenchmarkHotpathSchedPostDispatch measures the scheduler on the
+// packet-hop shape: 1024 packets in flight over 64 links, each hop a push
+// onto the FIFO of the link it crosses, and each dispatched hop pushing its
+// packet onto another link 1–128 µs later (never before that link's tail,
+// as Link.transmit guarantees). Per op = one push + one dispatch.
 func BenchmarkHotpathSchedPostDispatch(b *testing.B) {
+	const links, inFlight = 64, 1024
 	s := simtime.NewScheduler()
-	fn := func() {}
+	var queues [links]simtime.Queue
+	var tails [links]time.Duration
+	type hop struct {
+		item simtime.Item
+		link int
+		run  func()
+	}
+	push := func(h *hop, d time.Duration) {
+		t := max(s.Now()+d, tails[h.link])
+		tails[h.link] = t
+		s.Push(&queues[h.link], &h.item, t, h.run)
+	}
+	for i := 0; i < inFlight; i++ {
+		h := &hop{link: i % links}
+		n := i
+		h.run = func() {
+			n++
+			h.link = (h.link*7 + 3) % links
+			push(h, time.Duration(1+(n*37)%128)*time.Microsecond)
+		}
+		push(h, time.Duration(1+i%128)*time.Microsecond)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i += 512 {
-		base := s.Now()
-		for j := 0; j < 512; j++ {
-			// 1 µs .. ~128 µs spread, colliding across the batch like
-			// concurrent per-hop events do.
-			s.Post(base+time.Duration(1+(j*37)%128)*time.Microsecond, fn)
-		}
-		s.Run()
+	for i := 0; i < b.N; i++ {
+		s.Step()
 	}
 }
 
 // BenchmarkHotpathSchedCancelChurn is the TCP RTO churn shape: a window of
 // outstanding cancellable timers where every op cancels the oldest timer
-// and re-arms a fresh one, with the clock crawling forward underneath. On
-// the binary heap every cancel was an O(log n) sift repair; on the wheel
-// it is an O(1) slot-list unlink.
+// and re-arms a fresh one, with the clock crawling forward underneath.
+// Every cancel and every arm is an O(log n) heap repair.
 func BenchmarkHotpathSchedCancelChurn(b *testing.B) {
 	s := simtime.NewScheduler()
 	fn := func() {}
@@ -267,17 +284,16 @@ func BenchmarkHotpathSchedCancelChurn(b *testing.B) {
 		pend[head] = s.At(s.Now()+time.Duration(10+i%61)*time.Millisecond, fn)
 		head = (head + 1) % window
 		if i%64 == 63 {
-			// Crawl time forward so arms land across wheel slots, the way
-			// RTO deadlines track a moving Now.
+			// Crawl time forward, the way RTO deadlines track a moving
+			// Now.
 			s.RunUntil(s.Now() + 100*time.Microsecond)
 		}
 	}
 }
 
-// BenchmarkHotpathSchedMixedHorizon interleaves near packet-hop events
-// with sparse far timers (keepalives, session ends) so dispatch constantly
-// crosses wheel levels — the cascade-heavy worst case for a timer wheel,
-// the deep-heap case for a binary heap.
+// BenchmarkHotpathSchedMixedHorizon interleaves near posts with sparse far
+// timers (keepalives, session ends), so the heap stays deep while most
+// dispatches come from its near end.
 func BenchmarkHotpathSchedMixedHorizon(b *testing.B) {
 	s := simtime.NewScheduler()
 	fn := func() {}
@@ -289,7 +305,7 @@ func BenchmarkHotpathSchedMixedHorizon(b *testing.B) {
 			s.Post(base+time.Duration(1+(j*53)%512)*time.Microsecond, fn)
 		}
 		for j := 0; j < 16; j++ {
-			// 1s..16s out: lands two or three wheel levels up.
+			// 1s..16s out.
 			s.Post(base+time.Duration(1+j)*time.Second, fn)
 		}
 		s.RunUntil(base + 600*time.Microsecond)

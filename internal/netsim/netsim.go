@@ -12,9 +12,10 @@
 //
 // The per-packet path is engineered to be (near-)zero-allocation: a packet
 // is marshaled exactly once at Send, the wire buffer and a copy of the
-// headers ride a pooled forwarding-state struct through every hop
-// (scheduled via the scheduler's pooled fire-and-forget events), delivery
-// patches the hop-decremented TTL into the existing buffer with an
+// headers ride a pooled forwarding-state struct through every hop (queued
+// on each link it crosses, in the link's FIFO of packets in flight, so the
+// scheduler holds one entry per busy link rather than one per packet),
+// delivery patches the hop-decremented TTL into the existing buffer with an
 // incremental checksum update (packet.PatchTTL), and every packet fact
 // lands in one plain-int ledger (Conservation), and every queue delay and
 // router ICMP error in plain tallies beside it, which FlushMetrics folds
@@ -84,7 +85,8 @@ func FilterTCP(p *packet.Packet) bool { return p.IP.Protocol == packet.ProtoTCP 
 // FilterUDP matches only UDP packets.
 func FilterUDP(p *packet.Packet) bool { return p.IP.Protocol == packet.ProtoUDP }
 
-// Link is a unidirectional transmission resource.
+// Link is a unidirectional transmission resource. The zero value is an
+// infinitely fast link with no delay.
 type Link struct {
 	BandwidthBps float64       // 0 = infinite
 	PropDelay    time.Duration // propagation latency
@@ -92,6 +94,10 @@ type Link struct {
 	MaxQueue     time.Duration // max tolerated queueing delay before tail drop
 	busyUntil    time.Duration
 	lastArrive   time.Duration
+	// inFlight holds the packets crossing the link, in arrival order. The
+	// order is FIFO because transmit never returns an arrival before the
+	// previous one, which simtime.Scheduler.Push relies on and checks.
+	inFlight simtime.Queue
 
 	// down marks a chaos-disabled link: offered packets are dropped and the
 	// route computation excludes it (see Network.SetLinkDown).
@@ -650,6 +656,9 @@ type fwdState struct {
 	size     int
 	span     uint64 // trace span id (0 when tracing is off)
 	wire     []byte
+	// onLink threads the state through the inFlight queue of the link it
+	// is crossing; a packet is on at most one link at a time.
+	onLink simtime.Item
 
 	emitFn    func()
 	forwardFn func()
@@ -851,7 +860,7 @@ func (fs *fwdState) emit() {
 		return
 	}
 	n.qdelay[linkAccessUp].Observe(qd)
-	n.Sched.Post(arrive, fs.forwardFn)
+	n.Sched.Push(&h.Up.inFlight, &fs.onLink, arrive, fs.forwardFn)
 }
 
 // forward walks the packet through the site at fs.hop: router TTL handling,
@@ -879,14 +888,18 @@ func (fs *fwdState) forward() {
 		}
 		n.qdelay[linkAccessDown].Observe(qd)
 		if fs.dst.DownNetem.matches(pkt) {
+			// Downlink netem can reorder what the link delivered in order
+			// (its Filter may delay only TCP, and its Delay may change
+			// mid-run), so an impaired delivery is an ordinary event.
 			d, cause, dropped := n.applyNetem(fs.dst.DownNetem, arrive, fs.size, DirDown)
 			if dropped {
 				n.drop(fs, cause, fs.dst.ID)
 				return
 			}
-			arrive = d
+			n.Sched.Post(d, fs.deliverFn)
+			return
 		}
-		n.Sched.Post(arrive, fs.deliverFn)
+		n.Sched.Push(&fs.dst.Down.inFlight, &fs.onLink, arrive, fs.deliverFn)
 		return
 	}
 	next := fs.path[fs.hop+1]
@@ -905,7 +918,7 @@ func (fs *fwdState) forward() {
 	}
 	n.qdelay[linkBackbone].Observe(qd)
 	fs.hop++
-	n.Sched.Post(arrive, fs.forwardFn)
+	n.Sched.Push(&l.inFlight, &fs.onLink, arrive, fs.forwardFn)
 }
 
 // deliver hands the packet to the destination. Instead of re-marshaling, the

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -218,6 +220,73 @@ func TestNetemFilterAppliesSelectively(t *testing.T) {
 	n.Sched.Run()
 	if gotUDP != 1 || gotTCP != 0 {
 		t.Fatalf("UDP=%d TCP=%d, want UDP passed and TCP dropped", gotUDP, gotTCP)
+	}
+}
+
+// TestDownNetemReorderMergesWithLinkOrder: the receiver's downlink netem
+// delays only TCP, so the UDP packets sent behind a TCP one overtake it, and
+// its delivery lands between theirs. The unimpaired packets arrive in send
+// order, each at the time the links compute: serialized back to back on the
+// 1 Mbit/s uplink, then the uplink's propagation delay, the router's
+// per-hop cost and the (infinitely fast) downlink's propagation delay.
+func TestDownNetemReorderMergesWithLinkOrder(t *testing.T) {
+	s := simtime.NewScheduler()
+	n := New(s, 1)
+	lan := n.AddSite("lan", geo.Fairfax, packet.MustParseAddr("10.0.0.1"))
+	ap := AccessProfile{UpBps: 1e6, Delay: time.Millisecond} // no jitter, no queue limit
+	h1 := n.AddHost("u1", lan, packet.MustParseAddr("10.0.0.2"), ap)
+	h2 := n.AddHost("u2", lan, packet.MustParseAddr("10.0.0.3"), ap)
+	const netemDelay = 5 * time.Millisecond
+	h2.DownNetem = &Netem{Delay: netemDelay, Filter: FilterTCP}
+
+	type arrival struct {
+		label string
+		at    time.Duration
+	}
+	label := func(p *packet.Packet) string {
+		if p.UDP != nil {
+			return fmt.Sprintf("udp%d", p.UDP.DstPort)
+		}
+		return "tcp"
+	}
+	var got, want []arrival
+	h2.Handler = func(p *packet.Packet) { got = append(got, arrival{label(p), s.Now()}) }
+
+	sends := []*packet.Packet{{
+		IP:  packet.IPv4{Protocol: packet.ProtoTCP, Dst: h2.Addr},
+		TCP: &packet.TCP{SrcPort: 1, DstPort: 2, Flags: packet.FlagSYN},
+	}}
+	for port := uint16(1); port <= 6; port++ {
+		sends = append(sends, &packet.Packet{
+			IP:      packet.IPv4{Protocol: packet.ProtoUDP, Dst: h2.Addr},
+			UDP:     &packet.UDP{SrcPort: 1000, DstPort: port},
+			Payload: make([]byte, 100),
+		})
+	}
+	var upDone time.Duration
+	for _, p := range sends {
+		upDone += time.Duration(float64(len(p.Marshal())*8) / ap.UpBps * float64(time.Second))
+		at := upDone + ap.Delay + perHopCost + ap.Delay
+		if p.TCP != nil {
+			at += netemDelay
+		}
+		want = append(want, arrival{label(p), at})
+		if !n.Send(h1, p) {
+			t.Fatal("Send returned false")
+		}
+	}
+	sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+	if want[0].label == "tcp" || want[len(want)-1].label == "tcp" {
+		t.Fatalf("netem delay does not put TCP between UDP deliveries: %v", want)
+	}
+	n.Sched.Run()
+	if len(got) != len(want) {
+		t.Fatalf("delivered %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("delivered %v, want %v", got, want)
+		}
 	}
 }
 

@@ -465,7 +465,7 @@ func (c *Client) PerformAction() uint32 {
 	if delay < 1 {
 		delay = 1
 	}
-	c.Dep.Sched.After(time.Duration(delay*float64(time.Millisecond)), func() {
+	c.Dep.Sched.PostAfter(time.Duration(delay*float64(time.Millisecond)), func() {
 		c.sendAvatar(id, tr.TriggeredAtLocal)
 	})
 	return id
@@ -549,7 +549,7 @@ func (c *Client) handleForward(f forwardMsg) {
 		fps := c.Headset.FPSEstimate()
 		frameWait := c.rng.Float64() * 1000 / fps
 		delay := time.Duration((procMs + frameWait) * float64(time.Millisecond))
-		c.Dep.Sched.After(delay, func() {
+		c.Dep.Sched.PostAfter(delay, func() {
 			rt.DisplayedAtLocal = c.ReadClock()
 			rt.Displayed = true
 			c.Dep.Net.Tracer.Action(c.Dep.Sched.Now(), uint64(f.ActionID), c.Host.ID, "display")

@@ -7,10 +7,13 @@
 // completes in milliseconds of wall time and two runs with the same seed are
 // bit-identical.
 //
-// The event queue is a hierarchical timer wheel (wheel.go) with a binary
-// min-heap overflow for events past the wheel horizon: scheduling and
-// cancelling are O(1), and dispatch order is exactly (at, seq) — events
-// with equal firing times run in the order they were scheduled.
+// Work is ordered by (at, seq): equal firing times run in the order they
+// were scheduled. One min-heap holds the timers (At, After, Post, Ticker)
+// and one entry per non-empty Queue, keyed by its head. A Queue is a FIFO
+// whose pushes never go back in time — the fabric keeps one per link, so a
+// link's packets in flight cost the heap a single entry, not one each.
+// Each Push reserves its seq exactly as Post would, so dispatch order is
+// the same as if every item had been posted (DESIGN.md §4.12).
 package simtime
 
 import (
@@ -22,17 +25,13 @@ import (
 // the order they were scheduled (FIFO tie-breaking via a sequence number),
 // which keeps runs deterministic.
 type Event struct {
-	at  time.Duration
-	seq uint64
-	fn  func()
-	// Intrusive wheel-slot links: an Event threads directly through its
-	// slot's doubly-linked list, so scheduling builds no container nodes
-	// and Cancel is a pointer splice.
-	next, prev *Event
-	// slot is the event's location: a wheel slot index when >= 0, slotNone
-	// when unqueued, or an encoded overflow-heap position (see heapSlot)
-	// when <= slotOverflow.
-	slot  int32
+	at time.Duration
+	fn func()
+	// q is set only on a Queue's own heap entry: dispatching it runs the
+	// queue's head item instead of fn.
+	q *Queue
+	// pos is the event's heap index plus one, or 0 when it is not queued.
+	pos   int32
 	fired bool // dispatched normally
 	dead  bool // cancelled before dispatch
 	// pooled events came from the scheduler's free list (Post/PostAfter).
@@ -52,32 +51,40 @@ func (e *Event) Cancelled() bool { return e.dead }
 // Fired reports whether the event's callback was dispatched.
 func (e *Event) Fired() bool { return e.fired }
 
+// Queue is a FIFO of Items that the scheduler keys by its head: the heap
+// holds one entry per non-empty queue, however many items wait in it.
+// Items are pushed in non-decreasing time order (Push panics otherwise), so
+// the head is always the queue's earliest item. The zero value is an empty
+// queue.
+type Queue struct {
+	ev         Event // the queue's heap entry while it is non-empty
+	head, tail *Item
+}
+
+// Item is one entry of a Queue. Its owner embeds it, so a push allocates
+// nothing; an item sits in at most one queue at a time.
+type Item struct {
+	at   time.Duration
+	seq  uint64
+	next *Item
+	run  func()
+}
+
 // Scheduler is a single-threaded discrete-event executor with a virtual
 // clock. The zero value is not usable; call NewScheduler.
 type Scheduler struct {
 	now     time.Duration
 	seq     uint64
 	stopped bool
-	// Dispatched counts events executed since construction; useful for
-	// regression tests that pin simulation cost.
+	// Dispatched counts events executed since construction, queue items
+	// included; useful for regression tests that pin simulation cost.
 	dispatched uint64
+	pending    int // timers plus queued items
+	heap       eventHeap
 	// free is the pooled-event free list (see Post). Its high-water mark is
 	// the peak number of concurrently pending pooled events, so it stays
 	// small even over million-packet runs.
 	free []*Event
-
-	// Timer wheel state (wheel.go). elapsed is the wheel cursor in ticks
-	// (ns): it trails the earliest pending event and never advances past a
-	// dispatch horizon the caller committed to, so it is always <= the next
-	// value now can take. The scalar fields stay ahead of the slot arrays
-	// so the per-dispatch state fits in the struct's first cache lines.
-	elapsed   uint64
-	levelMask uint32             // bit ℓ set iff level ℓ has any occupied slot
-	pending   int                // queued events across wheel + overflow
-	overflow  overflowHeap       // events past the wheel horizon
-	occupied  [numLevels]uint64  // per-level slot occupancy bitmaps
-	head      [wheelSlots]*Event // per-slot list heads (FIFO within a tick)
-	tail      [wheelSlots]*Event // per-slot list tails
 }
 
 // NewScheduler returns a scheduler with the clock at zero.
@@ -91,21 +98,29 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 // Dispatched returns the number of events executed so far.
 func (s *Scheduler) Dispatched() uint64 { return s.dispatched }
 
-// Pending returns the number of events waiting in the queue.
+// Pending returns the number of timers and queued items waiting to run.
 func (s *Scheduler) Pending() int { return s.pending }
 
+// schedule files e at t with the next seq. Scheduling in the past panics:
+// that is always a logic error in a discrete-event model.
+func (s *Scheduler) schedule(e *Event, t time.Duration) {
+	if t < s.now {
+		panic(fmt.Sprintf("simtime: scheduling at %v, before now %v", t, s.now))
+	}
+	e.at = t
+	s.heap.push(e, t, s.seq)
+	s.seq++
+	s.pending++
+}
+
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
-// panics: that is always a logic error in a discrete-event model.
+// panics.
 func (s *Scheduler) At(t time.Duration, fn func()) *Event {
 	if fn == nil {
 		panic("simtime: nil event callback")
 	}
-	if t < s.now {
-		panic(fmt.Sprintf("simtime: scheduling at %v, before now %v", t, s.now))
-	}
-	e := &Event{at: t, seq: s.seq, fn: fn, slot: slotNone}
-	s.seq++
-	s.enqueue(e)
+	e := &Event{fn: fn}
+	s.schedule(e, t)
 	return e
 }
 
@@ -119,45 +134,62 @@ func (s *Scheduler) After(d time.Duration, fn func()) *Event {
 // cancelled). This is the Ticker fast path: one Event per ticker for its
 // whole lifetime instead of one per tick.
 func (s *Scheduler) rearm(e *Event, t time.Duration) {
-	if t < s.now {
-		panic(fmt.Sprintf("simtime: scheduling at %v, before now %v", t, s.now))
-	}
-	e.at = t
-	e.seq = s.seq
-	s.seq++
 	e.fired = false
 	e.dead = false
-	s.enqueue(e)
+	s.schedule(e, t)
 }
 
 // Post schedules fn at absolute virtual time t without returning the Event.
 // Fire-and-forget schedules cannot be cancelled, which lets the scheduler
-// recycle the Event through a free list after dispatch — the per-packet-hop
-// hot path stops allocating an Event per schedule. Semantics are otherwise
+// recycle the Event through a free list after dispatch, so a timer nobody
+// cancels stops allocating an Event per schedule. Semantics are otherwise
 // identical to At (same FIFO tie-breaking, same past-time panic).
 func (s *Scheduler) Post(t time.Duration, fn func()) {
 	if fn == nil {
 		panic("simtime: nil event callback")
-	}
-	if t < s.now {
-		panic(fmt.Sprintf("simtime: scheduling at %v, before now %v", t, s.now))
 	}
 	var e *Event
 	if n := len(s.free); n > 0 {
 		e = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		e.at, e.fn, e.fired, e.dead = t, fn, false, false
+		e.fn, e.fired = fn, false
 	} else {
-		e = &Event{at: t, fn: fn, pooled: true, slot: slotNone}
+		e = &Event{fn: fn, pooled: true}
 	}
-	e.seq = s.seq
-	s.seq++
-	s.enqueue(e)
+	s.schedule(e, t)
 }
 
 // PostAfter is Post at now+d.
 func (s *Scheduler) PostAfter(d time.Duration, fn func()) { s.Post(s.now+d, fn) }
+
+// Push appends it to q, to run at t, and reserves the seq a Post at this
+// point would take, so the item dispatches exactly where that Post would
+// have. t must not be before now, nor before the time of q's tail: a queue
+// is FIFO, and Push panics rather than reorder it. Items cannot be
+// cancelled.
+func (s *Scheduler) Push(q *Queue, it *Item, t time.Duration, run func()) {
+	if run == nil {
+		panic("simtime: nil event callback")
+	}
+	if t < s.now {
+		panic(fmt.Sprintf("simtime: pushing at %v, before now %v", t, s.now))
+	}
+	if q.tail != nil && t < q.tail.at {
+		panic(fmt.Sprintf("simtime: pushing at %v, behind the queue's tail at %v", t, q.tail.at))
+	}
+	it.at, it.seq, it.next, it.run = t, s.seq, nil, run
+	if q.tail == nil {
+		q.head = it
+		q.ev.q = q
+		s.heap.push(&q.ev, t, s.seq)
+	} else {
+		q.tail.next = it
+	}
+	q.tail = it
+	s.seq++
+	s.pending++
+}
 
 // recycle returns a dispatched pooled event to the free list, dropping the
 // callback reference so the closure's captures do not outlive the event.
@@ -168,32 +200,44 @@ func (s *Scheduler) recycle(e *Event) {
 	}
 }
 
-// Cancel removes a pending event in O(1) (a slot-list unlink; an overflow
-// heap repair for far-future events). Cancelling an already-fired or
+// Cancel removes a pending event in O(log n). Cancelling an already-fired or
 // already-cancelled event is a no-op.
 func (s *Scheduler) Cancel(e *Event) {
 	if e == nil || e.dead || e.fired {
 		return
 	}
 	e.dead = true
-	s.take(e)
+	if e.pos > 0 {
+		s.heap.remove(int(e.pos - 1))
+		s.pending--
+	}
 }
 
-// dispatch removes e from the queue, advances the clock, and runs its
-// callback. e must be the findMin result.
-func (s *Scheduler) dispatch(e *Event) {
-	s.take(e)
-	e.fired = true
-	s.now = e.at
-	// Drag the wheel cursor along: e is the global minimum, so no pending
-	// tick is behind it and the slot invariants hold. Without this the
-	// cursor could stagnate (the lone-event shortcut skips cascades) and
-	// long runs would push every new event past the wheel horizon into
-	// the overflow heap.
-	if t := uint64(e.at); t > s.elapsed {
-		s.elapsed = t
-	}
+// dispatch runs the earliest pending work: the heap's root event, or the
+// head item of the root's queue. The clock jumps to its firing time first.
+func (s *Scheduler) dispatch() {
+	top := &s.heap[0]
+	e := top.e
+	s.now = top.at
 	s.dispatched++
+	s.pending--
+	if q := e.q; q != nil {
+		// Re-key the queue to its next head, or retire its entry, before
+		// the item runs: the callback may push onto this queue again.
+		it := q.head
+		if next := it.next; next != nil {
+			q.head = next
+			top.at, top.seq = next.at, next.seq
+			s.heap.siftDown(0)
+		} else {
+			q.head, q.tail = nil, nil
+			s.heap.remove(0)
+		}
+		it.run()
+		return
+	}
+	s.heap.remove(0)
+	e.fired = true
 	fn := e.fn
 	s.recycle(e)
 	fn()
@@ -203,14 +247,10 @@ func (s *Scheduler) dispatch(e *Event) {
 // returns false if the queue is empty or the scheduler is stopped. The clock
 // jumps to the event's firing time before the callback runs.
 func (s *Scheduler) Step() bool {
-	if s.stopped || s.pending == 0 {
+	if s.stopped || len(s.heap) == 0 {
 		return false
 	}
-	e := s.findMin(^uint64(0))
-	if e == nil {
-		return false
-	}
-	s.dispatch(e)
+	s.dispatch()
 	return true
 }
 
@@ -227,16 +267,8 @@ func (s *Scheduler) RunUntil(t time.Duration) {
 	if t < s.now {
 		panic(fmt.Sprintf("simtime: RunUntil(%v) is before now %v", t, s.now))
 	}
-	// findMin doubles as the bounded peek: it only surfaces (and only
-	// cascades toward) events at or before the horizon, so the wheel
-	// cursor can never overtake t, and therefore never overtakes now.
-	limit := uint64(t)
-	for !s.stopped {
-		e := s.findMin(limit)
-		if e == nil {
-			break
-		}
-		s.dispatch(e)
+	for !s.stopped && len(s.heap) > 0 && s.heap[0].at <= t {
+		s.dispatch()
 	}
 	if !s.stopped && s.now < t {
 		s.now = t
