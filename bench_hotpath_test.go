@@ -1,7 +1,7 @@
-// Hot-path micro-benchmarks: where the figure-level benchmarks in
-// bench_test.go measure whole experiments, these isolate the per-packet
-// machinery the fast-path work targets — fabric forwarding, wire
-// serialization, metric recording, and capture ingest. Run with -benchmem;
+// Hot-path micro-benchmarks: where the artifact benchmark in bench/
+// measures whole experiments, these isolate the per-packet machinery the
+// fast-path work targets — fabric forwarding, wire serialization, metric
+// recording, and capture ingest. Run with -benchmem;
 // the allocs/op column is the contract (see DESIGN.md "The packet hot
 // path"). `make bench-hotpath` runs exactly this suite.
 package svrlab_test
@@ -113,8 +113,8 @@ func BenchmarkHotpathPatchTTL(b *testing.B) {
 	}
 }
 
-// BenchmarkHotpathDecode parses wire bytes back into a Packet (capture's
-// lazy decode path).
+// BenchmarkHotpathDecode parses wire bytes back into a Packet (the codec's
+// reference decoder).
 func BenchmarkHotpathDecode(b *testing.B) {
 	p := benchPacket(packet.MustParseAddr("10.2.0.2"))
 	p.IP.TTL = 64
@@ -123,26 +123,6 @@ func BenchmarkHotpathDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := packet.Decode(wire); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkHotpathDecodeInto parses wire bytes into a warm reused Packet —
-// capture's scratch decode for Filter evaluation (zero allocations once the
-// transport struct and payload buffer exist).
-func BenchmarkHotpathDecodeInto(b *testing.B) {
-	p := benchPacket(packet.MustParseAddr("10.2.0.2"))
-	p.IP.TTL = 64
-	wire := p.Marshal()
-	var dst packet.Packet
-	if err := packet.DecodeInto(&dst, wire); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := packet.DecodeInto(&dst, wire); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -171,9 +151,8 @@ func benchSniffer(n int) *capture.Sniffer {
 	return capture.Restore(recs)
 }
 
-// BenchmarkHotpathCaptureBytes is a windowed filter-less byte count — the
-// index answers from the timestamp binary search plus cumulative
-// accumulators, without touching wire bytes.
+// BenchmarkHotpathCaptureBytes is a windowed filter-less byte count: the
+// timestamp binary search, then a scan of the window's records.
 func BenchmarkHotpathCaptureBytes(b *testing.B) {
 	sn := benchSniffer(4096)
 	m := capture.MatchUp(nil)
@@ -186,8 +165,8 @@ func BenchmarkHotpathCaptureBytes(b *testing.B) {
 	}
 }
 
-// BenchmarkHotpathCaptureBytesFiltered is the same window with a Filter, so
-// every in-window record is decoded into the protocol scratch.
+// BenchmarkHotpathCaptureBytesFiltered is the same window with a Filter,
+// which sees each in-window record's stored flow key.
 func BenchmarkHotpathCaptureBytesFiltered(b *testing.B) {
 	sn := benchSniffer(4096)
 	m := capture.MatchUp(capture.FilterProto(packet.ProtoUDP))
@@ -214,8 +193,8 @@ func BenchmarkHotpathCaptureSeries(b *testing.B) {
 	}
 }
 
-// BenchmarkHotpathCaptureFlows groups the capture into flows straight from
-// the index's flow-key columns (no decode).
+// BenchmarkHotpathCaptureFlows groups the capture into flows by the
+// records' stored flow keys.
 func BenchmarkHotpathCaptureFlows(b *testing.B) {
 	sn := benchSniffer(4096)
 	b.ReportAllocs()
@@ -362,7 +341,7 @@ func BenchmarkHotpathObsString(b *testing.B) {
 }
 
 // BenchmarkHotpathCaptureIngest measures sniffer ingest of a delivered
-// packet: the tap's defensive copy plus record append.
+// packet: the tap writing the packet's 32-byte record.
 func BenchmarkHotpathCaptureIngest(b *testing.B) {
 	n, h1, h2 := benchNet()
 	h2.Handler = func(p *packet.Packet) {}

@@ -1,18 +1,16 @@
-// Package capture is the lab's Wireshark: it records timestamped wire bytes
-// at a host's access point (the paper taps the WiFi APs), decodes them into
-// layers on demand, groups them into flows, and produces the per-interval
-// throughput series that Figures 2, 3, 6, 12 and 13 are built from.
+// Package capture is the lab's Wireshark: it records the packets crossing a
+// host's access point (the paper taps the WiFi APs), groups them into flows,
+// and produces the per-interval throughput series that Figures 2, 3, 6, 12
+// and 13 are built from.
 //
-// Internally a Sniffer is an arena plus an index (DESIGN §4.11): wire bytes
-// are appended into pooled fixed-size chunks, and per-record metadata —
-// virtual timestamp, direction, arena position, and a compact flow key
-// extracted from the header bytes at tap time — lives in parallel flat
-// slices instead of a pointer-bearing record slice. Ingesting a packet is an
-// arena copy plus a handful of column appends (amortized zero allocations),
-// and analysis runs over the columns, decoding full packets only for the
-// records a user-supplied Filter actually inspects — through a per-protocol
-// scratch Packet filled by packet.DecodeInto, so repeated queries allocate
-// nothing and never re-decode what the index already answers.
+// A Sniffer keeps one fixed 32-byte record per packet, not its wire bytes
+// (DESIGN §4.11): the virtual timestamp, the wire length, the direction, the
+// flow key packet.PeekFlow reads from the header bytes at tap time, and the
+// payload's length and first bytes. Records live in fixed-size chunks that
+// are never copied, so ingest is one record write, and every query is a scan
+// over records: filters see the flow key, and nothing is decoded. Full wire
+// bytes go only to libpcap files, which AttachPcap streams from a tap of
+// their own.
 package capture
 
 import (
@@ -24,70 +22,56 @@ import (
 	"github.com/svrlab/svrlab/internal/stats"
 )
 
-// Record is one captured packet, materialized as a view over the sniffer's
-// arena and index (Sniffer.At), or as a standalone value (pcap restore,
-// tests). For sniffer-backed views, Wire aliases arena memory: it is valid
-// until the sniffer's next Clear, and must be copied to outlive it.
+// Record is one packet with its wire bytes: what WritePcap writes, what
+// ReadPcap returns, and what Restore builds a sniffer from.
 type Record struct {
 	TS   time.Duration
 	Dir  netsim.Dir
 	Wire []byte
-	// sn/idx tie a view record back to its sniffer so decode results land
-	// in the sniffer's cache (views are ephemeral values; the cache is not).
-	sn  *Sniffer
-	idx int
-	// pkt is the lazily-decoded form for standalone records
-	// (gopacket-style lazy decoding).
-	pkt *packet.Packet
-	// undecodable caches a failed decode so malformed wire bytes are
-	// parsed at most once, however often analysis revisits the record.
-	undecodable bool
 }
 
-// Packet decodes the record (cached). Undecodable records return nil.
-// Sniffer-backed records cache the decode in the sniffer, so repeated At
-// calls for the same index return the same *Packet; Clear drops the cache.
-func (r *Record) Packet() *packet.Packet {
-	if r.sn != nil {
-		return r.sn.cachedPacket(r.idx)
-	}
-	if r.pkt == nil && !r.undecodable {
-		p, err := packet.Decode(r.Wire)
-		if err != nil {
-			r.undecodable = true
-			return nil
-		}
-		r.pkt = p
-	}
-	return r.pkt
+// HeadLen is how many leading payload bytes a record keeps. Table 2's
+// classifiers read the most: classifyTCP looks at payload bytes 0–1 and
+// classifyUDP at byte 0, and the record's payload length answers their
+// length checks. Four bytes fill the record out to 32; a 16-byte head would
+// make every record 48 bytes for bytes no query reads.
+const HeadLen = 4
+
+// rec is the stored record: 32 bytes, field for field what At reports.
+type rec struct {
+	ts           time.Duration
+	wlen         uint32
+	src, dst     packet.Addr
+	sport, dport uint16
+	proto        packet.Proto
+	meta         uint8
+	plen         uint16
+	head         [HeadLen]byte
 }
 
-// recMeta bits: direction and tap-time classification outcome.
+// rec.meta bits: direction and the tap-time classification outcome.
 const (
 	metaDown  uint8 = 1 << 0 // network -> host (absent: host -> network)
 	metaValid uint8 = 1 << 1 // packet.PeekFlow accepted the wire bytes
 )
 
-// recPos addresses a record's wire bytes inside the arena.
-type recPos struct {
-	chunk, off, wlen uint32
+// chunkLen records make one 32 KiB chunk, Go's largest small-object size
+// class, so a chunk is allocated without rounding up.
+const chunkLen = 1024
+
+func (r *rec) dir() netsim.Dir {
+	if r.meta&metaDown != 0 {
+		return netsim.DirDown
+	}
+	return netsim.DirUp
 }
 
-// recKey is the compact flow key extracted at tap time from header bytes —
-// enough for Flows, RemoteEndpoints and protocol grouping without a decode.
-type recKey struct {
-	src, dst     packet.Addr
-	sport, dport uint16
-	proto        packet.Proto
-}
-
-// recCum is the per-direction byte/packet accumulator maintained at tap
-// time: cumulative totals up to (and including) a record, stored with a
-// leading zero sentinel so any [lo,hi) index span answers Bytes/Packets in
-// O(1) after the timestamp binary search, for every query without a Filter.
-type recCum struct {
-	bytes, upBytes int64
-	upPkts         int32
+func (r *rec) flow() packet.Flow {
+	return packet.Flow{
+		Proto: r.proto,
+		Src:   packet.Endpoint{Addr: r.src, Port: r.sport},
+		Dst:   packet.Endpoint{Addr: r.dst, Port: r.dport},
+	}
 }
 
 // Sniffer captures traffic at one host's access point. It is not safe for
@@ -95,40 +79,19 @@ type recCum struct {
 // (the §4.6 cell-isolation contract).
 type Sniffer struct {
 	active bool
-
-	// Struct-of-arrays record index, one entry per captured packet (cum
-	// has one extra sentinel entry). Grouping the columns that are written
-	// together keeps ingest at five slice appends per packet.
-	ts   []time.Duration
-	meta []uint8
-	pos  []recPos
-	key  []recKey
-	cum  []recCum
-
-	// arena holds the wire bytes the index points into.
-	arena arena
-
-	// pkts is the decoded-packet cache behind the Record view API,
-	// allocated lazily on first use and dropped by Clear.
-	pkts []*packet.Packet
-
-	// scratch holds one reusable decode target per protocol class for
-	// Filter evaluation, so filtering same-protocol runs of traffic
-	// allocates nothing (packet.DecodeInto reuses the transport struct and
-	// payload capacity). Scratch packets never escape: filters see them
-	// only for the duration of the callback.
-	scratch [4]packet.Packet
+	// n records are held: record i is chunks[i/chunkLen][i%chunkLen].
+	// Chunks past the last record are kept from before a Clear.
+	n      int
+	chunks []*[chunkLen]rec
 }
 
 // NewSniffer returns an unattached sniffer (records are added by taps, or
 // by tests via ingest).
-func NewSniffer() *Sniffer {
-	return &Sniffer{active: true, cum: make([]recCum, 1, 64)}
-}
+func NewSniffer() *Sniffer { return &Sniffer{active: true} }
 
 // Restore builds a sniffer over standalone records — the pcap re-analysis
-// path (ReadPcap output). Each record's wire bytes are copied into the
-// arena and re-classified exactly as a live tap would have.
+// path (ReadPcap output). Each record is classified exactly as a live tap
+// would have classified it.
 func Restore(records []Record) *Sniffer {
 	s := NewSniffer()
 	for i := range records {
@@ -144,109 +107,83 @@ func Attach(h *netsim.Host) *Sniffer {
 	return s
 }
 
-// ingest appends one record: wire bytes into the arena, metadata and the
-// tap-time flow key into the index columns, and the cumulative accumulators.
-// This is the tapped fast path (it is the TapFunc Attach registers) —
-// amortized zero allocations per packet (chunk rotation and column growth
-// amortize; Clear recycles both).
+// ingest appends one record. It is the TapFunc Attach registers, and it
+// writes every field, because a Clear leaves old records in the chunks.
 func (s *Sniffer) ingest(at time.Duration, dir netsim.Dir, wire []byte) {
 	if !s.active {
 		return
 	}
-	ci, off := s.arena.append(wire)
-	fl, ok := packet.PeekFlow(wire)
-	m := uint8(0)
+	c := s.n / chunkLen
+	if c == len(s.chunks) {
+		s.chunks = append(s.chunks, new([chunkLen]rec))
+	}
+	r := &s.chunks[c][s.n%chunkLen]
+	s.n++
+	*r = rec{ts: at, wlen: uint32(len(wire))}
 	if dir == netsim.DirDown {
-		m = metaDown
+		r.meta = metaDown
 	}
-	if ok {
-		m |= metaValid
+	fl, ok := packet.PeekFlow(wire)
+	if !ok {
+		return
 	}
-	c := s.cum[len(s.cum)-1]
-	c.bytes += int64(len(wire))
-	if dir == netsim.DirUp {
-		c.upBytes += int64(len(wire))
-		c.upPkts++
-	}
-	s.ts = append(s.ts, at)
-	s.meta = append(s.meta, m)
-	s.pos = append(s.pos, recPos{chunk: ci, off: off, wlen: uint32(len(wire))})
-	s.key = append(s.key, recKey{src: fl.Src.Addr, dst: fl.Dst.Addr, sport: fl.Src.Port, dport: fl.Dst.Port, proto: fl.Proto})
-	s.cum = append(s.cum, c)
+	r.meta |= metaValid
+	r.src, r.dst = fl.Src.Addr, fl.Dst.Addr
+	r.sport, r.dport = fl.Src.Port, fl.Dst.Port
+	r.proto = fl.Proto
+	payload := wire[payloadOffset(fl.Proto):]
+	r.plen = uint16(len(payload))
+	copy(r.head[:], payload)
 }
 
-// dirAt reads record i's direction from the meta column.
-func (s *Sniffer) dirAt(i int) netsim.Dir {
-	if s.meta[i]&metaDown != 0 {
-		return netsim.DirDown
+// payloadOffset is where packet.Decode starts the payload of a wire image
+// PeekFlow accepted: after the IPv4 header and the transport header, if
+// Decode knows the transport.
+func payloadOffset(p packet.Proto) int {
+	switch p {
+	case packet.ProtoUDP:
+		return packet.IPv4HeaderLen + packet.UDPHeaderLen
+	case packet.ProtoTCP:
+		return packet.IPv4HeaderLen + packet.TCPHeaderLen
+	case packet.ProtoICMP:
+		return packet.IPv4HeaderLen + packet.ICMPHeaderLen
 	}
-	return netsim.DirUp
+	return packet.IPv4HeaderLen
 }
+
+func (s *Sniffer) at(i int) *rec { return &s.chunks[i/chunkLen][i%chunkLen] }
 
 // Len returns the number of captured records.
-func (s *Sniffer) Len() int { return len(s.ts) }
+func (s *Sniffer) Len() int { return s.n }
 
-// At materializes a view of record i. The view's Wire aliases the arena and
-// is invalidated by Clear; its Packet method caches decodes in the sniffer.
-func (s *Sniffer) At(i int) Record {
-	return Record{TS: s.ts[i], Dir: s.dirAt(i), Wire: s.wireAt(i), sn: s, idx: i}
+// Summary is what a sniffer keeps of one captured packet.
+type Summary struct {
+	TS      time.Duration
+	Dir     netsim.Dir
+	WireLen int
+	// Valid reports whether packet.PeekFlow accepted the wire bytes, i.e.
+	// whether packet.Decode would. Flow, PayloadLen and Head are zero when
+	// it did not.
+	Valid bool
+	Flow  packet.Flow
+	// PayloadLen is the length of the payload packet.Decode returns, and
+	// Head holds its first min(PayloadLen, HeadLen) bytes, zero-padded.
+	PayloadLen int
+	Head       [HeadLen]byte
 }
 
-func (s *Sniffer) wireAt(i int) []byte {
-	p := s.pos[i]
-	return s.arena.chunks[p.chunk][p.off : p.off+p.wlen : p.off+p.wlen]
-}
-
-// cachedPacket decodes record i into the sniffer's decoded-packet cache
-// (fresh heap packet, stable pointer across calls). Records whose tap-time
-// classification failed are undecodable by construction and return nil
-// without re-running the decoder.
-func (s *Sniffer) cachedPacket(i int) *packet.Packet {
-	if s.meta[i]&metaValid == 0 {
-		return nil
+// At returns record i.
+func (s *Sniffer) At(i int) Summary {
+	r := s.at(i)
+	return Summary{
+		TS:         r.ts,
+		Dir:        r.dir(),
+		WireLen:    int(r.wlen),
+		Valid:      r.meta&metaValid != 0,
+		Flow:       r.flow(),
+		PayloadLen: int(r.plen),
+		Head:       r.head,
 	}
-	if s.pkts == nil {
-		s.pkts = make([]*packet.Packet, s.Len())
-	}
-	for len(s.pkts) < s.Len() { // records ingested since the cache was made
-		s.pkts = append(s.pkts, nil)
-	}
-	if s.pkts[i] == nil {
-		p, err := packet.Decode(s.wireAt(i))
-		if err != nil {
-			return nil // unreachable while PeekFlow mirrors Decode
-		}
-		s.pkts[i] = p
-	}
-	return s.pkts[i]
-}
-
-// scratchPacket decodes record i into the per-protocol scratch for a
-// Filter callback — zero allocations in steady state. Returns the cached
-// heap packet instead when the view API already decoded this record.
-func (s *Sniffer) scratchPacket(i int) *packet.Packet {
-	if s.meta[i]&metaValid == 0 {
-		return nil
-	}
-	if s.pkts != nil && i < len(s.pkts) && s.pkts[i] != nil {
-		return s.pkts[i]
-	}
-	var k int
-	switch s.key[i].proto {
-	case packet.ProtoUDP:
-		k = 0
-	case packet.ProtoTCP:
-		k = 1
-	case packet.ProtoICMP:
-		k = 2
-	default:
-		k = 3
-	}
-	sc := &s.scratch[k]
-	if packet.DecodeInto(sc, s.wireAt(i)) != nil {
-		return nil // unreachable while PeekFlow mirrors Decode
-	}
-	return sc
 }
 
 // Pause stops recording (the tap stays installed).
@@ -255,21 +192,9 @@ func (s *Sniffer) Pause() { s.active = false }
 // Resume restarts recording.
 func (s *Sniffer) Resume() { s.active = true }
 
-// Clear discards captured records: arena chunks go back to the shared pool,
-// the decoded-packet cache is dropped, and the index columns are truncated
-// in place (capacity retained, so a long session clearing between
-// measurement phases re-captures without reallocating its index). After
-// Clear, previously obtained Record views and scratch packets are invalid —
-// their Wire/Payload alias recycled chunks.
-func (s *Sniffer) Clear() {
-	s.arena.release()
-	s.pkts = nil
-	s.ts = s.ts[:0]
-	s.meta = s.meta[:0]
-	s.pos = s.pos[:0]
-	s.key = s.key[:0]
-	s.cum = s.cum[:1] // keep the zero sentinel
-}
+// Clear discards captured records. The chunks stay with the sniffer and are
+// overwritten by the records captured next.
+func (s *Sniffer) Clear() { s.n = 0 }
 
 // Match selects packets for analysis. Either field may be zero-valued to
 // match everything in that dimension.
@@ -277,46 +202,44 @@ type Match struct {
 	// Dir restricts direction when DirSet is true.
 	Dir    netsim.Dir
 	DirSet bool
-	// Filter, when non-nil, must accept the decoded packet. The *Packet a
-	// filter receives may be a reused scratch value: it is valid only for
-	// the duration of the callback and must not be retained, and filters
-	// must not re-enter the sniffer that invoked them.
-	Filter func(*packet.Packet) bool
+	// Filter, when non-nil, must accept the packet's flow key. Records
+	// whose wire bytes packet.PeekFlow rejected never match a Filter.
+	Filter func(packet.Flow) bool
 }
 
 // MatchUp matches host→network packets satisfying f (nil f = all).
-func MatchUp(f func(*packet.Packet) bool) Match {
+func MatchUp(f func(packet.Flow) bool) Match {
 	return Match{Dir: netsim.DirUp, DirSet: true, Filter: f}
 }
 
 // MatchDown matches network→host packets satisfying f (nil f = all).
-func MatchDown(f func(*packet.Packet) bool) Match {
+func MatchDown(f func(packet.Flow) bool) Match {
 	return Match{Dir: netsim.DirDown, DirSet: true, Filter: f}
 }
 
 // FilterRemote matches packets whose far end (destination when uplink,
 // source when downlink) is one of the given addresses — how the paper
 // separates per-server channels once it has identified server IPs.
-func FilterRemote(addrs ...packet.Addr) func(*packet.Packet) bool {
+func FilterRemote(addrs ...packet.Addr) func(packet.Flow) bool {
 	set := make(map[packet.Addr]bool, len(addrs))
 	for _, a := range addrs {
 		set[a] = true
 	}
-	return func(p *packet.Packet) bool {
-		return set[p.IP.Src] || set[p.IP.Dst]
+	return func(f packet.Flow) bool {
+		return set[f.Src.Addr] || set[f.Dst.Addr]
 	}
 }
 
 // FilterProto matches one transport protocol.
-func FilterProto(proto packet.Proto) func(*packet.Packet) bool {
-	return func(p *packet.Packet) bool { return p.IP.Protocol == proto }
+func FilterProto(proto packet.Proto) func(packet.Flow) bool {
+	return func(f packet.Flow) bool { return f.Proto == proto }
 }
 
 // FilterAnd combines filters conjunctively.
-func FilterAnd(fs ...func(*packet.Packet) bool) func(*packet.Packet) bool {
-	return func(p *packet.Packet) bool {
-		for _, f := range fs {
-			if f != nil && !f(p) {
+func FilterAnd(fs ...func(packet.Flow) bool) func(packet.Flow) bool {
+	return func(f packet.Flow) bool {
+		for _, fn := range fs {
+			if fn != nil && !fn(f) {
 				return false
 			}
 		}
@@ -324,32 +247,11 @@ func FilterAnd(fs ...func(*packet.Packet) bool) func(*packet.Packet) bool {
 	}
 }
 
-func (m Match) accepts(r *Record) bool {
-	if m.DirSet && r.Dir != m.Dir {
+func (m Match) accepts(r *rec) bool {
+	if m.DirSet && r.dir() != m.Dir {
 		return false
 	}
-	if m.Filter != nil {
-		p := r.Packet()
-		if p == nil || !m.Filter(p) {
-			return false
-		}
-	}
-	return true
-}
-
-// acceptsIdx is the index-driven accepts: direction from the dirs column,
-// decode (into scratch) only when a Filter has to see payload.
-func (s *Sniffer) acceptsIdx(i int, m Match) bool {
-	if m.DirSet && s.dirAt(i) != m.Dir {
-		return false
-	}
-	if m.Filter != nil {
-		p := s.scratchPacket(i)
-		if p == nil || !m.Filter(p) {
-			return false
-		}
-	}
-	return true
+	return m.Filter == nil || r.meta&metaValid != 0 && m.Filter(r.flow())
 }
 
 // span binary-searches the [lo, hi) record index range whose timestamps
@@ -357,58 +259,29 @@ func (s *Sniffer) acceptsIdx(i int, m Match) bool {
 // order (the tap runs on the scheduler, whose clock is monotonic), so
 // window queries never need to scan outside the span.
 func (s *Sniffer) span(from, to time.Duration) (lo, hi int) {
-	lo = sort.Search(len(s.ts), func(i int) bool { return s.ts[i] >= from })
-	hi = sort.Search(len(s.ts), func(i int) bool { return s.ts[i] >= to })
+	lo = sort.Search(s.n, func(i int) bool { return s.at(i).ts >= from })
+	hi = sort.Search(s.n, func(i int) bool { return s.at(i).ts >= to })
 	return lo, hi
 }
 
-// Bytes sums wire bytes of matching records in [from, to). Without a
-// Filter this is answered from the accumulator columns in O(log records).
+// Bytes sums wire bytes of matching records in [from, to).
 func (s *Sniffer) Bytes(m Match, from, to time.Duration) int {
 	lo, hi := s.span(from, to)
-	if lo >= hi {
-		return 0
-	}
-	if m.Filter == nil {
-		total := s.cum[hi].bytes - s.cum[lo].bytes
-		if !m.DirSet {
-			return int(total)
-		}
-		up := s.cum[hi].upBytes - s.cum[lo].upBytes
-		if m.Dir == netsim.DirUp {
-			return int(up)
-		}
-		return int(total - up)
-	}
 	total := 0
 	for i := lo; i < hi; i++ {
-		if s.acceptsIdx(i, m) {
-			total += int(s.pos[i].wlen)
+		if r := s.at(i); m.accepts(r) {
+			total += int(r.wlen)
 		}
 	}
 	return total
 }
 
-// Packets counts matching records in [from, to). Without a Filter this is
-// answered from the accumulator columns in O(log records).
+// Packets counts matching records in [from, to).
 func (s *Sniffer) Packets(m Match, from, to time.Duration) int {
 	lo, hi := s.span(from, to)
-	if lo >= hi {
-		return 0
-	}
-	if m.Filter == nil {
-		if !m.DirSet {
-			return hi - lo
-		}
-		up := int(s.cum[hi].upPkts - s.cum[lo].upPkts)
-		if m.Dir == netsim.DirUp {
-			return up
-		}
-		return hi - lo - up
-	}
 	n := 0
 	for i := lo; i < hi; i++ {
-		if s.acceptsIdx(i, m) {
+		if m.accepts(s.at(i)) {
 			n++
 		}
 	}
@@ -425,12 +298,13 @@ func (s *Sniffer) Series(m Match, from, to, bucket time.Duration) stats.TimeSeri
 	vals := make([]float64, n)
 	lo, hi := s.span(from, to)
 	for i := lo; i < hi; i++ {
-		if !s.acceptsIdx(i, m) {
+		r := s.at(i)
+		if !m.accepts(r) {
 			continue
 		}
-		idx := int((s.ts[i] - from) / bucket)
+		idx := int((r.ts - from) / bucket)
 		if idx >= 0 && idx < n {
-			vals[idx] += float64(s.pos[i].wlen * 8)
+			vals[idx] += float64(r.wlen * 8)
 		}
 	}
 	scale := bucket.Seconds()
@@ -459,32 +333,28 @@ type FlowStat struct {
 
 // Flows groups matching records by symmetric flow hash, merging the two
 // directions of each conversation (gopacket's symmetric FastHash pattern).
-// The flow keys come from the index columns — no decoding happens unless
-// the match carries a Filter.
+// Records whose wire bytes packet.PeekFlow rejected have no flow and are
+// skipped.
 func (s *Sniffer) Flows(m Match) []*FlowStat {
 	byHash := make(map[uint64]*FlowStat)
 	var order []uint64
-	for i := 0; i < s.Len(); i++ {
-		if s.meta[i]&metaValid == 0 || !s.acceptsIdx(i, m) {
+	for i := 0; i < s.n; i++ {
+		r := s.at(i)
+		if r.meta&metaValid == 0 || !m.accepts(r) {
 			continue
 		}
-		k := s.key[i]
-		fl := packet.Flow{
-			Proto: k.proto,
-			Src:   packet.Endpoint{Addr: k.src, Port: k.sport},
-			Dst:   packet.Endpoint{Addr: k.dst, Port: k.dport},
-		}
+		fl := r.flow()
 		h := fl.FastHash()
 		st, ok := byHash[h]
 		if !ok {
-			st = &FlowStat{Flow: fl, First: s.ts[i]}
+			st = &FlowStat{Flow: fl, First: r.ts}
 			byHash[h] = st
 			order = append(order, h)
 		}
 		st.Packets++
-		st.Bytes += int(s.pos[i].wlen)
-		st.Last = s.ts[i]
-		if s.meta[i]&metaDown == 0 {
+		st.Bytes += int(r.wlen)
+		st.Last = r.ts
+		if r.meta&metaDown == 0 {
 			st.UpPkts++
 		} else {
 			st.DnPkts++
@@ -498,18 +368,19 @@ func (s *Sniffer) Flows(m Match) []*FlowStat {
 }
 
 // RemoteEndpoints lists the distinct far-end addresses seen, in first-seen
-// order — the server-discovery step of §4. Pure column scan: the far end
-// is the flow key's destination on uplink, source on downlink.
+// order — the server-discovery step of §4. The far end is the flow key's
+// destination on uplink, source on downlink.
 func (s *Sniffer) RemoteEndpoints(local packet.Addr) []packet.Addr {
 	seen := make(map[packet.Addr]bool)
 	var out []packet.Addr
-	for i := 0; i < s.Len(); i++ {
-		if s.meta[i]&metaValid == 0 {
+	for i := 0; i < s.n; i++ {
+		r := s.at(i)
+		if r.meta&metaValid == 0 {
 			continue
 		}
-		remote := s.key[i].dst
-		if s.meta[i]&metaDown != 0 {
-			remote = s.key[i].src
+		remote := r.dst
+		if r.meta&metaDown != 0 {
+			remote = r.src
 		}
 		if remote == local || seen[remote] {
 			continue

@@ -57,18 +57,17 @@ func TestCaptureRecordsBothDirections(t *testing.T) {
 	if r.sniff.Len() != 2 {
 		t.Fatalf("records = %d, want 2", r.sniff.Len())
 	}
-	if r.sniff.At(0).Dir != netsim.DirUp || r.sniff.At(1).Dir != netsim.DirDown {
+	up, down := r.sniff.At(0), r.sniff.At(1)
+	if up.Dir != netsim.DirUp || down.Dir != netsim.DirDown {
 		t.Fatal("directions wrong")
 	}
-	rec := r.sniff.At(0)
-	p := rec.Packet()
-	if p == nil || p.UDP == nil {
-		t.Fatal("decode failed")
+	if !up.Valid || up.Flow.Proto != packet.ProtoUDP || up.Flow.Src != (packet.Endpoint{Addr: r.a.Addr, Port: 1000}) ||
+		up.WireLen != 128 || up.PayloadLen != 100 {
+		t.Fatalf("uplink record = %+v", up)
 	}
-	// Cached decode returns the same pointer, even across fresh views.
-	again := r.sniff.At(0)
-	if p != rec.Packet() || p != again.Packet() {
-		t.Fatal("decode not cached")
+	if !down.Valid || down.Flow.Proto != packet.ProtoTCP || down.Flow.Dst != (packet.Endpoint{Addr: r.a.Addr, Port: 3000}) ||
+		down.WireLen != 240 || down.PayloadLen != 200 {
+		t.Fatalf("downlink record = %+v", down)
 	}
 }
 
@@ -219,41 +218,51 @@ func mkWire(payload int) []byte {
 	}).Marshal()
 }
 
-func TestUndecodableRecordCachesFailure(t *testing.T) {
+// TestUndecodableRecordCountsOnlyUnfiltered: a record whose wire bytes
+// packet.PeekFlow rejects is kept as non-valid with a zero flow key. It
+// counts toward filter-less totals, but no Filter, not even one accepting
+// every flow, matches it, and Flows and RemoteEndpoints skip it.
+func TestUndecodableRecordCountsOnlyUnfiltered(t *testing.T) {
 	s := NewSniffer()
-	s.ingest(0, netsim.DirUp, []byte{0xde, 0xad})
-	bad := s.At(0)
-	if bad.Packet() != nil {
-		t.Fatal("garbage wire decoded")
+	s.ingest(0, netsim.DirUp, []byte{0x45, 0xad, 0xbe})
+	s.ingest(time.Millisecond, netsim.DirUp, mkWire(10))
+	if bad := s.At(0); bad.Valid || bad.Flow != (packet.Flow{}) || bad.PayloadLen != 0 || bad.Head != [HeadLen]byte{} || bad.WireLen != 3 {
+		t.Fatalf("undecodable record = %+v", bad)
 	}
-	// The failure is cached at ingest (the tap-time classification): the
-	// validity column marks the record undecodable, so Packet never runs
-	// the decoder for it, and no decoded-packet cache is materialized.
-	if bad.Packet() != nil {
-		t.Fatal("decode re-attempted after a cached failure")
+	if good := s.At(1); !good.Valid || good.PayloadLen != 10 {
+		t.Fatalf("valid record = %+v", good)
 	}
-	if s.pkts != nil {
-		t.Fatal("undecodable record materialized the decode cache")
+	good := len(mkWire(10))
+	for _, m := range []Match{{}, MatchUp(nil)} {
+		if got := s.Bytes(m, 0, time.Hour); got != 3+good {
+			t.Errorf("filter-less Bytes = %d, want %d", got, 3+good)
+		}
+		if got := s.Packets(m, 0, time.Hour); got != 2 {
+			t.Errorf("filter-less Packets = %d, want 2", got)
+		}
 	}
-	// A fresh record with valid bytes decodes fine (the cache is
-	// per-record, not global).
-	s.ingest(0, netsim.DirUp, mkWire(10))
-	good := s.At(1)
-	if good.Packet() == nil {
-		t.Fatal("valid wire failed to decode")
+	all := func(packet.Flow) bool { return true }
+	for _, m := range []Match{{Filter: all}, MatchUp(all)} {
+		if got := s.Bytes(m, 0, time.Hour); got != good {
+			t.Errorf("filtered Bytes = %d, want %d", got, good)
+		}
 	}
-	// A standalone record (pcap restore path) behaves the same way.
-	standalone := Record{TS: 0, Wire: []byte{0xde, 0xad}}
-	if standalone.Packet() != nil {
-		t.Fatal("standalone garbage wire decoded")
+	// The zero flow key would pass a filter for protocol 0.
+	if got := s.Packets(Match{Filter: FilterProto(0)}, 0, time.Hour); got != 0 {
+		t.Errorf("protocol-0 filter matched %d records, want 0", got)
 	}
-	standalone.Wire = mkWire(10)
-	if standalone.Packet() != nil {
-		t.Fatal("standalone record re-ran a cached failed decode")
+	if flows := s.Flows(Match{}); len(flows) != 1 || flows[0].Packets != 1 {
+		t.Errorf("Flows = %+v, want only the valid record", flows)
+	}
+	if remotes := s.RemoteEndpoints(0); len(remotes) != 1 || remotes[0] != packet.MustParseAddr("10.0.0.3") {
+		t.Errorf("RemoteEndpoints = %v", remotes)
 	}
 }
 
-func TestClearReleasesCapturedMemory(t *testing.T) {
+// TestClearKeepsChunksAndOverwritesRecords: Clear empties the sniffer but
+// keeps its chunks, and every record captured afterwards is written whole,
+// so nothing of a cleared record shows through.
+func TestClearKeepsChunksAndOverwritesRecords(t *testing.T) {
 	r := newRig(t)
 	r.sendUDP(time.Second, 100)
 	r.sendTCPDown(2*time.Second, 50)
@@ -261,32 +270,25 @@ func TestClearReleasesCapturedMemory(t *testing.T) {
 	if r.sniff.Len() != 2 {
 		t.Fatalf("records = %d", r.sniff.Len())
 	}
-	// Decode one so both arena chunks and a decoded packet are held.
-	first := r.sniff.At(0)
-	if first.Packet() == nil {
-		t.Fatal("decode failed")
-	}
-	if len(r.sniff.arena.chunks) == 0 || r.sniff.pkts == nil {
-		t.Fatal("capture did not populate arena/decode cache")
-	}
+	chunk := r.sniff.chunks[0]
 	r.sniff.Clear()
-	// Clear must release everything that pins capture memory: the arena
-	// chunks go back to the pool and the decoded-packet cache is dropped.
-	if len(r.sniff.arena.chunks) != 0 {
-		t.Fatalf("Clear retained %d arena chunks", len(r.sniff.arena.chunks))
+	if r.sniff.Len() != 0 || r.sniff.Bytes(Match{}, 0, time.Hour) != 0 || len(r.sniff.Flows(Match{})) != 0 {
+		t.Fatal("Clear left records")
 	}
-	if r.sniff.pkts != nil {
-		t.Fatal("Clear retained the decoded-packet cache")
+	// Garbage lands on the slot that held the uplink UDP record.
+	r.sniff.ingest(3*time.Second, netsim.DirDown, []byte{0xde, 0xad})
+	if len(r.sniff.chunks) != 1 || r.sniff.chunks[0] != chunk {
+		t.Fatal("Clear did not keep the sniffer's chunk")
 	}
-	// The sniffer keeps capturing after Clear.
-	r.sendUDP(3*time.Second, 25)
+	want := Summary{TS: 3 * time.Second, Dir: netsim.DirDown, WireLen: 2}
+	if got := r.sniff.At(0); got != want {
+		t.Fatalf("record over a cleared one = %+v, want %+v", got, want)
+	}
+	// The sniffer keeps capturing from its tap after Clear.
+	r.sendUDP(4*time.Second, 25)
 	r.s.Run()
-	if r.sniff.Len() != 1 {
-		t.Fatalf("post-Clear records = %d, want 1", r.sniff.Len())
-	}
-	post := r.sniff.At(0)
-	if p := post.Packet(); p == nil || p.UDP == nil {
-		t.Fatal("post-Clear record did not decode")
+	if post := r.sniff.At(1); r.sniff.Len() != 2 || !post.Valid || post.PayloadLen != 25 || post.Dir != netsim.DirUp {
+		t.Fatalf("post-Clear records = %d, last %+v", r.sniff.Len(), post)
 	}
 }
 
@@ -315,12 +317,15 @@ func TestWindowQueriesMatchFullScanOracle(t *testing.T) {
 		s.ingest(spec.ts, spec.dir, mkWire(spec.pay))
 	}
 
+	accepts := func(r Summary, m Match) bool {
+		return (!m.DirSet || r.Dir == m.Dir) && (m.Filter == nil || r.Valid && m.Filter(r.Flow))
+	}
 	oracleBytes := func(m Match, from, to time.Duration) int {
 		total := 0
 		for i := 0; i < s.Len(); i++ {
 			r := s.At(i)
-			if r.TS >= from && r.TS < to && m.accepts(&r) {
-				total += len(r.Wire)
+			if r.TS >= from && r.TS < to && accepts(r, m) {
+				total += r.WireLen
 			}
 		}
 		return total
@@ -329,7 +334,7 @@ func TestWindowQueriesMatchFullScanOracle(t *testing.T) {
 		n := 0
 		for i := 0; i < s.Len(); i++ {
 			r := s.At(i)
-			if r.TS >= from && r.TS < to && m.accepts(&r) {
+			if r.TS >= from && r.TS < to && accepts(r, m) {
 				n++
 			}
 		}

@@ -12,13 +12,13 @@ import (
 	"github.com/svrlab/svrlab/internal/stats"
 )
 
-// This file pins the arena/index rewrite to the pre-arena semantics: every
-// analysis method must return results identical to a naive reference that
-// materializes each record and fully decodes whatever a match needs to see.
-// The corpus is adversarial — mixed protocols, undecodable garbage,
-// truncated and corrupted wire images, duplicate timestamps — because the
-// index takes shortcuts (tap-time flow keys, cumulative accumulators,
-// scratch decodes) exactly where such inputs could make it diverge.
+// This file pins the record store to a reference that keeps every wire
+// byte: each analysis method must return what a naive scan returns when it
+// fully decodes each record with packet.Decode and hands filters
+// packet.FlowOf of the result. The corpus is adversarial — mixed protocols,
+// undecodable garbage, truncated and corrupted wire images, duplicate
+// timestamps — because the store classifies each packet once, at tap
+// time, exactly where such inputs could make it diverge.
 
 // eqCorpus builds a deterministic adversarial record stream. Timestamps are
 // nondecreasing with runs of duplicates, matching the tap contract.
@@ -84,15 +84,25 @@ func eqPacket(rng *rand.Rand) *packet.Packet {
 
 func i32(rng *rand.Rand) int { return rng.Intn(1 << 15) }
 
-// refAccepts is the reference match predicate: standalone-record decode
-// (full packet.Decode, no index shortcuts).
+// refDecode is the reference decode: nil when packet.Decode rejects the
+// record's wire bytes.
+func refDecode(r *Record) *packet.Packet {
+	p, err := packet.Decode(r.Wire)
+	if err != nil {
+		return nil
+	}
+	return p
+}
+
+// refAccepts is the reference match predicate: a full decode, and the
+// filter applied to the decoded packet's flow.
 func refAccepts(r *Record, m Match) bool {
 	if m.DirSet && r.Dir != m.Dir {
 		return false
 	}
 	if m.Filter != nil {
-		p := r.Packet()
-		if p == nil || !m.Filter(p) {
+		p := refDecode(r)
+		if p == nil || !m.Filter(packet.FlowOf(p)) {
 			return false
 		}
 	}
@@ -145,7 +155,7 @@ func refFlows(recs []Record, m Match) []*FlowStat {
 	byHash := make(map[uint64]*FlowStat)
 	var order []uint64
 	for i := range recs {
-		p := recs[i].Packet()
+		p := refDecode(&recs[i])
 		if p == nil || !refAccepts(&recs[i], m) {
 			continue
 		}
@@ -177,7 +187,7 @@ func refRemoteEndpoints(recs []Record, local packet.Addr) []packet.Addr {
 	seen := make(map[packet.Addr]bool)
 	var out []packet.Addr
 	for i := range recs {
-		p := recs[i].Packet()
+		p := refDecode(&recs[i])
 		if p == nil {
 			continue
 		}
@@ -192,6 +202,18 @@ func refRemoteEndpoints(recs []Record, local packet.Addr) []packet.Addr {
 		out = append(out, remote)
 	}
 	return out
+}
+
+// refSummary is the record At must report, read off the full decode.
+func refSummary(r *Record) Summary {
+	want := Summary{TS: r.TS, Dir: r.Dir, WireLen: len(r.Wire)}
+	if p := refDecode(r); p != nil {
+		want.Valid = true
+		want.Flow = packet.FlowOf(p)
+		want.PayloadLen = len(p.Payload)
+		copy(want.Head[:], p.Payload)
+	}
+	return want
 }
 
 func eqMatches() []struct {
@@ -220,6 +242,11 @@ func checkEquivalence(t *testing.T, recs []Record) {
 	if s.Len() != len(recs) {
 		t.Errorf("Len = %d, want %d", s.Len(), len(recs))
 		return
+	}
+	for i := range recs {
+		if got, want := s.At(i), refSummary(&recs[i]); got != want {
+			t.Errorf("At(%d) = %+v, want %+v", i, got, want)
+		}
 	}
 	var maxTS time.Duration
 	for i := range recs {
@@ -293,9 +320,9 @@ func TestIndexedAnalysisMatchesReference(t *testing.T) {
 }
 
 // TestIndexedAnalysisParallelSniffers: per-goroutine sniffers over distinct
-// corpora, concurrently. Sniffers are single-owner, but they share the
-// process-wide chunk pool — under -race (make check) this verifies the
-// arena recycling path is safe across cells.
+// corpora, concurrently. Sniffers are single-owner and share nothing —
+// under -race (make check) this verifies that building, querying and
+// clearing one never touches another's state.
 func TestIndexedAnalysisParallelSniffers(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
@@ -306,7 +333,7 @@ func TestIndexedAnalysisParallelSniffers(t *testing.T) {
 					defer wg.Done()
 					recs := eqCorpus(seed, 200)
 					checkEquivalence(t, recs)
-					// Exercise pool churn: rebuild and clear a few times.
+					// Rebuild and clear a few times.
 					for k := 0; k < 3; k++ {
 						s := Restore(recs)
 						_ = s.Bytes(Match{}, 0, time.Hour)
@@ -316,5 +343,45 @@ func TestIndexedAnalysisParallelSniffers(t *testing.T) {
 			}
 			wg.Wait()
 		})
+	}
+}
+
+// TestPayloadHeadMatchesDecode: for valid records of every transport the
+// decoder knows, and one it does not, at each payload size from 0 to 5 —
+// both sides of HeadLen — At reports the payload length and first bytes
+// packet.Decode returns.
+func TestPayloadHeadMatchesDecode(t *testing.T) {
+	for _, proto := range []packet.Proto{packet.ProtoUDP, packet.ProtoTCP, packet.ProtoICMP, 47} {
+		for n := 0; n <= 5; n++ {
+			p := &packet.Packet{
+				IP:      packet.IPv4{TTL: 64, Protocol: proto, Src: 0x0a000002, Dst: 0x0a020002},
+				Payload: make([]byte, n),
+			}
+			for i := range p.Payload {
+				p.Payload[i] = byte(0xa0 + i)
+			}
+			switch proto {
+			case packet.ProtoUDP:
+				p.UDP = &packet.UDP{SrcPort: 5004, DstPort: 9000}
+			case packet.ProtoTCP:
+				p.TCP = &packet.TCP{SrcPort: 443, DstPort: 5000}
+			case packet.ProtoICMP:
+				p.ICMP = &packet.ICMP{Type: packet.ICMPEchoReply}
+			}
+			rec := Record{TS: time.Second, Dir: netsim.DirDown, Wire: p.Marshal()}
+			dec, err := packet.Decode(rec.Wire)
+			if err != nil {
+				t.Fatalf("%v/%d: %v", proto, n, err)
+			}
+			got := Restore([]Record{rec}).At(0)
+			if !got.Valid || got.PayloadLen != len(dec.Payload) || got.PayloadLen != n {
+				t.Errorf("%v/%d: At = %+v, Decode payload %d bytes", proto, n, got, len(dec.Payload))
+			}
+			var want [HeadLen]byte
+			copy(want[:], dec.Payload)
+			if got.Head != want {
+				t.Errorf("%v/%d: Head = % x, want % x", proto, n, got.Head, want)
+			}
+		}
 	}
 }

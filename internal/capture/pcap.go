@@ -1,11 +1,14 @@
 package capture
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"time"
+
+	"github.com/svrlab/svrlab/internal/netsim"
 )
 
 // pcap file support: captured records serialize to the classic libpcap
@@ -68,28 +71,50 @@ func WritePcap(w io.Writer, records []Record) error {
 	return nil
 }
 
-// SavePcap writes the sniffer's records, streaming wire bytes straight out
-// of the arena (no record materialization).
-func (s *Sniffer) SavePcap(w io.Writer) error {
-	if err := writePcapHeader(w); err != nil {
-		return err
+// PcapTap streams the packets crossing one host's access point to a
+// libpcap file as they cross it. A sniffer keeps no wire bytes, so this tap
+// is how a lab run is saved for Wireshark: the file is byte-identical to
+// WritePcap over the same packets.
+type PcapTap struct {
+	w      *bufio.Writer
+	rec    []byte
+	err    error
+	closed bool
+}
+
+// AttachPcap writes the pcap header to w and taps h, appending one record
+// per packet from then on until Close.
+func AttachPcap(h *netsim.Host, w io.Writer) *PcapTap {
+	t := &PcapTap{w: bufio.NewWriter(w), rec: make([]byte, 16)}
+	t.err = writePcapHeader(t.w)
+	h.Tap(t.write)
+	return t
+}
+
+// write is the TapFunc AttachPcap registers. After the first error it
+// writes nothing more.
+func (t *PcapTap) write(at time.Duration, _ netsim.Dir, wire []byte) {
+	if t.err == nil && !t.closed {
+		t.err = writePcapRecord(t.w, t.rec, at, wire)
 	}
-	rec := make([]byte, 16)
-	for i := 0; i < s.Len(); i++ {
-		if err := writePcapRecord(w, rec, s.ts[i], s.wireAt(i)); err != nil {
-			return err
-		}
+}
+
+// Close flushes the buffered records to the writer and stops the tap. It
+// returns the first error the tap met, and it does not close the writer.
+func (t *PcapTap) Close() error {
+	t.closed = true
+	if err := t.w.Flush(); t.err == nil {
+		t.err = err
 	}
-	return nil
+	return t.err
 }
 
 var errPcap = errors.New("capture: malformed pcap")
 
-// ReadPcap parses a libpcap file produced by WritePcap (or any
-// little-endian, microsecond, LINKTYPE_RAW capture). Direction information
-// is not stored in pcap; restored records carry DirUp for packets whose
-// source matches localAddr-as-string heuristics being impossible here, so
-// the caller re-derives direction if needed — records default to DirDown.
+// ReadPcap parses a libpcap file produced by WritePcap or a PcapTap (or any
+// little-endian, microsecond, LINKTYPE_RAW capture). pcap stores no
+// direction, so every restored record carries the zero Dir, netsim.DirUp;
+// a caller that needs direction re-derives it from the addresses.
 func ReadPcap(r io.Reader) ([]Record, error) {
 	hdr := make([]byte, 24)
 	if _, err := io.ReadFull(r, hdr); err != nil {

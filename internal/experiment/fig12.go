@@ -41,13 +41,14 @@ func Fig12(seed int64, reg *obs.Registry, sink *Sink) *Fig12Result {
 		cs[1].SetGame(true)
 	})
 	sniff := capture.Attach(cs[0].Host)
+	endPcap := sink.Pcap(label, cs[0].Host)
 
 	sc := &disrupt.Schedule{Host: cs[0].Host, Dir: disrupt.Downlink, Stages: disrupt.DownlinkBandwidthStages()}
 	end := sc.Run(l.Sched, 20*time.Second)
 	l.Trace().Phase(20*time.Second, "disruption")
 	l.Trace().Phase(end, "recovery")
 	l.Sched.RunUntil(end + 10*time.Second)
-	_ = sink.SavePcap(label, sniff)
+	_ = endPcap()
 
 	total := end + 10*time.Second
 	udp := capture.FilterProto(packet.ProtoUDP)

@@ -57,6 +57,7 @@ func Fig13(mode Fig13Mode, seed int64, reg *obs.Registry, sink *Sink) *Fig13Resu
 		cs[1].SetGame(true)
 	})
 	sniff := capture.Attach(cs[0].Host)
+	endPcap := sink.Pcap(label, cs[0].Host)
 
 	var stages []disrupt.Stage
 	if mode == Fig13Bandwidth {
@@ -69,7 +70,7 @@ func Fig13(mode Fig13Mode, seed int64, reg *obs.Registry, sink *Sink) *Fig13Resu
 	l.Trace().Phase(20*time.Second, "disruption")
 	l.Trace().Phase(end, "recovery")
 	l.Sched.RunUntil(end + 20*time.Second)
-	_ = sink.SavePcap(label, sniff)
+	_ = endPcap()
 
 	total := end + 20*time.Second
 	udp := capture.FilterProto(packet.ProtoUDP)

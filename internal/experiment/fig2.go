@@ -38,13 +38,14 @@ func Fig2(name platform.Name, seed int64, reg *obs.Registry, sink *Sink) *Fig2Re
 	l.Trace().Phase(joinAt, "social-event")
 	cs := l.Spawn(name, 2, SpawnOpts{JoinAt: joinAt, Wander: true})
 	sniff := capture.Attach(cs[0].Host)
+	endPcap := sink.Pcap(label, cs[0].Host)
 	l.Sched.RunUntil(total)
-	_ = sink.SavePcap(label, sniff)
+	_ = endPcap()
 
 	ctrlAddr := l.Dep.ControlEndpoint(p, cs[0].Host.Site).Addr
 	notAsset := l.notAsset(p)
 	ctrlFilter := capture.FilterAnd(notAsset, capture.FilterRemote(ctrlAddr), capture.FilterProto(packet.ProtoTCP))
-	var dataFilter func(*packet.Packet) bool
+	var dataFilter func(packet.Flow) bool
 	if p.WebData {
 		// Hubs: the data channel is RTP over UDP plus the HTTPS stream
 		// carrying avatar state; the paper observes both active in events.

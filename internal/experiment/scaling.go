@@ -98,8 +98,9 @@ func scalingRun(name platform.Name, n int, seed int64, reg *obs.Registry, sink *
 	cs := l.Spawn(name, n, SpawnOpts{})
 	l.Sched.At(2*time.Second, func() { arrangeCircle(cs) })
 	sniff := capture.Attach(cs[0].Host)
+	endPcap := sink.Pcap(label, cs[0].Host)
 	l.Sched.RunUntil(60 * time.Second)
-	_ = sink.SavePcap(label, sniff)
+	_ = endPcap()
 
 	ctrlAddr := l.Dep.ControlEndpoint(p, cs[0].Host.Site).Addr
 	f := l.dataOnly(p, ctrlAddr)
@@ -192,8 +193,9 @@ func fig9Run(n int, seed int64, reg *obs.Registry, sink *Sink, label string) (do
 	}
 	l.Sched.At(2*time.Second, func() { arrangeCircle(cs) })
 	sniff := capture.Attach(cs[0].Host)
+	endPcap := sink.Pcap(label, cs[0].Host)
 	l.Sched.RunUntil(50 * time.Second)
-	_ = sink.SavePcap(label, sniff)
+	_ = endPcap()
 	// All Hubs data rides HTTPS to the private server + RTP keepalive.
 	p := platform.Get(platform.Hubs)
 	f := l.notAsset(p)

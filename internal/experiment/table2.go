@@ -114,18 +114,17 @@ func discoverServers(l *Lab, p *platform.Profile, cs []*platform.Client, sniff *
 	return ctrl, data
 }
 
-// classifyTCP inspects captured payload bytes toward a server for TLS
-// records.
+// classifyTCP inspects the first captured payload bytes toward a server
+// for TLS records.
 func classifyTCP(sniff *capture.Sniffer, server packet.Addr) string {
-	m := capture.Match{Filter: capture.FilterAnd(capture.FilterRemote(server), capture.FilterProto(packet.ProtoTCP))}
+	f := capture.FilterAnd(capture.FilterRemote(server), capture.FilterProto(packet.ProtoTCP))
 	for i := 0; i < sniff.Len(); i++ {
 		r := sniff.At(i)
-		if !matchAccepts(m, &r) {
+		if !r.Valid || !f(r.Flow) {
 			continue
 		}
-		pk := r.Packet()
-		if len(pk.Payload) >= 5 && (pk.Payload[0] == packet.TLSHandshake || pk.Payload[0] == packet.TLSApplicationData) &&
-			pk.Payload[1] == 3 {
+		if r.PayloadLen >= 5 && (r.Head[0] == packet.TLSHandshake || r.Head[0] == packet.TLSApplicationData) &&
+			r.Head[1] == 3 {
 			return "HTTPS"
 		}
 	}
@@ -134,15 +133,14 @@ func classifyTCP(sniff *capture.Sniffer, server packet.Addr) string {
 
 // classifyUDP distinguishes RTP/RTCP streams from plain UDP.
 func classifyUDP(sniff *capture.Sniffer, server packet.Addr) string {
-	m := capture.Match{Filter: capture.FilterAnd(capture.FilterRemote(server), capture.FilterProto(packet.ProtoUDP))}
+	f := capture.FilterAnd(capture.FilterRemote(server), capture.FilterProto(packet.ProtoUDP))
 	rtp, plain := 0, 0
 	for i := 0; i < sniff.Len(); i++ {
 		r := sniff.At(i)
-		if !matchAccepts(m, &r) {
+		if !r.Valid || !f(r.Flow) {
 			continue
 		}
-		pk := r.Packet()
-		if len(pk.Payload) >= 2 && pk.Payload[0]>>6 == 2 {
+		if r.PayloadLen >= 2 && r.Head[0]>>6 == 2 {
 			rtp++
 		} else {
 			plain++
@@ -152,14 +150,6 @@ func classifyUDP(sniff *capture.Sniffer, server packet.Addr) string {
 		return "RTP/RTCP"
 	}
 	return "UDP"
-}
-
-func matchAccepts(m capture.Match, r *capture.Record) bool {
-	pk := r.Packet()
-	if pk == nil {
-		return false
-	}
-	return m.Filter == nil || m.Filter(pk)
 }
 
 func probePlatform(p *platform.Profile, seed int64, reg *obs.Registry) Table2Row {

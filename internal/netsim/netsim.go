@@ -59,8 +59,8 @@ func (d Dir) String() string {
 
 // TapFunc observes wire bytes crossing a host's access point. The bytes are
 // valid only for the duration of the call: the fabric reuses wire buffers
-// across packets, so taps that keep bytes must copy them (capture copies
-// into pooled arena chunks, DESIGN §4.11).
+// across packets, so taps that keep bytes must copy them (a capture sniffer
+// keeps a fixed-size record and a pcap tap writes them out, DESIGN §4.11).
 type TapFunc func(at time.Duration, dir Dir, wire []byte)
 
 // Netem is a tc-netem-equivalent impairment applied to one direction of a

@@ -17,25 +17,15 @@ import (
 func checkDecodePacket(t *testing.T, data []byte) {
 	p, err := packet.Decode(data)
 
-	// DecodeInto and PeekFlow must agree with Decode on every input: same
-	// accept/reject verdict, and (for accepted inputs) the same packet and
-	// flow. This is the contract the capture index leans on — tap-time
+	// PeekFlow must agree with Decode on every input: same accept/reject
+	// verdict, and for accepted inputs the flow FlowOf derives from the
+	// decoded packet. This is the contract capture leans on — tap-time
 	// classification stands in for "would Decode succeed".
-	var into packet.Packet
-	intoErr := packet.DecodeInto(&into, data)
-	if (err == nil) != (intoErr == nil) {
-		t.Fatalf("Decode err=%v but DecodeInto err=%v", err, intoErr)
-	}
 	fl, ok := packet.PeekFlow(data)
 	if ok != (err == nil) {
 		t.Fatalf("Decode err=%v but PeekFlow ok=%v", err, ok)
 	}
-
 	if err != nil {
-		// A failed DecodeInto must leave the destination untouched.
-		if into.IP != (packet.IPv4{}) || into.UDP != nil || into.TCP != nil || into.ICMP != nil || len(into.Payload) != 0 {
-			t.Fatalf("DecodeInto modified dst on error: %+v", into)
-		}
 		return
 	}
 	if p.WireLen() != len(data) {
@@ -44,19 +34,10 @@ func checkDecodePacket(t *testing.T, data []byte) {
 	wiretest.AssertRemarshal(t, data, p.Marshal())
 	// A decoded packet must also survive Clone and flow extraction.
 	wiretest.AssertRemarshal(t, data, p.Clone().Marshal())
-	_ = packet.FlowOf(p).FastHash()
-	// DecodeInto produced the same packet, and PeekFlow the same flow key
-	// that full decode derives.
-	wiretest.AssertRemarshal(t, data, into.Marshal())
 	if fl != packet.FlowOf(p) {
 		t.Fatalf("PeekFlow %+v != FlowOf(Decode) %+v", fl, packet.FlowOf(p))
 	}
-	// Reusing the destination (dirty transport structs, leftover payload)
-	// must not change the result — the capture scratch-decode pattern.
-	if err := packet.DecodeInto(&into, data); err != nil {
-		t.Fatalf("DecodeInto reuse: %v", err)
-	}
-	wiretest.AssertRemarshal(t, data, into.Marshal())
+	_ = fl.FastHash()
 }
 
 func FuzzDecodePacket(f *testing.F) {

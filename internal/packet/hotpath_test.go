@@ -109,71 +109,3 @@ func TestAppendTLSRecordAllocFree(t *testing.T) {
 		t.Fatalf("AppendTLSRecord allocates %.2f objects/op into a warm buffer, want 0", avg)
 	}
 }
-
-// TestDecodeIntoReusesStructs: repeated same-protocol decodes into one
-// destination must reuse the transport struct and payload backing array —
-// the property the capture scratch-decode path depends on.
-func TestDecodeIntoReusesStructs(t *testing.T) {
-	wire := patchTestPackets()[0].Marshal() // UDP with payload
-	var dst Packet
-	if err := DecodeInto(&dst, wire); err != nil {
-		t.Fatal(err)
-	}
-	udp, payload := dst.UDP, dst.Payload
-	if err := DecodeInto(&dst, wire); err != nil {
-		t.Fatal(err)
-	}
-	if dst.UDP != udp {
-		t.Fatal("DecodeInto allocated a fresh UDP struct on reuse")
-	}
-	if len(payload) > 0 && &dst.Payload[0] != &payload[0] {
-		t.Fatal("DecodeInto allocated a fresh payload on reuse")
-	}
-}
-
-// TestDecodeIntoSwitchesProtocol: reusing a destination across protocols
-// must clear the stale transport pointer, never leave two set at once.
-func TestDecodeIntoSwitchesProtocol(t *testing.T) {
-	pkts := patchTestPackets()
-	var dst Packet
-	for _, p := range []*Packet{pkts[0], pkts[1], pkts[2], pkts[0]} {
-		wire := p.Marshal()
-		if err := DecodeInto(&dst, wire); err != nil {
-			t.Fatal(err)
-		}
-		set := 0
-		if dst.UDP != nil {
-			set++
-		}
-		if dst.TCP != nil {
-			set++
-		}
-		if dst.ICMP != nil {
-			set++
-		}
-		if set != 1 {
-			t.Fatalf("after decoding proto %v: %d transport structs set", p.IP.Protocol, set)
-		}
-		if !bytes.Equal(dst.Marshal(), wire) {
-			t.Fatalf("proto %v: DecodeInto result re-marshals differently", p.IP.Protocol)
-		}
-	}
-}
-
-// TestDecodeIntoAllocFree: a warm destination makes same-shape decodes
-// allocation-free — the zero-alloc sibling contract of Decode.
-func TestDecodeIntoAllocFree(t *testing.T) {
-	wire := patchTestPackets()[0].Marshal()
-	var dst Packet
-	if err := DecodeInto(&dst, wire); err != nil { // warm the scratch
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := DecodeInto(&dst, wire); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm DecodeInto allocates %.2f per run, want 0", allocs)
-	}
-}

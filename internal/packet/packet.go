@@ -307,9 +307,9 @@ func allZero(b []byte) bool {
 
 // validateWire runs every structural check Decode enforces without touching
 // the heap. It is the single source of truth for "does this byte string decode":
-// Decode, DecodeInto and PeekFlow all gate on it, so the three can never
-// disagree about validity (the capture index depends on that — a record is
-// classified exactly once, at tap time).
+// Decode and PeekFlow both gate on it, so the two can never disagree about
+// validity (capture depends on that — a record is classified exactly once,
+// at tap time).
 func validateWire(b []byte) error {
 	if len(b) < IPv4HeaderLen {
 		return errShort
@@ -366,58 +366,28 @@ func validateWire(b []byte) error {
 // data offset and urgent pointer — are validated, so Marshal(Decode(b)) is
 // byte-identical to b for every b that decodes.
 func Decode(b []byte) (*Packet, error) {
-	p := new(Packet)
-	if err := DecodeInto(p, b); err != nil {
+	if err := validateWire(b); err != nil {
 		return nil, err
 	}
-	return p, nil
-}
-
-// DecodeInto is the zero-allocation sibling of Decode: identical validation
-// and identical decoded fields, but the result lands in *dst, reusing dst's
-// transport-layer struct (when the previous decode left one of the same
-// protocol) and dst.Payload's backing array (when its capacity suffices).
-// Steady-state decoding of same-protocol traffic into a warm scratch Packet
-// therefore allocates nothing — capture's indexed analysis keeps one scratch
-// per protocol class so filters see fully decoded packets without the
-// per-record heap copies Decode makes.
-//
-// On error dst is left unmodified. On success every field of dst is
-// overwritten; pointers previously handed out for dst's transport layers or
-// payload alias the new contents, so a scratch Packet must not escape the
-// call that filled it.
-func DecodeInto(dst *Packet, b []byte) error {
-	if err := validateWire(b); err != nil {
-		return err
-	}
-	dst.IP = IPv4{
+	p := &Packet{IP: IPv4{
 		TTL:      b[8],
 		Protocol: Proto(b[9]),
 		ID:       binary.BigEndian.Uint16(b[4:6]),
 		Src:      Addr(binary.BigEndian.Uint32(b[12:16])),
 		Dst:      Addr(binary.BigEndian.Uint32(b[16:20])),
 		TotalLen: binary.BigEndian.Uint16(b[2:4]),
-	}
+	}}
 	rest := b[IPv4HeaderLen:]
-	switch dst.IP.Protocol {
+	switch p.IP.Protocol {
 	case ProtoUDP:
-		u := dst.UDP
-		if u == nil {
-			u = new(UDP)
-		}
-		*u = UDP{
+		p.UDP = &UDP{
 			SrcPort: binary.BigEndian.Uint16(rest[0:2]),
 			DstPort: binary.BigEndian.Uint16(rest[2:4]),
 			Length:  binary.BigEndian.Uint16(rest[4:6]),
 		}
-		dst.UDP, dst.TCP, dst.ICMP = u, nil, nil
 		rest = rest[UDPHeaderLen:]
 	case ProtoTCP:
-		t := dst.TCP
-		if t == nil {
-			t = new(TCP)
-		}
-		*t = TCP{
+		p.TCP = &TCP{
 			SrcPort: binary.BigEndian.Uint16(rest[0:2]),
 			DstPort: binary.BigEndian.Uint16(rest[2:4]),
 			Seq:     binary.BigEndian.Uint32(rest[4:8]),
@@ -425,26 +395,18 @@ func DecodeInto(dst *Packet, b []byte) error {
 			Flags:   rest[13],
 			Window:  binary.BigEndian.Uint16(rest[14:16]),
 		}
-		dst.UDP, dst.TCP, dst.ICMP = nil, t, nil
 		rest = rest[TCPHeaderLen:]
 	case ProtoICMP:
-		i := dst.ICMP
-		if i == nil {
-			i = new(ICMP)
-		}
-		*i = ICMP{
+		p.ICMP = &ICMP{
 			Type: rest[0],
 			Code: rest[1],
 			ID:   binary.BigEndian.Uint16(rest[4:6]),
 			Seq:  binary.BigEndian.Uint16(rest[6:8]),
 		}
-		dst.UDP, dst.TCP, dst.ICMP = nil, nil, i
 		rest = rest[ICMPHeaderLen:]
-	default:
-		dst.UDP, dst.TCP, dst.ICMP = nil, nil, nil
 	}
-	dst.Payload = append(dst.Payload[:0], rest...)
-	return nil
+	p.Payload = append([]byte(nil), rest...)
+	return p, nil
 }
 
 // PeekFlow extracts the flow key (protocol, endpoints, ports) of a wire

@@ -7,6 +7,7 @@ import (
 	"github.com/svrlab/svrlab/internal/avatar"
 	"github.com/svrlab/svrlab/internal/capture"
 	"github.com/svrlab/svrlab/internal/device"
+	"github.com/svrlab/svrlab/internal/netsim"
 	"github.com/svrlab/svrlab/internal/packet"
 	"github.com/svrlab/svrlab/internal/secure"
 	"github.com/svrlab/svrlab/internal/simtime"
@@ -19,29 +20,28 @@ func TestGestureDrivesRemoteExpression(t *testing.T) {
 	sched, _, cs := lab(t, Worlds, 2, 55)
 	var lastFace []uint8
 	var lastFingers [2][5]uint8
-	// Capture the decoded pose stream at U2 by tapping handleForward via
-	// the codec: re-decode from the capture at U2's AP.
-	sniff := capture.Attach(cs[1].Host)
+	// Decode the pose stream U2 receives from a tap at U2's access point:
+	// every forward from u1 after the gesture, decoded as it arrives.
+	codec := Get(Worlds).Codec
+	cs[1].Host.Tap(func(at time.Duration, dir netsim.Dir, wire []byte) {
+		pk, err := packet.Decode(wire)
+		if err != nil || at <= 10*time.Second || dir != netsim.DirDown || pk.UDP == nil ||
+			len(pk.Payload) == 0 || pk.Payload[0] != kindForward {
+			return
+		}
+		f, err := parseForward(pk.Payload)
+		if err != nil || f.User != "u1" {
+			return
+		}
+		if pose, err := codec.Decode(f.Pose); err == nil {
+			lastFace = pose.Face
+			lastFingers = pose.Fingers
+		}
+	})
 	sched.RunUntil(10 * time.Second)
 	sched.At(10*time.Second+time.Millisecond, func() { cs[0].PerformGesture(avatar.GestureThumbsUp) })
 	sched.RunUntil(11 * time.Second)
 
-	codec := Get(Worlds).Codec
-	for i := 0; i < sniff.Len(); i++ {
-		r := sniff.At(i)
-		pk := r.Packet()
-		if pk == nil || pk.UDP == nil || len(pk.Payload) == 0 || pk.Payload[0] != kindForward {
-			continue
-		}
-		f, err := parseForward(pk.Payload)
-		if err != nil || f.User != "u1" {
-			continue
-		}
-		if pose, err := codec.Decode(f.Pose); err == nil && r.TS > 10*time.Second {
-			lastFace = pose.Face
-			lastFingers = pose.Fingers
-		}
-	}
 	if len(lastFace) == 0 {
 		t.Fatal("no decoded forward for u1 after the gesture")
 	}

@@ -107,9 +107,9 @@ func measureDataRate(t *testing.T, name Name, seed int64) (up, down float64) {
 	sched.RunUntil(62 * time.Second)
 	ctrlAddr := dep.ControlEndpoint(cs[0].Profile, cs[0].Host.Site).Addr
 	assetAddr := dep.AssetEndpoint(cs[0].Profile).Addr
-	notCtrl := func(p *packet.Packet) bool {
-		return p.IP.Src != assetAddr && p.IP.Dst != assetAddr &&
-			(name == Hubs || (p.IP.Src != ctrlAddr && p.IP.Dst != ctrlAddr))
+	notCtrl := func(f packet.Flow) bool {
+		return f.Src.Addr != assetAddr && f.Dst.Addr != assetAddr &&
+			(name == Hubs || (f.Src.Addr != ctrlAddr && f.Dst.Addr != ctrlAddr))
 	}
 	from, to := 20*time.Second, 60*time.Second
 	up = sniff.MeanBps(capture.MatchUp(notCtrl), from, to)
