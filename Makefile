@@ -1,7 +1,7 @@
 # Tier-1 gate: everything must build, vet clean, and pass the full test
 # suite with the race detector on (the parallel experiment runner makes the
 # whole suite a concurrency test).
-.PHONY: check build vet test race bench bench-artifacts bench-hotpath audit fuzz gencorpus
+.PHONY: check build vet test race bench bench-hotpath audit fuzz gencorpus
 
 check: build vet race
 
@@ -48,17 +48,13 @@ fuzz:
 gencorpus:
 	go run ./internal/wiretest/gencorpus
 
-# The full paper reproduction: one benchmark per table/figure.
-bench:
-	go test -bench=. -benchmem
-
 # Artifact-level benchmark (bench/, a module of its own): regenerates the
 # paper workloads in interleaved child runs, checks each artifact against
 # artifacts_seed42.txt, and reports end-to-end and per-layer cost. See
 # bench/README.md for the metrics and the compare command. Its unit tests
 # run with `go -C bench test ./...`; the root `go test ./...` never reaches
 # them.
-bench-artifacts:
+bench:
 	bash bench/run.sh
 
 # Per-packet micro-benchmarks (bench_hotpath_test.go): fabric forwarding,
