@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/svrlab/svrlab/internal/capture"
 	"github.com/svrlab/svrlab/internal/geo"
+	"github.com/svrlab/svrlab/internal/packet"
 	"github.com/svrlab/svrlab/internal/platform"
 )
 
@@ -30,6 +32,50 @@ func TestTable1MatchesPaperFeatureMatrix(t *testing.T) {
 	out := r.Render()
 	if !strings.Contains(out, "AltspaceVR ('15)") || !strings.Contains(out, "Rec Room") {
 		t.Fatalf("render missing rows:\n%s", out)
+	}
+}
+
+// TestClassifiersReadPayloadHead: Table 2's protocol column rests on the
+// payload length and first bytes a capture record keeps. TLS record headers
+// toward the server make a TCP channel HTTPS, and a majority of version-2
+// RTP headers makes a UDP channel RTP/RTCP. Payloads too short to hold
+// either header do not count, and traffic to another server is ignored.
+func TestClassifiersReadPayloadHead(t *testing.T) {
+	client, server, other := packet.MustParseAddr("10.0.0.2"), packet.MustParseAddr("10.9.0.1"), packet.MustParseAddr("10.9.0.2")
+	rec := func(p *packet.Packet) capture.Record {
+		p.IP.TTL = 64
+		return capture.Record{Wire: p.Marshal()}
+	}
+	tcp := func(dst packet.Addr, payload ...byte) capture.Record {
+		return rec(&packet.Packet{
+			IP:  packet.IPv4{Protocol: packet.ProtoTCP, Src: client, Dst: dst},
+			TCP: &packet.TCP{SrcPort: 5000, DstPort: 443}, Payload: payload,
+		})
+	}
+	udp := func(dst packet.Addr, payload ...byte) capture.Record {
+		return rec(&packet.Packet{
+			IP:  packet.IPv4{Protocol: packet.ProtoUDP, Src: client, Dst: dst},
+			UDP: &packet.UDP{SrcPort: 5000, DstPort: 9000}, Payload: payload,
+		})
+	}
+	tls := []byte{packet.TLSApplicationData, 3, 3, 0, 1}
+	cases := []struct {
+		name     string
+		recs     []capture.Record
+		classify func(*capture.Sniffer, packet.Addr) string
+		want     string
+	}{
+		{"tls record", []capture.Record{tcp(server), tcp(server, tls...)}, classifyTCP, "HTTPS"},
+		{"tls header cut short", []capture.Record{tcp(server, tls[:4]...)}, classifyTCP, "TCP"},
+		{"tls to another server", []capture.Record{tcp(other, tls...), tcp(server, 0x17)}, classifyTCP, "TCP"},
+		{"rtp majority", []capture.Record{udp(server, 0x80, 0), udp(server, 0x90, 0), udp(server, 0x01, 0)}, classifyUDP, "RTP/RTCP"},
+		{"one-byte payloads", []capture.Record{udp(server, 0x80), udp(server, 0x80)}, classifyUDP, "UDP"},
+		{"rtp to another server", []capture.Record{udp(other, 0x80, 0), udp(other, 0x80, 0), udp(server, 0x01, 0)}, classifyUDP, "UDP"},
+	}
+	for _, c := range cases {
+		if got := c.classify(capture.Restore(c.recs), server); got != c.want {
+			t.Errorf("%s: classified %q, want %q", c.name, got, c.want)
+		}
 	}
 }
 
