@@ -21,7 +21,7 @@ const goldenFile = "artifacts_seed42.txt"
 // `go test -run TestGoldenArtifacts -update .`.
 const metricsFile = "metrics_seed42.txt"
 
-var update = flag.Bool("update", false, "rewrite "+metricsFile+" and "+pcapFile+" from this run")
+var update = flag.Bool("update", false, "rewrite "+metricsFile+", "+pcapFile+" and "+traceFile+" from this run")
 
 // goldenSections splits an `svrlab all` transcript (or metricsFile) into
 // sections by id. Each section is a "==== <id> ... ====" line, the body,
