@@ -22,11 +22,14 @@
 //	               and write it to F after the run
 //	-trace-format  trace export format: chrome (default; open in Perfetto
 //	               or chrome://tracing) or text
-//	-pcap DIR      save each traced cell's U1 capture tap as DIR/<cell>.pcap
+//	-pcap DIR      save the packets of each cell's first captured host (its
+//	               U1) as DIR/<cell>.pcap
 //	-cpuprofile F  write a pprof CPU profile of the run to F
 //	-memprofile F  write a pprof heap profile (after the run) to F
 //	-chaos F       inject the JSON fault schedule in F (host crashes, link
-//	               cuts, site partitions) into chaos-aware experiments
+//	               cuts, site partitions) into every simulation cell, timed
+//	               from the cell's start (resilience runs it in place of its
+//	               built-in crash)
 //	-audit         print the conservation-audit coverage summary (the
 //	               auditor itself always runs and fails loudly on violation)
 package main
@@ -60,10 +63,10 @@ func main() {
 	metrics := fs.Bool("metrics", false, "print the metrics table after each artifact")
 	traceOut := fs.String("trace", "", "write a flight-recorder trace to this file")
 	traceFormat := fs.String("trace-format", "chrome", "trace format: chrome or text")
-	pcapDir := fs.String("pcap", "", "save per-cell capture taps as pcap files in this directory")
+	pcapDir := fs.String("pcap", "", "save each cell's first captured host as a pcap file in this directory")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file")
-	chaosFile := fs.String("chaos", "", "JSON fault schedule injected into chaos-aware experiments")
+	chaosFile := fs.String("chaos", "", "JSON fault schedule injected into every cell, timed from its start")
 	auditFlag := fs.Bool("audit", false, "print the conservation-audit coverage summary after each artifact")
 
 	switch cmd {
@@ -85,7 +88,7 @@ func main() {
 			opts.Metrics = svrlab.NewMetricsRegistry()
 		}
 		loadChaos(&opts, *chaosFile)
-		setupSink(&opts, *traceOut, *pcapDir)
+		setupTraceAndPcap(&opts, *traceOut, *pcapDir)
 		stopProfiles := startProfiles(*cpuProfile, *memProfile)
 		res, err := svrlab.Run(id, opts)
 		stopProfiles()
@@ -107,7 +110,7 @@ func main() {
 		loadChaos(&opts, *chaosFile)
 		// One collector across all experiments: cell labels are prefixed by
 		// experiment id, so the combined trace stays unambiguous.
-		setupSink(&opts, *traceOut, *pcapDir)
+		setupTraceAndPcap(&opts, *traceOut, *pcapDir)
 		stopProfiles := startProfiles(*cpuProfile, *memProfile)
 		for _, info := range svrlab.Experiments() {
 			fmt.Printf("==== %s (%s) ====\n", info.ID, info.Artifact)
@@ -187,9 +190,9 @@ func startProfiles(cpuPath, memPath string) func() {
 	}
 }
 
-// setupSink enables trace collection and pcap saving on the options when
-// the -trace / -pcap flags were given (creating the pcap directory).
-func setupSink(opts *svrlab.Options, traceOut, pcapDir string) {
+// setupTraceAndPcap enables trace collection and pcap saving on the options
+// when the -trace / -pcap flags were given (creating the pcap directory).
+func setupTraceAndPcap(opts *svrlab.Options, traceOut, pcapDir string) {
 	if traceOut != "" {
 		opts.Trace = svrlab.NewTraceCollector()
 	}

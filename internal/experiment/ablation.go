@@ -8,7 +8,6 @@ import (
 	"github.com/svrlab/svrlab/internal/capture"
 	"github.com/svrlab/svrlab/internal/device"
 	"github.com/svrlab/svrlab/internal/netsim"
-	"github.com/svrlab/svrlab/internal/obs"
 	"github.com/svrlab/svrlab/internal/packet"
 	"github.com/svrlab/svrlab/internal/platform"
 	"github.com/svrlab/svrlab/internal/render"
@@ -46,17 +45,17 @@ type RemoteResult struct {
 
 // RemoteAblation contrasts the measured local-rendering scaling against a
 // remote-rendering deployment for the same platform and the same events.
-func RemoteAblation(name platform.Name, counts []int, seed int64, workers int, reg *obs.Registry) *RemoteResult {
-	if len(counts) == 0 {
-		counts = []int{2, 5, 10, 15}
-	}
+// The paper default is Rec Room.
+func RemoteAblation(e Env) *RemoteResult {
+	name := e.platformOr(platform.RecRoom)
 	p := platform.Get(name)
-	eligible := eligibleCounts(p, counts)
-	points := runner.MapObserved(reg, workers, len(eligible), func(i int) RemotePoint {
+	eligible := eligibleCounts(p, e.countsOr([]int{2, 5, 10, 15}))
+	points := runner.MapObserved(e.Metrics, e.Workers, len(eligible), func(i int) RemotePoint {
 		n := eligible[i]
+		label, seed := fmt.Sprintf("remote/%s/n%d", name, n), e.Seed+int64(n)
 		pt := RemotePoint{Users: n}
-		pt.LocalDownBps, pt.LocalFPS, _, _, _, _ = scalingRun(name, n, seed+int64(n), reg, nil, "")
-		pt.RemoteDownBps, pt.RemoteFramesPS, pt.RemoteFPS = remoteRun(p, n, seed+int64(n), reg)
+		pt.LocalDownBps, pt.LocalFPS, _, _, _, _ = scalingRun(e, label+"/local", name, n, seed)
+		pt.RemoteDownBps, pt.RemoteFramesPS, pt.RemoteFPS = remoteRun(e, label+"/remote", p, n, seed)
 		return pt
 	})
 	return &RemoteResult{Platform: name, Points: points}
@@ -65,8 +64,8 @@ func RemoteAblation(name platform.Name, counts []int, seed int64, workers int, r
 // remoteRun streams a rendered view from an edge server to U1 while the
 // same n-user avatar uplink still flows server-side. Only the downlink and
 // the client pipeline change.
-func remoteRun(p *platform.Profile, n int, seed int64, reg *obs.Registry) (downBps, framesPS, fps float64) {
-	l := NewLabObserved(seed, reg)
+func remoteRun(e Env, label string, p *platform.Profile, n int, seed int64) (downBps, framesPS, fps float64) {
+	l := e.lab(label, seed)
 	defer l.MustConserve()
 	// Edge render server near the client (the §6.3 premise: cloud/edge).
 	edge := l.Dep.AddVantage("edge-render", platform.SiteUSEast, 90)
@@ -76,7 +75,7 @@ func remoteRun(p *platform.Profile, n int, seed int64, reg *obs.Registry) (downB
 
 	hmd := l.Dep.AddVantage("hmd-u1", platform.SiteCampus, 10)
 	cs := transport.NewStack(l.Dep.Net, hmd)
-	sniff := capture.Attach(hmd)
+	sniff := l.Capture(hmd)
 
 	sess, err := render.NewSession(l.Sched, l.Dep.Net, edge, hmd, es, cs, p.Cost.Res, device.Quest2.RefreshHz)
 	if err != nil {
@@ -122,30 +121,30 @@ type P2PResult struct {
 }
 
 // P2PAblation measures a peer full-mesh carrying the same avatar streams.
-func P2PAblation(name platform.Name, counts []int, seed int64, workers int, reg *obs.Registry) *P2PResult {
-	if len(counts) == 0 {
-		counts = []int{2, 5, 10}
-	}
+// The paper default is VRChat.
+func P2PAblation(e Env) *P2PResult {
+	name := e.platformOr(platform.VRChat)
 	p := platform.Get(name)
-	eligible := eligibleCounts(p, counts)
-	points := runner.MapObserved(reg, workers, len(eligible), func(i int) P2PPoint {
+	eligible := eligibleCounts(p, e.countsOr([]int{2, 5, 10}))
+	points := runner.MapObserved(e.Metrics, e.Workers, len(eligible), func(i int) P2PPoint {
 		n := eligible[i]
+		label, seed := fmt.Sprintf("p2p/%s/n%d", name, n), e.Seed+int64(n)
 		pt := P2PPoint{Users: n}
-		pt.ServerDownBps, _, _, _, _, _ = scalingRun(name, n, seed+int64(n), reg, nil, "")
-		pt.ServerUplinkBps = serverUplink(name, n, seed+int64(n), reg)
-		pt.P2PUplinkBps, pt.P2PDownBps = p2pRun(p, n, seed+int64(n), reg)
+		pt.ServerDownBps, _, _, _, _, _ = scalingRun(e, label+"/server-down", name, n, seed)
+		pt.ServerUplinkBps = serverUplink(e, label+"/server-up", name, n, seed)
+		pt.P2PUplinkBps, pt.P2PDownBps = p2pRun(e, label+"/mesh", p, n, seed)
 		return pt
 	})
 	return &P2PResult{Platform: name, Points: points}
 }
 
-func serverUplink(name platform.Name, n int, seed int64, reg *obs.Registry) float64 {
-	l := NewLabObserved(seed^0x77, reg)
+func serverUplink(e Env, label string, name platform.Name, n int, seed int64) float64 {
+	l := e.lab(label, seed^0x77)
 	defer l.MustConserve()
 	p := platform.Get(name)
 	cs := l.Spawn(name, n, SpawnOpts{})
 	l.Sched.At(2*time.Second, func() { arrangeCircle(cs) })
-	sniff := capture.Attach(cs[0].Host)
+	sniff := l.Capture(cs[0].Host)
 	l.Sched.RunUntil(40 * time.Second)
 	ctrlAddr := l.Dep.ControlEndpoint(p, cs[0].Host.Site).Addr
 	return sniff.MeanBps(capture.MatchUp(l.dataOnly(p, ctrlAddr)), 15*time.Second, 40*time.Second)
@@ -153,8 +152,8 @@ func serverUplink(name platform.Name, n int, seed int64, reg *obs.Registry) floa
 
 // p2pRun builds an n-client full mesh where each client unicasts its avatar
 // stream to every peer directly.
-func p2pRun(p *platform.Profile, n int, seed int64, reg *obs.Registry) (upBps, downBps float64) {
-	l := NewLabObserved(seed^0x3c, reg)
+func p2pRun(e Env, label string, p *platform.Profile, n int, seed int64) (upBps, downBps float64) {
+	l := e.lab(label, seed^0x3c)
 	defer l.MustConserve()
 	hosts := make([]*netsim.Host, n)
 	stacks := make([]*transport.Stack, n)
@@ -169,7 +168,7 @@ func p2pRun(p *platform.Profile, n int, seed int64, reg *obs.Registry) (upBps, d
 		socks[i] = sock
 		sock.OnRecv = func(src packet.Endpoint, payload []byte) {}
 	}
-	sniff := capture.Attach(hosts[0])
+	sniff := l.Capture(hosts[0])
 	payload := make([]byte, p.Codec.WireLen()+14) // avatar msg framing
 	interval := time.Second / time.Duration(p.Codec.UpdateHz)
 	for i := 0; i < n; i++ {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/svrlab/svrlab/internal/capture"
-	"github.com/svrlab/svrlab/internal/obs"
 	"github.com/svrlab/svrlab/internal/platform"
 	"github.com/svrlab/svrlab/internal/runner"
 )
@@ -29,19 +28,18 @@ type DecimateResult struct {
 	Points   []DecimatePoint
 }
 
-// Decimate measures the saving of the proposed optimization.
-func Decimate(name platform.Name, counts []int, seed int64, workers int, reg *obs.Registry) *DecimateResult {
-	if len(counts) == 0 {
-		counts = []int{5, 10, 15}
-	}
+// Decimate measures the saving of the proposed optimization. The paper
+// default is VRChat.
+func Decimate(e Env) *DecimateResult {
 	const factor = 3
 	const radius = 2.0 // meters; the circle arrangement spaces users wider
-	p := platform.Get(name)
-	eligible := eligibleCounts(p, counts)
-	points := runner.MapObserved(reg, workers, len(eligible), func(i int) DecimatePoint {
+	name := e.platformOr(platform.VRChat)
+	eligible := eligibleCounts(platform.Get(name), e.countsOr([]int{5, 10, 15}))
+	points := runner.MapObserved(e.Metrics, e.Workers, len(eligible), func(i int) DecimatePoint {
 		n := eligible[i]
-		full := decimateRun(name, n, seed+int64(n), nil, reg)
-		dec := decimateRun(name, n, seed+int64(n), &platform.DecimationPolicy{Factor: factor, InteractRadius: radius}, reg)
+		label, seed := fmt.Sprintf("decimate/%s/n%d", name, n), e.Seed+int64(n)
+		full := decimateRun(e, label+"/full", name, n, seed, nil)
+		dec := decimateRun(e, label+"/decimated", name, n, seed, &platform.DecimationPolicy{Factor: factor, InteractRadius: radius})
 		pt := DecimatePoint{Users: n, FullDownBps: full, DecimatedBps: dec}
 		if full > 0 {
 			pt.SavingFraction = 1 - dec/full
@@ -51,14 +49,14 @@ func Decimate(name platform.Name, counts []int, seed int64, workers int, reg *ob
 	return &DecimateResult{Platform: name, Factor: factor, Radius: radius, Points: points}
 }
 
-func decimateRun(name platform.Name, n int, seed int64, policy *platform.DecimationPolicy, reg *obs.Registry) float64 {
-	l := NewLabObserved(seed, reg)
+func decimateRun(e Env, label string, name platform.Name, n int, seed int64, policy *platform.DecimationPolicy) float64 {
+	l := e.lab(label, seed)
 	defer l.MustConserve()
 	p := platform.Get(name)
 	l.Dep.Backend(name).SetDecimation(policy)
 	cs := l.Spawn(name, n, SpawnOpts{})
 	l.Sched.At(2*time.Second, func() { arrangeCircle(cs) })
-	sniff := capture.Attach(cs[0].Host)
+	sniff := l.Capture(cs[0].Host)
 	l.Sched.RunUntil(40 * time.Second)
 	ctrlAddr := l.Dep.ControlEndpoint(p, cs[0].Host.Site).Addr
 	return sniff.MeanBps(capture.MatchDown(l.dataOnly(p, ctrlAddr)), 15*time.Second, 40*time.Second)

@@ -4,13 +4,14 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/svrlab/svrlab/internal/chaos"
 	"github.com/svrlab/svrlab/internal/obs"
 	"github.com/svrlab/svrlab/internal/platform"
 )
 
 func TestFig12DownlinkDisruption(t *testing.T) {
 	reg := obs.NewRegistry()
-	r := Fig12(141, reg, nil)
+	r := Fig12(Env{Seed: 141, Metrics: reg})
 	if len(r.Stages) != 7 {
 		t.Fatalf("stages = %d", len(r.Stages))
 	}
@@ -67,7 +68,7 @@ func TestFig12DownlinkDisruption(t *testing.T) {
 }
 
 func TestFig13UplinkBandwidthStages(t *testing.T) {
-	r := Fig13(Fig13Bandwidth, 151, nil, nil)
+	r := Fig13(Env{Seed: 151}, Fig13Bandwidth)
 	// Uplink honours the caps: 0.3 Mbps stage ≪ 1.5 Mbps stage.
 	up0 := r.StageMean(&r.UDPUp, 0)
 	up5 := r.StageMean(&r.UDPUp, 5)
@@ -87,7 +88,7 @@ func TestFig13UplinkBandwidthStages(t *testing.T) {
 
 func TestFig13TCPOnlyControl(t *testing.T) {
 	reg := obs.NewRegistry()
-	r := Fig13(Fig13TCPOnly, 161, reg, nil)
+	r := Fig13(Env{Seed: 161, Metrics: reg}, Fig13TCPOnly)
 	// Gaps in UDP uplink during the TCP delay stages.
 	if r.UDPGapSeconds < 10 {
 		t.Fatalf("UDP gap seconds = %d, want many (TCP-priority stalls)", r.UDPGapSeconds)
@@ -98,6 +99,18 @@ func TestFig13TCPOnlyControl(t *testing.T) {
 	}
 	if out := r.Render(); !strings.Contains(out, "frozen") {
 		t.Fatal("render broken")
+	}
+	// Once the blackhole clears, the control connection carries TCP to U1
+	// again — unless its server is gone: crashed at 190 s, inside the
+	// blackhole, and never restarted.
+	if !r.TCPRecovered {
+		t.Fatal("TCP did not recover after the blackhole")
+	}
+	crash := &chaos.Spec{Faults: []chaos.SpecFault{{
+		Kind: "host-crash", Host: "Horizon Worlds-us-east-157.240.0.57", Start: "190s",
+	}}}
+	if Fig13(Env{Seed: 161, Chaos: crash}, Fig13TCPOnly).TCPRecovered {
+		t.Fatal("TCP recovered although the control server never came back")
 	}
 	// The delay stages stall TCP past its RTO: the metrics registry must
 	// show retransmissions and timer backoffs (the fig13 acceptance
@@ -112,7 +125,7 @@ func TestFig13TCPOnlyControl(t *testing.T) {
 }
 
 func TestDisruptLatencyLossQoE(t *testing.T) {
-	r := DisruptLatencyLoss(171, nil)
+	r := DisruptLatencyLoss(Env{Seed: 171})
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -140,7 +153,7 @@ func TestDisruptLatencyLossQoE(t *testing.T) {
 }
 
 func TestRemoteRenderingAblation(t *testing.T) {
-	r := RemoteAblation(platform.RecRoom, []int{2, 8}, 181, 2, nil)
+	r := RemoteAblation(Env{Platform: platform.RecRoom, Counts: []int{2, 8}, Seed: 181, Workers: 2})
 	if len(r.Points) != 2 {
 		t.Fatalf("points = %d", len(r.Points))
 	}
@@ -167,7 +180,7 @@ func TestRemoteRenderingAblation(t *testing.T) {
 }
 
 func TestP2PAblation(t *testing.T) {
-	r := P2PAblation(platform.VRChat, []int{2, 6}, 191, 2, nil)
+	r := P2PAblation(Env{Platform: platform.VRChat, Counts: []int{2, 6}, Seed: 191, Workers: 2})
 	if len(r.Points) != 2 {
 		t.Fatalf("points = %d", len(r.Points))
 	}
@@ -186,7 +199,7 @@ func TestP2PAblation(t *testing.T) {
 }
 
 func TestDecimationAblation(t *testing.T) {
-	r := Decimate(platform.VRChat, []int{8}, 211, 2, nil)
+	r := Decimate(Env{Platform: platform.VRChat, Counts: []int{8}, Seed: 211, Workers: 2})
 	if len(r.Points) != 1 {
 		t.Fatalf("points = %d", len(r.Points))
 	}

@@ -16,6 +16,7 @@ import (
 
 	"github.com/svrlab/svrlab/internal/audit"
 	"github.com/svrlab/svrlab/internal/capture"
+	"github.com/svrlab/svrlab/internal/chaos"
 	"github.com/svrlab/svrlab/internal/netsim"
 	"github.com/svrlab/svrlab/internal/obs"
 	"github.com/svrlab/svrlab/internal/packet"
@@ -25,19 +26,109 @@ import (
 	"github.com/svrlab/svrlab/internal/world"
 )
 
+// Env is one experiment run's environment: the seed and sweep overrides
+// every experiment reads its paper defaults against, and the observers
+// every cell of the run shares. svrlab.Options is an alias of it.
+type Env struct {
+	// Seed drives all randomness; equal seeds give bit-identical runs.
+	Seed int64
+	// Repeats overrides the per-experiment repetition count (0 = default).
+	Repeats int
+	// Platform selects the platform for single-platform experiments
+	// (empty = the experiment's paper default).
+	Platform platform.Name
+	// Counts overrides user-count sweeps where applicable.
+	Counts []int
+	// Workers bounds the worker pool that fans independent simulation cells
+	// out across CPUs (0 = GOMAXPROCS). Results are bit-identical at any
+	// worker count: every cell owns a private Lab with a serially-derived
+	// seed, and outputs are collected by index.
+	Workers int
+	// Metrics, when non-nil, aggregates every cell's counters and
+	// histograms into one registry. All registry operations commute, so
+	// the stable part of a snapshot (Snapshot().Stable()) is identical at
+	// any worker count. Nil means each lab keeps a private registry.
+	Metrics *obs.Registry
+	// Trace, when non-nil, records a flight-recorder trace for every
+	// simulation cell, under a label built from the cell's sweep
+	// coordinates. Nil keeps the per-packet hot path allocation- and
+	// branch-free.
+	Trace *trace.Collector
+	// PcapDir, when non-empty, saves the packets of each cell's first
+	// captured host as a libpcap file under this directory.
+	PcapDir string
+	// Chaos, when non-empty, injects a declarative fault schedule (host
+	// crashes, link cuts, site partitions) into every cell, timed from the
+	// cell's start; resilience runs it in place of its built-in crash.
+	// Faults are driven entirely by the deterministic scheduler — an empty
+	// or nil spec is byte-identical to no chaos at all.
+	Chaos *chaos.Spec
+}
+
+// platformOr returns the run's platform, or def when the run names none.
+func (e Env) platformOr(def platform.Name) platform.Name {
+	if e.Platform != "" {
+		return e.Platform
+	}
+	return def
+}
+
+// repeatsOr returns the run's repetition count, or def when it sets none.
+func (e Env) repeatsOr(def int) int {
+	if e.Repeats > 0 {
+		return e.Repeats
+	}
+	return def
+}
+
+// countsOr returns the run's user counts, or def when it sets none.
+func (e Env) countsOr(def []int) []int {
+	if len(e.Counts) > 0 {
+		return e.Counts
+	}
+	return def
+}
+
+// lab builds one cell's Lab. The lab observes into e.Metrics, records into
+// e.Trace's cell of that label, and runs e.Chaos from t=0: one callback at
+// t=0 binds the spec against the fabric, so it can name the hosts the cell
+// built, the clients among them. With none of them set it is NewLab: no
+// tracer, no pcap, no event posted. Labels must be unique across every
+// experiment, because one collector may trace them all.
+func (e Env) lab(label string, seed int64) *Lab {
+	s := simtime.NewScheduler()
+	l := &Lab{Sched: s, Dep: platform.NewDeploymentObserved(s, seed, e.Metrics), Seed: seed,
+		label: label, pcapDir: e.PcapDir}
+	l.Dep.Net.Tracer = e.Trace.Cell(label)
+	if spec := e.Chaos; !spec.Empty() {
+		s.At(0, func() {
+			sc, err := spec.Bind(l.Dep.Net)
+			if err != nil {
+				panic("experiment: chaos spec in cell " + label + ": " + err.Error())
+			}
+			sc.Run(s, 0)
+		})
+	}
+	return l
+}
+
 // Lab is one fresh simulation universe.
 type Lab struct {
 	Sched *simtime.Scheduler
 	Dep   *platform.Deployment
 	Seed  int64
 
+	label   string // the cell's trace label and pcap name
+	pcapDir string // Env.PcapDir until the cell's first Capture
+	endPcap func() // ends the cell's pcap, if Capture opened one
+
 	probeOctets map[string]int
 }
 
-// Metrics returns the lab's metrics registry (never nil). When an
-// experiment was handed a shared registry, this is that registry; sweep
-// cells of one experiment then all feed the same one — safe because every
-// registry operation commutes (see package obs).
+// Metrics returns the lab's metrics registry (never nil). When the run
+// shares a registry (Env.Metrics), this is that registry; sweep cells of
+// one experiment then all feed the same one — safe because every registry
+// operation commutes (see package obs).
 func (l *Lab) Metrics() *obs.Registry { return l.Dep.Metrics() }
 
 // probeHost allocates a measurement host at a site with a unique address.
@@ -55,40 +146,43 @@ func (l *Lab) probeHost(site string) *netsim.Host {
 
 // NewLab builds a deployment with the given seed and a private metrics
 // registry.
-func NewLab(seed int64) *Lab {
-	return NewLabObserved(seed, nil)
-}
-
-// NewLabObserved is NewLab with an externally owned metrics registry
-// (nil gets a fresh private one).
-func NewLabObserved(seed int64, m *obs.Registry) *Lab {
-	s := simtime.NewScheduler()
-	return &Lab{Sched: s, Dep: platform.NewDeploymentObserved(s, seed, m), Seed: seed}
-}
-
-// NewLabTraced is NewLabObserved with a flight recorder attached: every
-// layer of the stack records packet spans, TCP/TLS/RTCP events, and action
-// stamps into tr. A nil tr keeps tracing disabled at zero cost.
-func NewLabTraced(seed int64, m *obs.Registry, tr *trace.Tracer) *Lab {
-	l := NewLabObserved(seed, m)
-	l.Dep.Net.Tracer = tr
-	return l
-}
+func NewLab(seed int64) *Lab { return Env{}.lab("", seed) }
 
 // Trace returns the lab's flight recorder (nil when tracing is disabled).
 func (l *Lab) Trace() *trace.Tracer { return l.Dep.Net.Tracer }
 
-// MustConserve is the lab's teardown. It folds the fabric's packet ledger
-// into the metrics registry (netsim.Network.FlushMetrics), then runs the
-// end-of-run conservation auditor (package audit) over the fabric and
-// panics with the full report if any invariant fails. Every experiment
-// calls it once its cell finishes driving the scheduler, so the auditor
-// runs automatically in every experiment test. The auditor only reads
-// state the run already produced — never the scheduler, RNG, or a counter
-// the artifact renders — so artifacts stay byte-identical whether or not
-// anyone looks at the report. Coverage is tallied into the registry for
-// the CLI -audit summary.
+// Capture taps h and returns its sniffer. The first host a cell captures is
+// its U1: with Env.PcapDir set, that host's packets also stream to
+// "<label>.pcap" there ('/' in the label flattened to '_') until the cell's
+// MustConserve. A pcap is a side artifact, and a failed write changes no
+// measured result, so its errors are dropped.
+func (l *Lab) Capture(h *netsim.Host) *capture.Sniffer {
+	s := capture.Attach(h)
+	if l.pcapDir != "" {
+		name := strings.ReplaceAll(l.label, "/", "_") + ".pcap"
+		if f, err := os.Create(filepath.Join(l.pcapDir, name)); err == nil {
+			tap := capture.AttachPcap(h, f)
+			l.endPcap = func() { _ = tap.Close(); _ = f.Close() }
+		}
+		l.pcapDir = ""
+	}
+	return s
+}
+
+// MustConserve is the lab's teardown. It ends the cell's pcap, folds the
+// fabric's packet ledger into the metrics registry
+// (netsim.Network.FlushMetrics), then runs the end-of-run conservation
+// auditor (package audit) over the fabric and panics with the full report
+// if any invariant fails. Every experiment calls it once its cell finishes
+// driving the scheduler, so the auditor runs automatically in every
+// experiment test. The auditor only reads state the run already produced —
+// never the scheduler, RNG, or a counter the artifact renders — so
+// artifacts stay byte-identical whether or not anyone looks at the report.
+// Coverage is tallied into the registry for the CLI -audit summary.
 func (l *Lab) MustConserve() {
+	if l.endPcap != nil {
+		l.endPcap()
+	}
 	l.Dep.Net.FlushMetrics()
 	rep := audit.Run(l.Dep.Net)
 	if !rep.OK() {
@@ -100,51 +194,6 @@ func (l *Lab) MustConserve() {
 	m.Counter("audit.links").Add(int64(rep.Links))
 	m.Counter("audit.conns").Add(int64(rep.Conns))
 	m.Counter("audit.pairs").Add(int64(rep.Pairs))
-}
-
-// Sink collects per-cell observability artifacts of an experiment sweep:
-// flight-recorder traces (one Tracer per cell, labeled deterministically so
-// collector exports are byte-identical at any worker count) and, when
-// PcapDir is set, a cell's capture tap streamed to a Wireshark-openable
-// pcap file. A nil *Sink disables both at zero cost.
-type Sink struct {
-	// Traces, when non-nil, receives one tracer per sweep cell.
-	Traces *trace.Collector
-	// PcapDir, when non-empty, is the directory capture taps are saved to
-	// as "<label>.pcap" (with '/' in labels flattened to '_').
-	PcapDir string
-}
-
-// Tracer returns the cell tracer for a label (nil when tracing is off).
-func (s *Sink) Tracer(label string) *trace.Tracer {
-	if s == nil || s.Traces == nil {
-		return nil
-	}
-	return s.Traces.Cell(label)
-}
-
-// Pcap streams the packets crossing h's access point to a pcap file in
-// PcapDir, from now until the returned func is called; the cell calls it
-// where its run ends. It installs nothing, and the func does nothing, when
-// the sink or PcapDir is unset. Cells drop the func's error: a pcap is a
-// side artifact, and a failed write changes no measured result.
-func (s *Sink) Pcap(label string, h *netsim.Host) (end func() error) {
-	if s == nil || s.PcapDir == "" {
-		return func() error { return nil }
-	}
-	name := strings.ReplaceAll(label, "/", "_") + ".pcap"
-	f, err := os.Create(filepath.Join(s.PcapDir, name))
-	if err != nil {
-		return func() error { return err }
-	}
-	tap := capture.AttachPcap(h, f)
-	return func() error {
-		err := tap.Close()
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		return err
-	}
 }
 
 // SpawnOpts controls client creation.

@@ -80,7 +80,7 @@ func TestClassifiersReadPayloadHead(t *testing.T) {
 }
 
 func TestTable2InfrastructureShape(t *testing.T) {
-	r := Table2(21, 2, nil)
+	r := Table2(Env{Seed: 21, Workers: 2})
 	if len(r.Rows) != 5 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -173,7 +173,7 @@ func TestTable2InfrastructureShape(t *testing.T) {
 }
 
 func TestFig2ChannelPhases(t *testing.T) {
-	r := Fig2(platform.VRChat, 33, nil, nil)
+	r := Fig2(Env{Platform: platform.VRChat, Seed: 33})
 	// Data channel silent on the welcome page, active in the event.
 	if w := r.WelcomeDataMean(); w > 2000 {
 		t.Fatalf("welcome data = %.0f bps, want ≈0", w)
@@ -191,7 +191,7 @@ func TestFig2ChannelPhases(t *testing.T) {
 }
 
 func TestFig2AltspaceHasPeriodicControlSpikes(t *testing.T) {
-	r := Fig2(platform.AltspaceVR, 35, nil, nil)
+	r := Fig2(Env{Platform: platform.AltspaceVR, Seed: 35})
 	// During the event, the control channel shows the ~10 s report spikes:
 	// several seconds with uplink activity well above the median.
 	spikes := 0
@@ -206,7 +206,7 @@ func TestFig2AltspaceHasPeriodicControlSpikes(t *testing.T) {
 }
 
 func TestTable3AvatarShares(t *testing.T) {
-	r := Table3(51, 2, 2, nil)
+	r := Table3(Env{Seed: 51, Repeats: 2, Workers: 2})
 	if len(r.Rows) != 5 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -248,7 +248,7 @@ func TestTable3AvatarShares(t *testing.T) {
 }
 
 func TestFig3ForwardingCorrelation(t *testing.T) {
-	r := Fig3(platform.RecRoom, 61, nil)
+	r := Fig3(Env{Platform: platform.RecRoom, Seed: 61})
 	if r.MeanRatio < 0.7 || r.MeanRatio > 1.9 {
 		t.Fatalf("mean ratio = %.2f, want ≈1 (direct forwarding)", r.MeanRatio)
 	}
@@ -258,7 +258,7 @@ func TestFig3ForwardingCorrelation(t *testing.T) {
 }
 
 func TestFig6JoinStaircase(t *testing.T) {
-	r := Fig6(platform.VRChat, Fig6FacingJoiners, 71, nil)
+	r := Fig6(Env{Platform: platform.VRChat, Seed: 71}, Fig6FacingJoiners)
 	sm := r.StepMeans() // intervals: pre-join, +1, +2, +3, +4 users, post-turn
 	for i := 1; i < 5; i++ {
 		if sm[i] <= sm[i-1] {
@@ -273,7 +273,7 @@ func TestFig6JoinStaircase(t *testing.T) {
 
 func TestFig6AltspaceViewportBothVariants(t *testing.T) {
 	// Exp. 1: facing joiners — downlink rises, then falls at the turn.
-	r := Fig6(platform.AltspaceVR, Fig6FacingJoiners, 73, nil)
+	r := Fig6(Env{Platform: platform.AltspaceVR, Seed: 73}, Fig6FacingJoiners)
 	sm := r.StepMeans()
 	if sm[4] <= sm[0] {
 		t.Fatalf("no growth while facing joiners: %v", sm)
@@ -283,7 +283,7 @@ func TestFig6AltspaceViewportBothVariants(t *testing.T) {
 	}
 	// Exp. 2: facing the corner — downlink stays low despite joins, then
 	// jumps at the turn.
-	r2 := Fig6(platform.AltspaceVR, Fig6FacingCorner, 74, nil)
+	r2 := Fig6(Env{Platform: platform.AltspaceVR, Seed: 74}, Fig6FacingCorner)
 	sm2 := r2.StepMeans()
 	if sm2[4] > sm2[0]*3+3000 {
 		t.Fatalf("corner-facing downlink grew with invisible joiners: %v", sm2)
@@ -297,7 +297,7 @@ func TestFig6AltspaceViewportBothVariants(t *testing.T) {
 }
 
 func TestScalingSmall(t *testing.T) {
-	r := Scaling(platform.RecRoom, []int{1, 3, 5}, 2, 81, 3, nil, nil)
+	r := Scaling(Env{Platform: platform.RecRoom, Counts: []int{1, 3, 5}, Repeats: 2, Seed: 81, Workers: 3})
 	if len(r.Points) != 3 {
 		t.Fatalf("points = %d", len(r.Points))
 	}
@@ -329,7 +329,7 @@ func TestScalingSmall(t *testing.T) {
 }
 
 func TestWorldsRespectsEventCap(t *testing.T) {
-	r := Scaling(platform.Worlds, []int{15, 20}, 1, 83, 2, nil, nil)
+	r := Scaling(Env{Platform: platform.Worlds, Counts: []int{15, 20}, Repeats: 1, Seed: 83, Workers: 2})
 	// 20 exceeds the 16-user cap and must be skipped.
 	if len(r.Points) != 1 || r.Points[0].Users != 15 {
 		t.Fatalf("points = %+v, want only 15", r.Points)
@@ -337,7 +337,7 @@ func TestWorldsRespectsEventCap(t *testing.T) {
 }
 
 func TestFig9PrivateHubsLargeScale(t *testing.T) {
-	r := Fig9([]int{15, 22}, 1, 91, 2, nil, nil)
+	r := Fig9(Env{Counts: []int{15, 22}, Repeats: 1, Seed: 91, Workers: 2})
 	if len(r.Points) != 2 {
 		t.Fatalf("points = %d", len(r.Points))
 	}
@@ -353,7 +353,7 @@ func TestFig9PrivateHubsLargeScale(t *testing.T) {
 }
 
 func TestViewportWidthDetection(t *testing.T) {
-	r := Viewport(platform.AltspaceVR, 101, nil)
+	r := Viewport(Env{Platform: platform.AltspaceVR, Seed: 101})
 	if r.EstimatedWidthDeg < 112 || r.EstimatedWidthDeg > 190 {
 		t.Fatalf("estimated width = %.1f°, want ≈150", r.EstimatedWidthDeg)
 	}
@@ -361,7 +361,7 @@ func TestViewportWidthDetection(t *testing.T) {
 		t.Fatalf("saving = %.2f, want ≈0.58", r.MaxSavingFrac)
 	}
 	// Control platform: no modulation.
-	r2 := Viewport(platform.RecRoom, 102, nil)
+	r2 := Viewport(Env{Platform: platform.RecRoom, Seed: 102})
 	if r2.MaxSavingFrac != 0 {
 		t.Fatalf("Rec Room shows viewport modulation: %+v", r2)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"github.com/svrlab/svrlab/internal/capture"
 	"github.com/svrlab/svrlab/internal/disrupt"
-	"github.com/svrlab/svrlab/internal/obs"
 	"github.com/svrlab/svrlab/internal/packet"
 	"github.com/svrlab/svrlab/internal/platform"
 	"github.com/svrlab/svrlab/internal/plot"
@@ -29,9 +28,8 @@ type Fig12Result struct {
 // Fig12 reproduces the §8.1 downlink experiment on Worlds: two users in a
 // shooting game, U1's downlink capped at 1/0.7/0.5/0.3/0.2/0.1 Mbps for
 // 40 s each, then released.
-func Fig12(seed int64, reg *obs.Registry, sink *Sink) *Fig12Result {
-	const label = "fig12"
-	l := NewLabTraced(seed, reg, sink.Tracer(label))
+func Fig12(e Env) *Fig12Result {
+	l := e.lab("fig12", e.Seed)
 	defer l.MustConserve()
 	name := platform.Worlds
 	cs := l.Spawn(name, 2, SpawnOpts{})
@@ -40,15 +38,13 @@ func Fig12(seed int64, reg *obs.Registry, sink *Sink) *Fig12Result {
 		cs[0].SetGame(true)
 		cs[1].SetGame(true)
 	})
-	sniff := capture.Attach(cs[0].Host)
-	endPcap := sink.Pcap(label, cs[0].Host)
+	sniff := l.Capture(cs[0].Host)
 
 	sc := &disrupt.Schedule{Host: cs[0].Host, Dir: disrupt.Downlink, Stages: disrupt.DownlinkBandwidthStages()}
 	end := sc.Run(l.Sched, 20*time.Second)
 	l.Trace().Phase(20*time.Second, "disruption")
 	l.Trace().Phase(end, "recovery")
 	l.Sched.RunUntil(end + 10*time.Second)
-	_ = endPcap()
 
 	total := end + 10*time.Second
 	udp := capture.FilterProto(packet.ProtoUDP)

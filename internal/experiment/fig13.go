@@ -7,7 +7,6 @@ import (
 
 	"github.com/svrlab/svrlab/internal/capture"
 	"github.com/svrlab/svrlab/internal/disrupt"
-	"github.com/svrlab/svrlab/internal/obs"
 	"github.com/svrlab/svrlab/internal/packet"
 	"github.com/svrlab/svrlab/internal/platform"
 	"github.com/svrlab/svrlab/internal/plot"
@@ -35,7 +34,8 @@ type Fig13Result struct {
 	// blackhole stage).
 	Frozen   bool
 	FrozenAt time.Duration
-	// TCPRecovered reports whether the control connection survived.
+	// TCPRecovered reports whether TCP traffic reached U1 again in the
+	// final clear stage: the control connection survived the disruption.
 	TCPRecovered bool
 	// UDPGapSeconds counts quiet uplink seconds during TCP-delay stages —
 	// the "gaps equal to the introduced delay" finding.
@@ -43,12 +43,12 @@ type Fig13Result struct {
 }
 
 // Fig13 reproduces the §8.1 uplink experiments on Worlds in game mode.
-func Fig13(mode Fig13Mode, seed int64, reg *obs.Registry, sink *Sink) *Fig13Result {
+func Fig13(e Env, mode Fig13Mode) *Fig13Result {
 	label := "fig13/bandwidth"
 	if mode == Fig13TCPOnly {
 		label = "fig13/tcponly"
 	}
-	l := NewLabTraced(seed, reg, sink.Tracer(label))
+	l := e.lab(label, e.Seed)
 	defer l.MustConserve()
 	cs := l.Spawn(platform.Worlds, 2, SpawnOpts{})
 	l.Sched.At(5*time.Second, func() {
@@ -56,8 +56,7 @@ func Fig13(mode Fig13Mode, seed int64, reg *obs.Registry, sink *Sink) *Fig13Resu
 		cs[0].SetGame(true)
 		cs[1].SetGame(true)
 	})
-	sniff := capture.Attach(cs[0].Host)
-	endPcap := sink.Pcap(label, cs[0].Host)
+	sniff := l.Capture(cs[0].Host)
 
 	var stages []disrupt.Stage
 	if mode == Fig13Bandwidth {
@@ -70,7 +69,6 @@ func Fig13(mode Fig13Mode, seed int64, reg *obs.Registry, sink *Sink) *Fig13Resu
 	l.Trace().Phase(20*time.Second, "disruption")
 	l.Trace().Phase(end, "recovery")
 	l.Sched.RunUntil(end + 20*time.Second)
-	_ = endPcap()
 
 	total := end + 20*time.Second
 	udp := capture.FilterProto(packet.ProtoUDP)
@@ -85,7 +83,10 @@ func Fig13(mode Fig13Mode, seed int64, reg *obs.Registry, sink *Sink) *Fig13Resu
 		Frozen:  cs[0].Frozen,
 	}
 	res.FrozenAt = cs[0].FrozenAt
-	res.TCPRecovered = true // observed via continued report spikes below
+	// TCP uplink cannot tell recovery: retransmissions toward a dead server
+	// keep it nonzero. Downlink TCP in the final clear stage can.
+	final := sc.Applied[len(sc.Applied)-1].At
+	res.TCPRecovered = sniff.Bytes(capture.MatchDown(tcp), final, total) > 0
 	// Count quiet UDP-uplink seconds inside impaired stages.
 	for i, st := range sc.Applied {
 		if st.Stage.IsClear() {
@@ -175,25 +176,26 @@ type DisruptQoERow struct {
 }
 
 // DisruptLatencyLoss reproduces §8.2 for the three shooting-game platforms.
-func DisruptLatencyLoss(seed int64, reg *obs.Registry) *DisruptQoEResult {
+func DisruptLatencyLoss(e Env) *DisruptQoEResult {
 	res := &DisruptQoEResult{}
 	for _, name := range []platform.Name{platform.Worlds, platform.RecRoom, platform.VRChat} {
 		p := platform.Get(name)
 		row := DisruptQoERow{Platform: name, Game: p.Game.Name}
-		base := measureLatency(name, 2, 8, seed, false, reg, nil)
+		label := "disrupt-lat/" + string(name)
+		base := measureLatency(e, label+"/baseline", name, 2, 8, e.Seed, false)
 		row.BaselineE2EMs = base.E2E.Mean
 		for _, added := range []int{50, 100, 200} {
 			row.AddedMs = append(row.AddedMs, added)
-			row.E2EMs = append(row.E2EMs, latencyWithDelay(name, added, seed+int64(added), reg))
+			row.E2EMs = append(row.E2EMs, latencyWithDelay(e, label, name, added, e.Seed+int64(added)))
 		}
-		row.DeliveredAt20PctLoss = deliveryUnderLoss(name, 0.20, seed^0x44, reg)
+		row.DeliveredAt20PctLoss = deliveryUnderLoss(e, label, name, 0.20, e.Seed^0x44)
 		res.Rows = append(res.Rows, row)
 	}
 	return res
 }
 
-func latencyWithDelay(name platform.Name, addedMs int, seed int64, reg *obs.Registry) float64 {
-	l := NewLabObserved(seed, reg)
+func latencyWithDelay(e Env, label string, name platform.Name, addedMs int, seed int64) float64 {
+	l := e.lab(fmt.Sprintf("%s/delay%dms", label, addedMs), seed)
 	defer l.MustConserve()
 	cs := make([]*platform.Client, 2)
 	for i := range cs {
@@ -235,17 +237,17 @@ func latencyWithDelay(name platform.Name, addedMs int, seed int64, reg *obs.Regi
 
 // deliveryUnderLoss measures the fraction of avatar forwards that still
 // arrive at U1 under downlink random loss.
-func deliveryUnderLoss(name platform.Name, loss float64, seed int64, reg *obs.Registry) float64 {
-	baseline := forwardsIn40s(name, 0, seed, reg)
-	lossy := forwardsIn40s(name, loss, seed, reg)
+func deliveryUnderLoss(e Env, label string, name platform.Name, loss float64, seed int64) float64 {
+	baseline := forwardsIn40s(e, label, name, 0, seed)
+	lossy := forwardsIn40s(e, label, name, loss, seed)
 	if baseline == 0 {
 		return 0
 	}
 	return float64(lossy) / float64(baseline)
 }
 
-func forwardsIn40s(name platform.Name, loss float64, seed int64, reg *obs.Registry) int {
-	l := NewLabObserved(seed, reg)
+func forwardsIn40s(e Env, label string, name platform.Name, loss float64, seed int64) int {
+	l := e.lab(fmt.Sprintf("%s/loss%.0fpct", label, loss*100), seed)
 	defer l.MustConserve()
 	cs := l.Spawn(name, 2, SpawnOpts{})
 	if loss > 0 {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/svrlab/svrlab/internal/capture"
-	"github.com/svrlab/svrlab/internal/obs"
 	"github.com/svrlab/svrlab/internal/packet"
 	"github.com/svrlab/svrlab/internal/platform"
 	"github.com/svrlab/svrlab/internal/plot"
@@ -26,10 +25,10 @@ type Fig2Result struct {
 // Fig2 runs the two-phase session and splits U1's traffic into control and
 // data channels by server endpoint and protocol, as the capture analysis in
 // §4.1 does. The Hubs initial scene download (>100 Mbit/s) is excluded, as
-// in the paper.
-func Fig2(name platform.Name, seed int64, reg *obs.Registry, sink *Sink) *Fig2Result {
-	label := "fig2/" + string(name)
-	l := NewLabTraced(seed, reg, sink.Tracer(label))
+// in the paper. The paper default is VRChat.
+func Fig2(e Env) *Fig2Result {
+	name := e.platformOr(platform.VRChat)
+	l := e.lab("fig2/"+string(name), e.Seed)
 	defer l.MustConserve()
 	p := platform.Get(name)
 	const joinAt = 90 * time.Second
@@ -37,22 +36,16 @@ func Fig2(name platform.Name, seed int64, reg *obs.Registry, sink *Sink) *Fig2Re
 	l.Trace().Phase(0, "welcome")
 	l.Trace().Phase(joinAt, "social-event")
 	cs := l.Spawn(name, 2, SpawnOpts{JoinAt: joinAt, Wander: true})
-	sniff := capture.Attach(cs[0].Host)
-	endPcap := sink.Pcap(label, cs[0].Host)
+	sniff := l.Capture(cs[0].Host)
 	l.Sched.RunUntil(total)
-	_ = endPcap()
 
 	ctrlAddr := l.Dep.ControlEndpoint(p, cs[0].Host.Site).Addr
 	notAsset := l.notAsset(p)
 	ctrlFilter := capture.FilterAnd(notAsset, capture.FilterRemote(ctrlAddr), capture.FilterProto(packet.ProtoTCP))
-	var dataFilter func(packet.Flow) bool
-	if p.WebData {
-		// Hubs: the data channel is RTP over UDP plus the HTTPS stream
-		// carrying avatar state; the paper observes both active in events.
-		dataFilter = capture.FilterAnd(notAsset, capture.FilterProto(packet.ProtoUDP))
-	} else {
-		dataFilter = capture.FilterAnd(notAsset, capture.FilterProto(packet.ProtoUDP))
-	}
+	// The data channel is the UDP traffic. Hubs also carries avatar state
+	// on its HTTPS stream, which shares the control server's endpoint, so
+	// the timeline counts that stream as control, not data.
+	dataFilter := capture.FilterAnd(notAsset, capture.FilterProto(packet.ProtoUDP))
 
 	bucket := time.Second
 	return &Fig2Result{

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/svrlab/svrlab/internal/capture"
-	"github.com/svrlab/svrlab/internal/obs"
 	"github.com/svrlab/svrlab/internal/platform"
 	"github.com/svrlab/svrlab/internal/plot"
 	"github.com/svrlab/svrlab/internal/runner"
@@ -37,9 +36,20 @@ type Fig6Result struct {
 }
 
 // Fig6 reproduces the §6.1 controlled experiment: U2-U5 join at 50, 100,
-// 150, 200 s; at 250 s U1 turns around. All users join mutely.
-func Fig6(name platform.Name, variant Fig6Variant, seed int64, reg *obs.Registry) *Fig6Result {
-	l := NewLabObserved(seed, reg)
+// 150, 200 s; at 250 s U1 turns around. All users join mutely. The paper
+// default is AltspaceVR.
+func Fig6(e Env, variant Fig6Variant) *Fig6Result {
+	return fig6Run(e, "fig6", e.platformOr(platform.AltspaceVR), variant)
+}
+
+// fig6Run is one Figure 6 panel, traced under the experiment id, platform
+// and variant.
+func fig6Run(e Env, id string, name platform.Name, variant Fig6Variant) *Fig6Result {
+	facing := "joiners"
+	if variant == Fig6FacingCorner {
+		facing = "corner"
+	}
+	l := e.lab(id+"/"+string(name)+"/"+facing, e.Seed)
 	defer l.MustConserve()
 	p := platform.Get(name)
 	const total = 300 * time.Second
@@ -81,7 +91,7 @@ func Fig6(name platform.Name, variant Fig6Variant, seed int64, reg *obs.Registry
 	}
 	l.Sched.At(turnAt, func() { u1.Turn(8) }) // 8 × 22.5° = 180°
 
-	sniff := capture.Attach(u1.Host)
+	sniff := l.Capture(u1.Host)
 	l.Sched.RunUntil(total)
 
 	ctrlAddr := l.Dep.ControlEndpoint(p, u1.Host.Site).Addr
@@ -106,13 +116,13 @@ type Fig6PanelsResult struct {
 // the AltspaceVR corner variant. Each panel is an independent 300 s Lab, so
 // the six cells fan out across the worker pool; output keeps the paper's
 // panel order.
-func Fig6Panels(seed int64, workers int, reg *obs.Registry) *Fig6PanelsResult {
+func Fig6Panels(e Env) *Fig6PanelsResult {
 	all := platform.All()
-	panels := runner.MapObserved(reg, workers, len(all)+1, func(i int) *Fig6Result {
+	panels := runner.MapObserved(e.Metrics, e.Workers, len(all)+1, func(i int) *Fig6Result {
 		if i < len(all) {
-			return Fig6(all[i].Name, Fig6FacingJoiners, seed, reg)
+			return fig6Run(e, "fig6all", all[i].Name, Fig6FacingJoiners)
 		}
-		return Fig6(platform.AltspaceVR, Fig6FacingCorner, seed, reg)
+		return fig6Run(e, "fig6all", platform.AltspaceVR, Fig6FacingCorner)
 	})
 	return &Fig6PanelsResult{Panels: panels}
 }

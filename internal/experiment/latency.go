@@ -5,11 +5,9 @@ import (
 	"strings"
 	"time"
 
-	"github.com/svrlab/svrlab/internal/obs"
 	"github.com/svrlab/svrlab/internal/platform"
 	"github.com/svrlab/svrlab/internal/runner"
 	"github.com/svrlab/svrlab/internal/stats"
-	"github.com/svrlab/svrlab/internal/trace"
 )
 
 // LatencyBreakdown is one platform's Table 4 row (all values milliseconds).
@@ -33,40 +31,36 @@ type Table4Result struct {
 // paper's method: trigger an action on U1, record frame-accurate display on
 // U2, synchronize the two headset clocks through the AP, and break the path
 // down with trace timestamps.
-func Table4(seed int64, repeats int, workers int, reg *obs.Registry, sink *Sink) *Table4Result {
-	if repeats <= 0 {
-		repeats = 20
-	}
+func Table4(e Env) *Table4Result {
+	repeats := e.repeatsOr(20)
 	// One cell per platform row plus the private-Hubs row (Hubs*), each its
 	// own Lab, fanned out and collected in the paper's row order. Cell labels
 	// are derived from the row, not the worker, so trace exports stay
 	// byte-identical at any worker count.
 	all := platform.All()
-	rows := runner.MapObserved(reg, workers, len(all)+1, func(i int) LatencyBreakdown {
+	rows := runner.MapObserved(e.Metrics, e.Workers, len(all)+1, func(i int) LatencyBreakdown {
 		if i < len(all) {
-			return measureLatency(all[i].Name, 2, repeats, seed, false, reg,
-				sink.Tracer("table4/"+string(all[i].Name)))
+			return measureLatency(e, "table4/"+string(all[i].Name), all[i].Name, 2, repeats, e.Seed, false)
 		}
-		return measureLatency(platform.Hubs, 2, repeats, seed^0x9a, true, reg,
-			sink.Tracer("table4/"+string(platform.Hubs)+"*"))
+		return measureLatency(e, "table4/"+string(platform.Hubs)+"*", platform.Hubs, 2, repeats, e.Seed^0x9a, true)
 	})
 	return &Table4Result{Rows: rows}
 }
 
 // measureLatency runs `repeats` marked actions in an n-user event and
-// decomposes the latency. A non-nil tr records the full flight-recorder
-// view; phase markers carry explicit future timestamps so tracing never
-// touches the scheduler (traced and untraced runs stay byte-identical).
-func measureLatency(name platform.Name, n, repeats int, seed int64, private bool, reg *obs.Registry, tr *trace.Tracer) LatencyBreakdown {
-	l := NewLabTraced(seed, reg, tr)
+// decomposes the latency. Phase markers carry explicit future timestamps so
+// tracing never touches the scheduler (traced and untraced runs stay
+// byte-identical).
+func measureLatency(e Env, label string, name platform.Name, n, repeats int, seed int64, private bool) LatencyBreakdown {
+	l := e.lab(label, seed)
 	defer l.MustConserve()
 	if private {
 		l.Dep.DeployPrivateHubs(platform.SiteUSEast)
 	}
-	tr.Phase(0, "launch")
-	tr.Phase(time.Second, "join")
-	tr.Phase(2*time.Second, "arrange")
-	tr.Phase(10*time.Second, "actions")
+	l.Trace().Phase(0, "launch")
+	l.Trace().Phase(time.Second, "join")
+	l.Trace().Phase(2*time.Second, "arrange")
+	l.Trace().Phase(10*time.Second, "actions")
 	cs := make([]*platform.Client, n)
 	for i := 0; i < n; i++ {
 		c := platform.NewClient(l.Dep, name, fmt.Sprintf("u%d", i+1), platform.SiteCampus, 10+i)
@@ -141,16 +135,13 @@ type Fig11Result struct {
 }
 
 // Fig11 measures E2E latency at event sizes 2-7 (paper Figure 11), one
-// worker-pool cell per event size.
-func Fig11(name platform.Name, repeats int, seed int64, workers int, reg *obs.Registry, sink *Sink) *Fig11Result {
-	if repeats <= 0 {
-		repeats = 10
-	}
+// worker-pool cell per event size. The paper default is Rec Room.
+func Fig11(e Env) *Fig11Result {
+	name, repeats := e.platformOr(platform.RecRoom), e.repeatsOr(10)
 	const minUsers, maxUsers = 2, 7
-	rows := runner.MapObserved(reg, workers, maxUsers-minUsers+1, func(i int) LatencyBreakdown {
+	rows := runner.MapObserved(e.Metrics, e.Workers, maxUsers-minUsers+1, func(i int) LatencyBreakdown {
 		n := minUsers + i
-		return measureLatency(name, n, repeats, seed+int64(n)*1337, false, reg,
-			sink.Tracer(fmt.Sprintf("fig11/%s/n%d", name, n)))
+		return measureLatency(e, fmt.Sprintf("fig11/%s/n%d", name, n), name, n, repeats, e.Seed+int64(n)*1337, false)
 	})
 	res := &Fig11Result{Platform: name}
 	for i, row := range rows {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestTable4LatencyOrdering(t *testing.T) {
-	r := Table4(111, 8, 3, nil, nil)
+	r := Table4(Env{Seed: 111, Repeats: 8, Workers: 3})
 	if len(r.Rows) != 6 { // 5 platforms + private Hubs
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -82,7 +82,7 @@ func TestTable4LatencyOrdering(t *testing.T) {
 }
 
 func TestFig11LatencyGrowsWithUsers(t *testing.T) {
-	r := Fig11(platform.RecRoom, 6, 131, 3, nil, nil)
+	r := Fig11(Env{Platform: platform.RecRoom, Repeats: 6, Seed: 131, Workers: 3})
 	if len(r.Users) != 6 {
 		t.Fatalf("user counts = %v", r.Users)
 	}

@@ -14,7 +14,7 @@ import (
 func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) (artifact, metrics string, snap obs.Snapshot) {
 		reg := obs.NewRegistry()
-		r := Scaling(platform.RecRoom, []int{1, 3}, 2, 81, workers, reg, nil)
+		r := Scaling(Env{Platform: platform.RecRoom, Counts: []int{1, 3}, Repeats: 2, Seed: 81, Workers: workers, Metrics: reg})
 		s := reg.Snapshot()
 		return r.Render(), s.Stable().String(), s
 	}

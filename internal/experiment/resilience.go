@@ -6,7 +6,6 @@ import (
 
 	"github.com/svrlab/svrlab/internal/chaos"
 	"github.com/svrlab/svrlab/internal/netsim"
-	"github.com/svrlab/svrlab/internal/obs"
 	"github.com/svrlab/svrlab/internal/platform"
 	"github.com/svrlab/svrlab/internal/runner"
 	"github.com/svrlab/svrlab/internal/stats"
@@ -39,6 +38,8 @@ type ResilienceRow struct {
 // the same 15-second server crash into very different user experiences.
 type ResilienceResult struct {
 	Rows []ResilienceRow
+
+	fromChaos bool // the faults came from Env.Chaos, not the built-in crash
 }
 
 type resCell struct {
@@ -49,18 +50,15 @@ type resCell struct {
 // Resilience crashes each platform's serving data instance from t=25s to
 // t=40s and measures, at a two-user session's observer, how long avatars
 // froze and how long the session took to see fresh data again. A non-empty
-// chaos spec replaces the built-in crash with the user's fault schedule
-// (bound per cell against that lab's fabric).
-func Resilience(seed int64, repeats, workers int, reg *obs.Registry, spec *chaos.Spec) *ResilienceResult {
-	if repeats <= 0 {
-		repeats = 3
-	}
+// Env.Chaos replaces the built-in crash: every cell runs it from its start.
+func Resilience(e Env) *ResilienceResult {
+	repeats := e.repeatsOr(3)
 	all := platform.All()
-	cells := runner.MapObserved(reg, workers, len(all)*repeats, func(i int) resCell {
-		p := all[i/repeats]
-		return resilienceCell(p, seed+int64(i%repeats)*101, reg, spec)
+	cells := runner.MapObserved(e.Metrics, e.Workers, len(all)*repeats, func(i int) resCell {
+		p, r := all[i/repeats], i%repeats
+		return resilienceCell(e, fmt.Sprintf("resilience/%s/rep%d", p.Name, r), p, e.Seed+int64(r)*101)
 	})
-	res := &ResilienceResult{}
+	res := &ResilienceResult{fromChaos: !e.Chaos.Empty()}
 	for pi, p := range all {
 		var recs, frzs []float64
 		failover := true
@@ -80,39 +78,33 @@ func Resilience(seed int64, repeats, workers int, reg *obs.Registry, spec *chaos
 	return res
 }
 
-func resilienceCell(p *platform.Profile, seed int64, reg *obs.Registry, spec *chaos.Spec) resCell {
-	l := NewLabObserved(seed, reg)
+func resilienceCell(e Env, label string, p *platform.Profile, seed int64) resCell {
+	l := e.lab(label, seed)
 	defer l.MustConserve()
 	n := l.Dep.Net
 	cs := l.Spawn(p.Name, 2, SpawnOpts{})
 	observer := cs[0]
 
-	// Install the fault once the session is up: by then the observer has
-	// resolved its data endpoint, so the built-in fault can target the
+	// Install the built-in fault once the session is up: by then the
+	// observer has resolved its data endpoint, so the fault can target the
 	// exact instance serving it (for anycast, the nearest pool member).
-	l.Sched.At(resSteadyAt, func() {
-		if spec != nil && !spec.Empty() {
-			sc, err := spec.Bind(n)
-			if err != nil {
-				panic("experiment: resilience chaos spec: " + err.Error())
+	if e.Chaos.Empty() {
+		l.Sched.At(resSteadyAt, func() {
+			srv := servingHost(n, observer)
+			if srv == nil {
+				panic("experiment: resilience could not resolve the serving data instance")
 			}
+			sc := &chaos.Schedule{Net: n, Faults: []chaos.Fault{{
+				Label: "data-server",
+				Kind:  chaos.HostCrash,
+				Host:  srv,
+				Start: resCrashAt - resSteadyAt,
+				// Healed at resHealAt; unicast platforms can only recover then.
+				Duration: resHealAt - resCrashAt,
+			}}}
 			sc.Run(l.Sched, resSteadyAt)
-			return
-		}
-		srv := servingHost(n, observer)
-		if srv == nil {
-			panic("experiment: resilience could not resolve the serving data instance")
-		}
-		sc := &chaos.Schedule{Net: n, Faults: []chaos.Fault{{
-			Label: "data-server",
-			Kind:  chaos.HostCrash,
-			Host:  srv,
-			Start: resCrashAt - resSteadyAt,
-			// Healed at resHealAt; unicast platforms can only recover then.
-			Duration: resHealAt - resCrashAt,
-		}}}
-		sc.Run(l.Sched, resSteadyAt)
-	})
+		})
+	}
 
 	// Sample avatar freshness at 10 Hz across the fault window. A freeze is
 	// staleness beyond resStale; recovery is when the stream resumes after
@@ -177,6 +169,9 @@ func (r *ResilienceResult) Render() string {
 			fmt.Sprintf("%.1f ±%.1f", row.Freeze.Mean, row.Freeze.CI95),
 			yn(row.Failover))
 	}
-	return fmt.Sprintf("Resilience: data-server crash %.0fs-%.0fs, two-user session\n%s",
-		resCrashAt.Seconds(), resHealAt.Seconds(), t.String())
+	faults := fmt.Sprintf("data-server crash %.0fs-%.0fs", resCrashAt.Seconds(), resHealAt.Seconds())
+	if r.fromChaos {
+		faults = "fault schedule from -chaos"
+	}
+	return fmt.Sprintf("Resilience: %s, two-user session\n%s", faults, t.String())
 }

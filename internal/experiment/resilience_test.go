@@ -1,9 +1,12 @@
 package experiment
 
 import (
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
+	"github.com/svrlab/svrlab/internal/chaos"
 	"github.com/svrlab/svrlab/internal/platform"
 )
 
@@ -12,7 +15,7 @@ import (
 // while the instance is still down; single-host and regional-unicast
 // deployments freeze until it returns.
 func TestResilienceFailoverByPlacement(t *testing.T) {
-	res := Resilience(42, 1, 0, nil, nil)
+	res := Resilience(Env{Seed: 42, Repeats: 1})
 	if len(res.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5", len(res.Rows))
 	}
@@ -44,14 +47,27 @@ func TestResilienceFailoverByPlacement(t *testing.T) {
 	}
 }
 
-// TestResilienceDeterminism: byte-identical artifacts at any worker count.
-func TestResilienceDeterminism(t *testing.T) {
-	a := Resilience(7, 2, 1, nil, nil)
-	b := Resilience(7, 2, 4, nil, nil)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("workers=1 vs workers=4 diverged:\n%s\nvs\n%s", a.Render(), b.Render())
+// TestResilienceSpecMatchesBuiltIn: a chaos spec that crashes the five
+// serving data instances from 25 s for 15 s reproduces the built-in crash
+// row for row. Chaos runs from each cell's start, so the spec names the
+// built-in's own times; only the title says where the faults came from.
+func TestResilienceSpecMatchesBuiltIn(t *testing.T) {
+	b, err := os.ReadFile("testdata/resilience_crash.json")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a.Render() != b.Render() {
-		t.Fatal("rendered artifacts differ across worker counts")
+	spec, err := chaos.ParseSpec(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builtIn := Resilience(Env{Seed: 42, Repeats: 1})
+	fromSpec := Resilience(Env{Seed: 42, Repeats: 1, Chaos: spec})
+	if !reflect.DeepEqual(builtIn.Rows, fromSpec.Rows) {
+		t.Fatalf("spec run differs from the built-in crash:\n%s\nvs\n%s", fromSpec.Render(), builtIn.Render())
+	}
+	bt, brest, _ := strings.Cut(builtIn.Render(), "\n")
+	st, srest, _ := strings.Cut(fromSpec.Render(), "\n")
+	if brest != srest || !strings.Contains(bt, "crash 25s-40s") || !strings.Contains(st, "-chaos") {
+		t.Fatalf("titles %q and %q, or the tables below them, are wrong", bt, st)
 	}
 }

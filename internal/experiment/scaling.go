@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/svrlab/svrlab/internal/capture"
-	"github.com/svrlab/svrlab/internal/obs"
 	"github.com/svrlab/svrlab/internal/platform"
 	"github.com/svrlab/svrlab/internal/runner"
 	"github.com/svrlab/svrlab/internal/stats"
@@ -44,22 +43,15 @@ type scaleCell struct {
 // increasing size (paper §6.2). Events are capped at the platform's maximum
 // (Worlds: 16). Every (user-count, repeat) cell runs its own Lab, so cells
 // fan out across the worker pool; seeds and output order are identical to
-// the serial sweep.
-func Scaling(name platform.Name, counts []int, repeats int, seed int64, workers int, reg *obs.Registry, sink *Sink) *ScalingResult {
-	if repeats <= 0 {
-		repeats = 3
-	}
-	p := platform.Get(name)
-	var eligible []int
-	for _, n := range counts {
-		if n <= p.MaxEventUsers {
-			eligible = append(eligible, n)
-		}
-	}
-	cells := runner.MapObserved(reg, workers, len(eligible)*repeats, func(i int) scaleCell {
+// the serial sweep. The paper defaults are VRChat, PaperUserCounts and
+// three repeats.
+func Scaling(e Env) *ScalingResult {
+	name, repeats := e.platformOr(platform.VRChat), e.repeatsOr(3)
+	eligible := eligibleCounts(platform.Get(name), e.countsOr(PaperUserCounts))
+	cells := runner.MapObserved(e.Metrics, e.Workers, len(eligible)*repeats, func(i int) scaleCell {
 		n, rep := eligible[i/repeats], i%repeats
 		label := fmt.Sprintf("fig7/%s/n%d/rep%d", name, n, rep)
-		d, f, c, g, m, bd := scalingRun(name, n, seed+int64(rep)*977+int64(n), reg, sink, label)
+		d, f, c, g, m, bd := scalingRun(e, label, name, n, e.Seed+int64(rep)*977+int64(n))
 		return scaleCell{d, f, c, g, m, bd}
 	})
 	res := &ScalingResult{Platform: name, Repeats: repeats}
@@ -87,20 +79,17 @@ func Scaling(name platform.Name, counts []int, repeats int, seed int64, workers 
 }
 
 // scalingRun is one event: n users in a circle, everyone visible, measured
-// over a 40 s steady window. The sink (may be nil) receives the cell's
-// flight-recorder trace and U1's capture tap as a pcap.
-func scalingRun(name platform.Name, n int, seed int64, reg *obs.Registry, sink *Sink, label string) (downBps, fps, cpu, gpu, mem, battDrain float64) {
-	l := NewLabTraced(seed, reg, sink.Tracer(label))
+// over a 40 s steady window.
+func scalingRun(e Env, label string, name platform.Name, n int, seed int64) (downBps, fps, cpu, gpu, mem, battDrain float64) {
+	l := e.lab(label, seed)
 	defer l.MustConserve()
 	l.Trace().Phase(2*time.Second, "arrange")
 	l.Trace().Phase(20*time.Second, "steady-window")
 	p := platform.Get(name)
 	cs := l.Spawn(name, n, SpawnOpts{})
 	l.Sched.At(2*time.Second, func() { arrangeCircle(cs) })
-	sniff := capture.Attach(cs[0].Host)
-	endPcap := sink.Pcap(label, cs[0].Host)
+	sniff := l.Capture(cs[0].Host)
 	l.Sched.RunUntil(60 * time.Second)
-	_ = endPcap()
 
 	ctrlAddr := l.Dep.ControlEndpoint(p, cs[0].Host.Site).Addr
 	f := l.dataOnly(p, ctrlAddr)
@@ -149,17 +138,12 @@ func (r *ScalingResult) Render() string {
 
 // Fig9 runs the large-scale private-Hubs event (paper Figure 9, 15-28
 // users) against a self-hosted server. Cells fan out like Scaling's.
-func Fig9(counts []int, repeats int, seed int64, workers int, reg *obs.Registry, sink *Sink) *ScalingResult {
-	if len(counts) == 0 {
-		counts = []int{15, 20, 25, 28}
-	}
-	if repeats <= 0 {
-		repeats = 2
-	}
-	cells := runner.MapObserved(reg, workers, len(counts)*repeats, func(i int) scaleCell {
+func Fig9(e Env) *ScalingResult {
+	counts, repeats := e.countsOr([]int{15, 20, 25, 28}), e.repeatsOr(2)
+	cells := runner.MapObserved(e.Metrics, e.Workers, len(counts)*repeats, func(i int) scaleCell {
 		n, rep := counts[i/repeats], i%repeats
 		label := fmt.Sprintf("fig9/n%d/rep%d", n, rep)
-		d, f := fig9Run(n, seed+int64(rep)*31+int64(n), reg, sink, label)
+		d, f := fig9Run(e, label, n, e.Seed+int64(rep)*31+int64(n))
 		return scaleCell{down: d, fps: f}
 	})
 	res := &ScalingResult{Platform: platform.Hubs, Repeats: repeats, Private: true}
@@ -178,8 +162,8 @@ func Fig9(counts []int, repeats int, seed int64, workers int, reg *obs.Registry,
 	return res
 }
 
-func fig9Run(n int, seed int64, reg *obs.Registry, sink *Sink, label string) (downBps, fps float64) {
-	l := NewLabTraced(seed, reg, sink.Tracer(label))
+func fig9Run(e Env, label string, n int, seed int64) (downBps, fps float64) {
+	l := e.lab(label, seed)
 	defer l.MustConserve()
 	l.Dep.DeployPrivateHubs(platform.SiteUSEast)
 	cs := make([]*platform.Client, n)
@@ -192,10 +176,8 @@ func fig9Run(n int, seed int64, reg *obs.Registry, sink *Sink, label string) (do
 		l.Sched.At(time.Second, func() { c.JoinEvent("big") })
 	}
 	l.Sched.At(2*time.Second, func() { arrangeCircle(cs) })
-	sniff := capture.Attach(cs[0].Host)
-	endPcap := sink.Pcap(label, cs[0].Host)
+	sniff := l.Capture(cs[0].Host)
 	l.Sched.RunUntil(50 * time.Second)
-	_ = endPcap()
 	// All Hubs data rides HTTPS to the private server + RTP keepalive.
 	p := platform.Get(platform.Hubs)
 	f := l.notAsset(p)

@@ -7,7 +7,6 @@ import (
 
 	"github.com/svrlab/svrlab/internal/capture"
 	"github.com/svrlab/svrlab/internal/geo"
-	"github.com/svrlab/svrlab/internal/obs"
 	"github.com/svrlab/svrlab/internal/packet"
 	"github.com/svrlab/svrlab/internal/platform"
 	"github.com/svrlab/svrlab/internal/probe"
@@ -54,7 +53,7 @@ type Table2Result struct {
 // classify each channel's protocol from wire bytes, measure RTT with
 // ICMP/TCP ping (or WebRTC stats where both fail, as for the Hubs SFU), and
 // infer anycast from three geo-distributed vantage points.
-func Table2(seed int64, workers int, reg *obs.Registry) *Table2Result {
+func Table2(e Env) *Table2Result {
 	// One fan-out cell per platform: the campus probe session plus the
 	// extra-vantage sessions, each building private labs. Rows, extras and
 	// notes are assembled in the canonical platform order regardless of
@@ -64,9 +63,9 @@ func Table2(seed int64, workers int, reg *obs.Registry) *Table2Result {
 		row    Table2Row
 		extras []RemoteRTT
 	}
-	cells := runner.MapObserved(reg, workers, len(all), func(i int) t2cell {
+	cells := runner.MapObserved(e.Metrics, e.Workers, len(all), func(i int) t2cell {
 		p := all[i]
-		return t2cell{row: probePlatform(p, seed, reg), extras: probeExtraVantages(p, seed, reg)}
+		return t2cell{row: probePlatform(e, p), extras: probeExtraVantages(e, p)}
 	})
 	res := &Table2Result{}
 	for i, c := range cells {
@@ -152,11 +151,11 @@ func classifyUDP(sniff *capture.Sniffer, server packet.Addr) string {
 	return "UDP"
 }
 
-func probePlatform(p *platform.Profile, seed int64, reg *obs.Registry) Table2Row {
-	l := NewLabObserved(seed, reg)
+func probePlatform(e Env, p *platform.Profile) Table2Row {
+	l := e.lab("table2/"+string(p.Name), e.Seed)
 	defer l.MustConserve()
 	cs := l.Spawn(p.Name, 2, SpawnOpts{})
-	sniff := capture.Attach(cs[0].Host)
+	sniff := l.Capture(cs[0].Host)
 	l.Sched.RunUntil(20 * time.Second)
 
 	row := Table2Row{Platform: p.Name}
@@ -237,17 +236,17 @@ func inferAnycastFor(l *Lab, server packet.Addr) bool {
 }
 
 // probeExtraVantages reproduces the §4.2 western-US and Europe checks.
-func probeExtraVantages(p *platform.Profile, seed int64, reg *obs.Registry) []RemoteRTT {
+func probeExtraVantages(e Env, p *platform.Profile) []RemoteRTT {
 	var out []RemoteRTT
 	sites := []string{platform.SiteLA, platform.SiteEurope}
 	for _, sn := range sites {
 		if p.Name == platform.Worlds && sn == platform.SiteEurope {
 			continue // Worlds is US/Canada-only
 		}
-		l := NewLabObserved(seed+int64(len(sn)), reg)
+		l := e.lab("table2/"+string(p.Name)+"/"+sn, e.Seed+int64(len(sn)))
 		defer l.MustConserve()
-		cs := spawnAt(l, p.Name, sn)
-		sniff := capture.Attach(cs[0].Host)
+		cs := l.Spawn(p.Name, 2, SpawnOpts{Site: sn})
+		sniff := l.Capture(cs[0].Host)
 		l.Sched.RunUntil(20 * time.Second)
 		ctrl, data := discoverServers(l, p, cs, sniff)
 		for _, ch := range []struct {
@@ -259,10 +258,6 @@ func probeExtraVantages(p *platform.Profile, seed int64, reg *obs.Registry) []Re
 		}
 	}
 	return out
-}
-
-func spawnAt(l *Lab, name platform.Name, site string) []*platform.Client {
-	return l.Spawn(name, 2, SpawnOpts{Site: site})
 }
 
 // Render prints the Table 2 artifact.

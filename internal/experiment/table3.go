@@ -7,7 +7,6 @@ import (
 
 	"github.com/svrlab/svrlab/internal/capture"
 	"github.com/svrlab/svrlab/internal/device"
-	"github.com/svrlab/svrlab/internal/obs"
 	"github.com/svrlab/svrlab/internal/packet"
 	"github.com/svrlab/svrlab/internal/platform"
 	"github.com/svrlab/svrlab/internal/runner"
@@ -36,18 +35,17 @@ type Table3Result struct {
 // avatar share uses the paper's differencing method (§5.2): measure U1's
 // downlink alone (T), then with U2 joined mutely (T'), and attribute T'-T
 // to U2's avatar embodiment and motion.
-func Table3(seed int64, repeats int, workers int, reg *obs.Registry) *Table3Result {
-	if repeats <= 0 {
-		repeats = 5
-	}
+func Table3(e Env) *Table3Result {
+	repeats := e.repeatsOr(5)
 	// One cell per (platform, repeat): the chat session and the differencing
 	// session, both private labs seeded exactly as the serial sweep.
 	all := platform.All()
 	type t3cell struct{ up, down, avatar float64 }
-	cells := runner.MapObserved(reg, workers, len(all)*repeats, func(i int) t3cell {
+	cells := runner.MapObserved(e.Metrics, e.Workers, len(all)*repeats, func(i int) t3cell {
 		p, r := all[i/repeats], i%repeats
-		up, down := twoUserRates(p, seed+int64(r)*101, reg)
-		return t3cell{up: up, down: down, avatar: avatarShare(p, seed+int64(r)*101, reg)}
+		label, seed := fmt.Sprintf("table3/%s/rep%d", p.Name, r), e.Seed+int64(r)*101
+		up, down := twoUserRates(e, label+"/chat", p, seed)
+		return t3cell{up: up, down: down, avatar: avatarShare(e, label+"/diff", p, seed)}
 	})
 	res := &Table3Result{Repeats: repeats}
 	for pi, p := range all {
@@ -72,11 +70,11 @@ func Table3(seed int64, repeats int, workers int, reg *obs.Registry) *Table3Resu
 
 // twoUserRates measures U1's steady data-channel rates with two unmuted
 // walking users.
-func twoUserRates(p *platform.Profile, seed int64, reg *obs.Registry) (up, down float64) {
-	l := NewLabObserved(seed, reg)
+func twoUserRates(e Env, label string, p *platform.Profile, seed int64) (up, down float64) {
+	l := e.lab(label, seed)
 	defer l.MustConserve()
 	cs := l.Spawn(p.Name, 2, SpawnOpts{Voice: true, Wander: true})
-	sniff := capture.Attach(cs[0].Host)
+	sniff := l.Capture(cs[0].Host)
 	l.Sched.RunUntil(70 * time.Second)
 	ctrlAddr := l.Dep.ControlEndpoint(p, cs[0].Host.Site).Addr
 	f := l.dataOnly(p, ctrlAddr)
@@ -87,8 +85,8 @@ func twoUserRates(p *platform.Profile, seed int64, reg *obs.Registry) (up, down 
 // avatarShare runs the paper's differencing experiment: U1 alone (downlink
 // T), then U2 joins mutely (downlink T'); the difference is U2's avatar
 // stream.
-func avatarShare(p *platform.Profile, seed int64, reg *obs.Registry) float64 {
-	l := NewLabObserved(seed^0x717, reg)
+func avatarShare(e Env, label string, p *platform.Profile, seed int64) float64 {
+	l := e.lab(label, seed^0x717)
 	defer l.MustConserve()
 	u1 := platform.NewClient(l.Dep, p.Name, "u1", platform.SiteCampus, 10)
 	u1.Muted = true
@@ -99,7 +97,7 @@ func avatarShare(p *platform.Profile, seed int64, reg *obs.Registry) float64 {
 	l.Sched.At(0, u1.Launch)
 	l.Sched.At(0, u2.Launch)
 	l.Sched.At(time.Second, func() { u1.JoinEvent("diff") })
-	sniff := capture.Attach(u1.Host)
+	sniff := l.Capture(u1.Host)
 	// Phase 1: U1 alone, 40 s.
 	l.Sched.RunUntil(45 * time.Second)
 	// Phase 2: U2 joins mutely.
@@ -140,14 +138,16 @@ type Fig3Result struct {
 }
 
 // Fig3 measures instantaneous U1-uplink and U2-downlink series and their
-// correlation on one platform (the paper shows Rec Room and Worlds).
-func Fig3(name platform.Name, seed int64, reg *obs.Registry) *Fig3Result {
-	l := NewLabObserved(seed, reg)
+// correlation on one platform (the paper shows Rec Room and Worlds; the
+// default is Rec Room).
+func Fig3(e Env) *Fig3Result {
+	name := e.platformOr(platform.RecRoom)
+	l := e.lab("fig3/"+string(name), e.Seed)
 	defer l.MustConserve()
 	p := platform.Get(name)
 	cs := l.Spawn(name, 2, SpawnOpts{Voice: true, Wander: true})
-	s1 := capture.Attach(cs[0].Host)
-	s2 := capture.Attach(cs[1].Host)
+	s1 := l.Capture(cs[0].Host)
+	s2 := l.Capture(cs[1].Host)
 	l.Sched.RunUntil(70 * time.Second)
 	udp := capture.FilterAnd(l.notAsset(p), capture.FilterProto(packet.ProtoUDP))
 	from, to := 15*time.Second, 70*time.Second

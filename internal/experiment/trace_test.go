@@ -1,70 +1,25 @@
 package experiment
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
-	"github.com/svrlab/svrlab/internal/platform"
 	"github.com/svrlab/svrlab/internal/trace"
 )
 
-// TestTraceDeterministicAcrossWorkers runs the same traced sweep serially
-// and in parallel and requires byte-identical trace exports: cell labels
-// derive from the sweep structure and timestamps from virtual time, so the
-// worker count must not leak into the flight recorder.
-func TestTraceDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) (chrome, text []byte) {
-		sink := &Sink{Traces: trace.NewCollector()}
-		Scaling(platform.RecRoom, []int{1, 3}, 2, 81, workers, nil, sink)
-		var c, x bytes.Buffer
-		if err := sink.Traces.Export(&c, "chrome"); err != nil {
-			t.Fatal(err)
-		}
-		if err := sink.Traces.Export(&x, "text"); err != nil {
-			t.Fatal(err)
-		}
-		if got := len(sink.Traces.Labels()); got != 4 {
-			t.Fatalf("trace cells = %d, want 4 (2 counts × 2 repeats)", got)
-		}
-		return c.Bytes(), x.Bytes()
-	}
-	c1, x1 := run(1)
-	c8, x8 := run(8)
-	if !bytes.Equal(c1, c8) {
-		t.Fatal("chrome trace differs between Workers=1 and Workers=8")
-	}
-	if !bytes.Equal(x1, x8) {
-		t.Fatal("text trace differs between Workers=1 and Workers=8")
-	}
-	if len(c1) == 0 || len(x1) == 0 {
-		t.Fatal("empty trace export")
-	}
-}
-
-// TestTraceBreakdownMatchesRigAndDoesNotPerturb runs Table 4 with and
-// without the flight recorder. Tracing must not change the artifact (it
-// never touches the scheduler or RNG), and the sender/network/server/
-// receiver breakdown recomputed from the trace alone must match the rig's
-// within the rig's clock-synchronization error.
-func TestTraceBreakdownMatchesRigAndDoesNotPerturb(t *testing.T) {
-	const seed, repeats, workers = 42, 6, 2
-	plain := Table4(seed, repeats, workers, nil, nil)
-
-	sink := &Sink{Traces: trace.NewCollector()}
-	traced := Table4(seed, repeats, workers, nil, sink)
-
-	if plain.Render() != traced.Render() {
-		t.Fatalf("tracing perturbed the Table 4 artifact:\n--- off ---\n%s--- on ---\n%s",
-			plain.Render(), traced.Render())
-	}
+// TestTraceBreakdownMatchesRig runs a traced Table 4 and recomputes the
+// sender/network/server/receiver breakdown from the trace alone: it must
+// match the rig's within the rig's clock-synchronization error.
+func TestTraceBreakdownMatchesRig(t *testing.T) {
+	c := trace.NewCollector()
+	traced := Table4(Env{Seed: 42, Repeats: 6, Workers: 2, Trace: c})
 
 	for _, row := range traced.Rows {
 		label := "table4/" + string(row.Platform)
 		if row.Private {
 			label += "*"
 		}
-		cell := sink.Traces.Cell(label)
+		cell := c.Cell(label)
 		sum, n := trace.SummarizeActions(cell.Events())
 		if n == 0 {
 			t.Fatalf("%s: no complete action spans in trace", label)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/svrlab/svrlab/internal/capture"
-	"github.com/svrlab/svrlab/internal/obs"
 	"github.com/svrlab/svrlab/internal/platform"
 	"github.com/svrlab/svrlab/internal/world"
 )
@@ -26,9 +25,10 @@ type ViewportResult struct {
 
 // Viewport reproduces the detection experiment: U1 starts with its back to
 // U2 and snap-turns one 22.5° click at a time; the downlink reveals at which
-// offsets the server forwards U2's avatar.
-func Viewport(name platform.Name, seed int64, reg *obs.Registry) *ViewportResult {
-	l := NewLabObserved(seed, reg)
+// offsets the server forwards U2's avatar. The paper default is AltspaceVR.
+func Viewport(e Env) *ViewportResult {
+	name := e.platformOr(platform.AltspaceVR)
+	l := e.lab("viewport/"+string(name), e.Seed)
 	defer l.MustConserve()
 	p := platform.Get(name)
 	res := &ViewportResult{Platform: name}
@@ -45,18 +45,13 @@ func Viewport(name platform.Name, seed int64, reg *obs.Registry) *ViewportResult
 		u1.StandAt(world.Vec2{X: 10, Y: 10}, 180)
 		u2.StandAt(world.Vec2{X: 15, Y: 10}, 0)
 	})
-	sniff := capture.Attach(u1.Host)
+	sniff := l.Capture(u1.Host)
 
 	// 16 clicks of 22.5°, holding each orientation for 20 s.
 	const hold = 20 * time.Second
 	start := 10 * time.Second
-	for click := 0; click < 16; click++ {
-		click := click
-		at := start + time.Duration(click)*hold
-		if click > 0 {
-			l.Sched.At(at, func() { u1.Turn(1) })
-		}
-		_ = click
+	for click := 1; click < 16; click++ {
+		l.Sched.At(start+time.Duration(click)*hold, func() { u1.Turn(1) })
 	}
 	end := start + 16*hold
 	l.Sched.RunUntil(end + time.Second)
@@ -85,11 +80,10 @@ func Viewport(name platform.Name, seed int64, reg *obs.Registry) *ViewportResult
 		}
 	}
 	thresh := (lo + hi) / 2
-	for i, v := range res.Down {
+	for _, v := range res.Down {
 		if v > thresh {
 			visibleCount++
 		}
-		_ = i
 	}
 	// Each visible orientation covers one 22.5° step.
 	res.EstimatedWidthDeg = float64(visibleCount) * world.TurnStepDeg

@@ -280,9 +280,9 @@ type Network struct {
 
 	// cons is the Network-local packet ledger. It lives on the Network, not
 	// in the registry, because the registry may be shared across sweep
-	// cells (NewLabObserved): per-lab conservation can only be audited
-	// against per-network tallies. flushed is the part of cons already
-	// added to Metrics.
+	// cells (experiment.Env.Metrics): per-lab conservation can only be
+	// audited against per-network tallies. flushed is the part of cons
+	// already added to Metrics.
 	cons, flushed Conservation
 
 	// endpoints lists transport layers attached to this fabric, in

@@ -1,6 +1,8 @@
 package svrlab_test
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -63,17 +65,12 @@ func TestPlatformConstants(t *testing.T) {
 	}
 }
 
+// TestDeterminismAcrossRuns: a different seed gives a different artifact.
+// TestGoldenArtifacts holds each seed-42 artifact to its bytes.
 func TestDeterminismAcrossRuns(t *testing.T) {
 	a, err := svrlab.Run("fig3", svrlab.Options{Seed: 5, Platform: svrlab.RecRoom})
 	if err != nil {
 		t.Fatal(err)
-	}
-	b, err := svrlab.Run("fig3", svrlab.Options{Seed: 5, Platform: svrlab.RecRoom})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Render() != b.Render() {
-		t.Fatal("same seed produced different artifacts")
 	}
 	c, err := svrlab.Run("fig3", svrlab.Options{Seed: 6, Platform: svrlab.RecRoom})
 	if err != nil {
@@ -84,24 +81,59 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolDeterminism is the runner's determinism contract: a sweep
-// run serially and the same sweep fanned out over 8 workers must produce
-// byte-identical rendered artifacts. Run under -race this also proves the
-// cells share no mutable state.
+// TestWorkerPoolDeterminism is the runner's determinism contract: a fig7
+// sweep run serially and the same sweep fanned out over 8 workers, with
+// every option set — a shared registry, a trace collector, a pcap directory
+// and a 1 s campus–us-east link cut at 30 s — must produce byte-identical
+// artifacts, stable metrics, trace exports and pcap files. Run under -race
+// this also proves the cells share no mutable state.
 func TestWorkerPoolDeterminism(t *testing.T) {
-	opts := func(workers int) svrlab.Options {
-		return svrlab.Options{Seed: 42, Repeats: 2, Counts: []int{1, 3}, Workers: workers}
-	}
-	serial, err := svrlab.Run("fig7", opts(1))
+	cut, err := svrlab.ParseChaosSpec([]byte(`{"faults": [
+		{"kind": "link-cut", "sites": ["campus", "us-east"], "start": "30s", "duration": "1s"}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := svrlab.Run("fig7", opts(8))
-	if err != nil {
-		t.Fatal(err)
+	// run returns the artifact, the stable metrics, the text trace and
+	// each pcap file, named.
+	run := func(workers int) []string {
+		reg, c, dir := svrlab.NewMetricsRegistry(), svrlab.NewTraceCollector(), t.TempDir()
+		res, err := svrlab.Run("fig7", svrlab.Options{
+			Seed: 42, Repeats: 2, Counts: []int{1, 3}, Workers: workers,
+			Metrics: reg, Trace: c, PcapDir: dir, Chaos: cut,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tr strings.Builder
+		if err := c.Export(&tr, "text"); err != nil {
+			t.Fatal(err)
+		}
+		out := []string{res.Render(), reg.Snapshot().Stable().String(), tr.String()}
+		names, err := filepath.Glob(filepath.Join(dir, "*.pcap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			b, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, filepath.Base(name)+"\n"+string(b))
+		}
+		return out
 	}
-	if s, p := serial.Render(), parallel.Render(); s != p {
-		t.Fatalf("serial and 8-worker artifacts differ:\n--- serial ---\n%s\n--- workers=8 ---\n%s", s, p)
+	serial, parallel := run(1), run(8)
+	// 2 counts × 2 repeats: four cells, each with one pcap and one cut.
+	if len(serial) != 3+4 || len(parallel) != len(serial) {
+		t.Fatalf("%d and %d outputs, want 3 plus 4 pcaps", len(serial), len(parallel))
+	}
+	if n := strings.Count(serial[2], "link-cut:inject"); n != 4 {
+		t.Fatalf("trace shows %d link cuts, want one per cell", n)
+	}
+	for i, what := range []string{"artifact", "stable metrics", "trace", "pcap", "pcap", "pcap", "pcap"} {
+		if serial[i] != parallel[i] {
+			t.Fatalf("serial and 8-worker %s differ:\n--- serial ---\n%.2000s\n--- workers=8 ---\n%.2000s", what, serial[i], parallel[i])
+		}
 	}
 }
 
@@ -136,28 +168,6 @@ func TestConcurrentRunsAreIndependent(t *testing.T) {
 		if outs[g] != outs[0] {
 			t.Fatalf("goroutine %d produced a different artifact:\n%s\nvs\n%s", g, outs[g], outs[0])
 		}
-	}
-}
-
-// TestAuditAndEmptyChaosAreByteIdentical: a shared registry, which receives
-// the flushed fabric ledger and the auditor's coverage tallies at every
-// lab's teardown, and an empty chaos spec, which schedules nothing, must
-// not change a single artifact byte.
-func TestAuditAndEmptyChaosAreByteIdentical(t *testing.T) {
-	base, err := svrlab.Run("resilience", svrlab.Options{Seed: 42, Repeats: 1, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	flipped, err := svrlab.Run("resilience", svrlab.Options{
-		Seed: 42, Repeats: 1, Workers: 2,
-		Metrics: svrlab.NewMetricsRegistry(),
-		Chaos:   &svrlab.ChaosSpec{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b, f := base.Render(), flipped.Render(); b != f {
-		t.Fatalf("shared registry+empty chaos changed the artifact:\n--- base ---\n%s\n--- flipped ---\n%s", b, f)
 	}
 }
 
