@@ -1,7 +1,7 @@
 # Tier-1 gate: everything must build, vet clean, and pass the full test
 # suite with the race detector on (the parallel experiment runner makes the
 # whole suite a concurrency test).
-.PHONY: check build vet test race bench bench-hotpath audit fuzz gencorpus
+.PHONY: check build vet test race golden bench bench-hotpath audit fuzz gencorpus
 
 check: build vet race
 
@@ -16,6 +16,15 @@ test:
 
 race:
 	go test -race -timeout 45m ./...
+
+# Seed-42 identity of every artifact. The golden tests hold the 17 fast
+# artifacts, their stable metrics, traces and pcaps at one worker and at
+# four (they skip themselves under -race); the full run then holds all 21
+# artifacts, decimate, fig6all, fig9 and p2p included, to
+# artifacts_seed42.txt byte for byte.
+golden:
+	go test -run 'TestGolden(Artifacts|Pcaps|Traces)' -cpu 1,4 .
+	go run ./cmd/svrlab all -seed 42 -repeats 1 | cmp - artifacts_seed42.txt
 
 # Conservation audit over every artifact: the end-of-run auditor (which
 # always runs and panics on violation) plus its coverage summary per

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Quat is a unit quaternion.
@@ -194,9 +195,13 @@ func (c *Codec) WireLen() int {
 	return n
 }
 
-// Encode serializes the codec's feature subset of p.
-func (c *Codec) Encode(p *Pose) []byte {
-	out := make([]byte, c.WireLen())
+// Encode appends the codec's feature subset of p to dst and returns the
+// extended slice. It writes every byte it appends, so dst may be a reused
+// buffer.
+func (c *Codec) Encode(dst []byte, p *Pose) []byte {
+	start := len(dst)
+	dst = slices.Grow(dst, c.WireLen())[:start+c.WireLen()]
+	out := dst[start:]
 	out[0] = 0xA7 // format tag
 	out[1] = 1    // version
 	off := 2
@@ -223,49 +228,45 @@ func (c *Codec) Encode(p *Pose) []byte {
 		copy(out[off+5:], p.Fingers[1][:])
 		off += 10
 	}
-	for i := 0; i < c.FaceCoeffs; i++ {
-		if i < len(p.Face) {
-			out[off+i] = p.Face[i]
-		}
-	}
-	return out
+	n := copy(out[off:], p.Face[:min(len(p.Face), c.FaceCoeffs)])
+	clear(out[off+n:])
+	return dst
 }
 
 var errBadAvatar = errors.New("avatar: malformed pose payload")
 
-// Decode parses a payload produced by the same codec.
-func (c *Codec) Decode(b []byte) (*Pose, error) {
+// Decode parses a payload produced by the same codec into p. It reuses
+// p.Body and p.Face and zeroes every field the codec does not carry, so
+// one Pose can take every update. On error p is unchanged.
+func (c *Codec) Decode(b []byte, p *Pose) error {
 	if len(b) != c.WireLen() || b[0] != 0xA7 || b[1] != 1 {
-		return nil, errBadAvatar
+		return errBadAvatar
 	}
-	p := &Pose{}
 	off := 2
 	p.Head = getJoint(b[off:])
 	off += jointWireLen
 	p.Torso = getJoint(b[off:])
 	off += jointWireLen
+	p.Hands = [2]Joint{}
 	if c.HasArms {
 		p.Hands[0] = getJoint(b[off:])
 		off += jointWireLen
 		p.Hands[1] = getJoint(b[off:])
 		off += jointWireLen
 	}
-	if c.BodyJoints > 0 {
-		p.Body = make([]Joint, c.BodyJoints)
-		for i := range p.Body {
-			p.Body[i] = getJoint(b[off:])
-			off += jointWireLen
-		}
+	p.Body = p.Body[:0]
+	for i := 0; i < c.BodyJoints; i++ {
+		p.Body = append(p.Body, getJoint(b[off:]))
+		off += jointWireLen
 	}
+	p.Fingers = [2][5]uint8{}
 	if c.HasFingers {
 		copy(p.Fingers[0][:], b[off:off+5])
 		copy(p.Fingers[1][:], b[off+5:off+10])
 		off += 10
 	}
-	if c.FaceCoeffs > 0 {
-		p.Face = append([]uint8(nil), b[off:off+c.FaceCoeffs]...)
-	}
-	return p, nil
+	p.Face = append(p.Face[:0], b[off:off+c.FaceCoeffs]...)
+	return nil
 }
 
 // The five platform embodiments, calibrated against Table 3's avatar

@@ -1,6 +1,7 @@
 package avatar
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -33,62 +34,119 @@ func TestQuatYawRoundTrip(t *testing.T) {
 	}
 }
 
+var allCodecs = []*Codec{AltspaceVRCodec, HubsCodec, RecRoomCodec, VRChatCodec, WorldsCodec}
+
 func TestCodecRoundTripAllPlatforms(t *testing.T) {
-	codecs := []*Codec{AltspaceVRCodec, HubsCodec, RecRoomCodec, VRChatCodec, WorldsCodec}
 	src := samplePose()
-	for _, c := range codecs {
-		b := c.Encode(src)
+	worlds := WorldsCodec.Encode(nil, src)
+	var reused Pose
+	dirty := make([]byte, len(worlds))
+	for _, c := range allCodecs {
+		b := c.Encode(nil, src)
 		if len(b) != c.WireLen() {
 			t.Fatalf("%s: encoded %d bytes, WireLen %d", c.Name, len(b), c.WireLen())
 		}
-		got, err := c.Decode(b)
-		if err != nil {
+		// Encoding into a used buffer writes every byte it appends, also
+		// where the pose lacks the body joints and face the codec carries.
+		for _, p := range []*Pose{src, {}} {
+			for i := range dirty {
+				dirty[i] = 0xff
+			}
+			if !bytes.Equal(c.Encode(dirty[:0], p), c.Encode(nil, p)) {
+				t.Fatalf("%s: encoding into a used buffer kept its old bytes", c.Name)
+			}
+		}
+		got := &Pose{}
+		if err := c.Decode(b, got); err != nil {
 			t.Fatalf("%s: decode: %v", c.Name, err)
 		}
-		// Head position survives quantization to ~1mm.
-		for i := 0; i < 3; i++ {
-			if math.Abs(got.Head.Pos[i]-src.Head.Pos[i]) > 0.001 {
-				t.Fatalf("%s: head pos %d drifted: %v vs %v", c.Name, i, got.Head.Pos[i], src.Head.Pos[i])
-			}
+		checkDecoded(t, c, src, got)
+		// A Worlds decode fills every field; decoding c's payload over it
+		// must clear what c does not carry.
+		if err := WorldsCodec.Decode(worlds, &reused); err != nil {
+			t.Fatal(err)
 		}
-		// Yaw survives to ~0.1°.
-		if math.Abs(got.Head.Rot.YawDeg()-45) > 0.1 {
-			t.Fatalf("%s: head yaw = %v", c.Name, got.Head.Rot.YawDeg())
+		if err := c.Decode(b, &reused); err != nil {
+			t.Fatalf("%s: decode into a reused pose: %v", c.Name, err)
 		}
-		if c.HasArms {
-			if math.Abs(got.Hands[0].Pos[0]-1.0) > 0.001 {
-				t.Fatalf("%s: hand pos lost", c.Name)
-			}
-		} else if got.Hands[0] != (Joint{}) {
-			t.Fatalf("%s: armless codec decoded hands", c.Name)
+		checkDecoded(t, c, src, &reused)
+	}
+}
+
+// checkDecoded checks got, c's decode of src: what c carries survives
+// quantization, and what c lacks reads zero or empty.
+func checkDecoded(t *testing.T, c *Codec, src, got *Pose) {
+	t.Helper()
+	// Head position survives quantization to ~1mm.
+	for i := 0; i < 3; i++ {
+		if math.Abs(got.Head.Pos[i]-src.Head.Pos[i]) > 0.001 {
+			t.Fatalf("%s: head pos %d drifted: %v vs %v", c.Name, i, got.Head.Pos[i], src.Head.Pos[i])
 		}
-		if c.FaceCoeffs > 0 {
-			if got.Face[ExprSmile] != 128 {
-				t.Fatalf("%s: face coeff lost", c.Name)
-			}
-		} else if len(got.Face) != 0 {
-			t.Fatalf("%s: faceless codec decoded face", c.Name)
+	}
+	// Yaw survives to ~0.1°.
+	if math.Abs(got.Head.Rot.YawDeg()-45) > 0.1 {
+		t.Fatalf("%s: head yaw = %v", c.Name, got.Head.Rot.YawDeg())
+	}
+	if c.HasArms {
+		if math.Abs(got.Hands[0].Pos[0]-1.0) > 0.001 {
+			t.Fatalf("%s: hand pos lost", c.Name)
 		}
-		if c.HasFingers && got.Fingers != src.Fingers {
-			t.Fatalf("%s: fingers lost", c.Name)
+	} else if got.Hands != ([2]Joint{}) {
+		t.Fatalf("%s: armless codec decoded hands", c.Name)
+	}
+	if len(got.Face) != c.FaceCoeffs {
+		t.Fatalf("%s: decoded %d face coefficients, want %d", c.Name, len(got.Face), c.FaceCoeffs)
+	}
+	if c.FaceCoeffs > 0 && got.Face[ExprSmile] != 128 {
+		t.Fatalf("%s: face coeff lost", c.Name)
+	}
+	if c.HasFingers && got.Fingers != src.Fingers {
+		t.Fatalf("%s: fingers lost", c.Name)
+	} else if !c.HasFingers && got.Fingers != ([2][5]uint8{}) {
+		t.Fatalf("%s: fingerless codec decoded fingers", c.Name)
+	}
+	if len(got.Body) != c.BodyJoints {
+		t.Fatalf("%s: decoded %d body joints, want %d", c.Name, len(got.Body), c.BodyJoints)
+	}
+	if c.BodyJoints > 0 && math.Abs(got.Body[3].Pos[0]-0.3) > 0.001 {
+		t.Fatalf("%s: body joint lost", c.Name)
+	}
+}
+
+// TestCodecAllocFree: encoding into a warmed buffer and decoding into a
+// warmed pose allocate nothing, for every codec.
+func TestCodecAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc bound only holds without -race")
+	}
+	src := samplePose()
+	for _, c := range allCodecs {
+		buf := c.Encode(nil, src)
+		var got Pose
+		if err := c.Decode(buf, &got); err != nil {
+			t.Fatalf("%s: decode: %v", c.Name, err)
 		}
-		if c.BodyJoints > 0 && math.Abs(got.Body[3].Pos[0]-0.3) > 0.001 {
-			t.Fatalf("%s: body joint lost", c.Name)
+		if allocs := testing.AllocsPerRun(100, func() { buf = c.Encode(buf[:0], src) }); allocs != 0 {
+			t.Errorf("%s: Encode allocates %.1f, want 0", c.Name, allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _ = c.Decode(buf, &got) }); allocs != 0 {
+			t.Errorf("%s: Decode allocates %.1f, want 0", c.Name, allocs)
 		}
 	}
 }
 
 func TestDecodeRejectsCorruptPayloads(t *testing.T) {
-	b := VRChatCodec.Encode(samplePose())
-	if _, err := VRChatCodec.Decode(b[:len(b)-1]); err == nil {
+	b := VRChatCodec.Encode(nil, samplePose())
+	var p Pose
+	if err := VRChatCodec.Decode(b[:len(b)-1], &p); err == nil {
 		t.Fatal("short payload accepted")
 	}
 	bad := append([]byte(nil), b...)
 	bad[0] = 0
-	if _, err := VRChatCodec.Decode(bad); err == nil {
+	if err := VRChatCodec.Decode(bad, &p); err == nil {
 		t.Fatal("bad tag accepted")
 	}
-	if _, err := WorldsCodec.Decode(b); err == nil {
+	if err := WorldsCodec.Decode(b, &p); err == nil {
 		t.Fatal("cross-codec decode accepted")
 	}
 }
@@ -153,9 +211,8 @@ func TestPropertyQuantizationBounded(t *testing.T) {
 		// Restrict to the representable room size.
 		clip := func(v float64) float64 { return math.Mod(v, 20) }
 		src := &Pose{Head: Joint{Pos: [3]float64{clip(x), clip(y), clip(z)}, Rot: QuatFromYawDeg(math.Mod(yaw, 180))}}
-		b := AltspaceVRCodec.Encode(src)
-		got, err := AltspaceVRCodec.Decode(b)
-		if err != nil {
+		var got Pose
+		if err := AltspaceVRCodec.Decode(AltspaceVRCodec.Encode(nil, src), &got); err != nil {
 			return false
 		}
 		for i := 0; i < 3; i++ {

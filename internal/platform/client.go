@@ -46,7 +46,7 @@ type Client struct {
 	ctrlReader *secure.MsgReader
 
 	dataSock *transport.UDPSocket
-	dataEP   packet.Endpoint
+	dataEP   packet.Endpoint // dataSock's server: the data server, or the SFU on web platforms
 	voice    *rtpx.Stream
 
 	lbIndex     int
@@ -71,9 +71,17 @@ type Client struct {
 	lastDownAt time.Duration
 	sawDown    bool
 
-	gesture       avatar.Gesture
-	gestureUntil  time.Duration
-	pendingAction uint32
+	gesture      avatar.Gesture
+	gestureUntil time.Duration
+
+	// The avatar path's reused state: pose3D fills pose and sendAvatar
+	// encodes it into txBuf (and, on web platforms, wraps that in envBuf);
+	// sendSeq builds its frames in txBuf too. handleForward decodes every
+	// remote update into rxPose.
+	pose   avatar.Pose
+	rxPose avatar.Pose
+	txBuf  []byte
+	envBuf []byte
 
 	stops    []func()
 	menuStop func()
@@ -109,6 +117,8 @@ func NewClient(d *Deployment, name Name, user, siteName string, hostOctet int) *
 		space:   world.NewSpace(20),
 		remotes: make(map[string]*remoteAvatar),
 	}
+	c.pose.Body = make([]avatar.Joint, p.Codec.BodyJoints)
+	c.pose.Face = make([]uint8, p.Codec.FaceCoeffs)
 	c.Headset = device.NewHeadset(device.Quest2, p.Cost, c.rng)
 	c.Headset.AvatarsInScene = 1
 	// Each headset has its own unsynchronized clock (the §7 challenge).
@@ -217,16 +227,16 @@ func (c *Client) JoinEvent(room string) {
 		sock, err := c.Stack.BindUDP(0)
 		if err == nil {
 			c.dataSock = sock
-			sfu := c.Dep.VoiceEndpoint(p, c.Host.Site)
+			c.dataEP = c.Dep.VoiceEndpoint(p, c.Host.Site)
 			if c.UsePrivateHubs && c.Dep.privateHubsSFU.Addr != 0 {
-				sfu = c.Dep.privateHubsSFU
+				c.dataEP = c.Dep.privateHubsSFU
 			}
 			hello, err := marshalHello(helloMsg{Room: room, User: c.User})
 			if err != nil {
 				panic(fmt.Sprintf("platform: JoinEvent(%q): %v", room, err))
 			}
-			sock.SendTo(sfu, hello)
-			c.voice = rtpx.NewStream(c.Dep.Sched, sock, sfu, uint32(c.lbIndex), true)
+			sock.SendTo(c.dataEP, hello)
+			c.voice = rtpx.NewStream(c.Dep.Sched, sock, c.dataEP, uint32(c.lbIndex), true)
 			c.voice.OnVoice = func(seq uint16, payload []byte) { c.VoiceFwdReceived++ }
 		}
 	} else {
@@ -260,7 +270,7 @@ func (c *Client) startEventTickers() {
 		if c.walker != nil {
 			c.walker.Step(avatarInterval.Seconds())
 		}
-		c.sendAvatar(0, 0)
+		c.sendAvatar(0)
 	}))
 
 	// Heartbeat/state uplink.
@@ -269,7 +279,7 @@ func (c *Client) startEventTickers() {
 		wire := payload + 5 + 33
 		iv := time.Duration(float64(wire*8) / p.Traffic.HeartbeatUpBps * float64(time.Second))
 		c.stops = append(c.stops, sched.Ticker(iv, func() {
-			c.sendData(marshalSeq(seqMsg{Kind: kindTelemetry, Seq: 0, Size: payload}))
+			c.sendSeq(seqMsg{Kind: kindTelemetry, Seq: 0, Size: payload})
 		}))
 	}
 	if p.Traffic.HeartbeatUpBps > 0 && p.WebData {
@@ -289,7 +299,7 @@ func (c *Client) startEventTickers() {
 		var tseq uint32
 		c.stops = append(c.stops, sched.Ticker(iv, func() {
 			tseq++
-			c.sendData(marshalSeq(seqMsg{Kind: kindTelemetry, Seq: tseq, Size: payload}))
+			c.sendSeq(seqMsg{Kind: kindTelemetry, Seq: tseq, Size: payload})
 		}))
 	}
 
@@ -308,7 +318,7 @@ func (c *Client) startEventTickers() {
 			c.stops = append(c.stops, sched.Ticker(20*time.Millisecond, func() {
 				if c.talking && !c.udpDead {
 					vseq++
-					c.sendData(marshalSeq(seqMsg{Kind: kindVoice, Seq: vseq, Size: 80}))
+					c.sendSeq(seqMsg{Kind: kindVoice, Seq: vseq, Size: 80})
 				}
 			}))
 		}
@@ -325,7 +335,7 @@ func (c *Client) startEventTickers() {
 				return
 			}
 			gseq++
-			c.sendData(marshalSeq(seqMsg{Kind: kindGame, Seq: gseq, Size: payload}))
+			c.sendSeq(seqMsg{Kind: kindGame, Seq: gseq, Size: payload})
 		}))
 	}
 }
@@ -365,39 +375,37 @@ func (c *Client) sendData(payload []byte) bool {
 	}
 	// Under downlink pressure the client spends its cycles on recovery and
 	// skips send ticks, producing the uplink fluctuation of Figure 12(a).
-	if c.recoverFrac > 0.05 && c.rng.Float64() < minf(0.6, 1.2*c.recoverFrac) {
+	if c.recoverFrac > 0.05 && c.rng.Float64() < min(0.6, 1.2*c.recoverFrac) {
 		return false
 	}
 	c.dataSock.SendTo(c.dataEP, payload)
 	return true
 }
 
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
+// sendSeq sends one seq filler frame through sendData.
+func (c *Client) sendSeq(m seqMsg) {
+	c.txBuf = appendSeq(c.txBuf[:0], m)
+	c.sendData(c.txBuf)
 }
 
 // sendAvatar emits one pose update. A non-zero actionID marks the update
-// for the latency rig. senderDelayed is the local-clock trigger time.
-func (c *Client) sendAvatar(actionID uint32, triggeredLocal time.Duration) {
+// for the latency rig.
+func (c *Client) sendAvatar(actionID uint32) {
 	if !c.InEvent {
 		return
 	}
-	pose := c.pose3D()
-	encoded := c.Profile.Codec.Encode(pose)
+	c.pose3D()
 	// The sequence number advances only on actual transmission: a tick
 	// skipped by the TCP-priority gate or the recovery loop is a rate
 	// reduction, not wire loss, and must not read as a gap downstream.
-	am := avatarMsg{Seq: c.seq + 1, ActionID: actionID, SentAtUs: int64(c.ReadClock() / time.Microsecond), Pose: encoded}
+	c.txBuf = appendAvatar(c.txBuf[:0], avatarMsg{Seq: c.seq + 1, ActionID: actionID, SentAtUs: int64(c.ReadClock() / time.Microsecond)})
+	c.txBuf = c.Profile.Codec.Encode(c.txBuf, &c.pose)
 	if actionID != 0 {
 		c.Dep.Trace(actionID).SentAt = c.Dep.Sched.Now()
 		c.Dep.Net.Tracer.Action(c.Dep.Sched.Now(), uint64(actionID), c.Host.ID, "send")
-		_ = triggeredLocal
 	}
 	if c.Profile.WebData {
-		body, err := jsonEnvelope(marshalAvatar(am))
+		body, err := appendEnvelope(c.envBuf[:0], c.txBuf)
 		if err != nil {
 			// A pose too large for the envelope's 16-bit length prefix:
 			// drop the update (a rate reduction, like the send gates above)
@@ -405,18 +413,20 @@ func (c *Client) sendAvatar(actionID uint32, triggeredLocal time.Duration) {
 			c.Dep.Metrics().Inc("platform.wire_marshal_err")
 			return
 		}
+		c.envBuf = body
 		c.ctrl.SendMsg(secure.MsgPush, body)
 		c.seq++
 		return
 	}
-	if c.sendData(marshalAvatar(am)) {
+	if c.sendData(c.txBuf) {
 		c.seq++
 	}
 }
 
-// pose3D builds the tracked 3D pose from the user's 2D world pose, with
-// idle hand sway and the active gesture applied.
-func (c *Client) pose3D() *avatar.Pose {
+// pose3D fills c.pose, the tracked 3D pose, from the user's 2D world pose,
+// with idle hand sway and the active gesture applied. It draws the sway of
+// hand 0, then hand 1, then each body joint from c.rng.
+func (c *Client) pose3D() {
 	wp, _ := c.space.PoseOf(c.User)
 	rot := avatar.QuatFromYawDeg(wp.Yaw)
 	sway := func() [3]float64 {
@@ -426,22 +436,24 @@ func (c *Client) pose3D() *avatar.Pose {
 			wp.Pos.Y + c.rng.Float64()*0.1 - 0.05,
 		}
 	}
-	p := &avatar.Pose{
-		Head:  avatar.Joint{Pos: [3]float64{wp.Pos.X, 1.7, wp.Pos.Y}, Rot: rot},
-		Torso: avatar.Joint{Pos: [3]float64{wp.Pos.X, 1.2, wp.Pos.Y}, Rot: rot},
-		Hands: [2]avatar.Joint{{Pos: sway(), Rot: rot}, {Pos: sway(), Rot: rot}},
-		Face:  make([]uint8, 104),
+	p := &c.pose
+	p.Head = avatar.Joint{Pos: [3]float64{wp.Pos.X, 1.7, wp.Pos.Y}, Rot: rot}
+	p.Torso = avatar.Joint{Pos: [3]float64{wp.Pos.X, 1.2, wp.Pos.Y}, Rot: rot}
+	for i := range p.Hands {
+		p.Hands[i] = avatar.Joint{Pos: sway(), Rot: rot}
 	}
-	for i := 0; i < c.Profile.Codec.BodyJoints; i++ {
-		p.Body = append(p.Body, avatar.Joint{Pos: sway(), Rot: rot})
+	for i := range p.Body {
+		p.Body[i] = avatar.Joint{Pos: sway(), Rot: rot}
 	}
+	// A gesture lasts until gestureUntil: clear what the last one set.
+	p.Fingers = [2][5]uint8{}
+	clear(p.Face)
 	if c.gesture != avatar.GestureNone && c.Dep.Sched.Now() < c.gestureUntil {
 		p.ApplyGesture(c.gesture)
 		if c.gesture == avatar.GestureThumbsUp {
 			p.Fingers = [2][5]uint8{{10, 255, 255, 255, 255}, {128, 128, 128, 128, 128}}
 		}
 	}
-	return p
 }
 
 // PerformGesture holds a controller gesture for two seconds; on platforms
@@ -466,7 +478,7 @@ func (c *Client) PerformAction() uint32 {
 		delay = 1
 	}
 	c.Dep.Sched.PostAfter(time.Duration(delay*float64(time.Millisecond)), func() {
-		c.sendAvatar(id, tr.TriggeredAtLocal)
+		c.sendAvatar(id)
 	})
 	return id
 }
@@ -514,18 +526,20 @@ func (c *Client) onDatagram(src packet.Endpoint, payload []byte) {
 	}
 }
 
-// handleForward integrates another user's avatar update.
+// handleForward integrates another user's avatar update. f's views are
+// valid only during the call.
 func (c *Client) handleForward(f forwardMsg) {
 	now := c.Dep.Sched.Now()
-	r, ok := c.remotes[f.User]
+	r, ok := c.remotes[string(f.User)]
 	if !ok {
 		r = &remoteAvatar{}
-		c.remotes[f.User] = r
+		c.remotes[string(f.User)] = r
 	}
-	if pose, err := c.Profile.Codec.Decode(f.Pose); err == nil {
+	if err := c.Profile.Codec.Decode(f.Pose, &c.rxPose); err == nil {
+		head := c.rxPose.Head
 		r.pose = world.Pose{
-			Pos: world.Vec2{X: pose.Head.Pos[0], Y: pose.Head.Pos[2]},
-			Yaw: world.NormalizeDeg(pose.Head.Rot.YawDeg()),
+			Pos: world.Vec2{X: head.Pos[0], Y: head.Pos[2]},
+			Yaw: world.NormalizeDeg(head.Rot.YawDeg()),
 		}
 	}
 	r.lastAt = now
@@ -535,10 +549,10 @@ func (c *Client) handleForward(f forwardMsg) {
 	// this client's CPU and uplink (§8.1).
 	c.trackLoss(&r.lastSeq, f.Seq)
 
-	if f.ActionID != 0 {
-		rt := c.Dep.Trace(f.ActionID).Receiver(c.User)
+	if id := f.ActionID; id != 0 {
+		rt := c.Dep.Trace(id).Receiver(c.User)
 		rt.ReceivedAt = now
-		c.Dep.Net.Tracer.Action(now, uint64(f.ActionID), c.Host.ID, "recv")
+		c.Dep.Net.Tracer.Action(now, uint64(id), c.Host.ID, "recv")
 		L := c.Profile.Latency
 		n := len(c.remotes) + 1
 		procMs := L.ReceiverMs + L.PerUserReceiverMs*float64(max(0, n-2)) + c.rng.NormFloat64()*L.ReceiverJitterMs*0.8
@@ -552,9 +566,9 @@ func (c *Client) handleForward(f forwardMsg) {
 		c.Dep.Sched.PostAfter(delay, func() {
 			rt.DisplayedAtLocal = c.ReadClock()
 			rt.Displayed = true
-			c.Dep.Net.Tracer.Action(c.Dep.Sched.Now(), uint64(f.ActionID), c.Host.ID, "display")
+			c.Dep.Net.Tracer.Action(c.Dep.Sched.Now(), uint64(id), c.Host.ID, "display")
 			if c.OnActionDisplayed != nil {
-				c.OnActionDisplayed(f.ActionID, rt.DisplayedAtLocal)
+				c.OnActionDisplayed(id, rt.DisplayedAtLocal)
 			}
 		})
 	}
@@ -591,7 +605,7 @@ func (c *Client) sceneTick() {
 			c.recoverFrac *= 0.5
 		}
 		c.lostPkts, c.gotPkts = 0, 0
-		c.Headset.ExtraCPUms = minf(14, 30*c.recoverFrac)
+		c.Headset.ExtraCPUms = min(14, 30*c.recoverFrac)
 		c.Headset.GPUReliefms = 4 * c.recoverFrac
 
 		// Frozen-session detector: sustained downlink silence kills the
@@ -610,7 +624,7 @@ func (c *Client) SetGame(on bool) {
 	if on && !c.Profile.WebData && c.dataSock != nil {
 		// Announce game participation so the server starts the downlink
 		// game stream.
-		c.sendData(marshalSeq(seqMsg{Kind: kindGame, Seq: 0, Size: 40}))
+		c.sendSeq(seqMsg{Kind: kindGame, Seq: 0, Size: 40})
 	}
 }
 
@@ -691,10 +705,15 @@ func (c *Client) FreshRemotes() int {
 	return n
 }
 
-// Leave exits the event and stops all event tickers.
+// Leave exits the event and stops all event tickers. The data server
+// drops the user from the room; on web platforms the control server does,
+// and the SFU forgets the voice endpoint.
 func (c *Client) Leave() {
-	if c.dataSock != nil && !c.Profile.WebData {
+	if c.dataSock != nil {
 		c.dataSock.SendTo(c.dataEP, []byte{kindLeave})
+	}
+	if c.Profile.WebData && c.ctrl != nil {
+		c.request(reqLeave, nil)
 	}
 	c.InEvent = false
 	for _, s := range c.stops {

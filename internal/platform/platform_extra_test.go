@@ -30,10 +30,11 @@ func TestGestureDrivesRemoteExpression(t *testing.T) {
 			return
 		}
 		f, err := parseForward(pk.Payload)
-		if err != nil || f.User != "u1" {
+		if err != nil || string(f.User) != "u1" {
 			return
 		}
-		if pose, err := codec.Decode(f.Pose); err == nil {
+		var pose avatar.Pose
+		if err := codec.Decode(f.Pose, &pose); err == nil {
 			lastFace = pose.Face
 			lastFingers = pose.Fingers
 		}
@@ -50,6 +51,13 @@ func TestGestureDrivesRemoteExpression(t *testing.T) {
 	}
 	if g := avatar.RecognizeGesture(&avatar.Pose{Face: lastFace, Fingers: lastFingers, Hands: [2]avatar.Joint{{Rot: avatar.QuatFromYawDeg(10)}}}); g != avatar.GestureThumbsUp {
 		t.Fatalf("gesture not recognizable from the wire pose: %v", g)
+	}
+	// The gesture lasts 2 s: afterwards the face and fingers relax. The
+	// client reuses one pose for every update, so this also checks that
+	// nothing of the gesture outlives its window.
+	sched.RunUntil(13 * time.Second)
+	if lastFace[avatar.ExprSmile] != 0 || lastFingers != ([2][5]uint8{}) {
+		t.Fatalf("gesture outlived its window: smile=%d fingers=%v", lastFace[avatar.ExprSmile], lastFingers)
 	}
 }
 

@@ -450,13 +450,47 @@ func TestWorldsGameModeRaisesRates(t *testing.T) {
 	}
 }
 
+// TestLeaveStopsTraffic: on every platform, a user who leaves stops
+// sending, the room stops listing them, and nothing reaches their host
+// afterwards: no avatar forwards, no voice, no other datagram. Everyone
+// talks, and the third user must still hear voice after the leave, so a
+// relay that kept the leaver listed would have had voice to send them.
 func TestLeaveStopsTraffic(t *testing.T) {
-	sched, _, cs := lab(t, VRChat, 2, 41)
-	sched.At(20*time.Second, func() { cs[1].Leave() })
-	sched.RunUntil(40 * time.Second)
-	before := cs[0].ForwardsReceived
-	sched.RunUntil(60 * time.Second)
-	if cs[0].ForwardsReceived > before+5 {
-		t.Fatalf("forwards kept arriving after leave: %d -> %d", before, cs[0].ForwardsReceived)
+	for _, p := range All() {
+		t.Run(string(p.Name), func(t *testing.T) {
+			sched, dep, cs := lab(t, p.Name, 3, 41)
+			for _, c := range cs {
+				c.Muted = false
+			}
+			leaver := cs[1]
+			sched.At(20*time.Second, leaver.Leave)
+			sched.RunUntil(21 * time.Second)
+			fwd, voice, heard := leaver.ForwardsReceived, leaver.VoiceFwdReceived, cs[2].VoiceFwdReceived
+			udp := 0
+			leaver.Host.Tap(func(_ time.Duration, dir netsim.Dir, wire []byte) {
+				if pk, err := packet.Decode(wire); err == nil && dir == netsim.DirDown && pk.UDP != nil {
+					udp++
+				}
+			})
+			sched.RunUntil(120 * time.Second)
+			if r := cs[0].remotes["u2"]; r != nil && r.lastAt > 21*time.Second {
+				t.Errorf("u1 received u2's avatar at %v, after u2 left", r.lastAt)
+			}
+			if got := leaver.ForwardsReceived - fwd; got != 0 {
+				t.Errorf("the leaver received %d avatar forwards after leaving", got)
+			}
+			if got := leaver.VoiceFwdReceived - voice; got != 0 {
+				t.Errorf("the leaver received %d voice frames after leaving", got)
+			}
+			if udp != 0 {
+				t.Errorf("%d datagrams reached the leaver's host after leaving", udp)
+			}
+			if cs[2].VoiceFwdReceived == heard {
+				t.Error("u3 heard no voice after u2 left, so the relay had nothing to withhold")
+			}
+			if r := dep.Backend(p.Name).rooms["room-1"]; r.members["u2"] != nil || r.Size() != 2 {
+				t.Errorf("room lists %v after u2 left", r.order)
+			}
+		})
 	}
 }

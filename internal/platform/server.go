@@ -2,8 +2,10 @@ package platform
 
 import (
 	"encoding/binary"
+	"slices"
 	"time"
 
+	"github.com/svrlab/svrlab/internal/avatar"
 	"github.com/svrlab/svrlab/internal/netsim"
 	"github.com/svrlab/svrlab/internal/packet"
 	"github.com/svrlab/svrlab/internal/secure"
@@ -26,6 +28,13 @@ type Backend struct {
 	// decimation, when set, rate-limits forwards between distant avatars
 	// (the §6.2 ablation).
 	decimation *DecimationPolicy
+
+	// The backend decodes every upload into rxPose, and builds in txBuf
+	// every seq frame and, on web platforms, every forward before its
+	// envelope. A deployment has one backend per platform, driven by its
+	// lab's scheduler alone, so they are never shared.
+	rxPose avatar.Pose
+	txBuf  []byte
 }
 
 func newBackend(d *Deployment, p *Profile) *Backend {
@@ -75,7 +84,6 @@ type Member struct {
 	poseAt   time.Duration
 	prevPose world.Pose
 	prevAt   time.Duration
-	lastSeq  uint32
 
 	// Worlds session-keeping: the control channel's periodic TCP reports
 	// act as the liveness signal (§8.1).
@@ -175,7 +183,7 @@ func (b *Backend) startMemberStreams(m *Member) {
 				return
 			}
 			syncSeq++
-			b.sendToMember(m, marshalSeq(seqMsg{Kind: kindSync, Seq: syncSeq, Size: payload}))
+			b.sendSeq(m, seqMsg{Kind: kindSync, Seq: syncSeq, Size: payload})
 		}))
 	}
 
@@ -189,7 +197,7 @@ func (b *Backend) startMemberStreams(m *Member) {
 			b.leave(m)
 			return
 		}
-		b.sendToMember(m, marshalSeq(seqMsg{Kind: kindKeepalive, Seq: 0, Size: 8}))
+		b.sendSeq(m, seqMsg{Kind: kindKeepalive, Seq: 0, Size: 8})
 	}))
 
 	if p.Game.DownBps > 0 {
@@ -201,7 +209,7 @@ func (b *Backend) startMemberStreams(m *Member) {
 				return
 			}
 			gameSeq++
-			b.sendToMember(m, marshalSeq(seqMsg{Kind: kindGameDown, Seq: gameSeq, Size: payload}))
+			b.sendSeq(m, seqMsg{Kind: kindGameDown, Seq: gameSeq, Size: payload})
 		}))
 	}
 }
@@ -222,6 +230,12 @@ func (b *Backend) sendToMember(m *Member, payload []byte) {
 	}
 }
 
+// sendSeq sends one seq filler frame to a member.
+func (b *Backend) sendSeq(m *Member, msg seqMsg) {
+	b.txBuf = appendSeq(b.txBuf[:0], msg)
+	b.sendToMember(m, b.txBuf)
+}
+
 // serverDelay models per-message processing/queueing at the platform server
 // (§7): a base cost, jitter, and a per-user queueing term.
 func (b *Backend) serverDelay(r *Room, private bool) time.Duration {
@@ -238,35 +252,38 @@ func (b *Backend) serverDelay(r *Room, private bool) time.Duration {
 	return time.Duration(ms * float64(time.Millisecond))
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // handleAvatarUpload is the heart of every platform server: take one user's
 // avatar update and forward it to every other member — without aggregation
 // or downsampling. This direct forwarding is the root cause of the paper's
 // scalability findings (§6). AltspaceVR additionally applies the
 // viewport-adaptive filter.
-func (b *Backend) handleAvatarUpload(m *Member, am avatarMsg, private bool) {
+//
+// frame is the avatar frame as received, valid only during the call. The
+// delayed send keeps the forward built here from frame, or on web
+// platforms its envelope: the one buffer an upload allocates.
+func (b *Backend) handleAvatarUpload(m *Member, frame []byte, private bool) {
+	am, err := parseAvatar(frame)
+	if err != nil {
+		b.dep.Metrics().Inc("platform.wire_parse_err")
+		return
+	}
 	p := b.profile
 	// The server decodes the pose to track position/orientation (needed
 	// for the viewport filter and room state).
-	if pose, err := p.Codec.Decode(am.Pose); err == nil {
+	if err := p.Codec.Decode(am.Pose, &b.rxPose); err == nil {
+		head := b.rxPose.Head
 		m.prevPose, m.prevAt = m.pose, m.poseAt
 		m.pose = world.Pose{
-			Pos: world.Vec2{X: pose.Head.Pos[0], Y: pose.Head.Pos[2]},
-			Yaw: world.NormalizeDeg(pose.Head.Rot.YawDeg()),
+			Pos: world.Vec2{X: head.Pos[0], Y: head.Pos[2]},
+			Yaw: world.NormalizeDeg(head.Rot.YawDeg()),
 		}
 		m.poseAt = b.dep.Sched.Now()
 	}
-	m.lastSeq = am.Seq
+	id, seq := am.ActionID, am.Seq
 
-	if am.ActionID != 0 {
-		b.dep.Trace(am.ActionID).ServerInAt = b.dep.Sched.Now()
-		b.dep.Net.Tracer.Action(b.dep.Sched.Now(), uint64(am.ActionID), b.traceTrack(m), "server_in")
+	if id != 0 {
+		b.dep.Trace(id).ServerInAt = b.dep.Sched.Now()
+		b.dep.Net.Tracer.Action(b.dep.Sched.Now(), uint64(id), b.traceTrack(m), "server_in")
 	}
 
 	room := m.room
@@ -274,24 +291,25 @@ func (b *Backend) handleAvatarUpload(m *Member, am avatarMsg, private bool) {
 		return
 	}
 	delay := b.serverDelay(room, private)
-	fwd, err := marshalForward(forwardMsg{User: m.User, avatarMsg: am})
+	var fwd []byte
+	if p.WebData {
+		if b.txBuf, err = appendForward(b.txBuf[:0], m.User, frame); err == nil {
+			fwd, err = appendEnvelope(nil, b.txBuf)
+		}
+	} else {
+		fwd, err = appendForward(nil, m.User, frame)
+	}
 	if err != nil {
-		// Unreachable for members admitted through parseHello (names are
-		// length-prefix bounded there), but never forward a truncated frame.
+		// Never forward a truncated frame. parseHello bounds member
+		// names, but a near-maximal web frame plus the forward header can
+		// outgrow the envelope's 16-bit length prefix.
 		b.dep.Metrics().Inc("platform.wire_marshal_err")
 		return
 	}
-	var fwdWeb []byte
-	if p.WebData {
-		if fwdWeb, err = jsonEnvelope(fwd); err != nil {
-			b.dep.Metrics().Inc("platform.wire_marshal_err")
-			return
-		}
-	}
 	b.dep.Sched.PostAfter(delay, func() {
-		if am.ActionID != 0 {
-			b.dep.Trace(am.ActionID).ServerOutAt = b.dep.Sched.Now()
-			b.dep.Net.Tracer.Action(b.dep.Sched.Now(), uint64(am.ActionID), b.traceTrack(m), "server_out")
+		if id != 0 {
+			b.dep.Trace(id).ServerOutAt = b.dep.Sched.Now()
+			b.dep.Net.Tracer.Action(b.dep.Sched.Now(), uint64(id), b.traceTrack(m), "server_out")
 		}
 		for _, user := range room.order {
 			o := room.members[user]
@@ -318,12 +336,12 @@ func (b *Backend) handleAvatarUpload(m *Member, am avatarMsg, private bool) {
 			}
 			// Update-rate decimation for non-interacting avatars (§6.2
 			// ablation; no measured platform does this).
-			if b.decimated(m, o, am.Seq) {
+			if b.decimated(m, o, seq) {
 				continue
 			}
 			if p.WebData {
 				if o.ctrl != nil {
-					o.ctrl.push(fwdWeb)
+					o.ctrl.push(fwd)
 				}
 			} else {
 				b.deliverCrossInstance(m, o, fwd)
@@ -443,12 +461,7 @@ func (s *DataServer) onDatagram(src packet.Endpoint, payload []byte) {
 		if m == nil {
 			return
 		}
-		am, err := parseAvatar(payload)
-		if err != nil {
-			s.dep.Metrics().Inc("platform.wire_parse_err")
-			return
-		}
-		s.be.handleAvatarUpload(m, am, false)
+		s.be.handleAvatarUpload(m, payload, false)
 	case kindVoice:
 		// Parse before slicing: a voice datagram shorter than the seq
 		// header used to panic on payload[5:].
@@ -542,8 +555,6 @@ func parseCtrlReq(b []byte) (reqType byte, user, room string, rest []byte, err e
 	return reqType, user, room, b[3+ul+rl:], nil
 }
 
-const reqJoin = 6
-
 func (cs *ctrlSession) onMsg(kind byte, body []byte) {
 	s := cs.srv
 	switch kind {
@@ -565,7 +576,7 @@ func (cs *ctrlSession) onMsg(kind byte, body []byte) {
 			}
 			// The response carries the server clock — the clock-sync role
 			// the paper infers for Worlds' periodic TCP transfers (§8.1).
-			resp := make([]byte, maxInt(s.profile.Traffic.ReportDownBytes, 12))
+			resp := make([]byte, max(s.profile.Traffic.ReportDownBytes, 12))
 			binary.BigEndian.PutUint64(resp[:8], uint64(s.dep.Sched.Now()))
 			cs.respond(resp)
 		case reqClockSync:
@@ -575,6 +586,8 @@ func (cs *ctrlSession) onMsg(kind byte, body []byte) {
 		case reqJoin:
 			s.be.join(room, user, nil, packet.Endpoint{}, cs)
 			cs.respond(make([]byte, 2_000))
+		case reqLeave:
+			s.be.leave(cs.member)
 		case reqAsset:
 			if len(rest) >= 4 {
 				// A 4-byte field must not be able to demand a multi-GiB
@@ -598,24 +611,12 @@ func (cs *ctrlSession) onMsg(kind byte, body []byte) {
 			s.dep.Metrics().Inc("platform.wire_parse_err")
 			return
 		}
-		am, err := parseAvatar(inner)
-		if err != nil {
-			s.dep.Metrics().Inc("platform.wire_parse_err")
-			return
-		}
-		s.be.handleAvatarUpload(cs.member, am, s.isPrivate)
+		s.be.handleAvatarUpload(cs.member, inner, s.isPrivate)
 	}
 }
 
 func (cs *ctrlSession) respond(body []byte) {
 	cs.sess.SendMsg(secure.MsgResponse, body)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ---------------------------------------------------------------------------
@@ -688,7 +689,8 @@ func (s *SFUServer) onDatagram(src packet.Endpoint, payload []byte) {
 	if len(payload) == 0 {
 		return
 	}
-	if payload[0] == kindHello {
+	switch payload[0] {
+	case kindHello:
 		h, err := parseHello(payload)
 		if err != nil {
 			s.dep.Metrics().Inc("platform.wire_parse_err")
@@ -698,6 +700,13 @@ func (s *SFUServer) onDatagram(src packet.Endpoint, payload []byte) {
 			s.members[src] = h.User
 			s.rooms[h.Room] = append(s.rooms[h.Room], src)
 			s.roomOf[src] = h.Room
+		}
+		return
+	case kindLeave:
+		if room, known := s.roomOf[src]; known {
+			s.rooms[room] = slices.DeleteFunc(s.rooms[room], func(ep packet.Endpoint) bool { return ep == src })
+			delete(s.roomOf, src)
+			delete(s.members, src)
 		}
 		return
 	}

@@ -10,12 +10,21 @@
 // frame is byte-identical to the input. Marshalers return explicit errors
 // where a field would otherwise silently truncate (names longer than the
 // 255-byte length prefix, envelope payloads beyond the 16-bit prefix).
+//
+// The avatar path allocates nothing it does not keep (DESIGN §4.7).
+// parseAvatar, parseForward and fromJSONEnvelope return views of the frame
+// they parse, not copies: a view is valid only while the frame is, which
+// for a datagram or a message handed to a handler is the handler call. The
+// append* writers add a frame to a caller's buffer, so a sender can reuse
+// one buffer for every frame; the fabric and secure.Session.SendMsg copy a
+// payload before they return.
 package platform
 
 import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 )
 
 // Data-channel message kinds.
@@ -40,6 +49,8 @@ const (
 	reqReport    = 3
 	reqClockSync = 4
 	reqAsset     = 5
+	reqJoin      = 6 // web platforms: join a room over the control channel
+	reqLeave     = 7 // web platforms: leave it
 )
 
 var (
@@ -95,16 +106,18 @@ type avatarMsg struct {
 
 const avatarHdrLen = 1 + 4 + 4 + 8
 
-func marshalAvatar(m avatarMsg) []byte {
-	out := make([]byte, avatarHdrLen+len(m.Pose))
-	out[0] = kindAvatar
-	binary.BigEndian.PutUint32(out[1:], m.Seq)
-	binary.BigEndian.PutUint32(out[5:], m.ActionID)
-	binary.BigEndian.PutUint64(out[9:], uint64(m.SentAtUs))
-	copy(out[avatarHdrLen:], m.Pose)
-	return out
+// appendAvatar appends m's frame to dst. The client appends the header
+// alone (a nil Pose) and encodes the pose behind it.
+func appendAvatar(dst []byte, m avatarMsg) []byte {
+	dst = slices.Grow(dst, avatarHdrLen+len(m.Pose))
+	dst = append(dst, kindAvatar)
+	dst = binary.BigEndian.AppendUint32(dst, m.Seq)
+	dst = binary.BigEndian.AppendUint32(dst, m.ActionID)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(m.SentAtUs))
+	return append(dst, m.Pose...)
 }
 
+// parseAvatar returns m.Pose as a view of b.
 func parseAvatar(b []byte) (avatarMsg, error) {
 	if len(b) < avatarHdrLen || b[0] != kindAvatar {
 		return avatarMsg{}, errWire
@@ -113,28 +126,31 @@ func parseAvatar(b []byte) (avatarMsg, error) {
 		Seq:      binary.BigEndian.Uint32(b[1:]),
 		ActionID: binary.BigEndian.Uint32(b[5:]),
 		SentAtUs: int64(binary.BigEndian.Uint64(b[9:])),
-		Pose:     append([]byte(nil), b[avatarHdrLen:]...),
+		Pose:     b[avatarHdrLen:],
 	}, nil
 }
 
-// forwardMsg is a server-relayed avatar update.
+// forwardMsg is a server-relayed avatar update: [kindForward, len(user),
+// user] followed by the sender's avatar frame as the server received it.
 type forwardMsg struct {
-	User string
+	User []byte
 	avatarMsg
 }
 
-func marshalForward(f forwardMsg) ([]byte, error) {
-	if len(f.User) > 255 {
+// appendForward appends the forward of frame, an avatar frame from user, to
+// dst. The server relays the frame as received: parseAvatar accepts exactly
+// the image of appendAvatar, so this equals re-marshaling the parsed frame.
+func appendForward(dst []byte, user string, frame []byte) ([]byte, error) {
+	if len(user) > 255 {
 		return nil, errNameTooLong
 	}
-	inner := marshalAvatar(f.avatarMsg)
-	out := make([]byte, 0, 2+len(f.User)+len(inner))
-	out = append(out, kindForward, byte(len(f.User)))
-	out = append(out, f.User...)
-	out = append(out, inner...)
-	return out, nil
+	dst = slices.Grow(dst, 2+len(user)+len(frame))
+	dst = append(dst, kindForward, byte(len(user)))
+	dst = append(dst, user...)
+	return append(dst, frame...), nil
 }
 
+// parseForward returns f.User and f.Pose as views of b.
 func parseForward(b []byte) (forwardMsg, error) {
 	if len(b) < 2 || b[0] != kindForward {
 		return forwardMsg{}, errWire
@@ -143,12 +159,11 @@ func parseForward(b []byte) (forwardMsg, error) {
 	if len(b) < 2+ul+avatarHdrLen {
 		return forwardMsg{}, errWire
 	}
-	user := string(b[2 : 2+ul])
 	am, err := parseAvatar(b[2+ul:])
 	if err != nil {
 		return forwardMsg{}, err
 	}
-	return forwardMsg{User: user, avatarMsg: am}, nil
+	return forwardMsg{User: b[2 : 2+ul], avatarMsg: am}, nil
 }
 
 // seqMsg is the generic sequenced filler used by voice, sync, telemetry and
@@ -170,16 +185,18 @@ func seqKind(k byte) bool {
 	return false
 }
 
-func marshalSeq(m seqMsg) []byte {
-	out := make([]byte, seqHdrLen+m.Size)
-	out[0] = m.Kind
-	binary.BigEndian.PutUint32(out[1:], m.Seq)
-	return out
+// appendSeq appends m's frame to dst. It zeroes the filler, whatever dst's
+// spare capacity held.
+func appendSeq(dst []byte, m seqMsg) []byte {
+	dst = slices.Grow(dst, seqHdrLen+m.Size)
+	dst = append(dst, m.Kind)
+	dst = binary.BigEndian.AppendUint32(dst, m.Seq)
+	return append(dst, make([]byte, m.Size)...)
 }
 
 // parseSeq rejects unknown kind bytes and non-zero filler instead of
 // treating any datagram tail as valid payload — a frame that parses is
-// exactly one marshalSeq emitted.
+// exactly one appendSeq emitted.
 func parseSeq(b []byte) (seqMsg, error) {
 	if len(b) < seqHdrLen || !seqKind(b[0]) {
 		return seqMsg{}, errWire
@@ -215,11 +232,11 @@ func parseVoiceFwd(b []byte) (string, []byte, error) {
 	return string(b[2 : 2+ul]), b[2+ul:], nil
 }
 
-// jsonEnvelope inflates a binary payload the way Hubs' web client transmits
-// pose updates: a JSON object with base64-encoded fields costs roughly 4/3
-// of the binary size plus fixed key overhead. We reproduce the size (which
-// is what throughput measurement sees) without paying for real JSON
-// encoding; the true payload is embedded with a length prefix so the
+// The JSON envelope inflates a binary payload the way Hubs' web client
+// transmits pose updates: a JSON object with base64-encoded fields costs
+// roughly 4/3 of the binary size plus fixed key overhead. We reproduce the
+// size (which is what throughput measurement sees) without paying for real
+// JSON encoding; the true payload is embedded with a length prefix so the
 // receiver can recover it.
 //
 // Layout: '{', 2-byte inner length, the key marker, zero filler, the inner
@@ -232,20 +249,23 @@ const (
 	maxEnvelopeInner = 0xffff // 16-bit length prefix
 )
 
-func jsonEnvelope(inner []byte) ([]byte, error) {
+// appendEnvelope appends inner's envelope to dst. Like appendSeq it zeroes
+// the filler.
+func appendEnvelope(dst, inner []byte) ([]byte, error) {
 	if len(inner) > maxEnvelopeInner {
 		return nil, errInnerTooBig
 	}
 	n := len(inner)*4/3 + envelopeOverhead
-	out := make([]byte, n)
-	out[0] = '{'
-	binary.BigEndian.PutUint16(out[1:3], uint16(len(inner)))
-	copy(out[3:], envelopeMarker)
-	copy(out[n-len(inner)-1:], inner)
-	out[n-1] = '}'
-	return out, nil
+	dst = slices.Grow(dst, n)
+	dst = append(dst, '{')
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(inner)))
+	dst = append(dst, envelopeMarker...)
+	dst = append(dst, make([]byte, n-3-len(envelopeMarker)-len(inner)-1)...)
+	dst = append(dst, inner...)
+	return append(dst, '}'), nil
 }
 
+// fromJSONEnvelope returns the inner payload as a view of b.
 func fromJSONEnvelope(b []byte) ([]byte, error) {
 	if len(b) < 4 || b[0] != '{' || b[len(b)-1] != '}' {
 		return nil, errWire

@@ -40,8 +40,8 @@ func TestHelloRoundTrip(t *testing.T) {
 func TestForwardRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for i := 0; i < 500; i++ {
-		f := forwardMsg{User: randName(rng, 255), avatarMsg: randAvatar(rng)}
-		b, err := marshalForward(f)
+		user, am := randName(rng, 255), randAvatar(rng)
+		b, err := appendForward(nil, user, appendAvatar(nil, am))
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
 		}
@@ -49,9 +49,9 @@ func TestForwardRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse back: %v", err)
 		}
-		if got.User != f.User || got.Seq != f.Seq || got.ActionID != f.ActionID ||
-			got.SentAtUs != f.SentAtUs || !bytes.Equal(got.Pose, f.Pose) {
-			t.Fatalf("round trip: %+v != %+v", got, f)
+		if string(got.User) != user || got.Seq != am.Seq || got.ActionID != am.ActionID ||
+			got.SentAtUs != am.SentAtUs || !bytes.Equal(got.Pose, am.Pose) {
+			t.Fatalf("round trip: %+v != %s %+v", got, user, am)
 		}
 	}
 }
@@ -59,9 +59,13 @@ func TestForwardRoundTrip(t *testing.T) {
 func TestSeqRoundTrip(t *testing.T) {
 	kinds := []byte{kindVoice, kindSync, kindTelemetry, kindGame, kindGameDown, kindKeepalive}
 	rng := rand.New(rand.NewSource(44))
+	// Senders reuse one buffer: appendSeq must zero the filler whatever
+	// the buffer held before.
+	dirty := make([]byte, 1300)
 	for i := 0; i < 500; i++ {
 		m := seqMsg{Kind: kinds[rng.Intn(len(kinds))], Seq: rng.Uint32(), Size: rng.Intn(1200)}
-		got, err := parseSeq(marshalSeq(m))
+		rng.Read(dirty)
+		got, err := parseSeq(appendSeq(dirty[:0], m))
 		if err != nil {
 			t.Fatalf("parse back %+v: %v", m, err)
 		}
@@ -92,9 +96,11 @@ func TestVoiceFwdRoundTrip(t *testing.T) {
 
 func TestJSONEnvelopeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
+	dirty := make([]byte, maxEnvelopeInner*4/3+envelopeOverhead) // as in TestSeqRoundTrip
 	for i := 0; i < 200; i++ {
 		inner := randBytes(rng, maxEnvelopeInner)
-		b, err := jsonEnvelope(inner)
+		rng.Read(dirty)
+		b, err := appendEnvelope(dirty[:0], inner)
 		if err != nil {
 			t.Fatalf("marshal %d bytes: %v", len(inner), err)
 		}
@@ -140,8 +146,8 @@ func TestMarshalRejectsOverlongNames(t *testing.T) {
 	if _, err := marshalHello(helloMsg{Room: "r", User: long}); err == nil {
 		t.Fatal("marshalHello accepted a 256-byte user")
 	}
-	if _, err := marshalForward(forwardMsg{User: long}); err == nil {
-		t.Fatal("marshalForward accepted a 256-byte user")
+	if _, err := appendForward(nil, long, nil); err == nil {
+		t.Fatal("appendForward accepted a 256-byte user")
 	}
 	if _, err := marshalVoiceFwd(long, nil); err == nil {
 		t.Fatal("marshalVoiceFwd accepted a 256-byte user")
@@ -166,11 +172,11 @@ func TestMarshalRejectsOverlongNames(t *testing.T) {
 // TestJSONEnvelopeRejectsOversizeInner pins the fix for the 16-bit length
 // prefix: payloads over 65535 bytes used to wrap it silently.
 func TestJSONEnvelopeRejectsOversizeInner(t *testing.T) {
-	if _, err := jsonEnvelope(make([]byte, maxEnvelopeInner+1)); err == nil {
-		t.Fatal("jsonEnvelope accepted an inner payload beyond the 16-bit prefix")
+	if _, err := appendEnvelope(nil, make([]byte, maxEnvelopeInner+1)); err == nil {
+		t.Fatal("appendEnvelope accepted an inner payload beyond the 16-bit prefix")
 	}
-	if _, err := jsonEnvelope(make([]byte, maxEnvelopeInner)); err != nil {
-		t.Fatalf("jsonEnvelope rejected the boundary size: %v", err)
+	if _, err := appendEnvelope(nil, make([]byte, maxEnvelopeInner)); err != nil {
+		t.Fatalf("appendEnvelope rejected the boundary size: %v", err)
 	}
 }
 
@@ -178,7 +184,7 @@ func TestJSONEnvelopeRejectsOversizeInner(t *testing.T) {
 // inner-length prefix can neither claim header bytes nor bytes the
 // envelope does not carry.
 func TestEnvelopeRejectsHeaderOverlap(t *testing.T) {
-	b, err := jsonEnvelope([]byte{1, 2, 3, 4})
+	b, err := appendEnvelope(nil, []byte{1, 2, 3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,17 +207,17 @@ func TestWireTruncationSweeps(t *testing.T) {
 		_, err := parseHello(b)
 		return err
 	})
-	env, _ := jsonEnvelope(marshalAvatar(avatarMsg{Seq: 1, Pose: []byte{9}}))
+	env, _ := appendEnvelope(nil, appendAvatar(nil, avatarMsg{Seq: 1, Pose: []byte{9}}))
 	wiretest.CheckPrefixesError(t, env, func(b []byte) error {
 		_, err := fromJSONEnvelope(b)
 		return err
 	})
 
-	wiretest.CheckPrefixes(t, marshalAvatar(avatarMsg{Seq: 1, Pose: []byte{1, 2, 3}}), checkParseAvatar)
-	fwd, _ := marshalForward(forwardMsg{User: "u2", avatarMsg: avatarMsg{Seq: 1, Pose: []byte{4}}})
+	wiretest.CheckPrefixes(t, appendAvatar(nil, avatarMsg{Seq: 1, Pose: []byte{1, 2, 3}}), checkParseAvatar)
+	fwd, _ := appendForward(nil, "u2", appendAvatar(nil, avatarMsg{Seq: 1, Pose: []byte{4}}))
 	wiretest.CheckPrefixes(t, fwd, checkParseForward)
-	wiretest.CheckPrefixes(t, marshalSeq(seqMsg{Kind: kindVoice, Seq: 2, Size: 20}), checkParseSeq)
-	vf, _ := marshalVoiceFwd("u2", marshalSeq(seqMsg{Kind: kindVoice, Seq: 3, Size: 8}))
+	wiretest.CheckPrefixes(t, appendSeq(nil, seqMsg{Kind: kindVoice, Seq: 2, Size: 20}), checkParseSeq)
+	vf, _ := marshalVoiceFwd("u2", appendSeq(nil, seqMsg{Kind: kindVoice, Seq: 3, Size: 8}))
 	wiretest.CheckPrefixes(t, vf, checkParseVoiceFwd)
 	req, _ := marshalCtrlReq(reqLogin, "u1", "room-1", []byte{1, 2})
 	wiretest.CheckPrefixes(t, req, checkParseCtrlReq)
@@ -244,7 +250,7 @@ func TestDataServerSurvivesHostileDatagrams(t *testing.T) {
 		srv.onDatagram(ep, payload)
 	}
 	// A well-formed voice frame still flows after the abuse.
-	srv.onDatagram(ep, marshalSeq(seqMsg{Kind: kindVoice, Seq: 1, Size: 40}))
+	srv.onDatagram(ep, appendSeq(nil, seqMsg{Kind: kindVoice, Seq: 1, Size: 40}))
 	if got := counterValue(dep.Metrics(), "platform.wire_parse_err"); got < 5 {
 		t.Fatalf("wire_parse_err = %d, want >= 5", got)
 	}

@@ -42,7 +42,7 @@ type Stream struct {
 	ts    uint32
 	muted bool
 
-	stopTick func()
+	stopTick, stopSR func()
 
 	// lastSRArrival records (LSR, arrival time) of the most recent sender
 	// report, to fill DLSR in our receiver reports.
@@ -77,7 +77,7 @@ func NewStream(sched *simtime.Scheduler, sock *transport.UDPSocket, remote packe
 	st.cRTTSamples = m.Counter("rtpx.rtt_samples")
 	sock.OnRecv = func(src packet.Endpoint, payload []byte) { st.onPacket(payload) }
 	st.stopTick = sched.Ticker(VoiceFrameInterval, st.tick)
-	sched.Ticker(rtcpInterval, st.sendSR)
+	st.stopSR = sched.Ticker(rtcpInterval, st.sendSR)
 	return st
 }
 
@@ -163,6 +163,7 @@ func (s *Stream) onPacket(b []byte) {
 func (s *Stream) Close() {
 	if s.stopTick != nil {
 		s.stopTick()
-		s.stopTick = nil
+		s.stopSR()
+		s.stopTick, s.stopSR = nil, nil
 	}
 }

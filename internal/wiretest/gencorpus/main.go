@@ -228,7 +228,7 @@ func corpora(root string) map[string][][]byte {
 	}
 }
 
-// jsonEnvelope mirrors platform.jsonEnvelope for seed generation (the real
+// jsonEnvelope mirrors platform.appendEnvelope for seed generation (the real
 // function is unexported; the fuzz target's re-marshal check keeps the two
 // encodings honest against each other).
 func jsonEnvelope(inner []byte) []byte {
