@@ -67,7 +67,7 @@ bench:
 	bash bench/run.sh
 
 # Per-packet micro-benchmarks (bench_hotpath_test.go): fabric forwarding,
-# wire serialization, metric handles, capture ingest. The allocs/op column
+# wire serialization, scheduler, capture ingest. The allocs/op column
 # is the regression contract — see DESIGN.md "The packet hot path".
 bench-hotpath:
 	go test -run '^$$' -bench=Hotpath -benchmem .

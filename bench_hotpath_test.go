@@ -1,9 +1,9 @@
 // Hot-path micro-benchmarks: where the artifact benchmark in bench/
 // measures whole experiments, these isolate the per-packet machinery the
-// fast-path work targets — fabric forwarding, wire serialization, metric
-// recording, and capture ingest. Run with -benchmem;
-// the allocs/op column is the contract (see DESIGN.md "The packet hot
-// path"). `make bench-hotpath` runs exactly this suite.
+// fast-path work targets — fabric forwarding, wire serialization, the
+// scheduler and capture ingest. Run with -benchmem; the allocs/op column is
+// the contract (see DESIGN.md "The packet hot path"). `make bench-hotpath`
+// runs exactly this suite.
 package svrlab_test
 
 import (
@@ -13,7 +13,6 @@ import (
 	"github.com/svrlab/svrlab/internal/capture"
 	"github.com/svrlab/svrlab/internal/geo"
 	"github.com/svrlab/svrlab/internal/netsim"
-	"github.com/svrlab/svrlab/internal/obs"
 	"github.com/svrlab/svrlab/internal/packet"
 	"github.com/svrlab/svrlab/internal/simtime"
 )
@@ -308,35 +307,6 @@ func BenchmarkHotpathSchedTicker(b *testing.B) {
 	b.StopTimer()
 	if ticks == 0 {
 		b.Fatal("ticker never ticked")
-	}
-}
-
-// BenchmarkHotpathObsHandle records through a precomputed counter handle
-// and into a single-owner Durations — the per-packet and per-hop metrics
-// paths.
-func BenchmarkHotpathObsHandle(b *testing.B) {
-	r := obs.NewRegistry()
-	c := r.Counter("bench.counter")
-	var h obs.Durations
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-		c.Add(1200)
-		h.Observe(5 * time.Millisecond)
-	}
-}
-
-// BenchmarkHotpathObsString records through the name-keyed API — the cold
-// path handles replaced, kept for comparison.
-func BenchmarkHotpathObsString(b *testing.B) {
-	r := obs.NewRegistry()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Inc("bench.counter")
-		r.Add("bench.counter", 1200)
-		r.ObserveDuration("bench.hist", 5*time.Millisecond)
 	}
 }
 

@@ -202,24 +202,27 @@ func clamp(v, lo, hi float64) float64 {
 // Monitor samples a headset once per second on the scheduler — the OVR
 // Metrics Tool equivalent.
 type Monitor struct {
+	// Samples holds every reading, the only record of how many were taken.
 	Samples []Sample
 	stop    func()
+	flushed int // len(Samples) at the previous FlushMetrics
 }
 
 // Attach starts per-second sampling.
 func Attach(s *simtime.Scheduler, h *Headset) *Monitor {
-	return AttachObserved(s, h, nil)
-}
-
-// AttachObserved is Attach plus a "device.samples" counter in m (which may
-// be nil, for uncounted sampling).
-func AttachObserved(s *simtime.Scheduler, h *Headset, reg *obs.Registry) *Monitor {
 	m := &Monitor{}
 	m.stop = s.Ticker(time.Second, func() {
 		m.Samples = append(m.Samples, h.Instant(s.Now(), time.Second))
-		reg.Inc("device.samples")
 	})
 	return m
+}
+
+// FlushMetrics adds the samples taken since the previous call to m's
+// "device.samples" counter. A monitor enlisted on the lab's fabric
+// (netsim.Network.RegisterEndpoint) is folded at lab teardown.
+func (m *Monitor) FlushMetrics(r *obs.Registry) {
+	r.Add("device.samples", int64(len(m.Samples)-m.flushed))
+	m.flushed = len(m.Samples)
 }
 
 // Stop ends sampling.

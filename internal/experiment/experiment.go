@@ -128,7 +128,8 @@ type Lab struct {
 // Metrics returns the lab's metrics registry (never nil). When the run
 // shares a registry (Env.Metrics), this is that registry; sweep cells of
 // one experiment then all feed the same one — safe because every registry
-// operation commutes (see package obs).
+// operation commutes (see package obs). The lab's fabric, transport, TLS,
+// voice and headset counts arrive at MustConserve.
 func (l *Lab) Metrics() *obs.Registry { return l.Dep.Metrics() }
 
 // probeHost allocates a measurement host at a site with a unique address.
@@ -170,15 +171,15 @@ func (l *Lab) Capture(h *netsim.Host) *capture.Sniffer {
 }
 
 // MustConserve is the lab's teardown. It ends the cell's pcap, folds the
-// fabric's packet ledger into the metrics registry
-// (netsim.Network.FlushMetrics), then runs the end-of-run conservation
-// auditor (package audit) over the fabric and panics with the full report
-// if any invariant fails. Every experiment calls it once its cell finishes
-// driving the scheduler, so the auditor runs automatically in every
-// experiment test. The auditor only reads state the run already produced —
-// never the scheduler, RNG, or a counter the artifact renders — so
-// artifacts stay byte-identical whether or not anyone looks at the report.
-// Coverage is tallied into the registry for the CLI -audit summary.
+// fabric's packet ledger and every endpoint's counts into the metrics
+// registry (netsim.Network.FlushMetrics), then runs the end-of-run
+// conservation auditor (package audit) over the fabric and panics with the
+// full report if any invariant fails. Every experiment calls it once its
+// cell finishes driving the scheduler, so the auditor runs automatically in
+// every experiment test. The auditor only reads state the run already
+// produced — never the scheduler, RNG, or a counter the artifact renders —
+// so artifacts stay byte-identical whether or not anyone looks at the
+// report. Coverage is tallied into the registry for the CLI -audit summary.
 func (l *Lab) MustConserve() {
 	if l.endPcap != nil {
 		l.endPcap()
@@ -190,10 +191,10 @@ func (l *Lab) MustConserve() {
 			fmt.Sprint(l.Seed) + ")\n" + rep.String())
 	}
 	m := l.Metrics()
-	m.Counter("audit.labs").Inc()
-	m.Counter("audit.links").Add(int64(rep.Links))
-	m.Counter("audit.conns").Add(int64(rep.Conns))
-	m.Counter("audit.pairs").Add(int64(rep.Pairs))
+	m.Inc("audit.labs")
+	m.Add("audit.links", int64(rep.Links))
+	m.Add("audit.conns", int64(rep.Conns))
+	m.Add("audit.pairs", int64(rep.Pairs))
 }
 
 // SpawnOpts controls client creation.

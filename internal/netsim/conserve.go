@@ -115,11 +115,12 @@ var (
 
 // FlushMetrics adds the ledger's growth since the previous call, and the
 // queueing delays and ICMP errors recorded since then, to the metrics
-// registry; a second call with no traffic in between adds nothing. Every
-// entry is created even when it adds zero, so a quiet lab still lists
-// them. Labs call it once, at teardown (experiment.Lab.MustConserve).
-// Registry adds commute, so a registry shared by parallel cells stays
-// byte-identical at any worker count (DESIGN §4.6).
+// registry, then has every registered endpoint fold its own counts the same
+// way; a second call with no traffic in between adds nothing. Every entry
+// is created even when it adds zero, so a quiet lab still lists them. Labs
+// call it once, at teardown (experiment.Lab.MustConserve). Registry adds
+// commute, so a registry shared by parallel cells stays byte-identical at
+// any worker count (DESIGN §4.6).
 func (n *Network) FlushMetrics() {
 	c, f, m := n.cons, n.flushed, n.Metrics
 	m.Add("netsim.packets.sent", c.Sent-f.Sent)
@@ -136,6 +137,9 @@ func (n *Network) FlushMetrics() {
 		m.Add(name, n.icmp[i])
 	}
 	n.qdelay, n.icmp = [numLinkClasses]obs.Durations{}, [numICMPClasses]int64{}
+	for _, ep := range n.endpoints {
+		ep.FlushMetrics(m)
+	}
 }
 
 // Hosts returns every host sorted by address — a deterministic iteration
@@ -158,11 +162,19 @@ func (s *Site) Neighbors() []*Site { return s.nbOrder }
 // LinkTo returns the directed backbone link from s to a neighbor, or nil.
 func (s *Site) LinkTo(nb *Site) *Link { return s.neighbors[nb] }
 
-// RegisterEndpoint records a transport layer attached to this fabric so the
-// end-of-run auditor can walk per-connection state. Stored opaquely: the
-// audit package type-asserts to interfaces it defines, keeping netsim free
-// of transport imports.
-func (n *Network) RegisterEndpoint(ep any) { n.endpoints = append(n.endpoints, ep) }
+// Endpoint is a counting owner attached to the fabric: a transport stack,
+// a TLS session, a voice stream or a headset monitor. Each keeps its counts
+// in plain fields, and FlushMetrics adds their growth since its previous
+// call to m.
+type Endpoint interface {
+	FlushMetrics(m *obs.Registry)
+}
 
-// Endpoints returns registered transport layers in registration order.
-func (n *Network) Endpoints() []any { return n.endpoints }
+// RegisterEndpoint adds ep to the fabric's endpoint list, whose counts
+// Network.FlushMetrics folds at teardown and whose transport stacks the
+// end-of-run auditor walks. The audit package type-asserts the entries it
+// checks, keeping netsim free of transport imports.
+func (n *Network) RegisterEndpoint(ep Endpoint) { n.endpoints = append(n.endpoints, ep) }
+
+// Endpoints returns the registered endpoints in registration order.
+func (n *Network) Endpoints() []Endpoint { return n.endpoints }

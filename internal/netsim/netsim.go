@@ -245,14 +245,15 @@ type Network struct {
 	Rng      *rand.Rand
 	Registry *geo.Registry
 	// Metrics receives the ledger's packet counts (sent, delivered, drops
-	// by cause), the per-link-class queueing-delay histograms and the ICMP
-	// error counts when FlushMetrics runs, at lab teardown. Never nil.
+	// by cause), the per-link-class queueing-delay histograms, the ICMP
+	// error counts and every registered endpoint's counts when
+	// FlushMetrics runs, at lab teardown. Never nil.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records packet-lifecycle spans and protocol
 	// events into the lab's flight recorder. Nil (the default) disables
-	// tracing at zero cost: every trace method is nil-safe, mirroring the
-	// obs handle pattern, and recording never touches the scheduler or Rng,
-	// so artifacts are byte-identical with tracing on or off.
+	// tracing at zero cost: every trace method is nil-safe, and recording
+	// never touches the scheduler or Rng, so artifacts are byte-identical
+	// with tracing on or off.
 	Tracer *trace.Tracer
 
 	sites   []*Site
@@ -285,10 +286,11 @@ type Network struct {
 	// already added to Metrics.
 	cons, flushed Conservation
 
-	// endpoints lists transport layers attached to this fabric, in
-	// registration order, for the end-of-run auditor (package audit
-	// type-asserts them to its own interfaces; netsim stays transport-free).
-	endpoints []any
+	// endpoints lists the counting owners attached to this fabric
+	// (transport stacks, TLS sessions, voice streams, headset monitors), in
+	// registration order: FlushMetrics folds each, and the end-of-run
+	// auditor walks the stacks among them.
+	endpoints []Endpoint
 
 	// qdelay and icmp hold the facts the ledger does not: queueing delay
 	// per link class and router ICMP errors per type, recorded since the

@@ -14,26 +14,23 @@
 // All methods are nil-safe: a nil *Registry discards every operation, so
 // instrumented packages never need to guard call sites.
 //
-// Three call styles coexist. The string-keyed methods (Inc, Add, SetMax,
-// ObserveDuration) take the registry mutex and a map lookup per call and are
-// meant for cold paths. Paths executed per packet resolve a Counter or
-// MaxGauge handle once and thereafter mutate through a precomputed pointer
-// with a single atomic operation: no lock, no map lookup, no allocation.
-// Paths executed per hop, where even an atomic add on a registry shared by
-// parallel workers bounces cache lines, record into a Durations the owner
-// holds and fold it in once with AddDurations (the fabric does so at lab
-// teardown). Atomic adds, atomic max and folded sums all commute, so every
-// style preserves the shared-registry byte-identity contract.
+// Two call styles coexist. The string-keyed methods (Inc, Add, SetMax,
+// ObserveWall) take the registry mutex and a map lookup per call and are
+// meant for cold paths: platform errors, audit coverage, sweep cells.
+// Everything counted per packet, per record or per frame is held by its
+// owner in plain fields, with no lock and no shared cache line, and folded
+// in once at lab teardown: the fabric's ledger and its Durations, and each
+// transport stack, TLS session, voice stream and headset monitor (see
+// netsim.Network.FlushMetrics). Adds, max and folded sums all commute, so
+// both styles preserve the shared-registry byte-identity contract.
 package obs
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -97,49 +94,22 @@ type hist struct {
 }
 
 // Registry holds one lab's metrics. The zero value is not usable; create
-// with NewRegistry. A nil Registry is valid and ignores all writes.
-//
-// The mutex guards the name→slot maps and the histograms; counter and
-// gauge slots are mutated with atomic operations so handle writers never
-// contend on it.
+// with NewRegistry. A nil Registry is valid and ignores all writes. One
+// mutex guards every map.
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]*atomic.Int64
-	gauges   map[string]*atomic.Uint64 // math.Float64bits encoding
+	counters map[string]int64
+	gauges   map[string]float64
 	hists    map[string]*hist
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*atomic.Int64),
-		gauges:   make(map[string]*atomic.Uint64),
+		counters: make(map[string]int64),
+		gauges:   make(map[string]float64),
 		hists:    make(map[string]*hist),
 	}
-}
-
-// counterSlot returns the slot for name, creating it at zero if absent.
-func (r *Registry) counterSlot(name string) *atomic.Int64 {
-	r.mu.Lock()
-	c := r.counters[name]
-	if c == nil {
-		c = new(atomic.Int64)
-		r.counters[name] = c
-	}
-	r.mu.Unlock()
-	return c
-}
-
-func (r *Registry) gaugeSlot(name string) *atomic.Uint64 {
-	r.mu.Lock()
-	g := r.gauges[name]
-	if g == nil {
-		g = new(atomic.Uint64)
-		g.Store(math.Float64bits(math.Inf(-1))) // "unset": any real value beats it
-		r.gauges[name] = g
-	}
-	r.mu.Unlock()
-	return g
 }
 
 // histSlot returns the named histogram, creating it empty if absent. The
@@ -153,102 +123,42 @@ func (r *Registry) histSlot(name string, volatile bool) *hist {
 	return h
 }
 
-// Counter is a nil-safe handle to one named counter. The zero value (and any
-// handle obtained from a nil registry) discards writes, so call sites need no
-// guards. Increments are single atomic adds: no lock, no map lookup.
-type Counter struct{ v *atomic.Int64 }
-
-// Inc adds 1.
-func (c Counter) Inc() {
-	if c.v != nil {
-		c.v.Add(1)
-	}
-}
-
-// Add adds delta.
-func (c Counter) Add(delta int64) {
-	if c.v != nil {
-		c.v.Add(delta)
-	}
-}
-
-// Counter resolves a handle to the named counter, creating it at zero. A nil
-// registry yields a discarding handle.
-func (r *Registry) Counter(name string) Counter {
-	if r == nil {
-		return Counter{}
-	}
-	return Counter{v: r.counterSlot(name)}
-}
-
-// MaxGauge is a nil-safe handle to one named max-gauge.
-type MaxGauge struct{ g *atomic.Uint64 }
-
-// Set raises the gauge to v if v exceeds its current value (CAS loop; max
-// commutes, so shared registries stay deterministic).
-func (m MaxGauge) Set(v float64) {
-	if m.g == nil {
-		return
-	}
-	for {
-		cur := m.g.Load()
-		if v <= math.Float64frombits(cur) {
-			return
-		}
-		if m.g.CompareAndSwap(cur, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// MaxGauge resolves a handle to the named max-gauge. A nil registry yields a
-// discarding handle.
-func (r *Registry) MaxGauge(name string) MaxGauge {
-	if r == nil {
-		return MaxGauge{}
-	}
-	return MaxGauge{g: r.gaugeSlot(name)}
-}
-
 // Inc adds 1 to the named counter.
 func (r *Registry) Inc(name string) { r.Add(name, 1) }
 
-// Add adds delta to the named counter, creating it at zero if absent.
+// Add adds delta to the named counter, creating it at zero if absent, so
+// an owner folding a zero growth still lists the counter.
 func (r *Registry) Add(name string, delta int64) {
 	if r == nil {
 		return
 	}
-	r.counterSlot(name).Add(delta)
+	r.mu.Lock()
+	r.counters[name] += delta
+	r.mu.Unlock()
 }
 
-// SetMax raises the named gauge to v if v exceeds its current value.
-// Max is the only gauge operation offered because it is the only
+// SetMax raises the named gauge to v, creating it at v if absent. Max is
+// the only gauge operation offered because it is the only
 // order-independent one.
 func (r *Registry) SetMax(name string, v float64) {
 	if r == nil {
 		return
 	}
-	MaxGauge{g: r.gaugeSlot(name)}.Set(v)
-}
-
-// ObserveDuration records d into the named histogram. Use only for
-// simulated-time durations; wall-clock time goes through ObserveWall.
-func (r *Registry) ObserveDuration(name string, d time.Duration) {
-	r.observe(name, false, d)
+	r.mu.Lock()
+	if cur, ok := r.gauges[name]; !ok || v > cur {
+		r.gauges[name] = v
+	}
+	r.mu.Unlock()
 }
 
 // ObserveWall records a wall-clock duration. The series is marked
 // volatile and excluded from Snapshot.Stable.
 func (r *Registry) ObserveWall(name string, d time.Duration) {
-	r.observe(name, true, d)
-}
-
-func (r *Registry) observe(name string, volatile bool, d time.Duration) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.histSlot(name, volatile).Observe(d)
+	r.histSlot(name, true).Observe(d)
 	r.mu.Unlock()
 }
 
@@ -299,14 +209,10 @@ func (r *Registry) Snapshot() Snapshot {
 	defer r.mu.Unlock()
 	entries := make([]Entry, 0, len(r.counters)+len(r.gauges)+len(r.hists))
 	for name, v := range r.counters {
-		entries = append(entries, Entry{Name: name, Kind: KindCounter, Value: v.Load()})
+		entries = append(entries, Entry{Name: name, Kind: KindCounter, Value: v})
 	}
 	for name, v := range r.gauges {
-		bits := v.Load()
-		if bits == math.Float64bits(math.Inf(-1)) {
-			continue // handle resolved but never set
-		}
-		entries = append(entries, Entry{Name: name, Kind: KindGauge, Gauge: math.Float64frombits(bits)})
+		entries = append(entries, Entry{Name: name, Kind: KindGauge, Gauge: v})
 	}
 	for name, h := range r.hists {
 		entries = append(entries, Entry{

@@ -12,7 +12,9 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	r.Inc("a")
 	r.Add("a", 5)
 	r.SetMax("g", 1)
-	r.ObserveDuration("h", time.Second)
+	var d Durations
+	d.Observe(time.Second)
+	r.AddDurations("h", &d)
 	r.ObserveWall("w", time.Second)
 	if n := len(r.Snapshot().Entries); n != 0 {
 		t.Fatalf("nil registry snapshot has %d entries", n)
@@ -26,8 +28,13 @@ func TestCountersGaugesHistograms(t *testing.T) {
 	r.SetMax("g", 3)
 	r.SetMax("g", 1) // must not lower
 	r.SetMax("g", 7)
-	r.ObserveDuration("h", 3*time.Millisecond)
-	r.ObserveDuration("h", 90*time.Millisecond)
+	r.SetMax("neg", -2) // a new gauge starts at its first value, not at 0
+	var d Durations
+	d.Observe(3 * time.Millisecond)
+	r.AddDurations("h", &d)
+	d = Durations{}
+	d.Observe(90 * time.Millisecond)
+	r.AddDurations("h", &d)
 
 	s := r.Snapshot()
 	if got := s.Counter("c"); got != 10 {
@@ -39,6 +46,9 @@ func TestCountersGaugesHistograms(t *testing.T) {
 	g, ok := s.Get("g")
 	if !ok || g.Kind != KindGauge || g.Gauge != 7 {
 		t.Fatalf("gauge = %+v", g)
+	}
+	if g, _ := s.Get("neg"); g.Gauge != -2 {
+		t.Fatalf("negative gauge = %+v", g)
 	}
 	h, ok := s.Get("h")
 	if !ok || h.Kind != KindHistogram || h.Count != 2 {
@@ -76,7 +86,9 @@ func TestSnapshotSortedAndRendered(t *testing.T) {
 func TestStableExcludesWallClockSeries(t *testing.T) {
 	r := NewRegistry()
 	r.Inc("det.counter")
-	r.ObserveDuration("det.hist", time.Millisecond)
+	var d Durations
+	d.Observe(time.Millisecond)
+	r.AddDurations("det.hist", &d)
 	r.ObserveWall("wall.hist", time.Millisecond)
 	full := r.Snapshot()
 	if _, ok := full.Get("wall.hist"); !ok {
@@ -91,9 +103,10 @@ func TestStableExcludesWallClockSeries(t *testing.T) {
 	}
 }
 
-// TestConcurrentOpsCommute drives one registry from many goroutines and
-// checks the final snapshot is exact — the property that lets parallel
-// sweep cells share a registry without breaking determinism.
+// TestConcurrentOpsCommute drives one registry from many goroutines, each
+// also folding a Durations of its own at its end as owners do at lab
+// teardown, and checks the final snapshot is exact — the property that lets
+// parallel sweep cells share a registry without breaking determinism.
 func TestConcurrentOpsCommute(t *testing.T) {
 	r := NewRegistry()
 	const workers, per = 8, 1000
@@ -103,11 +116,13 @@ func TestConcurrentOpsCommute(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var h Durations
 			for i := 0; i < per; i++ {
 				r.Inc("shared.counter")
 				r.SetMax("shared.max", float64(w*per+i))
-				r.ObserveDuration("shared.hist", time.Duration(i)*time.Microsecond)
+				h.Observe(time.Duration(i) * time.Microsecond)
 			}
+			r.AddDurations("shared.hist", &h)
 		}()
 	}
 	wg.Wait()
@@ -120,8 +135,8 @@ func TestConcurrentOpsCommute(t *testing.T) {
 		t.Fatalf("max = %v", g.Gauge)
 	}
 	h, _ := s.Get("shared.hist")
-	if h.Count != workers*per {
-		t.Fatalf("hist count = %d", h.Count)
+	if h.Count != workers*per || h.SumMicro != workers*per*(per-1)/2 {
+		t.Fatalf("hist count = %d sum = %d", h.Count, h.SumMicro)
 	}
 	var bucketSum int64
 	for _, b := range h.Buckets {

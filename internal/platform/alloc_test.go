@@ -47,18 +47,15 @@ func TestParsersAllocFree(t *testing.T) {
 // decodes into another. The bound charges every allocation of one
 // simulated second to that second's uploads: the forward, its delayed
 // send, and what the sync, keepalive and telemetry streams and the fabric
-// allocate besides. Hubs' bound is higher: each update and each forward
-// is a TLS message whose body secure.MsgReader copies, and the server
-// keeps each forward's JSON envelope.
+// allocate besides. Hubs shares the bound: secure.MsgReader hands each TLS
+// message to its handler as a view, and what the server keeps of a
+// forward is its JSON envelope.
 func TestAvatarUpdateAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc bound only holds without -race")
 	}
+	const bound = 4.0
 	for _, p := range All() {
-		bound := 4.0
-		if p.WebData {
-			bound = 5
-		}
 		t.Run(string(p.Name), func(t *testing.T) {
 			sched, _, cs := lab(t, p.Name, 2, 42)
 			sched.RunUntil(20 * time.Second)

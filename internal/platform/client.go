@@ -172,7 +172,8 @@ func (c *Client) Launch() {
 		}
 	})
 	// Device monitoring runs for the whole session.
-	c.Monitor = device.AttachObserved(c.Dep.Sched, c.Headset, c.Dep.Metrics())
+	c.Monitor = device.Attach(c.Dep.Sched, c.Headset)
+	c.Dep.Net.RegisterEndpoint(c.Monitor)
 	c.stops = append(c.stops, c.Dep.Sched.Ticker(time.Second, c.sceneTick))
 }
 

@@ -721,11 +721,11 @@ func (s *SFUServer) onDatagram(src packet.Endpoint, payload []byte) {
 			s.dep.Metrics().Inc("platform.wire_parse_err")
 			return
 		}
-		if rep.Type != packet.RTCPSenderReport {
+		if _, member := s.members[src]; !member || rep.Type != packet.RTCPSenderReport {
 			return
 		}
-		// Answer with a receiver report so the client measures client↔SFU
-		// RTT, as chrome://webrtc-internals reports.
+		// Answer a member with a receiver report so the client measures
+		// client↔SFU RTT, as chrome://webrtc-internals reports.
 		rr := packet.MarshalRTCP(packet.RTCPPacket{
 			Type: packet.RTCPReceiverReport, SSRC: rep.SSRC, LSR: rep.LSR, DLSR: 0,
 		})

@@ -51,30 +51,40 @@ type Stream struct {
 
 	// RTT is the latest RTCP-derived estimate (0 until measured).
 	RTT time.Duration
-	// RTTSamples collects every RTT measurement.
+	// RTTSamples collects every RTT measurement, the only record of them.
 	RTTSamples []time.Duration
 
 	// OnVoice receives decoded voice payloads from the remote.
 	OnVoice func(seq uint16, payload []byte)
 
+	// VoiceSent and VoiceRecv count voice frames, the only record of them.
 	VoiceSent, VoiceRecv int
 
-	// Precomputed metric handles for the per-frame path.
-	cVoiceSent  obs.Counter
-	cVoiceRecv  obs.Counter
-	cSRSent     obs.Counter
-	cRTTSamples obs.Counter
+	// srSent counts RTCP sender reports; flushed is the part of each count
+	// FlushMetrics has already added.
+	srSent  int
+	flushed [len(streamMetrics)]int
+}
+
+// streamMetrics names, in FlushMetrics order, a stream's counts in the
+// metrics registry.
+var streamMetrics = [...]string{"rtpx.voice_sent", "rtpx.voice_recv", "rtpx.rtcp_sr_sent", "rtpx.rtt_samples"}
+
+// FlushMetrics adds the stream's counts since the previous call to m.
+// Network.FlushMetrics calls it at lab teardown.
+func (s *Stream) FlushMetrics(m *obs.Registry) {
+	now := [len(streamMetrics)]int{s.VoiceSent, s.VoiceRecv, s.srSent, len(s.RTTSamples)}
+	for i, name := range streamMetrics {
+		m.Add(name, int64(now[i]-s.flushed[i]))
+	}
+	s.flushed = now
 }
 
 // NewStream binds a voice stream on sock toward remote. The caller retains
 // sock ownership; the stream installs itself as the receive handler.
 func NewStream(sched *simtime.Scheduler, sock *transport.UDPSocket, remote packet.Endpoint, ssrc uint32, muted bool) *Stream {
 	st := &Stream{sched: sched, sock: sock, remote: remote, SSRC: ssrc, muted: muted}
-	m := sock.Metrics()
-	st.cVoiceSent = m.Counter("rtpx.voice_sent")
-	st.cVoiceRecv = m.Counter("rtpx.voice_recv")
-	st.cSRSent = m.Counter("rtpx.rtcp_sr_sent")
-	st.cRTTSamples = m.Counter("rtpx.rtt_samples")
+	sock.Enlist(st)
 	sock.OnRecv = func(src packet.Endpoint, payload []byte) { st.onPacket(payload) }
 	st.stopTick = sched.Ticker(VoiceFrameInterval, st.tick)
 	st.stopSR = sched.Ticker(rtcpInterval, st.sendSR)
@@ -103,7 +113,6 @@ func (s *Stream) tick() {
 	}, payload)
 	s.sock.SendTo(s.remote, b)
 	s.VoiceSent++
-	s.cVoiceSent.Inc()
 }
 
 func (s *Stream) sendSR() {
@@ -114,7 +123,7 @@ func (s *Stream) sendSR() {
 	})
 	s.sock.Tracer().RTCP(s.sched.Now(), s.sock.HostID(), "sender-report", int64(s.SSRC))
 	s.sock.SendTo(s.remote, sr)
-	s.cSRSent.Inc()
+	s.srSent++
 }
 
 func (s *Stream) onPacket(b []byte) {
@@ -142,7 +151,6 @@ func (s *Stream) onPacket(b []byte) {
 			if rtt > 0 {
 				s.RTT = rtt
 				s.RTTSamples = append(s.RTTSamples, rtt)
-				s.cRTTSamples.Inc()
 				s.sock.Tracer().RTCP(s.sched.Now(), s.sock.HostID(), "rtt", int64(rtt/time.Microsecond))
 			}
 		}
@@ -153,7 +161,6 @@ func (s *Stream) onPacket(b []byte) {
 		return
 	}
 	s.VoiceRecv++
-	s.cVoiceRecv.Inc()
 	if s.OnVoice != nil {
 		s.OnVoice(h.Seq, payload)
 	}

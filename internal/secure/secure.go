@@ -25,17 +25,9 @@ const (
 
 // Session is one side of an established (or establishing) secure channel.
 type Session struct {
-	conn    *transport.Conn
-	client  bool
-	ready   bool
-	metrics *obs.Registry
-
-	// Precomputed metric handles for the per-record path.
-	cRecordsSent  obs.Counter
-	cRecordsRecv  obs.Counter
-	cAppBytesSent obs.Counter
-	cAppBytesRecv obs.Counter
-	cHandshakes   obs.Counter
+	conn   *transport.Conn
+	client bool
+	ready  bool
 
 	// OnEstablished fires when the handshake completes.
 	OnEstablished func()
@@ -56,20 +48,45 @@ type Session struct {
 	// queued application data written before the handshake finished.
 	pending [][]byte
 
-	// Counters.
+	// Application bytes carried, the only record of them.
 	AppBytesSent int
 	AppBytesRecv int
+
+	// Records carried, completed handshakes and malformed records.
+	recordsSent, recordsRecv, handshakes, badRecords int
+
+	// flushed and flushedBad are the part of each count FlushMetrics has
+	// already added.
+	flushed    [len(sessionMetrics)]int
+	flushedBad int
+}
+
+// sessionMetrics names, in FlushMetrics order, the counts every session
+// lists in the metrics registry.
+var sessionMetrics = [...]string{
+	"secure.records_sent", "secure.records_recv",
+	"secure.app_bytes_sent", "secure.app_bytes_recv", "secure.handshakes",
 }
 
 func newSession(conn *transport.Conn, client bool) *Session {
-	s := &Session{conn: conn, client: client, metrics: conn.Metrics()}
-	m := s.metrics
-	s.cRecordsSent = m.Counter("secure.records_sent")
-	s.cRecordsRecv = m.Counter("secure.records_recv")
-	s.cAppBytesSent = m.Counter("secure.app_bytes_sent")
-	s.cAppBytesRecv = m.Counter("secure.app_bytes_recv")
-	s.cHandshakes = m.Counter("secure.handshakes")
+	s := &Session{conn: conn, client: client}
+	conn.Enlist(s)
 	return s
+}
+
+// FlushMetrics adds the session's counts since the previous call to m;
+// secure.bad_records appears only once a session has seen a bad record.
+// Network.FlushMetrics calls it at lab teardown.
+func (s *Session) FlushMetrics(m *obs.Registry) {
+	now := [len(sessionMetrics)]int{s.recordsSent, s.recordsRecv, s.AppBytesSent, s.AppBytesRecv, s.handshakes}
+	for i, name := range sessionMetrics {
+		m.Add(name, int64(now[i]-s.flushed[i]))
+	}
+	s.flushed = now
+	if s.badRecords > 0 {
+		m.Add("secure.bad_records", int64(s.badRecords-s.flushedBad))
+		s.flushedBad = s.badRecords
+	}
 }
 
 // Client starts a TLS handshake on an already-dialed connection.
@@ -154,8 +171,7 @@ func (s *Session) SendZeros(kind byte, n int) {
 	}
 	total := msgHeaderLen + n
 	s.AppBytesSent += total
-	s.cRecordsSent.Add(int64((total + maxRecord - 1) / maxRecord))
-	s.cAppBytesSent.Add(int64(total))
+	s.recordsSent += (total + maxRecord - 1) / maxRecord
 	left := total
 	s.conn.Stream(wireLen(total), wireLen(maxRecord), func(dst []byte) []byte {
 		k := min(left, maxRecord)
@@ -186,8 +202,7 @@ func (s *Session) sendRecords(data []byte) {
 func (s *Session) sendAppRecord(plain []byte) {
 	s.sendRecord(packet.TLSApplicationData, plain)
 	s.AppBytesSent += len(plain)
-	s.cRecordsSent.Inc()
-	s.cAppBytesSent.Add(int64(len(plain)))
+	s.recordsSent++
 }
 
 // sendRecord frames plain as one record in the scratch buffer and queues
@@ -221,7 +236,7 @@ func (s *Session) onRaw(b []byte) {
 		rec, body, rest, err := packet.DecodeTLSRecord(s.rxBuf[off:])
 		if errors.Is(err, packet.ErrTLSMalformed) {
 			s.rxBuf = s.rxBuf[:0]
-			s.metrics.Inc("secure.bad_records")
+			s.badRecords++
 			return
 		}
 		if err != nil {
@@ -233,8 +248,7 @@ func (s *Session) onRaw(b []byte) {
 			s.onHandshake(body)
 		case packet.TLSApplicationData:
 			s.AppBytesRecv += len(body)
-			s.cRecordsRecv.Inc()
-			s.cAppBytesRecv.Add(int64(len(body)))
+			s.recordsRecv++
 			if s.OnData != nil {
 				s.OnData(body)
 			}
@@ -252,7 +266,7 @@ func (s *Session) onHandshake(body []byte) {
 			s.conn.Tracer().TLS(s.conn.Now(), s.conn.Span(), s.conn.HostID(), "client-finished")
 			s.sendRecord(packet.TLSHandshake, fin)
 			s.ready = true
-			s.cHandshakes.Inc()
+			s.handshakes++
 			s.conn.Tracer().TLS(s.conn.Now(), s.conn.Span(), s.conn.HostID(), "established")
 			if s.OnEstablished != nil {
 				s.OnEstablished()
@@ -272,7 +286,7 @@ func (s *Session) onHandshake(body []byte) {
 	if len(body) > 0 && body[0] == 20 { // client Finished
 		if !s.ready {
 			s.ready = true
-			s.cHandshakes.Inc()
+			s.handshakes++
 			s.conn.Tracer().TLS(s.conn.Now(), s.conn.Span(), s.conn.HostID(), "established")
 			if s.OnEstablished != nil {
 				s.OnEstablished()
@@ -319,7 +333,9 @@ type MsgReader struct {
 	// buf holds the unparsed tail of the stream, compacted to the front
 	// after every Feed.
 	buf []byte
-	// OnMsg receives each message; body is the receiver's own copy.
+	// OnMsg receives each message. body is a view into the reader's
+	// buffer, valid only during the call, as Session.OnData's is: copy
+	// what must outlive it.
 	OnMsg  func(kind byte, body []byte)
 	MaxLen int // safety bound; 0 means MaxMsgLen
 }
@@ -343,10 +359,9 @@ func (r *MsgReader) Feed(b []byte) {
 		if len(m) < msgHeaderLen+n {
 			break
 		}
-		body := append([]byte(nil), m[msgHeaderLen:msgHeaderLen+n]...)
 		off += msgHeaderLen + n
 		if r.OnMsg != nil {
-			r.OnMsg(m[0], body)
+			r.OnMsg(m[0], m[msgHeaderLen:msgHeaderLen+n])
 		}
 	}
 	r.buf = r.buf[:copy(r.buf, r.buf[off:])]

@@ -123,7 +123,7 @@ func TestMsgFramingRoundTrip(t *testing.T) {
 		got = append(got, struct {
 			kind byte
 			body []byte
-		}{kind, body})
+		}{kind, bytes.Clone(body)}) // the body is valid only during the call
 	}}
 	buf := append(MarshalMsg(MsgRequest, []byte("req")), MarshalMsg(MsgPush, []byte("push-body"))...)
 	// Feed in awkward chunks to exercise reassembly.
@@ -170,7 +170,7 @@ func TestPropertyMsgFramingAnyChunking(t *testing.T) {
 			wire = append(wire, MarshalMsg(MsgPush, b)...)
 		}
 		var got [][]byte
-		r := &MsgReader{OnMsg: func(_ byte, body []byte) { got = append(got, body) }}
+		r := &MsgReader{OnMsg: func(_ byte, body []byte) { got = append(got, bytes.Clone(body)) }}
 		step := int(chunk%16) + 1
 		for i := 0; i < len(wire); i += step {
 			end := i + step
@@ -209,5 +209,36 @@ func TestHandshakeByteCostIsRealistic(t *testing.T) {
 	}
 	if total > 20000 {
 		t.Fatalf("handshake moved %d bytes, suspiciously many", total)
+	}
+}
+
+// TestBadRecordsListedOnceSeen: secure.bad_records is absent while no
+// session has seen a malformed record, counts the first one at the next
+// flush, and a second flush with no traffic in between adds nothing.
+func TestBadRecordsListedOnceSeen(t *testing.T) {
+	r := newRig(t)
+	r.s.RunUntil(2 * time.Second)
+	r.cli.Send([]byte("hello"))
+	r.s.RunUntil(4 * time.Second)
+	r.net.FlushMetrics()
+	s := r.net.Metrics.Snapshot()
+	if e, ok := s.Get("secure.bad_records"); ok {
+		t.Fatalf("clean sessions listed bad records: %+v", e)
+	}
+	if got := s.Counter("secure.app_bytes_recv"); got != int64(len("hello")) {
+		t.Fatalf("secure.app_bytes_recv = %d, want %d", got, len("hello"))
+	}
+	// A record header with a wrong protocol version, written straight onto
+	// the TCP stream beneath the client's session.
+	r.cli.conn.Send([]byte{packet.TLSApplicationData, 9, 9, 0, 0})
+	r.s.RunUntil(6 * time.Second)
+	if r.srv.badRecords != 1 {
+		t.Fatalf("server counted %d bad records, want 1", r.srv.badRecords)
+	}
+	for _, when := range []string{"first", "second"} {
+		r.net.FlushMetrics()
+		if got := r.net.Metrics.Snapshot().Counter("secure.bad_records"); got != 1 {
+			t.Fatalf("%s flush after one bad record: secure.bad_records = %d, want 1", when, got)
+		}
 	}
 }

@@ -13,11 +13,12 @@
 //     any worker count. Recording never touches the scheduler or any RNG, so
 //     enabling tracing cannot perturb a run's artifacts.
 //
-//   - Zero-cost off (DESIGN §4.7): every method is nil-safe on a nil
-//     *Tracer, mirroring the obs.Counter handle pattern. With tracing
-//     disabled the per-packet path stays 0 allocs/op; with tracing enabled,
-//     events land in a preallocated bounded ring with a drop-oldest policy
-//     and a dropped-events counter — still 0 allocs/op per event.
+//   - Zero-cost off (DESIGN §4.7): every method is nil-safe, and a nil
+//     *Tracer records nothing, so call sites never check whether tracing
+//     is on. With tracing disabled the per-packet path stays 0 allocs/op;
+//     with tracing enabled, events land in a preallocated bounded ring
+//     with a drop-oldest policy and a dropped-events counter — still 0
+//     allocs/op per event.
 package trace
 
 import "time"

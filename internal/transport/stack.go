@@ -42,15 +42,35 @@ type Stack struct {
 	// (conns leave the live map on close).
 	closedConns []ConnAudit
 
-	// Precomputed metric handles for per-segment/per-ACK call sites.
-	cRetransmits     obs.Counter
-	cFastRetransmits obs.Counter
-	cRTOBackoffs     obs.Counter
-	cConnsDialed     obs.Counter
-	cConnsAccepted   obs.Counter
-	cConnsAborted    obs.Counter
-	cConnTimeouts    obs.Counter
-	gCwndMax         obs.MaxGauge
+	// counts is what this stack's connections did; flushed is the part
+	// FlushMetrics has already added.
+	counts, flushed stackCounts
+}
+
+// stackCounts holds a stack's plain tallies. cwndMax is the largest
+// congestion window a connection noted, 0 until one does.
+type stackCounts struct {
+	retransmits, fastRetransmits, rtoBackoffs  int64
+	dialed, accepted, aborted, connectTimeouts int64
+	cwndMax                                    float64
+}
+
+// FlushMetrics adds the stack's counts since the previous call to m;
+// transport.cwnd_max_bytes appears once a connection has noted a window.
+// Network.FlushMetrics calls it at lab teardown.
+func (s *Stack) FlushMetrics(m *obs.Registry) {
+	c, f := s.counts, s.flushed
+	m.Add("transport.retransmits", c.retransmits-f.retransmits)
+	m.Add("transport.fast_retransmits", c.fastRetransmits-f.fastRetransmits)
+	m.Add("transport.rto_backoffs", c.rtoBackoffs-f.rtoBackoffs)
+	m.Add("transport.conns_dialed", c.dialed-f.dialed)
+	m.Add("transport.conns_accepted", c.accepted-f.accepted)
+	m.Add("transport.conns_aborted", c.aborted-f.aborted)
+	m.Add("transport.connect_timeouts", c.connectTimeouts-f.connectTimeouts)
+	if c.cwndMax > 0 {
+		m.SetMax("transport.cwnd_max_bytes", c.cwndMax)
+	}
+	s.flushed = c
 }
 
 type connKey struct {
@@ -69,15 +89,6 @@ func NewStack(n *netsim.Network, h *netsim.Host) *Stack {
 		nextPort:  33000,
 		EchoReply: true,
 	}
-	m := n.Metrics
-	s.cRetransmits = m.Counter("transport.retransmits")
-	s.cFastRetransmits = m.Counter("transport.fast_retransmits")
-	s.cRTOBackoffs = m.Counter("transport.rto_backoffs")
-	s.cConnsDialed = m.Counter("transport.conns_dialed")
-	s.cConnsAccepted = m.Counter("transport.conns_accepted")
-	s.cConnsAborted = m.Counter("transport.conns_aborted")
-	s.cConnTimeouts = m.Counter("transport.connect_timeouts")
-	s.gCwndMax = m.MaxGauge("transport.cwnd_max_bytes")
 	h.Handler = s.handle
 	n.RegisterEndpoint(s)
 	return s
@@ -139,9 +150,9 @@ type UDPSocket struct {
 	closed bool
 }
 
-// Metrics exposes the per-lab registry of the owning network, so layers
-// above the socket (rtpx) can record without extra plumbing.
-func (u *UDPSocket) Metrics() *obs.Registry { return u.stack.Net.Metrics }
+// Enlist adds ep to the fabric's endpoint list, so a layer above the
+// socket (rtpx) has its counts folded at lab teardown.
+func (u *UDPSocket) Enlist(ep netsim.Endpoint) { u.stack.Net.RegisterEndpoint(ep) }
 
 // Tracer exposes the lab's flight recorder handle (nil when disabled).
 func (u *UDPSocket) Tracer() *trace.Tracer { return u.stack.Net.Tracer }

@@ -4,7 +4,7 @@ import (
 	"sort"
 	"time"
 
-	"github.com/svrlab/svrlab/internal/obs"
+	"github.com/svrlab/svrlab/internal/netsim"
 	"github.com/svrlab/svrlab/internal/packet"
 	"github.com/svrlab/svrlab/internal/trace"
 )
@@ -148,9 +148,9 @@ type Conn struct {
 	lastCwndTr int64
 }
 
-// Metrics exposes the per-lab registry of the owning network, so layers
-// above the connection (secure, rtpx) can record without extra plumbing.
-func (c *Conn) Metrics() *obs.Registry { return c.stack.Net.Metrics }
+// Enlist adds ep to the fabric's endpoint list, so a layer above the
+// connection (secure) has its counts folded at lab teardown.
+func (c *Conn) Enlist(ep netsim.Endpoint) { c.stack.Net.RegisterEndpoint(ep) }
 
 // Tracer exposes the lab's flight recorder handle (nil when disabled), so
 // the secure layer can stamp handshake phases onto this connection's span.
@@ -167,13 +167,13 @@ func (c *Conn) Span() uint64 { return c.span }
 // retransmit, NewReno partial ACK) triggered them.
 func (c *Conn) countRetransmit() {
 	c.Retransmits++
-	c.stack.cRetransmits.Inc()
+	c.stack.counts.retransmits++
 }
 
 // noteCwnd records the congestion-window high-water mark and, when tracing,
 // a counter-track point — deduped so only actual window changes are logged.
 func (c *Conn) noteCwnd() {
-	c.stack.gCwndMax.Set(c.cwnd)
+	c.stack.counts.cwndMax = max(c.stack.counts.cwndMax, c.cwnd)
 	if tr := c.stack.Net.Tracer; tr != nil {
 		if v := int64(c.cwnd); v != c.lastCwndTr {
 			c.lastCwndTr = v
@@ -212,7 +212,7 @@ func (s *Stack) DialTCP(dst packet.Endpoint) *Conn {
 	c.iss = uint32(s.Net.Rng.Int63())
 	c.sndUna, c.sndNxt = c.iss, c.iss
 	s.conns[connKey{c.Local.Port, dst}] = c
-	s.cConnsDialed.Inc()
+	s.counts.dialed++
 	c.span = s.Net.Tracer.NextSpan()
 	s.Net.Tracer.TCPState(s.Net.Sched.Now(), c.span, s.Host.ID, "syn-sent")
 	c.sendSeg(&packet.TCP{Flags: packet.FlagSYN, Seq: c.iss}, nil)
@@ -257,7 +257,7 @@ func (s *Stack) handleTCP(p *packet.Packet) {
 		c.iss = uint32(s.Net.Rng.Int63())
 		c.sndUna, c.sndNxt = c.iss, c.iss
 		s.conns[key] = c
-		s.cConnsAccepted.Inc()
+		s.counts.accepted++
 		c.span = s.Net.Tracer.NextSpan()
 		s.Net.Tracer.TCPState(s.Net.Sched.Now(), c.span, s.Host.ID, "syn-received")
 		c.sendSeg(&packet.TCP{Flags: packet.FlagSYN | packet.FlagACK, Seq: c.iss, Ack: c.rcvNxt}, nil)
@@ -459,18 +459,18 @@ func (c *Conn) onRTO() {
 	// reporting it would stall every failover path built on DialTCP.
 	if handshake := c.state == StateSynSent || c.state == StateSynReceived; handshake {
 		if c.retries > maxHandshakeRetries {
-			c.stack.cConnsAborted.Inc()
-			c.stack.cConnTimeouts.Inc()
+			c.stack.counts.aborted++
+			c.stack.counts.connectTimeouts++
 			c.close("connect timeout")
 			return
 		}
 	} else if c.retries > maxRetries {
-		c.stack.cConnsAborted.Inc()
+		c.stack.counts.aborted++
 		c.close("too many retransmissions")
 		return
 	}
 	// Collapse the window and back off.
-	c.stack.cRTOBackoffs.Inc()
+	c.stack.counts.rtoBackoffs++
 	c.stack.Net.Tracer.TCPRetx(c.now(), c.span, c.stack.Host.ID, "rto-backoff",
 		int64(c.retries), int64(c.rto/time.Microsecond))
 	c.ssthresh = maxf(float64(c.Unacked())/2, 2*MSS)
@@ -657,7 +657,7 @@ func (c *Conn) receive(p *packet.Packet) {
 			c.dupAcks++
 			if c.dupAcks == 3 && !c.inRecovery {
 				// Fast retransmit + NewReno fast recovery.
-				c.stack.cFastRetransmits.Inc()
+				c.stack.counts.fastRetransmits++
 				c.stack.Net.Tracer.TCPRetx(c.now(), c.span, c.stack.Host.ID, "fast-retransmit",
 					int64(c.Unacked()), 0)
 				c.ssthresh = maxf(float64(c.Unacked())/2, 2*MSS)

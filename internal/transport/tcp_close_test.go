@@ -28,6 +28,7 @@ func TestTCPConnectTimeoutFast(t *testing.T) {
 	if reason != "connect timeout" {
 		t.Fatalf("close reason = %q, want \"connect timeout\"", reason)
 	}
+	r.net.FlushMetrics() // a lab's counts reach the registry at teardown
 	closedAt := r.net.Metrics.Snapshot()
 	if got := closedAt.Counter("transport.connect_timeouts"); got != 1 {
 		t.Fatalf("transport.connect_timeouts = %d, want 1", got)

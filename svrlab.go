@@ -58,8 +58,9 @@ func NewLab(seed int64) *Lab { return experiment.NewLab(seed) }
 // MetricsRegistry is the per-lab observability registry: counters, max
 // gauges, and bounded duration histograms recorded by every layer of the
 // stack (fabric drops and queueing, TCP retransmission behaviour, secure
-// records, voice streams, device sampling, sweep cells). There is no
-// global registry: pass one through Options.Metrics to aggregate an
+// records, voice streams, device sampling, sweep cells). A lab's layer
+// counts arrive when its teardown, Lab.MustConserve, folds them in. There
+// is no global registry: pass one through Options.Metrics to aggregate an
 // experiment, or read a single lab's via Lab.Metrics().
 type MetricsRegistry = obs.Registry
 
