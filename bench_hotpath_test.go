@@ -21,7 +21,7 @@ import (
 // at the ends, one intermediate backbone site.
 func benchNet() (*netsim.Network, *netsim.Host, *netsim.Host) {
 	s := simtime.NewScheduler()
-	n := netsim.New(s, 1)
+	n := netsim.New(s, 1, nil)
 	east := n.AddSite("east", geo.Fairfax, packet.MustParseAddr("10.0.0.1"))
 	mid := n.AddSite("mid", geo.Minneapolis, packet.MustParseAddr("10.1.0.1"))
 	west := n.AddSite("west", geo.SanJose, packet.MustParseAddr("10.2.0.1"))
@@ -109,21 +109,6 @@ func BenchmarkHotpathPatchTTL(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		packet.PatchTTL(wire, uint8(64-i%2)) // alternate so the patch never no-ops
-	}
-}
-
-// BenchmarkHotpathDecode parses wire bytes back into a Packet (the codec's
-// reference decoder).
-func BenchmarkHotpathDecode(b *testing.B) {
-	p := benchPacket(packet.MustParseAddr("10.2.0.2"))
-	p.IP.TTL = 64
-	wire := p.Marshal()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := packet.Decode(wire); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -30,7 +30,7 @@ type rig struct {
 func newRig(t *testing.T, lossy bool) *rig {
 	t.Helper()
 	s := simtime.NewScheduler()
-	n := netsim.New(s, 7)
+	n := netsim.New(s, 7, nil)
 	n.Tracer = trace.New(1 << 16)
 	east := n.AddSite("east", geo.Fairfax, packet.MustParseAddr("10.0.0.1"))
 	west := n.AddSite("west", geo.SanJose, packet.MustParseAddr("10.1.0.1"))
@@ -152,16 +152,14 @@ func TestAuditDetectsLedgerTampering(t *testing.T) {
 	}
 }
 
-// TestAuditCapturePauseStaysBounded: pausing and clearing a sniffer must
-// keep the tap totals within the link ledgers (taps run regardless).
-func TestAuditCapturePauseStaysBounded(t *testing.T) {
+// TestAuditCaptureClearStaysBounded: clearing a sniffer must keep the tap
+// totals within the link ledgers (taps run regardless).
+func TestAuditCaptureClearStaysBounded(t *testing.T) {
 	r := newRig(t, false)
-	r.sniffers[0].Pause()
 	r.transfer(t, 20*1000)
-	r.sniffers[0].Resume()
 	r.sniffers[1].Clear()
 	rep := audit.Run(r.n)
 	if !rep.OK() {
-		t.Fatalf("paused/cleared captures broke bounds:\n%s", rep)
+		t.Fatalf("cleared capture broke bounds:\n%s", rep)
 	}
 }

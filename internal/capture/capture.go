@@ -78,7 +78,6 @@ func (r *rec) flow() packet.Flow {
 // concurrent use: a sniffer belongs to one sweep cell, like the lab it taps
 // (the §4.6 cell-isolation contract).
 type Sniffer struct {
-	active bool
 	// n records are held: record i is chunks[i/chunkLen][i%chunkLen].
 	// Chunks past the last record are kept from before a Clear.
 	n      int
@@ -87,7 +86,7 @@ type Sniffer struct {
 
 // NewSniffer returns an unattached sniffer (records are added by taps, or
 // by tests via ingest).
-func NewSniffer() *Sniffer { return &Sniffer{active: true} }
+func NewSniffer() *Sniffer { return &Sniffer{} }
 
 // Restore builds a sniffer over standalone records — the pcap re-analysis
 // path (ReadPcap output). Each record is classified exactly as a live tap
@@ -110,9 +109,6 @@ func Attach(h *netsim.Host) *Sniffer {
 // ingest appends one record. It is the TapFunc Attach registers, and it
 // writes every field, because a Clear leaves old records in the chunks.
 func (s *Sniffer) ingest(at time.Duration, dir netsim.Dir, wire []byte) {
-	if !s.active {
-		return
-	}
 	c := s.n / chunkLen
 	if c == len(s.chunks) {
 		s.chunks = append(s.chunks, new([chunkLen]rec))
@@ -185,12 +181,6 @@ func (s *Sniffer) At(i int) Summary {
 		Head:       r.head,
 	}
 }
-
-// Pause stops recording (the tap stays installed).
-func (s *Sniffer) Pause() { s.active = false }
-
-// Resume restarts recording.
-func (s *Sniffer) Resume() { s.active = true }
 
 // Clear discards captured records. The chunks stay with the sniffer and are
 // overwritten by the records captured next.

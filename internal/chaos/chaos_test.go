@@ -15,7 +15,7 @@ import (
 func testNet(t *testing.T) (*simtime.Scheduler, *netsim.Network, *netsim.Host, *netsim.Host) {
 	t.Helper()
 	s := simtime.NewScheduler()
-	n := netsim.New(s, 1)
+	n := netsim.New(s, 1, nil)
 	a := n.AddSite("a", geo.Fairfax, packet.MustParseAddr("10.0.0.1"))
 	b := n.AddSite("b", geo.Minneapolis, packet.MustParseAddr("10.1.0.1"))
 	c := n.AddSite("c", geo.SanJose, packet.MustParseAddr("10.2.0.1"))

@@ -4,6 +4,7 @@
 package disrupt
 
 import (
+	"strconv"
 	"time"
 
 	"github.com/svrlab/svrlab/internal/netsim"
@@ -118,27 +119,7 @@ func UplinkBandwidthStages() []Stage {
 func rateStages(mbps []float64) []Stage {
 	var out []Stage
 	for _, m := range mbps {
-		out = append(out, Stage{Label: formatMbps(m), RateBps: m * 1e6, Duration: 40 * time.Second})
-	}
-	out = append(out, Stage{Label: "N", Duration: 60 * time.Second})
-	return out
-}
-
-// LatencyStages: 50-500 ms added delay.
-func LatencyStages() []Stage {
-	var out []Stage
-	for _, ms := range []int{50, 100, 200, 300, 400, 500} {
-		out = append(out, Stage{Label: itoa(ms) + "ms", Delay: time.Duration(ms) * time.Millisecond, Duration: 40 * time.Second})
-	}
-	out = append(out, Stage{Label: "N", Duration: 60 * time.Second})
-	return out
-}
-
-// LossStages: 1-20% random loss.
-func LossStages() []Stage {
-	var out []Stage
-	for _, pct := range []int{1, 3, 5, 7, 10, 20} {
-		out = append(out, Stage{Label: itoa(pct) + "%", Loss: float64(pct) / 100, Duration: 40 * time.Second})
+		out = append(out, Stage{Label: strconv.FormatFloat(m, 'f', 1, 64), RateBps: m * 1e6, Duration: 40 * time.Second})
 	}
 	out = append(out, Stage{Label: "N", Duration: 60 * time.Second})
 	return out
@@ -150,41 +131,11 @@ func TCPDelayStages() []Stage {
 	var out []Stage
 	for _, s := range []int{5, 10, 15} {
 		out = append(out, Stage{
-			Label: itoa(s) + "s", Delay: time.Duration(s) * time.Second,
+			Label: strconv.Itoa(s) + "s", Delay: time.Duration(s) * time.Second,
 			Filter: netsim.FilterTCP, Duration: 60 * time.Second,
 		})
 	}
 	out = append(out, Stage{Label: "100%", Loss: 1.0, Filter: netsim.FilterTCP, Duration: 60 * time.Second})
 	out = append(out, Stage{Label: "N", Duration: 60 * time.Second})
 	return out
-}
-
-func formatMbps(m float64) string {
-	switch {
-	case m == float64(int(m)):
-		return itoa(int(m)) + ".0"
-	default:
-		whole := int(m)
-		frac := int(m*10+0.5) % 10
-		return itoa(whole) + "." + itoa(frac)
-	}
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	neg := i < 0
-	if neg {
-		i = -i
-	}
-	var b []byte
-	for i > 0 {
-		b = append([]byte{byte('0' + i%10)}, b...)
-		i /= 10
-	}
-	if neg {
-		return "-" + string(b)
-	}
-	return string(b)
 }

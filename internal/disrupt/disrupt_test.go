@@ -1,6 +1,7 @@
 package disrupt
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -19,17 +20,25 @@ func TestStageSweepsMatchPaperParameters(t *testing.T) {
 	if ul[0].RateBps != 1.5e6 || ul[5].RateBps != 0.3e6 {
 		t.Fatalf("uplink stages = %+v", ul)
 	}
-	lat := LatencyStages()
-	if lat[0].Delay != 50*time.Millisecond || lat[5].Delay != 500*time.Millisecond {
-		t.Fatalf("latency stages = %+v", lat)
-	}
-	loss := LossStages()
-	if loss[0].Loss != 0.01 || loss[5].Loss != 0.20 {
-		t.Fatalf("loss stages = %+v", loss)
-	}
 	tcp := TCPDelayStages()
 	if tcp[0].Delay != 5*time.Second || tcp[3].Loss != 1.0 || tcp[3].Filter == nil {
 		t.Fatalf("tcp stages = %+v", tcp)
+	}
+	for _, c := range []struct {
+		stages []Stage
+		want   string
+	}{
+		{dl, "1.0 0.7 0.5 0.3 0.2 0.1 N"},
+		{ul, "1.5 1.2 1.0 0.7 0.5 0.3 N"},
+		{tcp, "5s 10s 15s 100% N"},
+	} {
+		var labels []string
+		for _, st := range c.stages {
+			labels = append(labels, st.Label)
+		}
+		if got := strings.Join(labels, " "); got != c.want {
+			t.Fatalf("stage labels = %q, want %q", got, c.want)
+		}
 	}
 	for _, st := range dl[:6] {
 		if st.Duration != 40*time.Second {
@@ -43,7 +52,7 @@ func TestStageSweepsMatchPaperParameters(t *testing.T) {
 
 func TestScheduleAppliesAndClears(t *testing.T) {
 	sched := simtime.NewScheduler()
-	n := netsim.New(sched, 1)
+	n := netsim.New(sched, 1, nil)
 	site := n.AddSite("x", geo.Fairfax, packet.MustParseAddr("10.0.0.1"))
 	h := n.AddHost("h", site, packet.MustParseAddr("10.0.0.2"), netsim.WiFiAccess())
 
@@ -78,7 +87,7 @@ func TestScheduleAppliesAndClears(t *testing.T) {
 
 func TestUplinkDirection(t *testing.T) {
 	sched := simtime.NewScheduler()
-	n := netsim.New(sched, 1)
+	n := netsim.New(sched, 1, nil)
 	site := n.AddSite("x", geo.Fairfax, packet.MustParseAddr("10.0.0.1"))
 	h := n.AddHost("h", site, packet.MustParseAddr("10.0.0.2"), netsim.WiFiAccess())
 	sc := &Schedule{Host: h, Dir: Uplink, Stages: []Stage{{Label: "x", Loss: 0.5, Duration: time.Second}}}

@@ -89,22 +89,35 @@ func (e Env) countsOr(def []int) []int {
 	return def
 }
 
+// ChaosError reports a chaos spec that does not bind in a cell: it names a
+// host, link or site the cell did not build. The cell panics with it at
+// t=0, and svrlab.Run returns it as the run's error.
+type ChaosError struct {
+	Cell string // the cell's label
+	Err  error  // the binding error, which names the target
+}
+
+func (e *ChaosError) Error() string {
+	return "experiment: chaos spec in cell " + e.Cell + ": " + e.Err.Error()
+}
+
 // lab builds one cell's Lab. The lab observes into e.Metrics, records into
 // e.Trace's cell of that label, and runs e.Chaos from t=0: one callback at
 // t=0 binds the spec against the fabric, so it can name the hosts the cell
-// built, the clients among them. With none of them set it is NewLab: no
-// tracer, no pcap, no event posted. Labels must be unique across every
-// experiment, because one collector may trace them all.
+// built, the clients among them, and panics with a *ChaosError if a target
+// is missing. With none of them set it is NewLab: no tracer, no pcap, no
+// event posted. Labels must be unique across every experiment, because one
+// collector may trace them all.
 func (e Env) lab(label string, seed int64) *Lab {
 	s := simtime.NewScheduler()
-	l := &Lab{Sched: s, Dep: platform.NewDeploymentObserved(s, seed, e.Metrics), Seed: seed,
+	l := &Lab{Sched: s, Dep: platform.NewDeployment(s, seed, e.Metrics), Seed: seed,
 		label: label, pcapDir: e.PcapDir}
 	l.Dep.Net.Tracer = e.Trace.Cell(label)
 	if spec := e.Chaos; !spec.Empty() {
 		s.At(0, func() {
 			sc, err := spec.Bind(l.Dep.Net)
 			if err != nil {
-				panic("experiment: chaos spec in cell " + label + ": " + err.Error())
+				panic(&ChaosError{Cell: label, Err: err})
 			}
 			sc.Run(s, 0)
 		})
@@ -199,17 +212,15 @@ func (l *Lab) MustConserve() {
 
 // SpawnOpts controls client creation.
 type SpawnOpts struct {
-	Site     string        // default: campus
-	Voice    bool          // default false: users join mutely, as the paper does
-	Wander   bool          // walk around
-	Room     string        // default "event-1"
-	LaunchAt time.Duration // default 0
-	JoinAt   time.Duration // default 1s
-	// JoinStagger delays each subsequent user's join (Figure 6's 50 s).
-	JoinStagger time.Duration
+	Site   string        // default: campus
+	Voice  bool          // default false: users join mutely, as the paper does
+	Wander bool          // walk around
+	Room   string        // default "event-1"
+	JoinAt time.Duration // default 1s
 }
 
-// Spawn creates n clients of a platform and schedules launch/join.
+// Spawn creates n clients of a platform, launched at t=0, and schedules
+// their joins.
 func (l *Lab) Spawn(name platform.Name, n int, o SpawnOpts) []*platform.Client {
 	if o.Site == "" {
 		o.Site = platform.SiteCampus
@@ -226,9 +237,8 @@ func (l *Lab) Spawn(name platform.Name, n int, o SpawnOpts) []*platform.Client {
 		c.Muted = !o.Voice
 		c.Wander = o.Wander
 		out[i] = c
-		l.Sched.At(o.LaunchAt, c.Launch)
-		join := o.JoinAt + time.Duration(i)*o.JoinStagger
-		l.Sched.At(join, func() { c.JoinEvent(o.Room) })
+		l.Sched.At(0, c.Launch)
+		l.Sched.At(o.JoinAt, func() { c.JoinEvent(o.Room) })
 	}
 	return out
 }

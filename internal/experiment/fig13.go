@@ -197,14 +197,7 @@ func DisruptLatencyLoss(e Env) *DisruptQoEResult {
 func latencyWithDelay(e Env, label string, name platform.Name, addedMs int, seed int64) float64 {
 	l := e.lab(fmt.Sprintf("%s/delay%dms", label, addedMs), seed)
 	defer l.MustConserve()
-	cs := make([]*platform.Client, 2)
-	for i := range cs {
-		c := platform.NewClient(l.Dep, name, fmt.Sprintf("u%d", i+1), platform.SiteCampus, 10+i)
-		c.Muted = true
-		cs[i] = c
-		l.Sched.At(0, c.Launch)
-		l.Sched.At(time.Second, func() { c.JoinEvent("qoe") })
-	}
+	cs := l.Spawn(name, 2, SpawnOpts{Room: "qoe"})
 	l.Sched.At(3*time.Second, func() {
 		sc := &disrupt.Schedule{Host: cs[0].Host, Dir: disrupt.Uplink, Stages: []disrupt.Stage{
 			{Label: "delay", Delay: time.Duration(addedMs) * time.Millisecond, Duration: 5 * time.Minute},

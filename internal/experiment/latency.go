@@ -61,15 +61,7 @@ func measureLatency(e Env, label string, name platform.Name, n, repeats int, see
 	l.Trace().Phase(time.Second, "join")
 	l.Trace().Phase(2*time.Second, "arrange")
 	l.Trace().Phase(10*time.Second, "actions")
-	cs := make([]*platform.Client, n)
-	for i := 0; i < n; i++ {
-		c := platform.NewClient(l.Dep, name, fmt.Sprintf("u%d", i+1), platform.SiteCampus, 10+i)
-		c.Muted = true
-		c.UsePrivateHubs = private
-		cs[i] = c
-		l.Sched.At(0, c.Launch)
-		l.Sched.At(time.Second, func() { c.JoinEvent("lat") })
-	}
+	cs := l.Spawn(name, n, SpawnOpts{Room: "lat"})
 	l.Sched.At(2*time.Second, func() { arrangeCircle(cs) })
 
 	var ids []uint32

@@ -166,15 +166,7 @@ func fig9Run(e Env, label string, n int, seed int64) (downBps, fps float64) {
 	l := e.lab(label, seed)
 	defer l.MustConserve()
 	l.Dep.DeployPrivateHubs(platform.SiteUSEast)
-	cs := make([]*platform.Client, n)
-	for i := 0; i < n; i++ {
-		c := platform.NewClient(l.Dep, platform.Hubs, fmt.Sprintf("u%d", i+1), platform.SiteCampus, 10+i)
-		c.Muted = true
-		c.UsePrivateHubs = true
-		cs[i] = c
-		l.Sched.At(0, c.Launch)
-		l.Sched.At(time.Second, func() { c.JoinEvent("big") })
-	}
+	cs := l.Spawn(platform.Hubs, n, SpawnOpts{Room: "big"})
 	l.Sched.At(2*time.Second, func() { arrangeCircle(cs) })
 	sniff := l.Capture(cs[0].Host)
 	l.Sched.RunUntil(50 * time.Second)

@@ -67,7 +67,7 @@ func TestHostDownDropsInboundInFlight(t *testing.T) {
 func TestLinkDownDropsAndReroutes(t *testing.T) {
 	// Triangle so a downed edge has an alternative path.
 	s := simtime.NewScheduler()
-	n := New(s, 1)
+	n := New(s, 1, nil)
 	a := n.AddSite("a", geo.Fairfax, packet.MustParseAddr("10.0.0.1"))
 	b := n.AddSite("b", geo.Minneapolis, packet.MustParseAddr("10.1.0.1"))
 	c := n.AddSite("c", geo.SanJose, packet.MustParseAddr("10.2.0.1"))

@@ -189,7 +189,7 @@ func TestSendDeliverAllocsTraced(t *testing.T) {
 func TestManySiteRouting(t *testing.T) {
 	const k = 40
 	s := simtime.NewScheduler()
-	n := New(s, 1)
+	n := New(s, 1, nil)
 	sites := make([]*Site, k)
 	for i := 0; i < k; i++ {
 		loc := geo.Point{Lat: 40, Lon: -120 + float64(i)}

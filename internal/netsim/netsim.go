@@ -82,9 +82,6 @@ func (n *Netem) matches(p *packet.Packet) bool {
 // FilterTCP matches only TCP packets (for TCP-only impairments).
 func FilterTCP(p *packet.Packet) bool { return p.IP.Protocol == packet.ProtoTCP }
 
-// FilterUDP matches only UDP packets.
-func FilterUDP(p *packet.Packet) bool { return p.IP.Protocol == packet.ProtoUDP }
-
 // Link is a unidirectional transmission resource. The zero value is an
 // infinitely fast link with no delay.
 type Link struct {
@@ -108,9 +105,6 @@ type Link struct {
 	OfferedPackets, DroppedPackets int
 	OfferedBytes, CarriedBytes     int64
 }
-
-// IsDown reports whether the link is chaos-disabled.
-func (l *Link) IsDown() bool { return l.down }
 
 // noteDownDrop records a packet dropped because the link was down in the
 // link's conservation ledger (the packet never reaches transmit).
@@ -207,9 +201,6 @@ type Host struct {
 	InjectedBytes int64
 }
 
-// IsDown reports whether the host is crashed.
-func (h *Host) IsDown() bool { return h.down }
-
 // Tap registers a capture callback at this host's access point; both
 // directions are observed, like Wireshark on the paper's WiFi APs.
 func (h *Host) Tap(fn TapFunc) { h.taps = append(h.taps, fn) }
@@ -300,16 +291,10 @@ type Network struct {
 	icmp   [numICMPClasses]int64
 }
 
-// New creates an empty network bound to a scheduler and seeded RNG, with a
-// private metrics registry.
-func New(s *simtime.Scheduler, seed int64) *Network {
-	return NewObserved(s, seed, nil)
-}
-
-// NewObserved is New with an externally owned metrics registry, so one
-// registry can span the whole deployment (or sweep cell). A nil m gets a
-// fresh private registry.
-func NewObserved(s *simtime.Scheduler, seed int64, m *obs.Registry) *Network {
+// New creates an empty network bound to a scheduler and seeded RNG. It
+// records into m, so one registry can span the whole deployment (or sweep
+// cell); a nil m gets a fresh private registry.
+func New(s *simtime.Scheduler, seed int64, m *obs.Registry) *Network {
 	if m == nil {
 		m = obs.NewRegistry()
 	}

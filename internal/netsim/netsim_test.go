@@ -16,7 +16,7 @@ import (
 func buildTestNet(t *testing.T) (*Network, *Host, *Host, *Site, *Site) {
 	t.Helper()
 	s := simtime.NewScheduler()
-	n := New(s, 1)
+	n := New(s, 1, nil)
 	east := n.AddSite("east", geo.Fairfax, packet.MustParseAddr("10.0.0.1"))
 	mid := n.AddSite("mid", geo.Minneapolis, packet.MustParseAddr("10.1.0.1"))
 	west := n.AddSite("west", geo.SanJose, packet.MustParseAddr("10.2.0.1"))
@@ -128,7 +128,7 @@ func TestTTLSufficientReachesHost(t *testing.T) {
 
 func TestBandwidthSerializationDelaysBackToBackPackets(t *testing.T) {
 	s := simtime.NewScheduler()
-	n := New(s, 1)
+	n := New(s, 1, nil)
 	site := n.AddSite("x", geo.Fairfax, packet.MustParseAddr("10.0.0.1"))
 	slow := AccessProfile{UpBps: 8000, DownBps: 1e9, Delay: 0, MaxQueue: time.Second} // 1 KB/s up
 	h1 := n.AddHost("a", site, packet.MustParseAddr("10.0.0.2"), slow)
@@ -150,7 +150,7 @@ func TestBandwidthSerializationDelaysBackToBackPackets(t *testing.T) {
 
 func TestQueueOverflowDropsTail(t *testing.T) {
 	s := simtime.NewScheduler()
-	n := New(s, 1)
+	n := New(s, 1, nil)
 	site := n.AddSite("x", geo.Fairfax, packet.MustParseAddr("10.0.0.1"))
 	// 10 ms max queue on a link that takes 128 ms per packet: the second
 	// packet must be dropped.
@@ -231,7 +231,7 @@ func TestNetemFilterAppliesSelectively(t *testing.T) {
 // per-hop cost and the (infinitely fast) downlink's propagation delay.
 func TestDownNetemReorderMergesWithLinkOrder(t *testing.T) {
 	s := simtime.NewScheduler()
-	n := New(s, 1)
+	n := New(s, 1, nil)
 	lan := n.AddSite("lan", geo.Fairfax, packet.MustParseAddr("10.0.0.1"))
 	ap := AccessProfile{UpBps: 1e6, Delay: time.Millisecond} // no jitter, no queue limit
 	h1 := n.AddHost("u1", lan, packet.MustParseAddr("10.0.0.2"), ap)
@@ -368,7 +368,7 @@ func TestTapsSeeBothDirections(t *testing.T) {
 
 func TestDuplicateHostAddressPanics(t *testing.T) {
 	s := simtime.NewScheduler()
-	n := New(s, 1)
+	n := New(s, 1, nil)
 	site := n.AddSite("x", geo.Fairfax, packet.MustParseAddr("10.0.0.1"))
 	n.AddHost("a", site, packet.MustParseAddr("10.0.0.2"), WiFiAccess())
 	defer func() {

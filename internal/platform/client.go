@@ -32,10 +32,9 @@ type Client struct {
 	Monitor *device.Monitor
 
 	// Options (set before Launch).
-	Muted          bool   // join mutely (the Table 3 differencing method)
-	Wander         bool   // walk around automatically
-	UsePrivateHubs bool   // connect to the self-hosted Hubs deployment
-	RoomName       string // set at JoinEvent
+	Muted    bool   // join mutely (the Table 3 differencing method)
+	Wander   bool   // walk around automatically
+	RoomName string // set at JoinEvent
 
 	rng    *rand.Rand
 	space  *world.Space
@@ -151,11 +150,7 @@ func (c *Client) MeasureClockOffset() time.Duration {
 // download, and begins welcome-page behaviour. Call on the scheduler (e.g.
 // sched.At(0, client.Launch)).
 func (c *Client) Launch() {
-	ep := c.Dep.ControlEndpoint(c.Profile, c.Host.Site)
-	if c.UsePrivateHubs && c.Dep.privateHubsCtrl.Addr != 0 {
-		ep = c.Dep.privateHubsCtrl
-	}
-	c.ctrlConn = c.Stack.DialTCP(ep)
+	c.ctrlConn = c.Stack.DialTCP(c.Dep.ControlEndpoint(c.Profile, c.Host.Site))
 	c.ctrl = secure.Client(c.ctrlConn)
 	c.ctrlReader = &secure.MsgReader{OnMsg: c.onCtrlMsg}
 	c.ctrl.OnData = c.ctrlReader.Feed
@@ -229,9 +224,6 @@ func (c *Client) JoinEvent(room string) {
 		if err == nil {
 			c.dataSock = sock
 			c.dataEP = c.Dep.VoiceEndpoint(p, c.Host.Site)
-			if c.UsePrivateHubs && c.Dep.privateHubsSFU.Addr != 0 {
-				c.dataEP = c.Dep.privateHubsSFU
-			}
 			hello, err := marshalHello(helloMsg{Room: room, User: c.User})
 			if err != nil {
 				panic(fmt.Sprintf("platform: JoinEvent(%q): %v", room, err))

@@ -44,10 +44,6 @@ type Deployment struct {
 	sfu      map[Name]*serverSet // Hubs voice
 	assets   map[Name]*serverSet
 
-	private map[Name]*privateDeployment
-	// privateHubsCtrl/SFU are set once DeployPrivateHubs runs.
-	privateHubsCtrl, privateHubsSFU packet.Endpoint
-
 	// traces collects latency-rig observations keyed by action id.
 	traces map[uint32]*ActionTrace
 	// actionSeq allocates deployment-local action ids; keeping it here (not
@@ -57,12 +53,6 @@ type Deployment struct {
 	nextHostIdx int
 	lbCounter   int
 	rng         *rand.Rand
-}
-
-type privateDeployment struct {
-	ctrl *CtrlServer
-	sfu  *SFUServer
-	be   *Backend
 }
 
 // serverSet is one platform channel's fleet.
@@ -117,28 +107,18 @@ func (t *ActionTrace) Receiver(user string) *ReceiverTrace {
 }
 
 // NewDeployment builds the default world: seven sites, the five platforms'
-// fleets, and the geolocation/WHOIS registry.
-func NewDeployment(sched *simtime.Scheduler, seed int64) *Deployment {
-	return NewDeploymentObserved(sched, seed, nil)
-}
-
-// Metrics returns the deployment's metrics registry (the fabric's; never
-// nil).
-func (d *Deployment) Metrics() *obs.Registry { return d.Net.Metrics }
-
-// NewDeploymentObserved is NewDeployment with an externally owned metrics
-// registry threaded into the fabric (nil gets a fresh private one).
-func NewDeploymentObserved(sched *simtime.Scheduler, seed int64, m *obs.Registry) *Deployment {
+// fleets, and the geolocation/WHOIS registry. The fabric records into m (nil
+// gets a fresh private registry).
+func NewDeployment(sched *simtime.Scheduler, seed int64, m *obs.Registry) *Deployment {
 	d := &Deployment{
 		Sched:    sched,
-		Net:      netsim.NewObserved(sched, seed, m),
+		Net:      netsim.New(sched, seed, m),
 		Sites:    make(map[string]*netsim.Site),
 		backends: make(map[Name]*Backend),
 		control:  make(map[Name]*serverSet),
 		data:     make(map[Name]*serverSet),
 		sfu:      make(map[Name]*serverSet),
 		assets:   make(map[Name]*serverSet),
-		private:  make(map[Name]*privateDeployment),
 		traces:   make(map[uint32]*ActionTrace),
 		rng:      rand.New(rand.NewSource(seed ^ 0x5eed)),
 	}
@@ -148,6 +128,10 @@ func NewDeploymentObserved(sched *simtime.Scheduler, seed int64, m *obs.Registry
 	}
 	return d
 }
+
+// Metrics returns the deployment's metrics registry (the fabric's; never
+// nil).
+func (d *Deployment) Metrics() *obs.Registry { return d.Net.Metrics }
 
 func (d *Deployment) buildTopology() {
 	add := func(name string, loc geo.Point, router string) *netsim.Site {
@@ -218,7 +202,7 @@ func (d *Deployment) deployPlatform(p *Profile) {
 		// dedicated west-coast SFU.
 		d.data[p.Name] = d.control[p.Name]
 		d.sfu[p.Name] = d.buildSet(p, PlaceWestOnly, p.DataOwner, p.DataHostname, 1, serverSites, func(h *netsim.Host) {
-			newSFUServer(d, p, be, h)
+			newSFUServer(d, h)
 		})
 	} else {
 		instances := 1
@@ -226,7 +210,7 @@ func (d *Deployment) deployPlatform(p *Profile) {
 			instances = 2 // co-located users are load-balanced apart
 		}
 		d.data[p.Name] = d.buildSet(p, p.DataPlacement, p.DataOwner, p.DataHostname, instances, serverSites, func(h *netsim.Host) {
-			newDataServer(d, p, be, h)
+			newDataServer(d, be, h)
 		})
 	}
 	// Asset/CDN host: west for Hubs (AWS), east for the rest.
@@ -366,24 +350,25 @@ func (d *Deployment) Trace(id uint32) *ActionTrace {
 }
 
 // DeployPrivateHubs stands up a self-hosted Hubs instance (the paper's AWS
-// t3.medium in §7) at the given site and returns its control endpoint. The
-// private server is lightly loaded: its per-message processing cost is the
-// ~16 ms the paper measured instead of the public fleet's ~50 ms.
+// t3.medium in §7) at the given site and returns its control endpoint. From
+// then on the deployment directs every Hubs client there: the control and
+// data endpoints resolve to the instance's HTTPS server, and the voice
+// endpoint to its SFU. The private server is lightly loaded: its
+// per-message processing cost is the ~16 ms the paper measured instead of
+// the public fleet's ~50 ms.
 func (d *Deployment) DeployPrivateHubs(siteName string) packet.Endpoint {
 	p := Get(Hubs)
 	be := newBackend(d, p)
-	var ctrl *CtrlServer
-	h := d.newServerHost(p, geo.OwnerAWS, siteName, func(h *netsim.Host) {
-		ctrl = newCtrlServer(d, p, be, h, true)
+	ctrl := d.newServerHost(p, geo.OwnerAWS, siteName, func(h *netsim.Host) {
+		newCtrlServer(d, p, be, h, true)
 	})
-	var sfuHost *netsim.Host
-	sfuHost = d.newServerHost(p, geo.OwnerAWS, siteName, func(h *netsim.Host) {
-		newSFUServer(d, p, be, h)
+	sfu := d.newServerHost(p, geo.OwnerAWS, siteName, func(h *netsim.Host) {
+		newSFUServer(d, h)
 	})
-	d.private[Hubs] = &privateDeployment{ctrl: ctrl, be: be}
-	d.privateHubsCtrl = packet.Endpoint{Addr: h.Addr, Port: PortControl}
-	d.privateHubsSFU = packet.Endpoint{Addr: sfuHost.Addr, Port: PortSFU}
-	return d.privateHubsCtrl
+	d.control[Hubs] = &serverSet{placement: PlaceWestOnly, single: ctrl.Addr}
+	d.data[Hubs] = d.control[Hubs]
+	d.sfu[Hubs] = &serverSet{placement: PlaceWestOnly, single: sfu.Addr}
+	return packet.Endpoint{Addr: ctrl.Addr, Port: PortControl}
 }
 
 // AddVantage attaches a measurement/client host (WiFi access) at a site.

@@ -21,7 +21,7 @@ import (
 // sums of the owners' own records.
 func TestFlushMetricsFoldsEveryOwner(t *testing.T) {
 	sched := simtime.NewScheduler()
-	dep := NewDeployment(sched, 42)
+	dep := NewDeployment(sched, 42, nil)
 	// Three talking users: the SFU relays each frame to two listeners, so
 	// voice_recv is not voice_sent and a swapped name shows.
 	for i := 0; i < 3; i++ {
@@ -88,7 +88,7 @@ func TestFlushMetricsFoldsEveryOwner(t *testing.T) {
 // that has left gets none again.
 func TestSFUAnswersRTCPOnlyFromMembers(t *testing.T) {
 	sched := simtime.NewScheduler()
-	dep := NewDeployment(sched, 5)
+	dep := NewDeployment(sched, 5, nil)
 	h := dep.AddVantage("rtcp-peer", SiteCampus, 200)
 	sock, err := transport.NewStack(dep.Net, h).BindUDP(0)
 	if err != nil {

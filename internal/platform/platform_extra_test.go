@@ -83,7 +83,7 @@ func TestGestureNoOpOnFacelessPlatform(t *testing.T) {
 func TestInitDownloadSizes(t *testing.T) {
 	measure := func(name Name, until time.Duration) int {
 		sched := simtime.NewScheduler()
-		dep := NewDeployment(sched, 77)
+		dep := NewDeployment(sched, 77, nil)
 		c := NewClient(dep, name, "dl", SiteCampus, 10)
 		c.Muted = true
 		sniff := capture.Attach(c.Host)
@@ -121,7 +121,7 @@ func TestInitDownloadSizes(t *testing.T) {
 // byte the server sent acked, none left queued.
 func TestDownloadDeliversWholeResponse(t *testing.T) {
 	sched := simtime.NewScheduler()
-	dep := NewDeployment(sched, 77)
+	dep := NewDeployment(sched, 77, nil)
 	c := NewClient(dep, VRChat, "dl", SiteCampus, 10)
 	n := c.Profile.Traffic.InitDownloadBytes
 	if n <= secure.MaxMsgLen {
@@ -163,7 +163,7 @@ func TestDownloadDeliversWholeResponse(t *testing.T) {
 // bursty, small totals (a few KB up, tens-to-hundreds KB down).
 func TestWelcomePageControlTraffic(t *testing.T) {
 	sched := simtime.NewScheduler()
-	dep := NewDeployment(sched, 88)
+	dep := NewDeployment(sched, 88, nil)
 	c := NewClient(dep, VRChat, "w", SiteCampus, 10)
 	c.Muted = true
 	sniff := capture.Attach(c.Host)
@@ -186,7 +186,7 @@ func TestWelcomePageControlTraffic(t *testing.T) {
 func TestThroughputIndependentOfDeviceType(t *testing.T) {
 	run := func(class device.Class) float64 {
 		sched := simtime.NewScheduler()
-		dep := NewDeployment(sched, 99)
+		dep := NewDeployment(sched, 99, nil)
 		u1 := NewClient(dep, VRChat, "u1", SiteCampus, 10)
 		u2 := NewClient(dep, VRChat, "u2", SiteCampus, 11)
 		u2.SetDevice(class)
@@ -237,7 +237,7 @@ func TestAppStoreSizesExplainPredownloads(t *testing.T) {
 // TestWorldsHostnamesSeparateChannels checks the §4.1 hostname evidence.
 func TestWorldsHostnamesSeparateChannels(t *testing.T) {
 	sched := simtime.NewScheduler()
-	dep := NewDeployment(sched, 66)
+	dep := NewDeployment(sched, 66, nil)
 	p := Get(Worlds)
 	ctrl := dep.ControlEndpoint(p, dep.Sites[SiteCampus])
 	data := dep.DataEndpoint(p, dep.Sites[SiteCampus], 0)

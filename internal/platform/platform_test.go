@@ -16,7 +16,7 @@ import (
 func lab(t *testing.T, name Name, n int, seed int64) (*simtime.Scheduler, *Deployment, []*Client) {
 	t.Helper()
 	sched := simtime.NewScheduler()
-	dep := NewDeployment(sched, seed)
+	dep := NewDeployment(sched, seed, nil)
 	clients := make([]*Client, n)
 	for i := range clients {
 		c := NewClient(dep, name, "u"+itoa(i+1), SiteCampus, 10+i)
@@ -395,22 +395,41 @@ func TestHubsVoiceThroughSFU(t *testing.T) {
 
 func TestPrivateHubsReducesServerLatency(t *testing.T) {
 	sched := simtime.NewScheduler()
-	dep := NewDeployment(sched, 31)
-	dep.DeployPrivateHubs(SiteUSEast)
+	dep := NewDeployment(sched, 31, nil)
+	campus := dep.Sites[SiteCampus]
+	publicSFU := dep.VoiceEndpoint(Get(Hubs), campus)
+	publicVRChat := dep.ControlEndpoint(Get(VRChat), campus)
+	private := dep.DeployPrivateHubs(SiteUSEast)
 	cs := make([]*Client, 2)
 	for i := range cs {
 		c := NewClient(dep, Hubs, "p"+itoa(i+1), SiteCampus, 40+i)
 		c.Muted = true
-		c.UsePrivateHubs = true
 		cs[i] = c
 		sched.At(0, c.Launch)
 		sched.At(time.Second, func() { c.JoinEvent("priv") })
 	}
+	// A VRChat user in the same deployment stays on the public fleet.
+	vr := NewClient(dep, VRChat, "v1", SiteCampus, 50)
+	vr.Muted = true
+	sched.At(0, vr.Launch)
+	sched.At(time.Second, func() { vr.JoinEvent("pub") })
 	var ids []uint32
 	for i := 0; i < 8; i++ {
 		sched.At(time.Duration(10+i)*time.Second, func() { ids = append(ids, cs[0].PerformAction()) })
 	}
 	sched.RunUntil(30 * time.Second)
+	for _, c := range cs {
+		if got := c.DataEndpointAddr(); got != private.Addr {
+			t.Fatalf("%s control connection reaches %v, want the private instance %v", c.User, got, private.Addr)
+		}
+		if c.dataEP == publicSFU || c.dataEP.Port != PortSFU {
+			t.Fatalf("%s voice goes to %v, want the private SFU (public is %v)", c.User, c.dataEP, publicSFU)
+		}
+	}
+	if vr.ctrlConn.Remote != publicVRChat || vr.DataEndpointAddr() == 0 || vr.DataEndpointAddr() == private.Addr {
+		t.Fatalf("VRChat control %v, data %v; want the public fleet (control %v)",
+			vr.ctrlConn.Remote, vr.DataEndpointAddr(), publicVRChat)
+	}
 	var sum float64
 	count := 0
 	for _, id := range ids {

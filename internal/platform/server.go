@@ -408,15 +408,14 @@ func (b *Backend) handleVoiceUpload(m *Member, payload []byte) {
 
 // DataServer is one UDP data-channel instance.
 type DataServer struct {
-	dep     *Deployment
-	profile *Profile
-	be      *Backend
-	stack   *transport.Stack
-	sock    *transport.UDPSocket
+	dep   *Deployment
+	be    *Backend
+	stack *transport.Stack
+	sock  *transport.UDPSocket
 }
 
-func newDataServer(d *Deployment, p *Profile, be *Backend, h *netsim.Host) *DataServer {
-	s := &DataServer{dep: d, profile: p, be: be, stack: transport.NewStack(d.Net, h)}
+func newDataServer(d *Deployment, be *Backend, h *netsim.Host) *DataServer {
+	s := &DataServer{dep: d, be: be, stack: transport.NewStack(d.Net, h)}
 	sock, err := s.stack.BindUDP(PortData)
 	if err != nil {
 		panic(err)
@@ -659,22 +658,21 @@ func newAssetServer(d *Deployment, p *Profile, h *netsim.Host) *AssetServer {
 // reports — the "central routing machine" of the Hubs documentation.
 type SFUServer struct {
 	dep   *Deployment
-	be    *Backend
 	stack *transport.Stack
 	sock  *transport.UDPSocket
 
-	members map[packet.Endpoint]string // endpoint -> user
-	rooms   map[string][]packet.Endpoint
-	roomOf  map[packet.Endpoint]string
+	// rooms lists each room's member endpoints in join order, and roomOf
+	// names the room of every member.
+	rooms  map[string][]packet.Endpoint
+	roomOf map[packet.Endpoint]string
 }
 
-func newSFUServer(d *Deployment, p *Profile, be *Backend, h *netsim.Host) *SFUServer {
+func newSFUServer(d *Deployment, h *netsim.Host) *SFUServer {
 	s := &SFUServer{
-		dep: d, be: be,
-		stack:   transport.NewStack(d.Net, h),
-		members: make(map[packet.Endpoint]string),
-		rooms:   make(map[string][]packet.Endpoint),
-		roomOf:  make(map[packet.Endpoint]string),
+		dep:    d,
+		stack:  transport.NewStack(d.Net, h),
+		rooms:  make(map[string][]packet.Endpoint),
+		roomOf: make(map[packet.Endpoint]string),
 	}
 	sock, err := s.stack.BindUDP(PortSFU)
 	if err != nil {
@@ -696,8 +694,7 @@ func (s *SFUServer) onDatagram(src packet.Endpoint, payload []byte) {
 			s.dep.Metrics().Inc("platform.wire_parse_err")
 			return
 		}
-		if _, known := s.members[src]; !known {
-			s.members[src] = h.User
+		if _, known := s.roomOf[src]; !known {
 			s.rooms[h.Room] = append(s.rooms[h.Room], src)
 			s.roomOf[src] = h.Room
 		}
@@ -706,7 +703,6 @@ func (s *SFUServer) onDatagram(src packet.Endpoint, payload []byte) {
 		if room, known := s.roomOf[src]; known {
 			s.rooms[room] = slices.DeleteFunc(s.rooms[room], func(ep packet.Endpoint) bool { return ep == src })
 			delete(s.roomOf, src)
-			delete(s.members, src)
 		}
 		return
 	}
@@ -721,7 +717,7 @@ func (s *SFUServer) onDatagram(src packet.Endpoint, payload []byte) {
 			s.dep.Metrics().Inc("platform.wire_parse_err")
 			return
 		}
-		if _, member := s.members[src]; !member || rep.Type != packet.RTCPSenderReport {
+		if _, member := s.roomOf[src]; !member || rep.Type != packet.RTCPSenderReport {
 			return
 		}
 		// Answer a member with a receiver report so the client measures

@@ -265,7 +265,7 @@ func TestDataServerSurvivesHostileDatagrams(t *testing.T) {
 // secure.MaxMsgLen (a larger response would only be dropped there), and
 // counts it.
 func TestCtrlOversizeAssetRequestCapped(t *testing.T) {
-	dep := NewDeployment(simtime.NewScheduler(), 1)
+	dep := NewDeployment(simtime.NewScheduler(), 1, nil)
 	cs := &ctrlSession{srv: &CtrlServer{dep: dep, profile: Get(VRChat), be: dep.Backend(VRChat)}}
 	for i, n := range []uint32{0xffffffff, secure.MaxMsgLen + 1} {
 		body, err := marshalCtrlReq(reqAsset, "u1", "room-1", binary.BigEndian.AppendUint32(nil, n))

@@ -25,7 +25,7 @@ type rig struct {
 func newRig(t *testing.T) *rig {
 	t.Helper()
 	s := simtime.NewScheduler()
-	n := netsim.New(s, 9)
+	n := netsim.New(s, 9, nil)
 	east := n.AddSite("east", geo.Fairfax, packet.MustParseAddr("10.0.0.1"))
 	mid := n.AddSite("mid", geo.Minneapolis, packet.MustParseAddr("10.1.0.1"))
 	west := n.AddSite("west", geo.SanJose, packet.MustParseAddr("10.2.0.1"))
@@ -179,7 +179,7 @@ func TestEndToEndAnycastInference(t *testing.T) {
 	// Build a network with a true anycast service and verify the full
 	// measurement pipeline (ping + traceroute from two vantages) infers it.
 	s := simtime.NewScheduler()
-	n := netsim.New(s, 4)
+	n := netsim.New(s, 4, nil)
 	east := n.AddSite("east", geo.Fairfax, packet.MustParseAddr("10.0.0.1"))
 	west := n.AddSite("west", geo.SanJose, packet.MustParseAddr("10.2.0.1"))
 	n.Connect(east, west)

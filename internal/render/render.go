@@ -173,14 +173,6 @@ func (v *Viewer) onPacket(b []byte) {
 	}
 }
 
-// DeliveredFPS estimates received frame rate over a window.
-func (v *Viewer) DeliveredFPS(window time.Duration, framesAtWindowStart int) float64 {
-	if window <= 0 {
-		return 0
-	}
-	return float64(v.FramesComplete-framesAtWindowStart) / window.Seconds()
-}
-
 // Session wires a complete remote-rendering session between a server host
 // and a client host: uplink pose stream (reusing the platform rates is the
 // caller's business) and downlink video.

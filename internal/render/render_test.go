@@ -64,7 +64,7 @@ func TestDecodeCostIndependentOfAvatars(t *testing.T) {
 
 func TestStreamingSessionDeliversVideo(t *testing.T) {
 	sched := simtime.NewScheduler()
-	n := netsim.New(sched, 2)
+	n := netsim.New(sched, 2, nil)
 	east := n.AddSite("east", geo.Fairfax, packet.MustParseAddr("10.0.0.1"))
 	server := n.AddHost("edge", east, packet.MustParseAddr("10.0.0.50"), netsim.DatacenterAccess())
 	client := n.AddHost("hmd", east, packet.MustParseAddr("10.0.0.2"), netsim.WiFiAccess())
@@ -95,7 +95,7 @@ func TestStreamingSessionDeliversVideo(t *testing.T) {
 
 func TestServerRenderCostDelaysFramesNotClient(t *testing.T) {
 	sched := simtime.NewScheduler()
-	n := netsim.New(sched, 2)
+	n := netsim.New(sched, 2, nil)
 	east := n.AddSite("east", geo.Fairfax, packet.MustParseAddr("10.0.0.1"))
 	server := n.AddHost("edge", east, packet.MustParseAddr("10.0.0.50"), netsim.DatacenterAccess())
 	client := n.AddHost("hmd", east, packet.MustParseAddr("10.0.0.2"), netsim.WiFiAccess())

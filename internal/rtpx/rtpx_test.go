@@ -21,7 +21,7 @@ type rig struct {
 func newRig(t *testing.T, mutedA, mutedB bool) *rig {
 	t.Helper()
 	s := simtime.NewScheduler()
-	n := netsim.New(s, 11)
+	n := netsim.New(s, 11, nil)
 	east := n.AddSite("east", geo.Fairfax, packet.MustParseAddr("10.0.0.1"))
 	west := n.AddSite("west", geo.SanJose, packet.MustParseAddr("10.2.0.1"))
 	n.Connect(east, west)

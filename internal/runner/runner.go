@@ -33,6 +33,11 @@ func Workers(requested int) int {
 // selects the GOMAXPROCS default; an effective worker count of 1 (or n <= 1)
 // runs inline on the calling goroutine with no synchronization at all, which
 // is the exact serial execution order.
+//
+// A panicking fn(i) never crashes a worker: once every cell has finished,
+// Map re-raises the panic of the lowest-index cell that panicked on the
+// calling goroutine, where a caller can recover it. That is the panic the
+// serial order raises first, so it is the same at any worker count.
 func Map[T any](workers, n int, fn func(i int) T) []T {
 	if n <= 0 {
 		return nil
@@ -48,12 +53,21 @@ func Map[T any](workers, n int, fn func(i int) T) []T {
 		}
 		return out
 	}
+	panics := make([]any, n)
 	p := NewPool(w)
 	for i := 0; i < n; i++ {
 		i := i
-		p.Submit(func() { out[i] = fn(i) })
+		p.Submit(func() {
+			defer func() { panics[i] = recover() }()
+			out[i] = fn(i)
+		})
 	}
 	p.Wait()
+	for _, v := range panics {
+		if v != nil {
+			panic(v)
+		}
+	}
 	return out
 }
 

@@ -95,3 +95,24 @@ func TestPoolSubmitAfterWaitPanics(t *testing.T) {
 	}()
 	p.Submit(func() {})
 }
+
+// TestMapReraisesLowestPanic: a panicking cell never crashes a worker.
+// Map re-raises the lowest-index cell's panic on the caller's goroutine,
+// the panic the serial order raises first, at any worker count.
+func TestMapReraisesLowestPanic(t *testing.T) {
+	for _, w := range []int{1, 4} {
+		func() {
+			defer func() {
+				if v := recover(); v != 2 {
+					t.Errorf("workers=%d: recovered %v, want the panic of cell 2", w, v)
+				}
+			}()
+			Map(w, 8, func(i int) int {
+				if i >= 2 && i%2 == 0 {
+					panic(i)
+				}
+				return i
+			})
+		}()
+	}
+}

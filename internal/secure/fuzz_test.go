@@ -10,20 +10,18 @@ import (
 
 // checkMsgReader enforces the framing hardening contract on the
 // control-channel message reader: arbitrary stream bytes never panic it or
-// let a length prefix demand an allocation beyond MaxLen, and every
+// let a length prefix demand an allocation beyond MaxMsgLen, and every
 // dispatched message re-frames via MarshalMsg to the exact wire bytes it
 // was cut from — whatever chunking the transport delivered. (Chunkings are
 // not required to dispatch identical message lists: a corrupt oversize
 // prefix drops the buffered bytes, and how much was buffered depends on
 // arrival boundaries — but no chunking may ever fabricate bytes.)
 func checkMsgReader(t *testing.T, data []byte) {
-	const limit = 1 << 20
 	run := func(chunk int) {
 		r := &secure.MsgReader{
-			MaxLen: limit,
 			OnMsg: func(kind byte, body []byte) {
-				if len(body) > limit {
-					t.Fatalf("dispatched %d-byte body beyond MaxLen", len(body))
+				if len(body) > secure.MaxMsgLen {
+					t.Fatalf("dispatched %d-byte body beyond MaxMsgLen", len(body))
 				}
 				frame := secure.MarshalMsg(kind, body)
 				if !bytes.Contains(data, frame) {

@@ -311,8 +311,8 @@ const (
 	MsgReport   = 4 // periodic client report (the §4.1 HTTPS spikes)
 )
 
-// MaxMsgLen is the largest message body a MsgReader accepts by default,
-// and so the largest response a control server may send.
+// MaxMsgLen is the largest message body a MsgReader accepts, and so the
+// largest response a control server may send.
 const MaxMsgLen = 16 << 20
 
 // MarshalMsg frames a message. SendMsg puts the same bytes on the wire
@@ -336,22 +336,17 @@ type MsgReader struct {
 	// OnMsg receives each message. body is a view into the reader's
 	// buffer, valid only during the call, as Session.OnData's is: copy
 	// what must outlive it.
-	OnMsg  func(kind byte, body []byte)
-	MaxLen int // safety bound; 0 means MaxMsgLen
+	OnMsg func(kind byte, body []byte)
 }
 
 // Feed appends bytes and dispatches every complete message.
 func (r *MsgReader) Feed(b []byte) {
 	r.buf = append(r.buf, b...)
-	limit := r.MaxLen
-	if limit == 0 {
-		limit = MaxMsgLen
-	}
 	off := 0
 	for len(r.buf)-off >= msgHeaderLen {
 		m := r.buf[off:]
 		n := int(binary.BigEndian.Uint32(m[1:5]))
-		if n > limit {
+		if n > MaxMsgLen {
 			// Corrupt stream; drop everything.
 			r.buf = r.buf[:0]
 			return

@@ -26,7 +26,7 @@ type rig struct {
 func newRig(t *testing.T) *rig {
 	t.Helper()
 	s := simtime.NewScheduler()
-	n := netsim.New(s, 3)
+	n := netsim.New(s, 3, nil)
 	east := n.AddSite("east", geo.Fairfax, packet.MustParseAddr("10.0.0.1"))
 	a := n.AddHost("a", east, packet.MustParseAddr("10.0.0.2"), netsim.WiFiAccess())
 	b := n.AddHost("b", east, packet.MustParseAddr("10.0.0.3"), netsim.DatacenterAccess())
@@ -146,8 +146,13 @@ func TestMsgFramingRoundTrip(t *testing.T) {
 }
 
 func TestMsgReaderRejectsOversize(t *testing.T) {
-	r := &MsgReader{MaxLen: 10, OnMsg: func(byte, []byte) { t.Fatal("oversize message delivered") }}
-	r.Feed(MarshalMsg(MsgRequest, make([]byte, 100)))
+	r := &MsgReader{OnMsg: func(byte, []byte) { t.Fatal("oversize message delivered") }}
+	// A header that claims one byte more than MaxMsgLen: the reader drops
+	// the stream at once instead of buffering toward the claimed length.
+	r.Feed(append(appendMsgHeader(nil, MsgRequest, MaxMsgLen+1), make([]byte, 100)...))
+	if len(r.buf) != 0 {
+		t.Fatalf("%d bytes still buffered after an oversize header", len(r.buf))
+	}
 	// Buffer should be discarded; feeding a valid message afterwards works.
 	delivered := false
 	r.OnMsg = func(byte, []byte) { delivered = true }

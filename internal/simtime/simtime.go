@@ -73,9 +73,8 @@ type Item struct {
 // Scheduler is a single-threaded discrete-event executor with a virtual
 // clock. The zero value is not usable; call NewScheduler.
 type Scheduler struct {
-	now     time.Duration
-	seq     uint64
-	stopped bool
+	now time.Duration
+	seq uint64
 	// Dispatched counts events executed since construction, queue items
 	// included; useful for regression tests that pin simulation cost.
 	dispatched uint64
@@ -244,17 +243,17 @@ func (s *Scheduler) dispatch() {
 }
 
 // Step executes the single earliest pending event and returns true, or
-// returns false if the queue is empty or the scheduler is stopped. The clock
-// jumps to the event's firing time before the callback runs.
+// returns false if the queue is empty. The clock jumps to the event's
+// firing time before the callback runs.
 func (s *Scheduler) Step() bool {
-	if s.stopped || len(s.heap) == 0 {
+	if len(s.heap) == 0 {
 		return false
 	}
 	s.dispatch()
 	return true
 }
 
-// Run dispatches events until the queue drains or the scheduler is stopped.
+// Run dispatches events until the queue drains.
 func (s *Scheduler) Run() {
 	for s.Step() {
 	}
@@ -267,20 +266,13 @@ func (s *Scheduler) RunUntil(t time.Duration) {
 	if t < s.now {
 		panic(fmt.Sprintf("simtime: RunUntil(%v) is before now %v", t, s.now))
 	}
-	for !s.stopped && len(s.heap) > 0 && s.heap[0].at <= t {
+	for len(s.heap) > 0 && s.heap[0].at <= t {
 		s.dispatch()
 	}
-	if !s.stopped && s.now < t {
+	if s.now < t {
 		s.now = t
 	}
 }
-
-// Stop halts dispatch; Step and Run return immediately afterwards. Intended
-// for early experiment termination (e.g. a probe got its answer).
-func (s *Scheduler) Stop() { s.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (s *Scheduler) Stopped() bool { return s.stopped }
 
 // Ticker invokes fn every interval, starting at now+interval, until
 // cancelled. It returns a cancel function. Jitterless; callers wanting jitter
@@ -301,7 +293,7 @@ func (s *Scheduler) Ticker(interval time.Duration, fn func()) (cancel func()) {
 			return
 		}
 		fn()
-		if !stopped && !s.stopped {
+		if !stopped {
 			s.rearm(ev, s.now+interval)
 		}
 	}

@@ -140,20 +140,6 @@ func TestRunUntilHonoursEventsScheduledDuringDispatch(t *testing.T) {
 	}
 }
 
-func TestStopHaltsDispatch(t *testing.T) {
-	s := NewScheduler()
-	count := 0
-	s.At(time.Second, func() { count++; s.Stop() })
-	s.At(2*time.Second, func() { count++ })
-	s.Run()
-	if count != 1 {
-		t.Fatalf("count = %d, want 1 (Stop should halt)", count)
-	}
-	if !s.Stopped() {
-		t.Fatal("Stopped() = false after Stop")
-	}
-}
-
 func TestTickerRepeatsAndCancels(t *testing.T) {
 	s := NewScheduler()
 	var ticks []time.Duration

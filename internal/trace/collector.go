@@ -17,17 +17,16 @@ import (
 // A nil *Collector is a valid disabled collector: Cell returns a nil
 // *Tracer and exports write nothing.
 type Collector struct {
-	mu       sync.Mutex
-	cells    map[string]*Tracer
-	Capacity int // per-cell ring capacity (0 = DefaultCapacity)
+	mu    sync.Mutex
+	cells map[string]*Tracer
 }
 
 // NewCollector creates an empty collector.
 func NewCollector() *Collector { return &Collector{cells: make(map[string]*Tracer)} }
 
 // Cell returns the tracer for the given cell label, creating it on first
-// use. Labels must be unique per cell: requesting an existing label returns
-// the same tracer.
+// use with a ring of DefaultCapacity events. Labels must be unique per
+// cell: requesting an existing label returns the same tracer.
 func (c *Collector) Cell(label string) *Tracer {
 	if c == nil {
 		return nil
@@ -40,7 +39,7 @@ func (c *Collector) Cell(label string) *Tracer {
 	if t, ok := c.cells[label]; ok {
 		return t
 	}
-	t := New(c.Capacity)
+	t := New(DefaultCapacity)
 	c.cells[label] = t
 	return t
 }

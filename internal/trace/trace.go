@@ -89,8 +89,11 @@ type Event struct {
 	Arg2  int64  // second value where one is not enough
 }
 
-// DefaultCapacity is the ring size used when none is given: large enough to
-// hold every event of a Table-4 latency cell without eviction.
+// DefaultCapacity is the ring size of every collector cell. A cell that
+// records more keeps only its last DefaultCapacity events: at seed 42 a
+// traced table4 run with one repeat fits only its Rec Room cell (17,471
+// events), and each of its other five cells drops between 393,963 and
+// 2,175,822 of its oldest events.
 const DefaultCapacity = 1 << 16
 
 // Tracer is a bounded, drop-oldest event ring for one lab. The zero value is

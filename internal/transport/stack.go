@@ -73,6 +73,8 @@ func (s *Stack) FlushMetrics(m *obs.Registry) {
 	s.flushed = c
 }
 
+// connKey names a connection by both of its ends: two connections from
+// one stack to the same remote endpoint differ only in their local port.
 type connKey struct {
 	localPort uint16
 	remote    packet.Endpoint

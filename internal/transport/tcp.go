@@ -133,10 +133,6 @@ type Conn struct {
 	OnEstablished func()
 	OnClose       func(reason string)
 
-	// OnDrained fires whenever the last unacknowledged byte is cumulatively
-	// acked — the hook Horizon Worlds' UDP-gating logic uses.
-	OnDrained func()
-
 	// Counters for tests and analysis.
 	Retransmits int
 	DataSent    int
@@ -211,7 +207,7 @@ func (s *Stack) DialTCP(dst packet.Endpoint) *Conn {
 	}
 	c.iss = uint32(s.Net.Rng.Int63())
 	c.sndUna, c.sndNxt = c.iss, c.iss
-	s.conns[connKey{c.Local.Port, dst}] = c
+	s.conns[connKey{localPort: c.Local.Port, remote: dst}] = c
 	s.counts.dialed++
 	c.span = s.Net.Tracer.NextSpan()
 	s.Net.Tracer.TCPState(s.Net.Sched.Now(), c.span, s.Host.ID, "syn-sent")
@@ -230,7 +226,7 @@ func (c *Conn) noteSndNxt() {
 }
 
 func (s *Stack) handleTCP(p *packet.Packet) {
-	key := connKey{p.TCP.DstPort, packet.Endpoint{Addr: p.IP.Src, Port: p.TCP.SrcPort}}
+	key := connKey{localPort: p.TCP.DstPort, remote: packet.Endpoint{Addr: p.IP.Src, Port: p.TCP.SrcPort}}
 	if c, ok := s.conns[key]; ok {
 		c.receive(p)
 		return
@@ -524,7 +520,7 @@ func (c *Conn) close(reason string) {
 	c.state = StateClosed
 	c.rtoDeadline = 0
 	c.stack.Net.Tracer.TCPState(c.now(), c.span, c.stack.Host.ID, "closed")
-	delete(c.stack.conns, connKey{c.Local.Port, c.Remote})
+	delete(c.stack.conns, connKey{localPort: c.Local.Port, remote: c.Remote})
 	// Release the payload memory pinned by the send window and the
 	// reassembly queue — a closed conn otherwise holds both for the rest of
 	// the sweep cell (the same pinning class as capture's Clear fix).
@@ -649,9 +645,6 @@ func (c *Conn) receive(p *packet.Packet) {
 			}
 			c.noteCwnd()
 			c.armRTO()
-			if c.Unacked() == 0 && c.queued() == 0 && c.OnDrained != nil {
-				c.OnDrained()
-			}
 			c.pump()
 		} else if t.Ack == c.sndUna && c.Unacked() > 0 && len(p.Payload) == 0 {
 			c.dupAcks++

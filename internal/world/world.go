@@ -134,9 +134,6 @@ func NewSpace(size float64) *Space {
 // Center returns the room's center point.
 func (s *Space) Center() Vec2 { return Vec2{s.Size / 2, s.Size / 2} }
 
-// Corner returns the room's origin corner.
-func (s *Space) Corner() Vec2 { return Vec2{0.5, 0.5} }
-
 // Place sets (or creates) a user's pose, clamped into the room.
 func (s *Space) Place(id string, p Pose) {
 	p.Pos.X = clamp(p.Pos.X, 0, s.Size)

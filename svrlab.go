@@ -168,10 +168,21 @@ func Experiments() []Info {
 	return out
 }
 
-// Run executes one experiment by id.
-func Run(id string, o Options) (Result, error) {
+// Run executes one experiment by id. A chaos spec that names a host, link
+// or site some cell lacks is an error (*experiment.ChaosError) naming the
+// first such cell and the target; any other panic propagates.
+func Run(id string, o Options) (res Result, err error) {
 	for _, r := range registry {
 		if r.ID == id {
+			defer func() {
+				if v := recover(); v != nil {
+					ce, ok := v.(*experiment.ChaosError)
+					if !ok {
+						panic(v)
+					}
+					res, err = nil, ce
+				}
+			}()
 			return r.run(o), nil
 		}
 	}

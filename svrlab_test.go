@@ -1,6 +1,7 @@
 package svrlab_test
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/svrlab/svrlab"
+	"github.com/svrlab/svrlab/internal/experiment"
 )
 
 func TestExperimentsRegistryComplete(t *testing.T) {
@@ -33,6 +35,32 @@ func TestExperimentsRegistryComplete(t *testing.T) {
 func TestRunUnknownExperiment(t *testing.T) {
 	if _, err := svrlab.Run("fig99", svrlab.Options{}); err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+}
+
+// TestRunReturnsBadChaosSpec: a chaos spec naming a host no cell builds is
+// an error from Run, not a panic on a runner worker. Every fig11 cell lacks
+// client-u9, and the error names the first cell in sweep order at any
+// worker count.
+func TestRunReturnsBadChaosSpec(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("internal", "experiment", "testdata", "chaos_unknown_host.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := svrlab.ParseChaosSpec(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `experiment: chaos spec in cell fig11/Rec Room/n2: chaos spec: fault 0: unknown host "client-u9"`
+	for _, workers := range []int{1, 4} {
+		res, err := svrlab.Run("fig11", svrlab.Options{Seed: 42, Repeats: 1, Workers: workers, Chaos: spec})
+		if err == nil || err.Error() != want || res != nil {
+			t.Fatalf("workers=%d: Run = %v, %v; want error %q", workers, res, err, want)
+		}
+		var ce *experiment.ChaosError
+		if !errors.As(err, &ce) || ce.Cell != "fig11/Rec Room/n2" {
+			t.Fatalf("workers=%d: error %v is not a ChaosError for the first cell", workers, err)
+		}
 	}
 }
 
