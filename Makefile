@@ -17,11 +17,11 @@ test:
 race:
 	go test -race -timeout 45m ./...
 
-# Seed-42 identity of every artifact. The golden tests hold the 17 fast
+# Seed-42 identity of every artifact. The golden tests hold the 18 fast
 # artifacts, their stable metrics, traces and pcaps at one worker and at
 # four (they skip themselves under -race); the full run then holds all 21
-# artifacts, decimate, fig6all, fig9 and p2p included, to
-# artifacts_seed42.txt byte for byte.
+# artifacts, decimate, fig9 and p2p included, to artifacts_seed42.txt byte
+# for byte.
 golden:
 	go test -run 'TestGolden(Artifacts|Pcaps|Traces)' -cpu 1,4 .
 	go run ./cmd/svrlab all -seed 42 -repeats 1 | cmp - artifacts_seed42.txt

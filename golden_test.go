@@ -49,16 +49,16 @@ func goldenSections(text string) map[string]string {
 // (fig13tcp), host-down drops and refused sends (resilience), TTL expiry
 // with router ICMP (table2) — and every other artifact that regenerates in
 // a few seconds, among them render's video stream (remote), the Table 4
-// latency rig (table4) and the viewport filter (fig6b, viewport). Two slow
-// ones are here because every packet of the artifact benchmark's
-// public-event and disruption workloads takes the fabric's hop path: the
-// Fig 7 event sweep (fig7) and the disruption latency sweep (disrupt-lat).
-// The other slow sweeps (decimate, fig6all, fig9, p2p) are compared by hand
-// with `svrlab all`.
+// latency rig (table4), the viewport filter (fig6b, viewport) and the six
+// join-scalability panels (fig6all). Two slow ones are here because
+// every packet of the artifact benchmark's public-event and disruption
+// workloads takes the fabric's hop path: the Fig 7 event sweep (fig7) and
+// the disruption latency sweep (disrupt-lat). The other slow sweeps
+// (decimate, fig9, p2p) are compared by hand with `svrlab all`.
 var goldenIDs = []string{
-	"disrupt-lat", "fig2", "fig3", "fig6", "fig6b", "fig7", "fig11", "fig12",
-	"fig13", "fig13tcp", "remote", "resilience", "table1", "table2", "table3",
-	"table4", "viewport",
+	"disrupt-lat", "fig2", "fig3", "fig6", "fig6all", "fig6b", "fig7", "fig11",
+	"fig12", "fig13", "fig13tcp", "remote", "resilience", "table1", "table2",
+	"table3", "table4", "viewport",
 }
 
 // TestGoldenArtifacts holds the goldenIDs artifacts at seed 42
