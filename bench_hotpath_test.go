@@ -227,35 +227,8 @@ func BenchmarkHotpathSchedPostDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkHotpathSchedCancelChurn is the TCP RTO churn shape: a window of
-// outstanding cancellable timers where every op cancels the oldest timer
-// and re-arms a fresh one, with the clock crawling forward underneath.
-// Every cancel and every arm is an O(log n) heap repair.
-func BenchmarkHotpathSchedCancelChurn(b *testing.B) {
-	s := simtime.NewScheduler()
-	fn := func() {}
-	const window = 4096 // outstanding timers, one per live connection
-	pend := make([]*simtime.Event, 0, window)
-	for i := 0; i < window; i++ {
-		pend = append(pend, s.At(s.Now()+time.Duration(10+i%61)*time.Millisecond, fn))
-	}
-	head := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Cancel(pend[head])
-		pend[head] = s.At(s.Now()+time.Duration(10+i%61)*time.Millisecond, fn)
-		head = (head + 1) % window
-		if i%64 == 63 {
-			// Crawl time forward, the way RTO deadlines track a moving
-			// Now.
-			s.RunUntil(s.Now() + 100*time.Microsecond)
-		}
-	}
-}
-
-// BenchmarkHotpathSchedMixedHorizon interleaves near posts with sparse far
-// timers (keepalives, session ends), so the heap stays deep while most
+// BenchmarkHotpathSchedMixedHorizon interleaves near timers with sparse far
+// ones (keepalives, session ends), so the heap stays deep while most
 // dispatches come from its near end.
 func BenchmarkHotpathSchedMixedHorizon(b *testing.B) {
 	s := simtime.NewScheduler()
@@ -265,11 +238,11 @@ func BenchmarkHotpathSchedMixedHorizon(b *testing.B) {
 	for i := 0; i < b.N; i += 256 {
 		base := s.Now()
 		for j := 0; j < 240; j++ {
-			s.Post(base+time.Duration(1+(j*53)%512)*time.Microsecond, fn)
+			s.At(base+time.Duration(1+(j*53)%512)*time.Microsecond, fn)
 		}
 		for j := 0; j < 16; j++ {
 			// 1s..16s out.
-			s.Post(base+time.Duration(1+j)*time.Second, fn)
+			s.At(base+time.Duration(1+j)*time.Second, fn)
 		}
 		s.RunUntil(base + 600*time.Microsecond)
 	}
@@ -278,7 +251,7 @@ func BenchmarkHotpathSchedMixedHorizon(b *testing.B) {
 }
 
 // BenchmarkHotpathSchedTicker measures the steady-state cost of one tick
-// of a repeating timer — re-arm plus dispatch, zero allocations once the
+// of a repeating timer — reschedule plus dispatch, zero allocations once the
 // ticker exists.
 func BenchmarkHotpathSchedTicker(b *testing.B) {
 	s := simtime.NewScheduler()

@@ -14,6 +14,7 @@ package device
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"github.com/svrlab/svrlab/internal/obs"
@@ -46,21 +47,7 @@ func (r Resolution) String() string {
 	if r.W == 0 {
 		return "-"
 	}
-	return itoa(r.W) + "×" + itoa(r.H)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
+	return strconv.Itoa(r.W) + "×" + strconv.Itoa(r.H)
 }
 
 // CostModel is a platform's rendering cost on Quest 2. Per-frame costs are

@@ -452,63 +452,12 @@ func (n *Network) AddAnycast(addr packet.Addr, instances ...*Host) {
 // IsAnycast reports whether addr is an anycast service address.
 func (n *Network) IsAnycast(addr packet.Addr) bool { return len(n.anycast[addr]) > 0 }
 
-// pqItem is one binary-heap entry of the Dijkstra priority queue.
-type pqItem struct {
-	d   time.Duration
-	idx int
-}
-
-// pqLess orders by distance, then site index: the index tie-break reproduces
-// the old linear min-scan (which picked the lowest-index site among equals),
-// keeping route choice deterministic.
-func pqLess(a, b pqItem) bool {
-	if a.d != b.d {
-		return a.d < b.d
-	}
-	return a.idx < b.idx
-}
-
-func pqPush(pq []pqItem, it pqItem) []pqItem {
-	pq = append(pq, it)
-	i := len(pq) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !pqLess(pq[i], pq[parent]) {
-			break
-		}
-		pq[i], pq[parent] = pq[parent], pq[i]
-		i = parent
-	}
-	return pq
-}
-
-func pqPop(pq []pqItem) (pqItem, []pqItem) {
-	top := pq[0]
-	last := len(pq) - 1
-	pq[0] = pq[last]
-	pq = pq[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(pq) && pqLess(pq[l], pq[small]) {
-			small = l
-		}
-		if r < len(pq) && pqLess(pq[r], pq[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		pq[i], pq[small] = pq[small], pq[i]
-		i = small
-	}
-	return top, pq
-}
-
-// computeRoutes runs one heap-based Dijkstra from a and materializes the
-// minimum-delay site path to every reachable site (linear-time backwards
-// fill; the old per-destination front-prepend reconstruction was O(n²)).
+// computeRoutes runs Dijkstra from a and materializes the minimum-delay
+// site path to every reachable site, filling each path backwards in linear
+// time. Each round settles the nearest unsettled site, found by linear
+// scan, the lowest index among equals, which keeps route choice
+// deterministic. A lab has a handful of sites and computes each row once
+// per topology edit, so a priority queue would not pay for itself.
 func (n *Network) computeRoutes(a *Site) [][]*Site {
 	const inf = time.Duration(1<<62 - 1)
 	dist := make([]time.Duration, len(n.sites))
@@ -518,26 +467,27 @@ func (n *Network) computeRoutes(a *Site) [][]*Site {
 		dist[i] = inf
 	}
 	dist[a.index] = 0
-	pq := make([]pqItem, 0, len(n.sites))
-	pq = pqPush(pq, pqItem{0, a.index})
-	for len(pq) > 0 {
-		var it pqItem
-		it, pq = pqPop(pq)
-		if done[it.idx] || it.d > dist[it.idx] {
-			continue // stale lazy-deletion entry
+	for {
+		best := -1
+		for i, d := range dist {
+			if !done[i] && d < inf && (best < 0 || d < dist[best]) {
+				best = i
+			}
 		}
-		done[it.idx] = true
-		cur := n.sites[it.idx]
+		if best < 0 {
+			break
+		}
+		done[best] = true
+		cur := n.sites[best]
 		for _, nb := range cur.nbOrder {
 			l := cur.neighbors[nb]
 			if l.down {
 				continue // chaos-disabled link: route around it
 			}
-			alt := it.d + l.PropDelay + perHopCost
+			alt := dist[best] + l.PropDelay + perHopCost
 			if alt < dist[nb.index] {
 				dist[nb.index] = alt
 				prev[nb.index] = cur
-				pq = pqPush(pq, pqItem{alt, nb.index})
 			}
 		}
 	}
@@ -788,7 +738,7 @@ func (n *Network) Send(h *Host, pkt *packet.Packet) bool {
 	if depart <= now {
 		fs.emit()
 	} else {
-		n.Sched.Post(depart, fs.emitFn)
+		n.Sched.At(depart, fs.emitFn)
 	}
 	return true
 }
@@ -883,7 +833,7 @@ func (fs *fwdState) forward() {
 				n.drop(fs, cause, fs.dst.ID)
 				return
 			}
-			n.Sched.Post(d, fs.deliverFn)
+			n.Sched.At(d, fs.deliverFn)
 			return
 		}
 		n.Sched.Push(&fs.dst.Down.inFlight, &fs.onLink, arrive, fs.deliverFn)
@@ -967,7 +917,7 @@ func (n *Network) sendICMPError(from packet.Addr, to *Host, orig *packet.Packet,
 	}
 	back += to.Down.PropDelay
 	wire := reply.Marshal()
-	n.Sched.PostAfter(back, func() {
+	n.Sched.After(back, func() {
 		// The sender may have crashed while the error was in flight.
 		if to.down {
 			return

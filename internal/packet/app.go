@@ -3,6 +3,7 @@ package packet
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 )
 
 // Application-layer framing decoded by the capture toolkit: TLS records (the
@@ -122,21 +123,22 @@ type RTPHeader struct {
 	Marker      bool
 }
 
-// MarshalRTP frames a payload as an SRTP packet (RTP header + payload +
-// auth tag).
-func MarshalRTP(h RTPHeader, payload []byte) []byte {
-	out := make([]byte, RTPHeaderLen+len(payload)+SRTPAuthTagLen)
-	out[0] = 2 << 6 // version 2
+// AppendRTP appends an SRTP packet framing payload (RTP header, payload,
+// auth tag) to dst and returns the extended slice; with enough capacity in
+// dst it allocates nothing. payload must not overlap dst's spare capacity.
+func AppendRTP(dst []byte, h RTPHeader, payload []byte) []byte {
+	dst = slices.Grow(dst, RTPHeaderLen+len(payload)+SRTPAuthTagLen)
 	pt := h.PayloadType & 0x7f
 	if h.Marker {
 		pt |= 0x80
 	}
-	out[1] = pt
-	binary.BigEndian.PutUint16(out[2:4], h.Seq)
-	binary.BigEndian.PutUint32(out[4:8], h.Timestamp)
-	binary.BigEndian.PutUint32(out[8:12], h.SSRC)
-	copy(out[RTPHeaderLen:], payload)
-	return out
+	dst = append(dst, 2<<6, pt) // version 2
+	dst = binary.BigEndian.AppendUint16(dst, h.Seq)
+	dst = binary.BigEndian.AppendUint32(dst, h.Timestamp)
+	dst = binary.BigEndian.AppendUint32(dst, h.SSRC)
+	dst = append(dst, payload...)
+	var tag [SRTPAuthTagLen]byte // zero: the lab's stand-in for a tag that verifies
+	return append(dst, tag[:]...)
 }
 
 var (

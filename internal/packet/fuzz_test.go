@@ -78,11 +78,11 @@ func checkDecodeRTP(t *testing.T, data []byte) {
 	if err != nil {
 		return
 	}
-	wiretest.AssertRemarshal(t, data, packet.MarshalRTP(h, payload))
+	wiretest.AssertRemarshal(t, data, packet.AppendRTP(nil, h, payload))
 }
 
 func FuzzDecodeRTP(f *testing.F) {
-	f.Add(packet.MarshalRTP(packet.RTPHeader{PayloadType: packet.RTPPayloadOpus}, make([]byte, 20)))
+	f.Add(packet.AppendRTP(nil, packet.RTPHeader{PayloadType: packet.RTPPayloadOpus}, make([]byte, 20)))
 	f.Fuzz(checkDecodeRTP)
 }
 

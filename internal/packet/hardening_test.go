@@ -170,7 +170,7 @@ func TestDecodeRTCPValidatesLength(t *testing.T) {
 }
 
 func TestDecodeRTPRejectsDirtyAuthTag(t *testing.T) {
-	valid := packet.MarshalRTP(packet.RTPHeader{PayloadType: packet.RTPPayloadOpus, Seq: 1}, make([]byte, 10))
+	valid := packet.AppendRTP(nil, packet.RTPHeader{PayloadType: packet.RTPPayloadOpus, Seq: 1}, make([]byte, 10))
 	if _, _, err := packet.DecodeRTP(valid); err != nil {
 		t.Fatalf("valid packet: %v", err)
 	}

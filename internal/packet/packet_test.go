@@ -227,7 +227,7 @@ func TestTLSRecordStream(t *testing.T) {
 func TestRTPRoundTrip(t *testing.T) {
 	h := RTPHeader{PayloadType: RTPPayloadOpus, Seq: 100, Timestamp: 48000, SSRC: 0xabcd, Marker: true}
 	payload := bytes.Repeat([]byte{0x5a}, 80)
-	b := MarshalRTP(h, payload)
+	b := AppendRTP(nil, h, payload)
 	got, body, err := DecodeRTP(b)
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +256,7 @@ func TestRTCPRoundTripAndMuxHeuristic(t *testing.T) {
 	if !IsRTCP(b) {
 		t.Fatal("RTCP not classified as RTCP")
 	}
-	rtp := MarshalRTP(RTPHeader{PayloadType: RTPPayloadOpus}, []byte{1})
+	rtp := AppendRTP(nil, RTPHeader{PayloadType: RTPPayloadOpus}, []byte{1})
 	if IsRTCP(rtp) {
 		t.Fatal("RTP misclassified as RTCP")
 	}

@@ -52,11 +52,12 @@ type Client struct {
 	clockOffset time.Duration
 
 	// Live state.
-	InEvent  bool
-	seq      uint32
-	talking  bool
-	gameOn   bool
-	udpDead  bool
+	InEvent bool
+	seq     uint32
+	talking bool
+	gameOn  bool
+	// Frozen is set, for good, when the frozen-session detector kills the
+	// app-level UDP session; no UDP data or voice is sent after it.
 	Frozen   bool
 	FrozenAt time.Duration
 
@@ -84,10 +85,6 @@ type Client struct {
 
 	stops    []func()
 	menuStop func()
-
-	// OnActionDisplayed fires when a marked remote action is rendered
-	// (receiver side of the §7 latency rig). The time is the local clock.
-	OnActionDisplayed func(actionID uint32, atLocal time.Duration)
 
 	// ForwardsReceived counts avatar forwards (test observability).
 	ForwardsReceived int
@@ -309,7 +306,7 @@ func (c *Client) startEventTickers() {
 		if !p.WebData {
 			var vseq uint32
 			c.stops = append(c.stops, sched.Ticker(20*time.Millisecond, func() {
-				if c.talking && !c.udpDead {
+				if c.talking && !c.Frozen {
 					vseq++
 					c.sendSeq(seqMsg{Kind: kindVoice, Seq: vseq, Size: 80})
 				}
@@ -359,7 +356,7 @@ func (c *Client) voiceStateTick() {
 // gate: UDP is held back while control-channel TCP data is unacknowledged
 // (§8.1, Figure 13).
 func (c *Client) sendData(payload []byte) bool {
-	if c.udpDead || c.dataSock == nil || c.Profile.WebData {
+	if c.Frozen || c.dataSock == nil || c.Profile.WebData {
 		return false
 	}
 	if c.Profile.TCPPriority && c.ctrlConn != nil &&
@@ -470,7 +467,7 @@ func (c *Client) PerformAction() uint32 {
 	if delay < 1 {
 		delay = 1
 	}
-	c.Dep.Sched.PostAfter(time.Duration(delay*float64(time.Millisecond)), func() {
+	c.Dep.Sched.After(time.Duration(delay*float64(time.Millisecond)), func() {
 		c.sendAvatar(id)
 	})
 	return id
@@ -556,13 +553,10 @@ func (c *Client) handleForward(f forwardMsg) {
 		fps := c.Headset.FPSEstimate()
 		frameWait := c.rng.Float64() * 1000 / fps
 		delay := time.Duration((procMs + frameWait) * float64(time.Millisecond))
-		c.Dep.Sched.PostAfter(delay, func() {
+		c.Dep.Sched.After(delay, func() {
 			rt.DisplayedAtLocal = c.ReadClock()
 			rt.Displayed = true
 			c.Dep.Net.Tracer.Action(c.Dep.Sched.Now(), uint64(id), c.Host.ID, "display")
-			if c.OnActionDisplayed != nil {
-				c.OnActionDisplayed(id, rt.DisplayedAtLocal)
-			}
 		})
 	}
 }
@@ -594,7 +588,7 @@ func (c *Client) sceneTick() {
 		total := c.lostPkts + c.gotPkts
 		if total > 4 {
 			c.recoverFrac = float64(c.lostPkts) / float64(total)
-		} else if !c.udpDead {
+		} else if !c.Frozen {
 			c.recoverFrac *= 0.5
 		}
 		c.lostPkts, c.gotPkts = 0, 0
@@ -603,8 +597,7 @@ func (c *Client) sceneTick() {
 
 		// Frozen-session detector: sustained downlink silence kills the
 		// app-level UDP session for good (Figure 13 bottom).
-		if c.sawDown && !c.udpDead && c.dataSock != nil && now-c.lastDownAt > 15*time.Second {
-			c.udpDead = true
+		if c.sawDown && !c.Frozen && c.dataSock != nil && now-c.lastDownAt > 15*time.Second {
 			c.Frozen = true
 			c.FrozenAt = now
 		}

@@ -312,16 +312,20 @@ func TestWorldsSessionFreezesAfterTCPBlackhole(t *testing.T) {
 
 func TestLatencyRigProducesBreakdown(t *testing.T) {
 	sched, dep, cs := lab(t, RecRoom, 2, 17)
-	var displayed []uint32
-	cs[1].OnActionDisplayed = func(id uint32, _ time.Duration) { displayed = append(displayed, id) }
 	var ids []uint32
 	for i := 0; i < 10; i++ {
 		i := i
 		sched.At(time.Duration(10+i)*time.Second, func() { ids = append(ids, cs[0].PerformAction()) })
 	}
 	sched.RunUntil(30 * time.Second)
-	if len(displayed) != 10 {
-		t.Fatalf("displayed %d of 10 actions", len(displayed))
+	displayed := 0
+	for _, id := range ids {
+		if dep.Trace(id).Receiver(cs[1].User).Displayed {
+			displayed++
+		}
+	}
+	if len(ids) != 10 || displayed != 10 {
+		t.Fatalf("displayed %d of %d actions, want 10 of 10", displayed, len(ids))
 	}
 	off1 := cs[0].MeasureClockOffset()
 	off2 := cs[1].MeasureClockOffset()

@@ -306,7 +306,7 @@ func (b *Backend) handleAvatarUpload(m *Member, frame []byte, private bool) {
 		b.dep.Metrics().Inc("platform.wire_marshal_err")
 		return
 	}
-	b.dep.Sched.PostAfter(delay, func() {
+	b.dep.Sched.After(delay, func() {
 		if id != 0 {
 			b.dep.Trace(id).ServerOutAt = b.dep.Sched.Now()
 			b.dep.Net.Tracer.Action(b.dep.Sched.Now(), uint64(id), b.traceTrack(m), "server_out")
@@ -373,7 +373,7 @@ func (b *Backend) deliverCrossInstance(from, to *Member, payload []byte) {
 		return
 	}
 	// Inter-server relay: intra-site mesh hop.
-	b.dep.Sched.PostAfter(300*time.Microsecond, func() {
+	b.dep.Sched.After(300*time.Microsecond, func() {
 		if to.room != nil {
 			to.udpServer.sendTo(to.udpEP, payload)
 		}
@@ -392,7 +392,7 @@ func (b *Backend) handleVoiceUpload(m *Member, payload []byte) {
 		b.dep.Metrics().Inc("platform.wire_marshal_err")
 		return
 	}
-	b.dep.Sched.PostAfter(5*time.Millisecond, func() {
+	b.dep.Sched.After(5*time.Millisecond, func() {
 		for _, user := range room.order {
 			o := room.members[user]
 			if o == nil || o == m || b.reportMissed(o) > pauseAfter {

@@ -105,7 +105,7 @@ func (s *Streamer) tick() {
 	}
 	frame := s.frame
 	s.frame++
-	s.sched.PostAfter(delay, func() { s.emitFrame(frame, size) })
+	s.sched.After(delay, func() { s.emitFrame(frame, size) })
 }
 
 func (s *Streamer) emitFrame(frame, size int) {

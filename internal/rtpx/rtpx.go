@@ -20,6 +20,10 @@ const (
 	rtcpInterval       = time.Second
 )
 
+// voicePayload is every voice frame's payload: the lab sends no audio, only
+// its size.
+var voicePayload [VoicePayloadBytes]byte
+
 // compactNTP converts simulation time to the middle 32 bits of an NTP
 // timestamp (16.16 fixed-point seconds), as RTCP uses.
 func compactNTP(t time.Duration) uint32 {
@@ -41,6 +45,8 @@ type Stream struct {
 	seq   uint16
 	ts    uint32
 	muted bool
+	// txBuf holds the frame tick is sending; the fabric copies it.
+	txBuf []byte
 
 	stopTick, stopSR func()
 
@@ -104,14 +110,13 @@ func (s *Stream) tick() {
 	}
 	s.seq++
 	s.ts += 960 // 48 kHz * 20 ms
-	payload := make([]byte, VoicePayloadBytes)
-	b := packet.MarshalRTP(packet.RTPHeader{
+	s.txBuf = packet.AppendRTP(s.txBuf[:0], packet.RTPHeader{
 		PayloadType: packet.RTPPayloadOpus,
 		Seq:         s.seq,
 		Timestamp:   s.ts,
 		SSRC:        s.SSRC,
-	}, payload)
-	s.sock.SendTo(s.remote, b)
+	}, voicePayload[:])
+	s.sock.SendTo(s.remote, s.txBuf)
 	s.VoiceSent++
 }
 

@@ -145,3 +145,32 @@ func TestCompactNTPRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestVoiceTickAllocFree: with the fabric warmed and the scheduler running,
+// one frame interval of an unmuted stream — the frame appended into the
+// stream's buffer, sent, carried and decoded — allocates nothing. The
+// window stays between two RTCP reports.
+func TestVoiceTickAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	r := newRig(t, false, true)
+	r.s.RunUntil(1100 * time.Millisecond)
+	sent, recv := r.sa.VoiceSent, r.sb.VoiceRecv
+	const runs = 30
+	allocs := testing.AllocsPerRun(runs, func() {
+		r.s.RunUntil(r.s.Now() + VoiceFrameInterval)
+	})
+	if got := r.sa.VoiceSent - sent; got != runs+1 {
+		t.Fatalf("%d frames sent over %d intervals", got, runs+1)
+	}
+	if r.sb.VoiceRecv-recv < runs-5 {
+		t.Fatalf("only %d of %d frames received", r.sb.VoiceRecv-recv, runs+1)
+	}
+	if r.s.Now() >= 2*time.Second {
+		t.Fatalf("window ran to %v, past the next RTCP report", r.s.Now())
+	}
+	if allocs != 0 {
+		t.Fatalf("one voice frame interval allocates %.0f times, want 0", allocs)
+	}
+}

@@ -3,52 +3,46 @@ package simtime
 import "time"
 
 // eventHeap orders everything the scheduler will run: a binary min-heap by
-// (at, seq), with the keys inline so sift comparisons never chase the
-// Event pointer. Each event records its index (Event.pos), so Cancel
-// removes it in O(log n). A Queue's entry carries its head's key; the
-// heap's order never depends on insertion order, so that key may be older
-// than entries pushed since.
+// (at, seq). An entry is the whole timer, so a schedule allocates nothing
+// and a sift touches only the slice. A Queue's entry carries its head's
+// key; the heap's order never depends on insertion order, so that key may
+// be older than entries pushed since.
 type eventHeap []heapEntry
 
+// heapEntry is a timer (fn set) or a non-empty Queue's head (q set).
 type heapEntry struct {
 	at  time.Duration
 	seq uint64
-	e   *Event
+	fn  func()
+	q   *Queue
 }
 
 func (a *heapEntry) before(b *heapEntry) bool {
 	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
-// push inserts e under key (at, seq).
-func (h *eventHeap) push(e *Event, at time.Duration, seq uint64) {
-	*h = append(*h, heapEntry{at: at, seq: seq, e: e})
-	h.siftUp(len(*h) - 1)
-}
-
-// siftUp moves the entry at j toward the root by shifting larger ancestors
-// into the hole.
-func (h eventHeap) siftUp(j int) {
-	x := h[j]
+// push inserts x.
+func (h *eventHeap) push(x heapEntry) {
+	*h = append(*h, x)
+	a := *h
+	j := len(a) - 1
 	for j > 0 {
 		parent := (j - 1) / 2
-		if !x.before(&h[parent]) {
+		if !x.before(&a[parent]) {
 			break
 		}
-		h[j] = h[parent]
-		h[j].e.pos = int32(j + 1)
+		a[j] = a[parent]
 		j = parent
 	}
-	h[j] = x
-	x.e.pos = int32(j + 1)
+	a[j] = x
 }
 
-// siftDown moves the entry at j toward the leaves; it reports whether the
-// entry moved.
-func (h eventHeap) siftDown(j int) bool {
+// siftDown moves the root toward the leaves by shifting smaller children
+// into the hole.
+func (h eventHeap) siftDown() {
 	n := len(h)
-	start := j
-	x := h[j]
+	j := 0
+	x := h[0]
 	for {
 		c := 2*j + 1
 		if c >= n {
@@ -61,25 +55,19 @@ func (h eventHeap) siftDown(j int) bool {
 			break
 		}
 		h[j] = h[c]
-		h[j].e.pos = int32(j + 1)
 		j = c
 	}
 	h[j] = x
-	x.e.pos = int32(j + 1)
-	return j != start
 }
 
-// remove deletes the entry at index i (dispatch of the root, or Cancel).
-func (h *eventHeap) remove(i int) {
+// pop removes the root.
+func (h *eventHeap) pop() {
 	a := *h
-	a[i].e.pos = 0
 	n := len(a) - 1
-	if i != n {
-		a[i] = a[n]
-	}
+	a[0] = a[n]
 	a[n] = heapEntry{}
 	*h = a[:n]
-	if i < n && !h.siftDown(i) {
-		h.siftUp(i)
+	if n > 0 {
+		h.siftDown()
 	}
 }

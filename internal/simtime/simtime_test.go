@@ -73,32 +73,6 @@ func TestNilCallbackPanics(t *testing.T) {
 	s.At(time.Second, nil)
 }
 
-func TestCancelPreventsDispatch(t *testing.T) {
-	s := NewScheduler()
-	fired := false
-	e := s.At(time.Second, func() { fired = true })
-	s.Cancel(e)
-	s.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	// Double cancel and cancel-after-run must be no-ops.
-	s.Cancel(e)
-	s.Cancel(nil)
-}
-
-func TestCancelDuringDispatch(t *testing.T) {
-	s := NewScheduler()
-	var e2 *Event
-	fired := false
-	s.At(time.Second, func() { s.Cancel(e2) })
-	e2 = s.At(2*time.Second, func() { fired = true })
-	s.Run()
-	if fired {
-		t.Fatal("event cancelled mid-run still fired")
-	}
-}
-
 func TestRunUntilAdvancesClockExactly(t *testing.T) {
 	s := NewScheduler()
 	count := 0
@@ -181,35 +155,6 @@ func TestTickerCancelDuringTick(t *testing.T) {
 	s.RunUntil(2 * time.Second)
 	if ticks != 1 {
 		t.Fatalf("ticker resumed after cancel: %d ticks", ticks)
-	}
-}
-
-// RunUntil must skip cancelled events sitting at the head of the queue and
-// still advance the clock to the horizon.
-func TestRunUntilWithCancelledHeadEvents(t *testing.T) {
-	s := NewScheduler()
-	fired := false
-	e1 := s.At(100*time.Millisecond, func() { t.Error("cancelled head event fired") })
-	e2 := s.At(200*time.Millisecond, func() { t.Error("cancelled head event fired") })
-	s.At(300*time.Millisecond, func() { fired = true })
-	s.Cancel(e1)
-	s.Cancel(e2)
-	s.RunUntil(time.Second)
-	if !fired {
-		t.Fatal("live event behind cancelled heads did not fire")
-	}
-	if s.Now() != time.Second {
-		t.Fatalf("Now() = %v, want 1s", s.Now())
-	}
-	// A queue left holding only cancelled events must also drain cleanly.
-	e3 := s.At(1500*time.Millisecond, func() { t.Error("cancelled event fired") })
-	s.Cancel(e3)
-	s.RunUntil(2 * time.Second)
-	if s.Now() != 2*time.Second {
-		t.Fatalf("Now() = %v, want 2s", s.Now())
-	}
-	if s.Pending() != 0 {
-		t.Fatalf("Pending() = %d, want 0", s.Pending())
 	}
 }
 

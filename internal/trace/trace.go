@@ -110,12 +110,9 @@ type Tracer struct {
 	spanSeq uint64 // per-tracer span id counter
 }
 
-// New creates a tracer with a bounded ring of the given capacity
-// (DefaultCapacity if n <= 0).
+// New creates a tracer with a bounded ring of n events; n must be
+// positive.
 func New(n int) *Tracer {
-	if n <= 0 {
-		n = DefaultCapacity
-	}
 	return &Tracer{events: make([]Event, n)}
 }
 

@@ -109,9 +109,9 @@ type Conn struct {
 	timing bool
 
 	// RTO timer, lazily deferred: re-arming on an ACK only moves
-	// rtoDeadline (no scheduling, no allocation). A pooled fire-and-forget
-	// event pends at rtoEventAt <= rtoDeadline; when it fires before the
-	// live deadline it re-posts itself for the deadline and returns, so the
+	// rtoDeadline (no scheduling, no allocation). A fire-and-forget timer
+	// pends at rtoEventAt <= rtoDeadline; when it fires before the live
+	// deadline it reschedules itself for the deadline and returns, so the
 	// timer costs one heap entry per connection instead of one per ACK.
 	// rtoFire is the once-bound callback.
 	rtoDeadline time.Duration // fire time of the live arm; 0 = disarmed
@@ -135,7 +135,6 @@ type Conn struct {
 
 	// Counters for tests and analysis.
 	Retransmits int
-	DataSent    int
 	DataRecv    int
 
 	// span groups this connection's trace events; lastCwndTr dedups cwnd
@@ -394,7 +393,6 @@ func (c *Conn) pump() {
 		}
 		c.sndNxt += uint32(n)
 		c.noteSndNxt()
-		c.DataSent += n
 		c.armRTO()
 	}
 }
@@ -423,7 +421,7 @@ func (c *Conn) armRTO() {
 			c.rtoFire = c.onRTOFire
 		}
 		c.rtoEventAt = c.rtoDeadline
-		c.stack.Net.Sched.Post(c.rtoDeadline, c.rtoFire)
+		c.stack.Net.Sched.At(c.rtoDeadline, c.rtoFire)
 	}
 }
 
@@ -435,9 +433,9 @@ func (c *Conn) onRTOFire() {
 		return // disarmed
 	}
 	if now := c.now(); c.rtoDeadline > now {
-		// The deadline moved later since this event was posted: defer.
+		// The deadline moved later since this timer was set: defer.
 		c.rtoEventAt = c.rtoDeadline
-		c.stack.Net.Sched.Post(c.rtoDeadline, c.rtoFire)
+		c.stack.Net.Sched.At(c.rtoDeadline, c.rtoFire)
 		return
 	}
 	c.rtoDeadline = 0

@@ -82,7 +82,7 @@ func corpora(root string) map[string][][]byte {
 	tlsTwo := append(append([]byte(nil), tlsApp...), tlsHS...)
 
 	// --- packet: RTP / RTCP ----------------------------------------------
-	rtp := packet.MarshalRTP(packet.RTPHeader{PayloadType: packet.RTPPayloadOpus, Seq: 42, Timestamp: 960, SSRC: 0xdecafbad, Marker: true}, make([]byte, 160))
+	rtp := packet.AppendRTP(nil, packet.RTPHeader{PayloadType: packet.RTPPayloadOpus, Seq: 42, Timestamp: 960, SSRC: 0xdecafbad, Marker: true}, make([]byte, 160))
 	rtcp := packet.MarshalRTCP(packet.RTCPPacket{Type: packet.RTCPSenderReport, SSRC: 0xdecafbad, LSR: 0x01020304, DLSR: 0x0000ffff})
 
 	// --- platform data-channel frames (unexported marshalers: the layouts
