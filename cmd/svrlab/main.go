@@ -74,36 +74,18 @@ func main() {
 		for _, info := range svrlab.Experiments() {
 			fmt.Printf("%-12s %-18s %s\n", info.ID, info.Artifact, info.Title)
 		}
-	case "run":
-		if len(os.Args) < 3 {
-			fmt.Fprintln(os.Stderr, "svrlab run <id> [flags]")
-			os.Exit(2)
+	case "run", "all":
+		// run takes one id and prints its artifact bare; all runs every
+		// experiment, each under a header and followed by a blank line.
+		infos, args := svrlab.Experiments(), os.Args[2:]
+		if cmd == "run" {
+			if len(args) < 1 {
+				fmt.Fprintln(os.Stderr, "svrlab run <id> [flags]")
+				os.Exit(2)
+			}
+			infos, args = []svrlab.Info{{ID: args[0]}}, args[1:]
 		}
-		id := os.Args[2]
-		if err := fs.Parse(os.Args[3:]); err != nil {
-			os.Exit(2)
-		}
-		opts := buildOpts(*seed, *repeats, *platformName, *users, *workers)
-		if *metrics || *auditFlag {
-			opts.Metrics = svrlab.NewMetricsRegistry()
-		}
-		loadChaos(&opts, *chaosFile)
-		setupTraceAndPcap(&opts, *traceOut, *pcapDir)
-		stopProfiles := startProfiles(*cpuProfile, *memProfile)
-		res, err := svrlab.Run(id, opts)
-		stopProfiles()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		emit(res, *format)
-		if *metrics {
-			emitMetrics(opts.Metrics)
-		}
-		emitAudit(*auditFlag, opts.Metrics)
-		exportTrace(opts.Trace, *traceOut, *traceFormat)
-	case "all":
-		if err := fs.Parse(os.Args[2:]); err != nil {
+		if err := fs.Parse(args); err != nil {
 			os.Exit(2)
 		}
 		opts := buildOpts(*seed, *repeats, *platformName, *users, *workers)
@@ -112,8 +94,10 @@ func main() {
 		// experiment id, so the combined trace stays unambiguous.
 		setupTraceAndPcap(&opts, *traceOut, *pcapDir)
 		stopProfiles := startProfiles(*cpuProfile, *memProfile)
-		for _, info := range svrlab.Experiments() {
-			fmt.Printf("==== %s (%s) ====\n", info.ID, info.Artifact)
+		for _, info := range infos {
+			if cmd == "all" {
+				fmt.Printf("==== %s (%s) ====\n", info.ID, info.Artifact)
+			}
 			// A fresh registry per experiment keeps the tables comparable.
 			if *metrics || *auditFlag {
 				opts.Metrics = svrlab.NewMetricsRegistry()
@@ -129,7 +113,9 @@ func main() {
 				emitMetrics(opts.Metrics)
 			}
 			emitAudit(*auditFlag, opts.Metrics)
-			fmt.Println()
+			if cmd == "all" {
+				fmt.Println()
+			}
 		}
 		stopProfiles()
 		exportTrace(opts.Trace, *traceOut, *traceFormat)

@@ -356,27 +356,3 @@ func (s *Sniffer) Flows(m Match) []*FlowStat {
 	}
 	return out
 }
-
-// RemoteEndpoints lists the distinct far-end addresses seen, in first-seen
-// order — the server-discovery step of §4. The far end is the flow key's
-// destination on uplink, source on downlink.
-func (s *Sniffer) RemoteEndpoints(local packet.Addr) []packet.Addr {
-	seen := make(map[packet.Addr]bool)
-	var out []packet.Addr
-	for i := 0; i < s.n; i++ {
-		r := s.at(i)
-		if r.meta&metaValid == 0 {
-			continue
-		}
-		remote := r.dst
-		if r.meta&metaDown != 0 {
-			remote = r.src
-		}
-		if remote == local || seen[remote] {
-			continue
-		}
-		seen[remote] = true
-		out = append(out, remote)
-	}
-	return out
-}

@@ -193,17 +193,6 @@ func TestFilterRemoteAndAnd(t *testing.T) {
 	}
 }
 
-func TestRemoteEndpointsDiscovery(t *testing.T) {
-	r := newRig(t)
-	r.sendUDP(time.Second, 10)
-	r.sendTCPDown(2*time.Second, 10)
-	r.s.Run()
-	remotes := r.sniff.RemoteEndpoints(r.a.Addr)
-	if len(remotes) != 1 || remotes[0] != r.b.Addr {
-		t.Fatalf("remotes = %v", remotes)
-	}
-}
-
 // mkWire marshals a minimal valid UDP packet with the given payload size.
 func mkWire(payload int) []byte {
 	return (&packet.Packet{
@@ -216,7 +205,7 @@ func mkWire(payload int) []byte {
 // TestUndecodableRecordCountsOnlyUnfiltered: a record whose wire bytes
 // packet.PeekFlow rejects is kept as non-valid with a zero flow key. It
 // counts toward filter-less totals, but no Filter, not even one accepting
-// every flow, matches it, and Flows and RemoteEndpoints skip it.
+// every flow, matches it, and Flows skips it.
 func TestUndecodableRecordCountsOnlyUnfiltered(t *testing.T) {
 	s := NewSniffer()
 	s.ingest(0, netsim.DirUp, []byte{0x45, 0xad, 0xbe})
@@ -248,9 +237,6 @@ func TestUndecodableRecordCountsOnlyUnfiltered(t *testing.T) {
 	}
 	if flows := s.Flows(Match{}); len(flows) != 1 || flows[0].Packets != 1 {
 		t.Errorf("Flows = %+v, want only the valid record", flows)
-	}
-	if remotes := s.RemoteEndpoints(0); len(remotes) != 1 || remotes[0] != packet.MustParseAddr("10.0.0.3") {
-		t.Errorf("RemoteEndpoints = %v", remotes)
 	}
 }
 

@@ -183,27 +183,6 @@ func refFlows(recs []Record, m Match) []*FlowStat {
 	return out
 }
 
-func refRemoteEndpoints(recs []Record, local packet.Addr) []packet.Addr {
-	seen := make(map[packet.Addr]bool)
-	var out []packet.Addr
-	for i := range recs {
-		p := refDecode(&recs[i])
-		if p == nil {
-			continue
-		}
-		remote := p.IP.Dst
-		if recs[i].Dir == netsim.DirDown {
-			remote = p.IP.Src
-		}
-		if remote == local || seen[remote] {
-			continue
-		}
-		seen[remote] = true
-		out = append(out, remote)
-	}
-	return out
-}
-
 // refSummary is the record At must report, read off the full decode.
 func refSummary(r *Record) Summary {
 	want := Summary{TS: r.TS, Dir: r.Dir, WireLen: len(r.Wire)}
@@ -292,18 +271,6 @@ func checkEquivalence(t *testing.T, recs []Record) {
 		for i := range gotF {
 			if *gotF[i] != *wantF[i] {
 				t.Errorf("%s Flows[%d] = %+v, want %+v", mc.name, i, *gotF[i], *wantF[i])
-			}
-		}
-	}
-	for _, local := range []packet.Addr{0x0a000002, 0x0a020002, 0} {
-		got, want := s.RemoteEndpoints(local), refRemoteEndpoints(recs, local)
-		if len(got) != len(want) {
-			t.Errorf("RemoteEndpoints(%v) count = %d, want %d", local, len(got), len(want))
-			continue
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Errorf("RemoteEndpoints(%v)[%d] = %v, want %v", local, i, got[i], want[i])
 			}
 		}
 	}

@@ -77,7 +77,7 @@ func remoteRun(e Env, label string, p *platform.Profile, n int, seed int64) (dow
 	cs := transport.NewStack(l.Dep.Net, hmd)
 	sniff := l.Capture(hmd)
 
-	sess, err := render.NewSession(l.Sched, l.Dep.Net, edge, hmd, es, cs, p.Cost.Res, device.Quest2.RefreshHz)
+	sess, err := render.NewSession(l.Sched, hmd, es, cs, p.Cost.Res, device.Quest2.RefreshHz)
 	if err != nil {
 		panic(err)
 	}
@@ -141,13 +141,11 @@ func P2PAblation(e Env) *P2PResult {
 func serverUplink(e Env, label string, name platform.Name, n int, seed int64) float64 {
 	l := e.lab(label, seed^0x77)
 	defer l.MustConserve()
-	p := platform.Get(name)
 	cs := l.Spawn(name, n, SpawnOpts{})
 	l.Sched.At(2*time.Second, func() { arrangeCircle(cs) })
 	sniff := l.Capture(cs[0].Host)
 	l.Sched.RunUntil(40 * time.Second)
-	ctrlAddr := l.Dep.ControlEndpoint(p, cs[0].Host.Site).Addr
-	return sniff.MeanBps(capture.MatchUp(l.dataOnly(p, ctrlAddr)), 15*time.Second, 40*time.Second)
+	return sniff.MeanBps(capture.MatchUp(l.dataOnly(cs[0])), 15*time.Second, 40*time.Second)
 }
 
 // p2pRun builds an n-client full mesh where each client unicasts its avatar

@@ -52,14 +52,12 @@ func Decimate(e Env) *DecimateResult {
 func decimateRun(e Env, label string, name platform.Name, n int, seed int64, policy *platform.DecimationPolicy) float64 {
 	l := e.lab(label, seed)
 	defer l.MustConserve()
-	p := platform.Get(name)
 	l.Dep.Backend(name).SetDecimation(policy)
 	cs := l.Spawn(name, n, SpawnOpts{})
 	l.Sched.At(2*time.Second, func() { arrangeCircle(cs) })
 	sniff := l.Capture(cs[0].Host)
 	l.Sched.RunUntil(40 * time.Second)
-	ctrlAddr := l.Dep.ControlEndpoint(p, cs[0].Host.Site).Addr
-	return sniff.MeanBps(capture.MatchDown(l.dataOnly(p, ctrlAddr)), 15*time.Second, 40*time.Second)
+	return sniff.MeanBps(capture.MatchDown(l.dataOnly(cs[0])), 15*time.Second, 40*time.Second)
 }
 
 // Render prints the ablation.

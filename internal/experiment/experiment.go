@@ -251,9 +251,12 @@ func (l *Lab) notAsset(p *platform.Profile) func(packet.Flow) bool {
 	}
 }
 
-// dataOnly matches the data channel: UDP traffic, plus (for web platforms)
-// the HTTPS connection itself — the paper's Hubs data channel spans both.
-func (l *Lab) dataOnly(p *platform.Profile, ctrlAddr packet.Addr) func(packet.Flow) bool {
+// dataOnly matches c's data channel: UDP traffic, plus (for web platforms)
+// the HTTPS connection to c's control server itself — the paper's Hubs data
+// channel spans both.
+func (l *Lab) dataOnly(c *platform.Client) func(packet.Flow) bool {
+	p := c.Profile
+	ctrlAddr := l.Dep.ControlEndpoint(p, c.Host.Site).Addr
 	na := l.notAsset(p)
 	return func(f packet.Flow) bool {
 		if !na(f) {

@@ -80,29 +80,34 @@ func monitorSeries(c *platform.Client, total time.Duration) (cpu, gpu, fps, stal
 	return
 }
 
-// StageWindow returns the [from,to) window of the i-th applied stage.
-func (r *Fig12Result) StageWindow(i int) (time.Duration, time.Duration) {
-	from := r.Stages[i].At
-	to := r.Total
-	if i+1 < len(r.Stages) {
-		to = r.Stages[i+1].At
+// stageWindow returns the [from,to) window of the i-th of stages in a run
+// that ends at total (Figs 12 and 13).
+func stageWindow(stages []disrupt.AppliedStage, total time.Duration, i int) (from, to time.Duration) {
+	from, to = stages[i].At, total
+	if i+1 < len(stages) {
+		to = stages[i+1].At
 	}
 	return from, to
 }
 
+// stageMarkers labels each stage's start on a Fig 12 or Fig 13 chart.
+func stageMarkers(stages []disrupt.AppliedStage) []plot.Marker {
+	var markers []plot.Marker
+	for _, st := range stages {
+		markers = append(markers, plot.Marker{At: st.At, Label: st.Stage.Label})
+	}
+	return markers
+}
+
 // StageMean summarizes a series within a stage (skipping 5 s of settling).
 func (r *Fig12Result) StageMean(ts *stats.TimeSeries, i int) float64 {
-	from, to := r.StageWindow(i)
+	from, to := stageWindow(r.Stages, r.Total, i)
 	return ts.MeanInWindow(from+5*time.Second, to)
 }
 
 // Render prints the Figure 12 artifact: throughput chart plus stage table.
 func (r *Fig12Result) Render() string {
 	var b strings.Builder
-	var markers []plot.Marker
-	for _, st := range r.Stages {
-		markers = append(markers, plot.Marker{At: st.At, Label: st.Stage.Label})
-	}
 	chart := &plot.Chart{
 		Title:  fmt.Sprintf("Figure 12 (%s, Arena Clash): downlink disruption", r.Platform),
 		YUnit:  "Mbps",
@@ -111,7 +116,7 @@ func (r *Fig12Result) Render() string {
 			{Label: "uplink", Symbol: 'u', Data: r.Up},
 			{Label: "downlink", Symbol: 'D', Data: r.Down},
 		},
-		Markers: markers,
+		Markers: stageMarkers(r.Stages),
 	}
 	b.WriteString(chart.Render())
 	t := &Table{Header: []string{"Stage", "Down (Mbps)", "Up (Mbps)", "CPU %", "GPU %", "FPS", "Stale/s"}}

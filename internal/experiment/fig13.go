@@ -92,12 +92,8 @@ func Fig13(e Env, mode Fig13Mode) *Fig13Result {
 		if st.Stage.IsClear() {
 			continue
 		}
-		from := st.At + 2*time.Second
-		to := res.Total
-		if i+1 < len(sc.Applied) {
-			to = sc.Applied[i+1].At
-		}
-		for _, v := range res.UDPUp.Window(from, to) {
+		from, to := stageWindow(sc.Applied, total, i)
+		for _, v := range res.UDPUp.Window(from+2*time.Second, to) {
 			if v < 1000 {
 				res.UDPGapSeconds++
 			}
@@ -106,13 +102,9 @@ func Fig13(e Env, mode Fig13Mode) *Fig13Result {
 	return res
 }
 
-// StageMean mirrors Fig12Result.StageMean.
+// StageMean summarizes a series within a stage (skipping 5 s of settling).
 func (r *Fig13Result) StageMean(ts *stats.TimeSeries, i int) float64 {
-	from := r.Stages[i].At
-	to := r.Total
-	if i+1 < len(r.Stages) {
-		to = r.Stages[i+1].At
-	}
+	from, to := stageWindow(r.Stages, r.Total, i)
 	return ts.MeanInWindow(from+5*time.Second, to)
 }
 
@@ -123,10 +115,6 @@ func (r *Fig13Result) Render() string {
 	if r.Mode == Fig13TCPOnly {
 		which = "TCP-only uplink control (bottom)"
 	}
-	var markers []plot.Marker
-	for _, st := range r.Stages {
-		markers = append(markers, plot.Marker{At: st.At, Label: st.Stage.Label})
-	}
 	chart := &plot.Chart{
 		Title:  fmt.Sprintf("Figure 13 (Horizon Worlds, Arena Clash): %s", which),
 		YUnit:  "Mbps",
@@ -136,7 +124,7 @@ func (r *Fig13Result) Render() string {
 			{Label: "UDP-down", Symbol: 'D', Data: r.UDPDown},
 			{Label: "TCP-up", Symbol: 'T', Data: r.TCPUp},
 		},
-		Markers: markers,
+		Markers: stageMarkers(r.Stages),
 	}
 	b.WriteString(chart.Render())
 	t := &Table{Header: []string{"Stage", "UDP up (Mbps)", "UDP down (Mbps)", "TCP up (Mbps)"}}
@@ -209,23 +197,7 @@ func latencyWithDelay(e Env, label string, name platform.Name, addedMs int, seed
 		l.Sched.At(10*time.Second+time.Duration(i)*2*time.Second, func() { ids = append(ids, cs[0].PerformAction()) })
 	}
 	l.Sched.RunUntil(40 * time.Second)
-	off1, off2 := cs[0].MeasureClockOffset(), cs[1].MeasureClockOffset()
-	var sum float64
-	n := 0
-	for _, id := range ids {
-		tr := l.Dep.Trace(id)
-		rt := tr.Receiver(cs[1].User)
-		if !rt.Displayed {
-			continue
-		}
-		e2e := (rt.DisplayedAtLocal - off2) - (tr.TriggeredAtLocal - off1)
-		sum += float64(e2e) / float64(time.Millisecond)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	return breakdown(l, cs[0], cs[1], ids).E2E.Mean
 }
 
 // deliveryUnderLoss measures the fraction of avatar forwards that still

@@ -51,7 +51,6 @@ func fig6Run(e Env, id string, name platform.Name, variant Fig6Variant) *Fig6Res
 	}
 	l := e.lab(id+"/"+string(name)+"/"+facing, e.Seed)
 	defer l.MustConserve()
-	p := platform.Get(name)
 	const total = 300 * time.Second
 	turnAt := 250 * time.Second
 	center := world.Vec2{X: 10, Y: 10}
@@ -94,8 +93,7 @@ func fig6Run(e Env, id string, name platform.Name, variant Fig6Variant) *Fig6Res
 	sniff := l.Capture(u1.Host)
 	l.Sched.RunUntil(total)
 
-	ctrlAddr := l.Dep.ControlEndpoint(p, u1.Host.Site).Addr
-	f := l.dataOnly(p, ctrlAddr)
+	f := l.dataOnly(u1)
 	return &Fig6Result{
 		Platform:  name,
 		Variant:   variant,

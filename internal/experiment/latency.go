@@ -70,15 +70,21 @@ func measureLatency(e Env, label string, name platform.Name, n, repeats int, see
 		l.Sched.At(at, func() { ids = append(ids, cs[0].PerformAction()) })
 	}
 	l.Sched.RunUntil(10*time.Second + time.Duration(repeats)*2*time.Second + 5*time.Second)
+	b := breakdown(l, cs[0], cs[1], ids) // the U1→U2 path, as in the paper
+	b.Platform, b.Private = name, private
+	return b
+}
 
-	// The AP-based clock synchronization step (§7).
-	off1 := cs[0].MeasureClockOffset()
-	off2 := cs[1].MeasureClockOffset()
-
+// breakdown is the Table 4 timestamp algebra: it synchronizes u1's and
+// u2's headset clocks through the AP (§7), in that order, and splits the
+// latency of every action in ids that u2 displayed.
+func breakdown(l *Lab, u1, u2 *platform.Client, ids []uint32) LatencyBreakdown {
+	off1 := u1.MeasureClockOffset()
+	off2 := u2.MeasureClockOffset()
 	var e2e, snd, rcv, srv, net []float64
 	for _, id := range ids {
 		tr := l.Dep.Trace(id)
-		rt := tr.Receiver(cs[1].User) // the U1→U2 path, as in the paper
+		rt := tr.Receiver(u2.User)
 		if !rt.Displayed {
 			continue
 		}
@@ -92,8 +98,6 @@ func measureLatency(e Env, label string, name platform.Name, n, repeats int, see
 		net = append(net, toMs((tr.ServerInAt-tr.SentAt)+(rt.ReceivedAt-tr.ServerOutAt)))
 	}
 	return LatencyBreakdown{
-		Platform: name,
-		Private:  private,
 		E2E:      stats.Summarize(e2e),
 		Sender:   stats.Summarize(snd),
 		Receiver: stats.Summarize(rcv),

@@ -85,14 +85,12 @@ func scalingRun(e Env, label string, name platform.Name, n int, seed int64) (dow
 	defer l.MustConserve()
 	l.Trace().Phase(2*time.Second, "arrange")
 	l.Trace().Phase(20*time.Second, "steady-window")
-	p := platform.Get(name)
 	cs := l.Spawn(name, n, SpawnOpts{})
 	l.Sched.At(2*time.Second, func() { arrangeCircle(cs) })
 	sniff := l.Capture(cs[0].Host)
 	l.Sched.RunUntil(60 * time.Second)
 
-	ctrlAddr := l.Dep.ControlEndpoint(p, cs[0].Host.Site).Addr
-	f := l.dataOnly(p, ctrlAddr)
+	f := l.dataOnly(cs[0])
 	downBps = sniff.MeanBps(capture.MatchDown(f), 20*time.Second, 60*time.Second)
 	fps, cpu, gpu, mem = cs[0].Monitor.Means(20*time.Second, 60*time.Second)
 	// Battery drain over the same 20-60 s steady window as throughput and

@@ -188,8 +188,9 @@ func probePlatform(e Env, p *platform.Profile) Table2Row {
 }
 
 // measureRTT pings with ICMP, falls back to TCP ping, and finally to the
-// WebRTC report RTT (Hubs SFU blocks both, §4.2). The probe runs from the
-// given vantage site.
+// WebRTC report RTT (§4.2). Every lab host answers ICMP echo, so the
+// fallbacks run only when -chaos takes a server down. The probe runs from
+// the given vantage site.
 func measureRTT(l *Lab, c *platform.Client, site string, server packet.Addr, webrtcFallback bool) (avg, std time.Duration) {
 	prober := probe.New(transport.NewStack(l.Dep.Net, l.probeHost(site)))
 	var res probe.PingResult
@@ -230,8 +231,6 @@ func inferAnycastFor(l *Lab, server packet.Addr) bool {
 		pr.Traceroute(server, 12, func(hops []probe.Hop) { reports[idx].Hops = hops })
 	}
 	l.Sched.RunUntil(l.Sched.Now() + 15*time.Second)
-	// ICMP-blocked services (Hubs SFU) never answer; fall back to
-	// penultimate-hop evidence only.
 	return probe.InferAnycast(reports, 15*time.Millisecond)
 }
 

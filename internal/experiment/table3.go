@@ -76,8 +76,7 @@ func twoUserRates(e Env, label string, p *platform.Profile, seed int64) (up, dow
 	cs := l.Spawn(p.Name, 2, SpawnOpts{Voice: true, Wander: true})
 	sniff := l.Capture(cs[0].Host)
 	l.Sched.RunUntil(70 * time.Second)
-	ctrlAddr := l.Dep.ControlEndpoint(p, cs[0].Host.Site).Addr
-	f := l.dataOnly(p, ctrlAddr)
+	f := l.dataOnly(cs[0])
 	from, to := 20*time.Second, 70*time.Second
 	return sniff.MeanBps(capture.MatchUp(f), from, to), sniff.MeanBps(capture.MatchDown(f), from, to)
 }
@@ -104,8 +103,7 @@ func avatarShare(e Env, label string, p *platform.Profile, seed int64) float64 {
 	u2.JoinEvent("diff")
 	l.Sched.RunUntil(100 * time.Second)
 
-	ctrlAddr := l.Dep.ControlEndpoint(p, u1.Host.Site).Addr
-	f := l.dataOnly(p, ctrlAddr)
+	f := l.dataOnly(u1)
 	alone := sniff.MeanBps(capture.MatchDown(f), 10*time.Second, 44*time.Second)
 	together := sniff.MeanBps(capture.MatchDown(f), 55*time.Second, 100*time.Second)
 	d := together - alone

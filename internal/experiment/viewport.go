@@ -30,7 +30,6 @@ func Viewport(e Env) *ViewportResult {
 	name := e.platformOr(platform.AltspaceVR)
 	l := e.lab("viewport/"+string(name), e.Seed)
 	defer l.MustConserve()
-	p := platform.Get(name)
 	res := &ViewportResult{Platform: name}
 
 	u1 := platform.NewClient(l.Dep, name, "u1", platform.SiteCampus, 10)
@@ -56,8 +55,7 @@ func Viewport(e Env) *ViewportResult {
 	end := start + 16*hold
 	l.Sched.RunUntil(end + time.Second)
 
-	ctrlAddr := l.Dep.ControlEndpoint(p, u1.Host.Site).Addr
-	f := l.dataOnly(p, ctrlAddr)
+	f := l.dataOnly(u1)
 	visibleCount := 0
 	for click := 0; click < 16; click++ {
 		from := start + time.Duration(click)*hold + 4*time.Second

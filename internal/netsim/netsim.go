@@ -187,10 +187,6 @@ type Host struct {
 	// packets addressed to it are dropped, and anycast resolution skips it.
 	down bool
 
-	// Stats observable by tests.
-	SentPackets, RecvPackets int
-	SentBytes, RecvBytes     int
-
 	// TappedUpBytes/TappedDownBytes total the wire bytes handed to capture
 	// taps per direction — the audit bound for check (d): captures can never
 	// report more bytes than the access links offered/carried.
@@ -719,8 +715,6 @@ func (n *Network) Send(h *Host, pkt *packet.Packet) bool {
 	fs.pkt.Payload = fs.wire[fs.size-len(pkt.Payload):]
 
 	now := n.Sched.Now()
-	h.SentPackets++
-	h.SentBytes += fs.size
 	n.cons.Sent++
 	n.Tracer.Packet(now, trace.KindPacketSend, fs.span, h.ID, protoName(&fs.pkt), fs.size)
 
@@ -876,8 +870,6 @@ func (fs *fwdState) deliver() {
 }
 
 func (n *Network) deliverWire(dst *Host, pkt *packet.Packet, wire []byte) {
-	dst.RecvPackets++
-	dst.RecvBytes += len(wire)
 	n.cons.Delivered++
 	dst.runTaps(n.Sched.Now(), DirDown, wire)
 	if dst.Handler != nil {

@@ -395,11 +395,11 @@ func TestHostStatsAccumulate(t *testing.T) {
 	h2.Handler = func(p *packet.Packet) {}
 	n.Send(h1, udpTo(h2.Addr, make([]byte, 72)))
 	n.Sched.Run()
-	if h1.SentPackets != 1 || h1.SentBytes != 100 {
-		t.Fatalf("sender stats = %d pkts %d bytes, want 1/100", h1.SentPackets, h1.SentBytes)
+	if h1.Up.OfferedPackets != 1 || h1.Up.OfferedBytes != 100 {
+		t.Fatalf("sender stats = %d pkts %d bytes, want 1/100", h1.Up.OfferedPackets, h1.Up.OfferedBytes)
 	}
-	if h2.RecvPackets != 1 || h2.RecvBytes != 100 {
-		t.Fatalf("receiver stats = %d pkts %d bytes", h2.RecvPackets, h2.RecvBytes)
+	if h2.Down.OfferedPackets != 1 || h2.Down.CarriedBytes != 100 {
+		t.Fatalf("receiver stats = %d pkts %d bytes", h2.Down.OfferedPackets, h2.Down.CarriedBytes)
 	}
 }
 

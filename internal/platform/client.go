@@ -266,9 +266,7 @@ func (c *Client) startEventTickers() {
 	// Heartbeat/state uplink.
 	if p.Traffic.HeartbeatUpBps > 0 && !p.WebData {
 		const payload = 60
-		wire := payload + 5 + 33
-		iv := time.Duration(float64(wire*8) / p.Traffic.HeartbeatUpBps * float64(time.Second))
-		c.stops = append(c.stops, sched.Ticker(iv, func() {
+		c.stops = append(c.stops, sched.Ticker(seqInterval(payload, p.Traffic.HeartbeatUpBps), func() {
 			c.sendSeq(seqMsg{Kind: kindTelemetry, Seq: 0, Size: payload})
 		}))
 	}
@@ -284,10 +282,8 @@ func (c *Client) startEventTickers() {
 	// Worlds status telemetry (uplink-only, absorbed by the server).
 	if p.Traffic.TelemetryUpBps > 0 {
 		const payload = 450
-		wire := payload + 5 + 33
-		iv := time.Duration(float64(wire*8) / p.Traffic.TelemetryUpBps * float64(time.Second))
 		var tseq uint32
-		c.stops = append(c.stops, sched.Ticker(iv, func() {
+		c.stops = append(c.stops, sched.Ticker(seqInterval(payload, p.Traffic.TelemetryUpBps), func() {
 			tseq++
 			c.sendSeq(seqMsg{Kind: kindTelemetry, Seq: tseq, Size: payload})
 		}))
@@ -317,10 +313,8 @@ func (c *Client) startEventTickers() {
 	// Game-state stream (enabled by SetGame).
 	if p.Game.UpBps > 0 {
 		const payload = 300
-		wire := payload + 5 + 33
-		iv := time.Duration(float64(wire*8) / p.Game.UpBps * float64(time.Second))
 		var gseq uint32
-		c.stops = append(c.stops, sched.Ticker(iv, func() {
+		c.stops = append(c.stops, sched.Ticker(seqInterval(payload, p.Game.UpBps), func() {
 			if !c.gameOn {
 				return
 			}
@@ -574,13 +568,7 @@ func (c *Client) trackLoss(last *uint32, seq uint32) {
 // recovery model, and the frozen-session detector.
 func (c *Client) sceneTick() {
 	now := c.Dep.Sched.Now()
-	fresh := 0
-	for _, r := range c.remotes {
-		if now-r.lastAt < 2500*time.Millisecond {
-			fresh++
-		}
-	}
-	c.Headset.AvatarsInScene = 1 + fresh
+	c.Headset.AvatarsInScene = 1 + c.FreshRemotes()
 
 	// Recovery processing under downlink loss (Worlds, §8.1): missing data
 	// burns CPU and stale-frame reuse relieves the GPU.

@@ -218,8 +218,8 @@ func (d *Deployment) deployPlatform(p *Profile) {
 	if p.Name == Hubs {
 		assetSite = SiteUSWest
 	}
-	d.assets[p.Name] = d.buildUnicast(p, assetSite, p.ControlOwner, "", func(h *netsim.Host) {
-		newAssetServer(d, p, h)
+	d.assets[p.Name] = d.buildUnicast(p, assetSite, p.ControlOwner, func(h *netsim.Host) {
+		newAssetServer(d, h)
 	})
 }
 
@@ -257,9 +257,9 @@ func (d *Deployment) buildSet(p *Profile, place Placement, owner geo.Owner, host
 	return set
 }
 
-func (d *Deployment) buildUnicast(p *Profile, site string, owner geo.Owner, hostname string, start func(*netsim.Host)) *serverSet {
+func (d *Deployment) buildUnicast(p *Profile, site string, owner geo.Owner, start func(*netsim.Host)) *serverSet {
 	h := d.newServerHost(p, owner, site, start)
-	d.registerAddr(h.Addr, owner, site, false, hostname)
+	d.registerAddr(h.Addr, owner, site, false, "")
 	return &serverSet{placement: PlaceWestOnly, single: h.Addr}
 }
 
@@ -371,21 +371,16 @@ func (d *Deployment) DeployPrivateHubs(siteName string) packet.Endpoint {
 	return packet.Endpoint{Addr: ctrl.Addr, Port: PortControl}
 }
 
-// AddVantage attaches a measurement/client host (WiFi access) at a site.
-func (d *Deployment) AddVantage(id, siteName string, addrLastOctets int) *netsim.Host {
+// AddVantage attaches a measurement/client host (WiFi access) at a site,
+// with the given last octet in the /24 of the site's router.
+func (d *Deployment) AddVantage(id, siteName string, lastOctet int) *netsim.Host {
 	site := d.Sites[siteName]
 	if site == nil {
 		panic("platform: unknown site " + siteName)
 	}
-	base := map[string]string{
-		SiteCampus:     "10.1.0.",
-		SiteUSEast:     "10.0.0.",
-		SiteUSNorth:    "10.2.0.",
-		SiteUSWest:     "10.3.0.",
-		SiteLA:         "10.4.0.",
-		SiteEurope:     "10.5.0.",
-		SiteMiddleEast: "10.6.0.",
-	}[siteName]
-	addr := packet.MustParseAddr(fmt.Sprintf("%s%d", base, addrLastOctets))
+	if lastOctet < 0 || lastOctet > 255 {
+		panic(fmt.Sprintf("platform: host octet %d outside 0-255", lastOctet))
+	}
+	addr := site.Router&^0xff | packet.Addr(lastOctet)
 	return d.Net.AddHost(id, site, addr, netsim.WiFiAccess())
 }

@@ -134,28 +134,56 @@ func TestDownloadDeliversWholeResponse(t *testing.T) {
 		t.Fatalf("client session received %d application bytes, want %d", sess.AppBytesRecv, 5+n)
 	}
 	local := sess.Conn().Local
-	found := false
+	var server, client *transport.ConnAudit
 	for _, ep := range dep.Net.Endpoints() {
 		st, ok := ep.(*transport.Stack)
 		if !ok {
 			continue
 		}
 		for _, a := range st.AuditConns() {
-			if a.Remote != local {
-				continue
-			}
-			found = true
-			if a.StreamAcked != a.StreamSent || a.BufferedBytes != 0 {
-				t.Fatalf("asset connection not drained: %d of %d bytes acked, %d buffered",
-					a.StreamAcked, a.StreamSent, a.BufferedBytes)
-			}
-			if got := int64(sess.Conn().DataRecv); got != a.StreamSent {
-				t.Fatalf("client received %d stream bytes, server sent %d", got, a.StreamSent)
+			switch local {
+			case a.Remote:
+				server = &a
+			case a.Local:
+				client = &a
 			}
 		}
 	}
-	if !found {
-		t.Fatal("no server-side asset connection found")
+	if server == nil || client == nil {
+		t.Fatalf("asset connection ends found: server %v, client %v", server != nil, client != nil)
+	}
+	if server.StreamAcked != server.StreamSent || server.BufferedBytes != 0 {
+		t.Fatalf("asset connection not drained: %d of %d bytes acked, %d buffered",
+			server.StreamAcked, server.StreamSent, server.BufferedBytes)
+	}
+	if client.StreamRecv != server.StreamSent {
+		t.Fatalf("client received %d stream bytes, server sent %d", client.StreamRecv, server.StreamSent)
+	}
+}
+
+// TestAssetServerCapsResponse: the asset server answers a download request
+// with its 5-byte message header and the size it names, up to
+// maxAssetBytes; a larger 32-bit size gets no response at all. A request
+// for exactly the cap starts a response within seconds.
+func TestAssetServerCapsResponse(t *testing.T) {
+	for _, tc := range []struct {
+		n       int
+		horizon time.Duration
+		want    func(got int) bool
+	}{
+		{4096, 30 * time.Second, func(got int) bool { return got == 5+4096 }},
+		{maxAssetBytes, 5 * time.Second, func(got int) bool { return got > 0 }},
+		{maxAssetBytes + 1, 30 * time.Second, func(got int) bool { return got == 0 }},
+	} {
+		sched := simtime.NewScheduler()
+		dep := NewDeployment(sched, 77, nil)
+		c := NewClient(dep, VRChat, "dl", SiteCampus, 10)
+		var sess *secure.Session
+		sched.At(0, func() { sess = c.download(tc.n) })
+		sched.RunUntil(tc.horizon)
+		if !tc.want(sess.AppBytesRecv) {
+			t.Errorf("a %d-byte request delivered %d application bytes in %v", tc.n, sess.AppBytesRecv, tc.horizon)
+		}
 	}
 }
 

@@ -176,9 +176,7 @@ func (b *Backend) startMemberStreams(m *Member) {
 
 	if p.Traffic.SyncDownBps > 0 {
 		const payload = 160
-		wire := payload + 5 + 33 // seq hdr + UDP/IP (approx; actual measured from capture)
-		interval := time.Duration(float64(wire*8) / p.Traffic.SyncDownBps * float64(time.Second))
-		m.stops = append(m.stops, sched.Ticker(interval, func() {
+		m.stops = append(m.stops, sched.Ticker(seqInterval(payload, p.Traffic.SyncDownBps), func() {
 			if b.memberGone(m) || b.reportMissed(m) > pauseAfter {
 				return
 			}
@@ -202,9 +200,7 @@ func (b *Backend) startMemberStreams(m *Member) {
 
 	if p.Game.DownBps > 0 {
 		const payload = 300
-		wire := payload + 5 + 33
-		interval := time.Duration(float64(wire*8) / p.Game.DownBps * float64(time.Second))
-		m.stops = append(m.stops, sched.Ticker(interval, func() {
+		m.stops = append(m.stops, sched.Ticker(seqInterval(payload, p.Game.DownBps), func() {
 			if b.memberGone(m) || !m.inGame || b.reportMissed(m) > pauseAfter {
 				return
 			}
@@ -557,8 +553,8 @@ func parseCtrlReq(b []byte) (reqType byte, user, room string, rest []byte, err e
 func (cs *ctrlSession) onMsg(kind byte, body []byte) {
 	s := cs.srv
 	switch kind {
-	case secure.MsgRequest, secure.MsgReport:
-		reqType, user, room, rest, err := parseCtrlReq(body)
+	case secure.MsgRequest:
+		reqType, user, room, _, err := parseCtrlReq(body)
 		if err != nil {
 			s.dep.Metrics().Inc("platform.wire_parse_err")
 			return
@@ -578,27 +574,11 @@ func (cs *ctrlSession) onMsg(kind byte, body []byte) {
 			resp := make([]byte, max(s.profile.Traffic.ReportDownBytes, 12))
 			binary.BigEndian.PutUint64(resp[:8], uint64(s.dep.Sched.Now()))
 			cs.respond(resp)
-		case reqClockSync:
-			resp := make([]byte, 12)
-			binary.BigEndian.PutUint64(resp[:8], uint64(s.dep.Sched.Now()))
-			cs.respond(resp)
 		case reqJoin:
 			s.be.join(room, user, nil, packet.Endpoint{}, cs)
 			cs.respond(make([]byte, 2_000))
 		case reqLeave:
 			s.be.leave(cs.member)
-		case reqAsset:
-			if len(rest) >= 4 {
-				// A 4-byte field must not be able to demand a multi-GiB
-				// response. The cap is the client reader's bound: a
-				// larger response would only be dropped there.
-				n := int(binary.BigEndian.Uint32(rest))
-				if n > secure.MaxMsgLen {
-					s.dep.Metrics().Inc("platform.ctrl_oversize_req")
-					return
-				}
-				cs.sess.SendZeros(secure.MsgResponse, n)
-			}
 		}
 	case secure.MsgPush:
 		// Web-platform avatar upload.
@@ -631,7 +611,7 @@ type AssetServer struct {
 // server send must be capped, not trusted.
 const maxAssetBytes = 512 << 20
 
-func newAssetServer(d *Deployment, p *Profile, h *netsim.Host) *AssetServer {
+func newAssetServer(d *Deployment, h *netsim.Host) *AssetServer {
 	s := &AssetServer{stack: transport.NewStack(d.Net, h)}
 	s.stack.ListenTCP(PortAsset, func(conn *transport.Conn) {
 		var reader *secure.MsgReader

@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"slices"
+	"time"
 )
 
 // Data-channel message kinds.
@@ -44,13 +45,12 @@ const (
 
 // Control-channel request types (inside secure.MsgRequest bodies).
 const (
-	reqLogin     = 1
-	reqMenu      = 2
-	reqReport    = 3
-	reqClockSync = 4
-	reqAsset     = 5
-	reqJoin      = 6 // web platforms: join a room over the control channel
-	reqLeave     = 7 // web platforms: leave it
+	reqLogin  = 1
+	reqMenu   = 2
+	reqReport = 3
+	reqAsset  = 5 // asset server only (AssetServer)
+	reqJoin   = 6 // web platforms: join a room over the control channel
+	reqLeave  = 7 // web platforms: leave it
 )
 
 var (
@@ -175,6 +175,13 @@ type seqMsg struct {
 }
 
 const seqHdrLen = 5
+
+// seqInterval is the period at which seq messages of payload bytes add up
+// to bps on the wire, counting the seq header and about 33 bytes of UDP/IP
+// overhead per message.
+func seqInterval(payload int, bps float64) time.Duration {
+	return time.Duration(float64((payload+seqHdrLen+33)*8) / bps * float64(time.Second))
+}
 
 // seqKind reports whether k is one of the kinds carried as seqMsg filler.
 func seqKind(k byte) bool {

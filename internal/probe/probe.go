@@ -51,12 +51,9 @@ type PingJob struct {
 	Result PingResult
 	OnDone func(PingResult)
 
-	sent    map[uint16]time.Duration // seq -> send time
-	want    int
-	timeout *timeoutRef
+	sent map[uint16]time.Duration // seq -> send time
+	want int
 }
-
-type timeoutRef struct{ cancelled bool }
 
 // Ping sends count ICMP echo requests at the given interval and finalizes
 // after the last reply or a 2-second tail timeout.
@@ -76,13 +73,7 @@ func (p *Prober) Ping(dst packet.Addr, count int, interval time.Duration, onDone
 		})
 	}
 	tail := time.Duration(count)*interval + 2*time.Second
-	ref := &timeoutRef{}
-	job.timeout = ref
-	p.Net.Sched.After(tail, func() {
-		if !ref.cancelled {
-			p.finishPing(job)
-		}
-	})
+	p.Net.Sched.After(tail, func() { p.finishPing(job) })
 	return job
 }
 
@@ -222,7 +213,6 @@ func (p *Prober) onICMP(pk *packet.Packet) {
 			job.Result.Received++
 			job.Result.RTTs = append(job.Result.RTTs, p.Net.Sched.Now()-at)
 			if job.Result.Received == job.want {
-				job.timeout.cancelled = true
 				p.finishPing(job)
 			}
 		}
@@ -278,14 +268,15 @@ func (v VantageReport) PenultimateHop() packet.Addr {
 // geo-distributed vantages: the address is inferred to be anycast when all
 // vantages see comparably low RTT (every vantage under the threshold —
 // impossible for a single physical location across continents) or when the
-// penultimate hops diverge.
+// penultimate hops diverge. A vantage with no RTT sample (AvgRTT 0: the
+// server answered no ping) never counts as low.
 func InferAnycast(reports []VantageReport, lowRTT time.Duration) bool {
 	if len(reports) < 2 {
 		return false
 	}
 	allLow := true
 	for _, r := range reports {
-		if r.AvgRTT > lowRTT {
+		if r.AvgRTT == 0 || r.AvgRTT > lowRTT {
 			allLow = false
 			break
 		}

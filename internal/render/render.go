@@ -82,9 +82,6 @@ type Streamer struct {
 
 	frame int
 	stop  func()
-
-	FramesSent int
-	BytesSent  int
 }
 
 const mtuPayload = 1200
@@ -126,8 +123,6 @@ func (s *Streamer) emitFrame(frame, size int) {
 		s.sock.SendTo(s.to, payload)
 		seq++
 	}
-	s.FramesSent++
-	s.BytesSent += size
 }
 
 // Stop halts the stream.
@@ -138,22 +133,16 @@ func (s *Streamer) Stop() {
 	}
 }
 
-// Viewer is the client side: it reassembles frames and tracks delivery
-// statistics.
+// Viewer is the client side: it counts the video bytes it receives and the
+// frames whose last fragment arrived.
 type Viewer struct {
-	sched *simtime.Scheduler
-
 	FramesComplete int
 	BytesReceived  int
-	lastFrame      uint32
-	lastFrameAt    time.Duration
-
-	partial map[uint32]int
 }
 
 // NewViewer installs the viewer on a UDP socket.
-func NewViewer(sched *simtime.Scheduler, sock *transport.UDPSocket) *Viewer {
-	v := &Viewer{sched: sched, partial: make(map[uint32]int)}
+func NewViewer(sock *transport.UDPSocket) *Viewer {
+	v := &Viewer{}
 	sock.OnRecv = func(src packet.Endpoint, payload []byte) { v.onPacket(payload) }
 	return v
 }
@@ -162,14 +151,9 @@ func (v *Viewer) onPacket(b []byte) {
 	if len(b) < 12 {
 		return
 	}
-	frame := binary.BigEndian.Uint32(b[0:])
 	v.BytesReceived += len(b) - 12
-	v.partial[frame] += len(b) - 12
 	if b[6] == 1 {
 		v.FramesComplete++
-		v.lastFrame = frame
-		v.lastFrameAt = v.sched.Now()
-		delete(v.partial, frame)
 	}
 }
 
@@ -183,7 +167,7 @@ type Session struct {
 }
 
 // NewSession builds the downlink video path and a decode-cost headset.
-func NewSession(sched *simtime.Scheduler, n *netsim.Network, server, client *netsim.Host, serverStack, clientStack *transport.Stack, res device.Resolution, fps float64) (*Session, error) {
+func NewSession(sched *simtime.Scheduler, client *netsim.Host, serverStack, clientStack *transport.Stack, res device.Resolution, fps float64) (*Session, error) {
 	srvSock, err := serverStack.BindUDP(0)
 	if err != nil {
 		return nil, err
@@ -192,7 +176,7 @@ func NewSession(sched *simtime.Scheduler, n *netsim.Network, server, client *net
 	if err != nil {
 		return nil, err
 	}
-	viewer := NewViewer(sched, cliSock)
+	viewer := NewViewer(cliSock)
 	streamer := NewStreamer(sched, srvSock, packet.Endpoint{Addr: client.Addr, Port: 9100}, DefaultEncoder(), res, fps)
 	hs := device.NewHeadset(device.Quest2, DecodeCost(res), nil)
 	hs.AvatarsInScene = 1

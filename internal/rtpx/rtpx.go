@@ -50,11 +50,6 @@ type Stream struct {
 
 	stopTick, stopSR func()
 
-	// lastSRArrival records (LSR, arrival time) of the most recent sender
-	// report, to fill DLSR in our receiver reports.
-	lastSR        uint32
-	lastSRArrival time.Duration
-
 	// RTT is the latest RTCP-derived estimate (0 until measured).
 	RTT time.Duration
 	// RTTSamples collects every RTT measurement, the only record of them.
@@ -139,15 +134,12 @@ func (s *Stream) onPacket(b []byte) {
 		}
 		switch rep.Type {
 		case packet.RTCPSenderReport:
-			// Remember it; echo back an RR with our DLSR.
-			s.lastSR = rep.LSR
-			s.lastSRArrival = s.sched.Now()
-			dlsr := compactNTP(s.sched.Now() - s.lastSRArrival) // 0 here; kept explicit
+			// Echo its LSR in a receiver report. The report leaves at once,
+			// so its DLSR (delay since the last SR) is 0.
 			rr := packet.MarshalRTCP(packet.RTCPPacket{
 				Type: packet.RTCPReceiverReport,
 				SSRC: s.SSRC,
 				LSR:  rep.LSR,
-				DLSR: dlsr,
 			})
 			s.sock.SendTo(s.remote, rr)
 		case packet.RTCPReceiverReport:

@@ -95,7 +95,7 @@ func TestVoiceBitrateIsConversational(t *testing.T) {
 	// the paper's voice channels.
 	r := newRig(t, false, true)
 	r.s.RunUntil(10 * time.Second)
-	bps := float64(r.a.SentBytes*8) / 10
+	bps := float64(r.a.Up.OfferedBytes*8) / 10
 	if bps < 35_000 || bps > 80_000 {
 		t.Fatalf("voice wire rate = %.0f bps, want ~52kbps", bps)
 	}

@@ -308,7 +308,6 @@ const (
 	MsgRequest  = 1
 	MsgResponse = 2
 	MsgPush     = 3 // server-initiated (e.g. forwarded avatar state on Hubs)
-	MsgReport   = 4 // periodic client report (the §4.1 HTTPS spikes)
 )
 
 // MaxMsgLen is the largest message body a MsgReader accepts, and so the

@@ -208,7 +208,7 @@ func TestHandshakeByteCostIsRealistic(t *testing.T) {
 	// makes control-channel connections visibly bursty in Fig. 2.
 	r := newRig(t)
 	r.s.RunUntil(5 * time.Second)
-	total := r.a.SentBytes + r.a.RecvBytes
+	total := r.a.Up.OfferedBytes + r.a.Down.CarriedBytes
 	if total < 3000 {
 		t.Fatalf("handshake moved only %d bytes, want >3KB", total)
 	}

@@ -31,7 +31,7 @@ func TestTCPSegmentAllocBound(t *testing.T) {
 		send()
 	}
 	got = 0
-	sentA, sentB := r.a.SentPackets, r.b.SentPackets
+	sentA, sentB := r.a.Up.OfferedPackets, r.b.Up.OfferedPackets
 	const runs = 50
 	if allocs := testing.AllocsPerRun(runs, send); allocs > 1 {
 		t.Fatalf("a %d-segment message allocates %.2f, want <= 1", segs, allocs)
@@ -41,7 +41,7 @@ func TestTCPSegmentAllocBound(t *testing.T) {
 	if want := (runs + 1) * len(msg); got != want {
 		t.Fatalf("delivered %d bytes, want %d", got, want)
 	}
-	if data, acks := r.a.SentPackets-sentA, r.b.SentPackets-sentB; data < (runs+1)*segs || acks < (runs+1)*segs {
+	if data, acks := r.a.Up.OfferedPackets-sentA, r.b.Up.OfferedPackets-sentB; data < (runs+1)*segs || acks < (runs+1)*segs {
 		t.Fatalf("sent %d data segments and %d ACKs for %d messages, want >= %d each", data, acks, runs+1, (runs+1)*segs)
 	}
 }
@@ -120,7 +120,7 @@ func TestStreamAllocBound(t *testing.T) {
 	if got != n {
 		t.Fatalf("delivered %d of %d bytes", got, n)
 	}
-	if server.Retransmits == 0 {
+	if r.sb.counts.retransmits == 0 {
 		t.Fatal("no retransmissions: the path was not lossy")
 	}
 	if maxCap > bound {

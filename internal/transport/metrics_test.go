@@ -24,7 +24,7 @@ func TestStackFlushMetricsAddsGrowthOnce(t *testing.T) {
 		s := r.net.Metrics.Snapshot()
 		sum := func(f func(c stackCounts) int64) int64 { return f(r.sa.counts) + f(r.sb.counts) }
 		for name, want := range map[string]int64{
-			"transport.retransmits":      int64(client.Retransmits + server.Retransmits),
+			"transport.retransmits":      sum(func(c stackCounts) int64 { return c.retransmits }),
 			"transport.fast_retransmits": sum(func(c stackCounts) int64 { return c.fastRetransmits }),
 			"transport.rto_backoffs":     sum(func(c stackCounts) int64 { return c.rtoBackoffs }),
 			"transport.conns_dialed":     1,
@@ -47,14 +47,14 @@ func TestStackFlushMetricsAddsGrowthOnce(t *testing.T) {
 
 	client.Send(bytes.Repeat([]byte("x"), 40*1000))
 	r.s.RunUntil(r.s.Now() + 120*time.Second)
-	if client.Retransmits == 0 || r.sa.counts.rtoBackoffs == 0 {
-		t.Fatalf("precondition: %d retransmits and %d backoffs under 30%% loss", client.Retransmits, r.sa.counts.rtoBackoffs)
+	if r.sa.counts.retransmits == 0 || r.sa.counts.rtoBackoffs == 0 {
+		t.Fatalf("precondition: %d retransmits and %d backoffs under 30%% loss", r.sa.counts.retransmits, r.sa.counts.rtoBackoffs)
 	}
 	check("after the first transfer")
-	before := client.Retransmits
+	before := r.sa.counts.retransmits
 	client.Send(bytes.Repeat([]byte("y"), 40*1000))
 	r.s.RunUntil(r.s.Now() + 120*time.Second)
-	if client.Retransmits == before {
+	if r.sa.counts.retransmits == before {
 		t.Fatal("precondition: the second transfer retransmitted nothing")
 	}
 	check("after the second transfer")

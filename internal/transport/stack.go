@@ -33,8 +33,8 @@ type Stack struct {
 	// ICMPHandler, when set, observes every inbound ICMP packet (probes).
 	ICMPHandler func(*packet.Packet)
 	// EchoReply controls whether the stack answers ICMP echo requests.
-	// Some real services block ICMP (the paper falls back to TCP ping);
-	// profiles disable this to force that fallback.
+	// Some real services block ICMP (the paper falls back to TCP ping,
+	// §4.2); no platform profile models that, so every lab host answers.
 	EchoReply bool
 
 	// closedConns accumulates audit summaries of torn-down connections, in

@@ -133,10 +133,6 @@ type Conn struct {
 	OnEstablished func()
 	OnClose       func(reason string)
 
-	// Counters for tests and analysis.
-	Retransmits int
-	DataRecv    int
-
 	// span groups this connection's trace events; lastCwndTr dedups cwnd
 	// trace points so the recorder only sees actual window changes.
 	span       uint64
@@ -160,10 +156,7 @@ func (c *Conn) Span() uint64 { return c.span }
 // countRetransmit is the single accounting point for retransmitted
 // segments, whichever path (RTO go-back-N, handshake retry, fast
 // retransmit, NewReno partial ACK) triggered them.
-func (c *Conn) countRetransmit() {
-	c.Retransmits++
-	c.stack.counts.retransmits++
-}
+func (c *Conn) countRetransmit() { c.stack.counts.retransmits++ }
 
 // noteCwnd records the congestion-window high-water mark and, when tracing,
 // a counter-track point — deduped so only actual window changes are logged.
@@ -193,24 +186,40 @@ func (c *Conn) queued() int { return len(c.sendBuf) + c.owed }
 // DialTCP opens a connection to dst. The returned Conn is usable for Send
 // immediately: bytes queue until the handshake completes.
 func (s *Stack) DialTCP(dst packet.Endpoint) *Conn {
+	return s.open(packet.Endpoint{Addr: s.Host.Addr, Port: s.ephemeralPort()}, dst, StateSynSent, 0)
+}
+
+// open registers a new connection in state, draws its ISS and sends its
+// SYN, or, for a passive open (StateSynReceived), the SYN-ACK that
+// acknowledges rcvNxt, the peer's ISS+1.
+func (s *Stack) open(local, remote packet.Endpoint, state ConnState, rcvNxt uint32) *Conn {
 	c := &Conn{
 		stack:    s,
-		Local:    packet.Endpoint{Addr: s.Host.Addr, Port: s.ephemeralPort()},
-		Remote:   dst,
-		state:    StateSynSent,
+		Local:    local,
+		Remote:   remote,
+		state:    state,
 		cwnd:     2 * MSS,
 		ssthresh: 64 * 1024,
 		rwnd:     65535 * windowScale,
 		rto:      initialRTO,
 		ooo:      make(map[uint32][]byte),
+		rcvNxt:   rcvNxt,
+		irsNxt:   rcvNxt,
 	}
 	c.iss = uint32(s.Net.Rng.Int63())
 	c.sndUna, c.sndNxt = c.iss, c.iss
-	s.conns[connKey{localPort: c.Local.Port, remote: dst}] = c
-	s.counts.dialed++
+	s.conns[connKey{localPort: local.Port, remote: remote}] = c
+	syn := &packet.TCP{Flags: packet.FlagSYN, Seq: c.iss}
+	if state == StateSynReceived {
+		s.counts.accepted++
+		syn.Flags |= packet.FlagACK
+		syn.Ack = rcvNxt
+	} else {
+		s.counts.dialed++
+	}
 	c.span = s.Net.Tracer.NextSpan()
-	s.Net.Tracer.TCPState(s.Net.Sched.Now(), c.span, s.Host.ID, "syn-sent")
-	c.sendSeg(&packet.TCP{Flags: packet.FlagSYN, Seq: c.iss}, nil)
+	s.Net.Tracer.TCPState(s.Net.Sched.Now(), c.span, s.Host.ID, state.String())
+	c.sendSeg(syn, nil)
 	c.sndNxt++ // SYN consumes a sequence number
 	c.noteSndNxt()
 	c.armRTO()
@@ -232,33 +241,11 @@ func (s *Stack) handleTCP(p *packet.Packet) {
 	}
 	// New connection?
 	if l, ok := s.listeners[p.TCP.DstPort]; ok && p.TCP.HasFlag(packet.FlagSYN) && !p.TCP.HasFlag(packet.FlagACK) {
-		c := &Conn{
-			stack: s,
-			// Answer from the address the client targeted: for anycast
-			// services this is the shared service address, not the
-			// instance's own — otherwise the client's handshake would
-			// never match its connection.
-			Local:    packet.Endpoint{Addr: p.IP.Dst, Port: p.TCP.DstPort},
-			Remote:   key.remote,
-			state:    StateSynReceived,
-			cwnd:     2 * MSS,
-			ssthresh: 64 * 1024,
-			rwnd:     65535 * windowScale,
-			rto:      initialRTO,
-			ooo:      make(map[uint32][]byte),
-			rcvNxt:   p.TCP.Seq + 1,
-			irsNxt:   p.TCP.Seq + 1,
-		}
-		c.iss = uint32(s.Net.Rng.Int63())
-		c.sndUna, c.sndNxt = c.iss, c.iss
-		s.conns[key] = c
-		s.counts.accepted++
-		c.span = s.Net.Tracer.NextSpan()
-		s.Net.Tracer.TCPState(s.Net.Sched.Now(), c.span, s.Host.ID, "syn-received")
-		c.sendSeg(&packet.TCP{Flags: packet.FlagSYN | packet.FlagACK, Seq: c.iss, Ack: c.rcvNxt}, nil)
-		c.sndNxt++
-		c.noteSndNxt()
-		c.armRTO()
+		// Answer from the address the client targeted: for anycast
+		// services this is the shared service address, not the instance's
+		// own — otherwise the client's handshake would never match its
+		// connection.
+		c := s.open(packet.Endpoint{Addr: p.IP.Dst, Port: p.TCP.DstPort}, key.remote, StateSynReceived, p.TCP.Seq+1)
 		if l.OnAccept != nil {
 			l.OnAccept(c)
 		}
@@ -467,7 +454,7 @@ func (c *Conn) onRTO() {
 	c.stack.counts.rtoBackoffs++
 	c.stack.Net.Tracer.TCPRetx(c.now(), c.span, c.stack.Host.ID, "rto-backoff",
 		int64(c.retries), int64(c.rto/time.Microsecond))
-	c.ssthresh = maxf(float64(c.Unacked())/2, 2*MSS)
+	c.ssthresh = max(float64(c.Unacked())/2, 2*MSS)
 	c.cwnd = MSS
 	c.inRecovery = false
 	c.rto *= 2
@@ -533,13 +520,6 @@ func (c *Conn) close(reason string) {
 // Close tears the connection down locally (no FIN exchange is modelled; the
 // peer notices via its own retransmission limit if it keeps sending).
 func (c *Conn) Close() { c.close("closed by application") }
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 func (c *Conn) receive(p *packet.Packet) {
 	t := p.TCP
@@ -608,7 +588,7 @@ func (c *Conn) receive(p *packet.Packet) {
 			// delay (Fig. 13's netem stages) doesn't strand the
 			// connection in deep slow start with a backed-off timer.
 			if c.retries > 0 && acked > MSS {
-				c.cwnd = maxf(c.cwnd, c.ssthresh)
+				c.cwnd = max(c.cwnd, c.ssthresh)
 				base := 2 * c.srtt
 				if base < initialRTO {
 					base = initialRTO
@@ -651,7 +631,7 @@ func (c *Conn) receive(p *packet.Packet) {
 				c.stack.counts.fastRetransmits++
 				c.stack.Net.Tracer.TCPRetx(c.now(), c.span, c.stack.Host.ID, "fast-retransmit",
 					int64(c.Unacked()), 0)
-				c.ssthresh = maxf(float64(c.Unacked())/2, 2*MSS)
+				c.ssthresh = max(float64(c.Unacked())/2, 2*MSS)
 				c.cwnd = c.ssthresh + 3*MSS
 				c.inRecovery = true
 				c.recover = c.sndNxt
@@ -715,7 +695,6 @@ func (c *Conn) drainOOO() {
 
 func (c *Conn) deliver(b []byte) {
 	c.rcvNxt += uint32(len(b))
-	c.DataRecv += len(b)
 	if c.OnData != nil {
 		c.OnData(b)
 	}

@@ -172,7 +172,7 @@ func TestAuditStreamSentSurvivesRewind(t *testing.T) {
 	msg := make([]byte, 40*1000)
 	client.Send(msg)
 	r.s.RunUntil(r.s.Now() + 120*time.Second)
-	if client.Retransmits == 0 {
+	if r.sa.counts.retransmits == 0 {
 		t.Fatal("precondition: no retransmissions under 30% loss")
 	}
 	a := client.audit("")

@@ -362,7 +362,7 @@ func TestTCPRecoversFromLoss(t *testing.T) {
 	if got.Len() != len(msg) {
 		t.Fatalf("received %d of %d bytes through 20%% loss", got.Len(), len(msg))
 	}
-	if client.Retransmits == 0 {
+	if r.sa.counts.retransmits == 0 {
 		t.Fatal("expected retransmissions under loss")
 	}
 }
