@@ -1,9 +1,15 @@
-# Tier-1 gate: everything must build, vet clean, and pass the full test
-# suite with the race detector on (the parallel experiment runner makes the
-# whole suite a concurrency test).
-.PHONY: check build vet test race golden bench bench-hotpath audit fuzz gencorpus
+# Tier-1 gate: every Go file must be gofmt-clean (CI's first step), and
+# everything must build, vet clean, and pass the full test suite with the
+# race detector on (the parallel experiment runner makes the whole suite a
+# concurrency test).
+.PHONY: check gofmt build vet test race golden bench bench-hotpath audit fuzz gencorpus
 
-check: build vet race
+check: gofmt build vet race
+
+# Lists nothing when every Go file, the bench module's included, is
+# formatted; fails otherwise.
+gofmt:
+	test -z "$$(gofmt -l .)"
 
 build:
 	go build ./...
