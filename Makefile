@@ -27,10 +27,12 @@ race:
 # artifacts, their stable metrics, traces and pcaps at one worker and at
 # four (they skip themselves under -race); the full run then holds all 21
 # artifacts, decimate, fig9 and p2p included, to artifacts_seed42.txt byte
-# for byte.
+# for byte, untraced and again with every cell traced (which also runs the
+# audit's trace check in every lab).
 golden:
 	go test -run 'TestGolden(Artifacts|Pcaps|Traces)' -cpu 1,4 .
 	go run ./cmd/svrlab all -seed 42 -repeats 1 | cmp - artifacts_seed42.txt
+	go run ./cmd/svrlab all -seed 42 -repeats 1 -trace /dev/null -trace-format text | cmp - artifacts_seed42.txt
 
 # Conservation audit over every artifact: the end-of-run auditor (which
 # always runs and panics on violation) plus its coverage summary per

@@ -8,8 +8,9 @@
 //	(b) TCP byte-stream continuity — each side's contiguously delivered
 //	    bytes are a prefix of the peer's uniquely sent bytes, and no
 //	    reassembly segment lingers at or below rcvNxt.
-//	(c) trace agreement — when the flight recorder is on and evicted
-//	    nothing, packet-span event counts equal the conservation ledger.
+//	(c) trace agreement — whenever the flight recorder is on, the packet
+//	    send, deliver and drop events it was handed, kept or evicted,
+//	    equal the conservation ledger.
 //	(d) capture bounds — bytes handed to capture taps never exceed what the
 //	    access links actually offered/carried.
 //
@@ -189,26 +190,18 @@ func checkStreams(n *netsim.Network, r *Report) {
 	}
 }
 
-// checkTrace compares flight-recorder packet-span counts against the
-// conservation ledger. Only meaningful when the ring evicted nothing — a
-// bounded ring that wrapped has forgotten early spans by design.
+// checkTrace compares the flight recorder's packet-span counts against the
+// conservation ledger. The tracer counts every event it was handed, so the
+// check holds in a lab whose ring evicted events too.
 func checkTrace(n *netsim.Network, r *Report) {
 	tr := n.Tracer
-	if tr == nil || tr.Dropped() > 0 {
+	if tr == nil {
 		return
 	}
 	r.TraceChecked = true
-	var sends, delivers, drops int64
-	for _, ev := range tr.Events() {
-		switch ev.Kind {
-		case trace.KindPacketSend:
-			sends++
-		case trace.KindPacketDeliver:
-			delivers++
-		case trace.KindPacketDrop:
-			drops++
-		}
-	}
+	sends := int64(tr.Count(trace.KindPacketSend))
+	delivers := int64(tr.Count(trace.KindPacketDeliver))
+	drops := int64(tr.Count(trace.KindPacketDrop))
 	c := r.Conservation
 	if want := c.Sent + c.ICMPInjected; sends != want {
 		r.fail("trace", "%d send spans recorded, ledger says %d", sends, want)

@@ -82,6 +82,25 @@ func TestAuditCleanRun(t *testing.T) {
 	}
 }
 
+// TestAuditTraceCheckedAfterEviction: a ring far smaller than the traffic
+// evicts most of the spans, but the tracer's per-kind counts still hold
+// every one, so check (c) runs and passes.
+func TestAuditTraceCheckedAfterEviction(t *testing.T) {
+	r := newRig(t, true)
+	r.n.Tracer = trace.New(16)
+	r.transfer(t, 50*1000)
+	if r.n.Tracer.Dropped() == 0 {
+		t.Fatal("the 16-event ring evicted nothing; the test needs more traffic")
+	}
+	rep := audit.Run(r.n)
+	if !rep.TraceChecked {
+		t.Fatal("tracer attached, but trace check skipped after eviction")
+	}
+	if !rep.OK() {
+		t.Fatalf("evicting run reported violations:\n%s", rep)
+	}
+}
+
 // TestAuditLossyRun: drops with recorded causes still conserve.
 func TestAuditLossyRun(t *testing.T) {
 	r := newRig(t, true)
@@ -149,6 +168,13 @@ func TestAuditDetectsLedgerTampering(t *testing.T) {
 	r.hb.Down.DroppedPackets = r.hb.Down.OfferedPackets + 5
 	if rep := audit.Run(r.n); !find(rep, "link-ledger") {
 		t.Fatalf("dropped > offered not flagged:\n%s", rep)
+	}
+
+	r = newRig(t, false)
+	r.transfer(t, 10*1000)
+	r.n.Tracer.Record(trace.Event{Kind: trace.KindPacketDeliver})
+	if rep := audit.Run(r.n); !find(rep, "trace") {
+		t.Fatalf("a deliver span the ledger lacks not flagged:\n%s", rep)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 
 	"github.com/svrlab/svrlab/internal/netsim"
 	"github.com/svrlab/svrlab/internal/simtime"
+	"github.com/svrlab/svrlab/internal/trace"
 )
 
 // Kind discriminates fault types.
@@ -152,5 +153,5 @@ func (sc *Schedule) set(f *Fault, active bool) {
 	}
 	now := sc.Net.Sched.Now()
 	sc.Applied = append(sc.Applied, Applied{At: now, Label: f.label(), Event: event})
-	sc.Net.Tracer.Chaos(now, f.target(), f.Kind.String()+":"+event)
+	sc.Net.Trace(trace.KindChaos, 0, f.target(), f.Kind.String()+":"+event, 0, 0)
 }

@@ -10,6 +10,7 @@ import (
 	"github.com/svrlab/svrlab/internal/netsim"
 	"github.com/svrlab/svrlab/internal/packet"
 	"github.com/svrlab/svrlab/internal/simtime"
+	"github.com/svrlab/svrlab/internal/trace"
 )
 
 // Direction selects which side of the host's access link is impaired.
@@ -71,15 +72,15 @@ func (sc *Schedule) Run(sched *simtime.Scheduler, start time.Duration) (end time
 		t := at
 		sched.At(t, func() {
 			sc.Applied = append(sc.Applied, AppliedStage{At: sched.Now(), Stage: st})
-			sc.apply(st, sched.Now())
+			sc.apply(st)
 		})
 		at += st.Duration
 	}
-	sched.At(at, func() { sc.clear(sched.Now()) })
+	sched.At(at, func() { sc.apply(Stage{}) })
 	return at
 }
 
-func (sc *Schedule) apply(st Stage, at time.Duration) {
+func (sc *Schedule) apply(st Stage) {
 	var ne *netsim.Netem
 	if !st.IsClear() {
 		ne = &netsim.Netem{RateBps: st.RateBps, Delay: st.Delay, Loss: st.Loss, Filter: st.Filter}
@@ -90,16 +91,12 @@ func (sc *Schedule) apply(st Stage, at time.Duration) {
 		sc.Host.DownNetem = ne
 	}
 	// Stage boundaries are cold-path; formatting the label here is fine.
-	if tr := sc.Host.Tracer(); tr != nil {
-		name := sc.Dir.String() + ":" + st.Label
-		if st.Label == "" {
-			name = sc.Dir.String() + ":clear"
-		}
-		tr.Netem(at, sc.Host.ID, name, int64(st.RateBps), int64(st.Delay/time.Microsecond))
+	label := st.Label
+	if label == "" {
+		label = "clear"
 	}
+	sc.Host.Trace(trace.KindNetem, 0, sc.Dir.String()+":"+label, int64(st.RateBps), int64(st.Delay/time.Microsecond))
 }
-
-func (sc *Schedule) clear(at time.Duration) { sc.apply(Stage{}, at) }
 
 // The paper's §8 parameter sweeps.
 

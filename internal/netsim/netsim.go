@@ -201,10 +201,10 @@ type Host struct {
 // directions are observed, like Wireshark on the paper's WiFi APs.
 func (h *Host) Tap(fn TapFunc) { h.taps = append(h.taps, fn) }
 
-// Tracer exposes the owning network's flight recorder handle, so layers
-// holding only a host (disrupt schedules) can record without extra
-// plumbing. Nil when tracing is disabled.
-func (h *Host) Tracer() *trace.Tracer { return h.net.Tracer }
+// Trace records an event on this host's track (Network.Trace).
+func (h *Host) Trace(kind trace.Kind, span uint64, name string, arg, arg2 int64) {
+	h.net.Trace(kind, span, h.ID, name, arg, arg2)
+}
 
 func (h *Host) runTaps(at time.Duration, dir Dir, wire []byte) {
 	if len(h.taps) == 0 {
@@ -236,11 +236,11 @@ type Network struct {
 	// error counts and every registered endpoint's counts when
 	// FlushMetrics runs, at lab teardown. Never nil.
 	Metrics *obs.Registry
-	// Tracer, when non-nil, records packet-lifecycle spans and protocol
-	// events into the lab's flight recorder. Nil (the default) disables
-	// tracing at zero cost: every trace method is nil-safe, and recording
-	// never touches the scheduler or Rng, so artifacts are byte-identical
-	// with tracing on or off.
+	// Tracer, when non-nil, is the lab's flight recorder: Trace records
+	// packet-lifecycle spans and protocol events into it. Nil (the default)
+	// disables tracing at zero cost, and recording never touches the
+	// scheduler's queue or Rng, so artifacts are byte-identical with
+	// tracing on or off.
 	Tracer *trace.Tracer
 
 	sites   []*Site
@@ -302,6 +302,16 @@ func New(s *simtime.Scheduler, seed int64, m *obs.Registry) *Network {
 		hosts:        make(map[packet.Addr]*Host),
 		anycast:      make(map[packet.Addr][]*Host),
 		anycastCache: make(map[anycastKey]*Host),
+	}
+}
+
+// Trace is the one way into the flight recorder: it records one event,
+// stamped with the current virtual time, on the given span and track, and
+// does nothing when tracing is off. Host, transport.Conn and
+// transport.UDPSocket wrap it to fill in the track and span they own.
+func (n *Network) Trace(kind trace.Kind, span uint64, track, name string, arg, arg2 int64) {
+	if n.Tracer != nil {
+		n.Tracer.Record(trace.Event{At: n.Sched.Now(), Kind: kind, Span: span, Track: track, Name: name, Arg: arg, Arg2: arg2})
 	}
 }
 
@@ -633,10 +643,10 @@ func (n *Network) releaseFwd(fs *fwdState) {
 func (n *Network) drop(fs *fwdState, cause Cause, where string) {
 	n.cons.Drops[cause]++
 	if fs == nil {
-		n.Tracer.Packet(n.Sched.Now(), trace.KindPacketDrop, 0, where, causes[cause].label, 0)
+		n.Trace(trace.KindPacketDrop, 0, where, causes[cause].label, 0, 0)
 		return
 	}
-	n.Tracer.Packet(n.Sched.Now(), trace.KindPacketDrop, fs.span, where, causes[cause].label, fs.size)
+	n.Trace(trace.KindPacketDrop, fs.span, where, causes[cause].label, int64(fs.size), 0)
 	n.releaseFwd(fs)
 }
 
@@ -716,7 +726,7 @@ func (n *Network) Send(h *Host, pkt *packet.Packet) bool {
 
 	now := n.Sched.Now()
 	n.cons.Sent++
-	n.Tracer.Packet(now, trace.KindPacketSend, fs.span, h.ID, protoName(&fs.pkt), fs.size)
+	n.Trace(trace.KindPacketSend, fs.span, h.ID, protoName(&fs.pkt), int64(fs.size), 0)
 
 	// Uplink netem first (loss, shaping, delay)...
 	depart := now
@@ -807,7 +817,7 @@ func (fs *fwdState) forward() {
 		return
 	}
 	pkt.IP.TTL--
-	n.Tracer.Packet(n.Sched.Now(), trace.KindPacketHop, fs.span, site.Name, "hop", fs.size)
+	n.Trace(trace.KindPacketHop, fs.span, site.Name, "hop", int64(fs.size), 0)
 
 	if fs.hop == len(fs.path)-1 {
 		// Final site: cross the destination access link.
@@ -864,7 +874,7 @@ func (fs *fwdState) deliver() {
 		return
 	}
 	packet.PatchTTL(fs.wire, fs.pkt.IP.TTL)
-	fs.n.Tracer.Packet(fs.n.Sched.Now(), trace.KindPacketDeliver, fs.span, fs.dst.ID, "deliver", fs.size)
+	fs.n.Trace(trace.KindPacketDeliver, fs.span, fs.dst.ID, "deliver", int64(fs.size), 0)
 	fs.n.deliverWire(fs.dst, &fs.pkt, fs.wire)
 	fs.n.releaseFwd(fs)
 }
@@ -923,8 +933,8 @@ func (n *Network) sendICMPError(from packet.Addr, to *Host, orig *packet.Packet,
 		n.cons.ICMPInjected++
 		to.InjectedBytes += int64(len(wire))
 		span := n.Tracer.NextSpan()
-		n.Tracer.Packet(n.Sched.Now(), trace.KindPacketSend, span, "icmp-router", "icmp", len(wire))
-		n.Tracer.Packet(n.Sched.Now(), trace.KindPacketDeliver, span, to.ID, "deliver", len(wire))
+		n.Trace(trace.KindPacketSend, span, "icmp-router", "icmp", int64(len(wire)), 0)
+		n.Trace(trace.KindPacketDeliver, span, to.ID, "deliver", int64(len(wire)), 0)
 		n.deliverWire(to, reply, wire)
 	})
 }

@@ -12,6 +12,7 @@ import (
 	"github.com/svrlab/svrlab/internal/packet"
 	"github.com/svrlab/svrlab/internal/rtpx"
 	"github.com/svrlab/svrlab/internal/secure"
+	"github.com/svrlab/svrlab/internal/trace"
 	"github.com/svrlab/svrlab/internal/transport"
 	"github.com/svrlab/svrlab/internal/world"
 )
@@ -386,7 +387,7 @@ func (c *Client) sendAvatar(actionID uint32) {
 	c.txBuf = c.Profile.Codec.Encode(c.txBuf, &c.pose)
 	if actionID != 0 {
 		c.Dep.Trace(actionID).SentAt = c.Dep.Sched.Now()
-		c.Dep.Net.Tracer.Action(c.Dep.Sched.Now(), uint64(actionID), c.Host.ID, "send")
+		c.Host.Trace(trace.KindAction, uint64(actionID), "send", 0, 0)
 	}
 	if c.Profile.WebData {
 		body, err := appendEnvelope(c.envBuf[:0], c.txBuf)
@@ -455,7 +456,7 @@ func (c *Client) PerformAction() uint32 {
 	id := c.Dep.nextActionID()
 	tr := c.Dep.Trace(id)
 	tr.TriggeredAtLocal = c.ReadClock()
-	c.Dep.Net.Tracer.Action(c.Dep.Sched.Now(), uint64(id), c.Host.ID, "trigger")
+	c.Host.Trace(trace.KindAction, uint64(id), "trigger", 0, 0)
 	L := c.Profile.Latency
 	delay := L.SenderMs + c.rng.NormFloat64()*L.SenderJitterMs*0.8
 	if delay < 1 {
@@ -536,7 +537,7 @@ func (c *Client) handleForward(f forwardMsg) {
 	if id := f.ActionID; id != 0 {
 		rt := c.Dep.Trace(id).Receiver(c.User)
 		rt.ReceivedAt = now
-		c.Dep.Net.Tracer.Action(now, uint64(id), c.Host.ID, "recv")
+		c.Host.Trace(trace.KindAction, uint64(id), "recv", 0, 0)
 		L := c.Profile.Latency
 		n := len(c.remotes) + 1
 		procMs := L.ReceiverMs + L.PerUserReceiverMs*float64(max(0, n-2)) + c.rng.NormFloat64()*L.ReceiverJitterMs*0.8
@@ -550,7 +551,7 @@ func (c *Client) handleForward(f forwardMsg) {
 		c.Dep.Sched.After(delay, func() {
 			rt.DisplayedAtLocal = c.ReadClock()
 			rt.Displayed = true
-			c.Dep.Net.Tracer.Action(c.Dep.Sched.Now(), uint64(id), c.Host.ID, "display")
+			c.Host.Trace(trace.KindAction, uint64(id), "display", 0, 0)
 		})
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"github.com/svrlab/svrlab/internal/netsim"
 	"github.com/svrlab/svrlab/internal/packet"
 	"github.com/svrlab/svrlab/internal/secure"
+	"github.com/svrlab/svrlab/internal/trace"
 	"github.com/svrlab/svrlab/internal/transport"
 	"github.com/svrlab/svrlab/internal/world"
 )
@@ -279,7 +280,7 @@ func (b *Backend) handleAvatarUpload(m *Member, frame []byte, private bool) {
 
 	if id != 0 {
 		b.dep.Trace(id).ServerInAt = b.dep.Sched.Now()
-		b.dep.Net.Tracer.Action(b.dep.Sched.Now(), uint64(id), b.traceTrack(m), "server_in")
+		b.dep.Net.Trace(trace.KindAction, uint64(id), b.traceTrack(m), "server_in", 0, 0)
 	}
 
 	room := m.room
@@ -305,7 +306,7 @@ func (b *Backend) handleAvatarUpload(m *Member, frame []byte, private bool) {
 	b.dep.Sched.After(delay, func() {
 		if id != 0 {
 			b.dep.Trace(id).ServerOutAt = b.dep.Sched.Now()
-			b.dep.Net.Tracer.Action(b.dep.Sched.Now(), uint64(id), b.traceTrack(m), "server_out")
+			b.dep.Net.Trace(trace.KindAction, uint64(id), b.traceTrack(m), "server_out", 0, 0)
 		}
 		for _, user := range room.order {
 			o := room.members[user]
@@ -601,19 +602,15 @@ func (cs *ctrlSession) respond(body []byte) {
 // ---------------------------------------------------------------------------
 // Asset server (CDN downloads)
 
-// AssetServer serves the large background downloads of §5.2 over HTTPS.
-type AssetServer struct {
-	stack *transport.Stack
-}
-
 // maxAssetBytes bounds any single asset/CDN response (512 MiB): download
 // sizes come off the wire as a 32-bit field, and the bytes they make the
 // server send must be capped, not trusted.
 const maxAssetBytes = 512 << 20
 
-func newAssetServer(d *Deployment, h *netsim.Host) *AssetServer {
-	s := &AssetServer{stack: transport.NewStack(d.Net, h)}
-	s.stack.ListenTCP(PortAsset, func(conn *transport.Conn) {
+// newAssetServer installs on h the HTTPS listener that serves the large
+// background downloads of §5.2.
+func newAssetServer(d *Deployment, h *netsim.Host) {
+	transport.NewStack(d.Net, h).ListenTCP(PortAsset, func(conn *transport.Conn) {
 		var reader *secure.MsgReader
 		sess := secure.Server(conn)
 		reader = &secure.MsgReader{OnMsg: func(kind byte, body []byte) {
@@ -628,7 +625,6 @@ func newAssetServer(d *Deployment, h *netsim.Host) *AssetServer {
 		}}
 		sess.OnData = reader.Feed
 	})
-	return s
 }
 
 // ---------------------------------------------------------------------------

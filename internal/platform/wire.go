@@ -48,7 +48,7 @@ const (
 	reqLogin  = 1
 	reqMenu   = 2
 	reqReport = 3
-	reqAsset  = 5 // asset server only (AssetServer)
+	reqAsset  = 5 // asset server only (newAssetServer)
 	reqJoin   = 6 // web platforms: join a room over the control channel
 	reqLeave  = 7 // web platforms: leave it
 )

@@ -10,6 +10,7 @@ import (
 	"github.com/svrlab/svrlab/internal/obs"
 	"github.com/svrlab/svrlab/internal/packet"
 	"github.com/svrlab/svrlab/internal/simtime"
+	"github.com/svrlab/svrlab/internal/trace"
 	"github.com/svrlab/svrlab/internal/transport"
 )
 
@@ -121,7 +122,7 @@ func (s *Stream) sendSR() {
 		SSRC: s.SSRC,
 		LSR:  compactNTP(s.sched.Now()),
 	})
-	s.sock.Tracer().RTCP(s.sched.Now(), s.sock.HostID(), "sender-report", int64(s.SSRC))
+	s.sock.Trace(trace.KindRTCP, "sender-report", int64(s.SSRC), 0)
 	s.sock.SendTo(s.remote, sr)
 	s.srSent++
 }
@@ -148,7 +149,7 @@ func (s *Stream) onPacket(b []byte) {
 			if rtt > 0 {
 				s.RTT = rtt
 				s.RTTSamples = append(s.RTTSamples, rtt)
-				s.sock.Tracer().RTCP(s.sched.Now(), s.sock.HostID(), "rtt", int64(rtt/time.Microsecond))
+				s.sock.Trace(trace.KindRTCP, "rtt", int64(rtt/time.Microsecond), 0)
 			}
 		}
 		return

@@ -12,6 +12,7 @@ import (
 
 	"github.com/svrlab/svrlab/internal/obs"
 	"github.com/svrlab/svrlab/internal/packet"
+	"github.com/svrlab/svrlab/internal/trace"
 	"github.com/svrlab/svrlab/internal/transport"
 )
 
@@ -96,7 +97,7 @@ func Client(conn *transport.Conn) *Session {
 	start := func() {
 		hello := make([]byte, clientHelloLen)
 		hello[0] = 1 // ClientHello type marker inside the record body
-		conn.Tracer().TLS(conn.Now(), conn.Span(), conn.HostID(), "client-hello")
+		conn.Trace(trace.KindTLS, "client-hello", 0, 0)
 		s.sendRecord(packet.TLSHandshake, hello)
 	}
 	if conn.State() == transport.StateEstablished {
@@ -263,15 +264,9 @@ func (s *Session) onHandshake(body []byte) {
 		if !s.ready {
 			fin := make([]byte, clientFinishedLen)
 			fin[0] = 20
-			s.conn.Tracer().TLS(s.conn.Now(), s.conn.Span(), s.conn.HostID(), "client-finished")
+			s.conn.Trace(trace.KindTLS, "client-finished", 0, 0)
 			s.sendRecord(packet.TLSHandshake, fin)
-			s.ready = true
-			s.handshakes++
-			s.conn.Tracer().TLS(s.conn.Now(), s.conn.Span(), s.conn.HostID(), "established")
-			if s.OnEstablished != nil {
-				s.OnEstablished()
-			}
-			s.flushPending()
+			s.establish()
 		}
 		return
 	}
@@ -279,21 +274,25 @@ func (s *Session) onHandshake(body []byte) {
 	if len(body) > 0 && body[0] == 1 { // ClientHello
 		reply := make([]byte, serverHelloLen)
 		reply[0] = 2
-		s.conn.Tracer().TLS(s.conn.Now(), s.conn.Span(), s.conn.HostID(), "server-hello")
+		s.conn.Trace(trace.KindTLS, "server-hello", 0, 0)
 		s.sendRecord(packet.TLSHandshake, reply)
 		return
 	}
-	if len(body) > 0 && body[0] == 20 { // client Finished
-		if !s.ready {
-			s.ready = true
-			s.handshakes++
-			s.conn.Tracer().TLS(s.conn.Now(), s.conn.Span(), s.conn.HostID(), "established")
-			if s.OnEstablished != nil {
-				s.OnEstablished()
-			}
-			s.flushPending()
-		}
+	if len(body) > 0 && body[0] == 20 && !s.ready { // client Finished
+		s.establish()
 	}
+}
+
+// establish finishes the handshake on either side: the client once it has
+// sent Finished, the server once it has received it.
+func (s *Session) establish() {
+	s.ready = true
+	s.handshakes++
+	s.conn.Trace(trace.KindTLS, "established", 0, 0)
+	if s.OnEstablished != nil {
+		s.OnEstablished()
+	}
+	s.flushPending()
 }
 
 // Message framing helpers: the lab's HTTP-equivalent exchanges

@@ -17,8 +17,13 @@
 //     *Tracer records nothing, so call sites never check whether tracing
 //     is on. With tracing disabled the per-packet path stays 0 allocs/op;
 //     with tracing enabled, events land in a preallocated bounded ring
-//     with a drop-oldest policy and a dropped-events counter — still 0
-//     allocs/op per event.
+//     with a drop-oldest policy — still 0 allocs/op per event.
+//
+// Every event reaches the ring through Record, which also counts it under
+// its kind whether the ring keeps it or later evicts it. The lab's layers
+// record through netsim.Network.Trace; only phase markers stamped ahead of
+// time come in through Phase. The end-of-run audit holds the packet-span
+// counts against the packet ledger in every traced lab.
 package trace
 
 import "time"
@@ -41,6 +46,7 @@ const (
 	KindNetem                     // netem schedule action applied/cleared
 	KindAction                    // end-to-end action lifecycle stamp
 	KindChaos                     // chaos fault injected/healed
+	numKinds
 )
 
 // String names each kind for the text exporter.
@@ -104,10 +110,10 @@ const DefaultCapacity = 1 << 16
 // from, it belongs to exactly one simulation cell.
 type Tracer struct {
 	events  []Event
-	start   int    // index of the oldest event
-	count   int    // number of live events
-	dropped uint64 // events evicted by the drop-oldest policy
-	spanSeq uint64 // per-tracer span id counter
+	start   int              // index of the oldest event
+	count   int              // number of live events
+	spanSeq uint64           // per-tracer span id counter
+	counts  [numKinds]uint64 // events recorded per kind, kept or evicted
 }
 
 // New creates a tracer with a bounded ring of n events; n must be
@@ -115,9 +121,6 @@ type Tracer struct {
 func New(n int) *Tracer {
 	return &Tracer{events: make([]Event, n)}
 }
-
-// Enabled reports whether events are being recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
 
 // NextSpan allocates a fresh span id (0 when disabled). Span ids are
 // per-tracer and deterministic: they derive only from the order of NextSpan
@@ -130,11 +133,13 @@ func (t *Tracer) NextSpan() uint64 {
 	return t.spanSeq
 }
 
-// Record appends an event, evicting the oldest when the ring is full.
+// Record counts an event under its kind and appends it, evicting the oldest
+// when the ring is full.
 func (t *Tracer) Record(ev Event) {
 	if t == nil {
 		return
 	}
+	t.counts[ev.Kind]++
 	if t.count == len(t.events) {
 		// Drop-oldest: overwrite the slot at start.
 		t.events[t.start] = ev
@@ -142,7 +147,6 @@ func (t *Tracer) Record(ev Event) {
 		if t.start == len(t.events) {
 			t.start = 0
 		}
-		t.dropped++
 		return
 	}
 	i := t.start + t.count
@@ -153,97 +157,19 @@ func (t *Tracer) Record(ev Event) {
 	t.count++
 }
 
-// Packet records a packet-lifecycle event (send/hop/deliver/drop).
-func (t *Tracer) Packet(at time.Duration, kind Kind, span uint64, track, name string, size int) {
-	if t == nil {
-		return
-	}
-	t.Record(Event{At: at, Kind: kind, Span: span, Track: track, Name: name, Arg: int64(size)})
-}
-
-// TCPState records a connection state transition.
-func (t *Tracer) TCPState(at time.Duration, span uint64, track, state string) {
-	if t == nil {
-		return
-	}
-	t.Record(Event{At: at, Kind: KindTCPState, Span: span, Track: track, Name: state})
-}
-
-// TCPCwnd records a congestion-window change in bytes.
-func (t *Tracer) TCPCwnd(at time.Duration, span uint64, track string, cwnd int64) {
-	if t == nil {
-		return
-	}
-	t.Record(Event{At: at, Kind: KindTCPCwnd, Span: span, Track: track, Name: "cwnd", Arg: cwnd})
-}
-
-// TCPRetx records a retransmission event ("fast-retransmit", "rto-backoff").
-func (t *Tracer) TCPRetx(at time.Duration, span uint64, track, name string, arg, arg2 int64) {
-	if t == nil {
-		return
-	}
-	t.Record(Event{At: at, Kind: KindTCPRetx, Span: span, Track: track, Name: name, Arg: arg, Arg2: arg2})
-}
-
-// TLS records a handshake phase ("client-hello", "server-hello", ...).
-func (t *Tracer) TLS(at time.Duration, span uint64, track, phase string) {
-	if t == nil {
-		return
-	}
-	t.Record(Event{At: at, Kind: KindTLS, Span: span, Track: track, Name: phase})
-}
-
-// RTCP records a sender report or RTT sample (arg in µs).
-func (t *Tracer) RTCP(at time.Duration, track, name string, arg int64) {
-	if t == nil {
-		return
-	}
-	t.Record(Event{At: at, Kind: KindRTCP, Track: track, Name: name, Arg: arg})
-}
-
-// Netem records a schedule stage being applied or cleared.
-func (t *Tracer) Netem(at time.Duration, track, name string, rateBps, delayUs int64) {
-	if t == nil {
-		return
-	}
-	t.Record(Event{At: at, Kind: KindNetem, Track: track, Name: name, Arg: rateBps, Arg2: delayUs})
-}
-
 // Phase records an experiment phase marker. Markers for future phases are
 // recorded immediately with an explicit At stamp — never via scheduled
 // callbacks — so tracing leaves the scheduler's event stream untouched.
 func (t *Tracer) Phase(at time.Duration, name string) {
-	if t == nil {
-		return
-	}
 	t.Record(Event{At: at, Kind: KindPhase, Name: name})
 }
 
-// Action records an end-to-end action lifecycle stamp ("trigger", "send",
-// "server_in", "server_out", "recv", "display"). Span is the action id.
-func (t *Tracer) Action(at time.Duration, span uint64, track, name string) {
-	if t == nil {
-		return
-	}
-	t.Record(Event{At: at, Kind: KindAction, Span: span, Track: track, Name: name})
-}
-
-// Chaos records a fault being injected ("crash", "link-cut", "partition")
-// or healed ("restart", "link-restore", "heal"). Track names the target
-// host/link/site.
-func (t *Tracer) Chaos(at time.Duration, track, name string) {
-	if t == nil {
-		return
-	}
-	t.Record(Event{At: at, Kind: KindChaos, Track: track, Name: name})
-}
-
-// Len returns the number of live events (0 when disabled).
-func (t *Tracer) Len() int {
+// Count returns how many events of kind k were recorded, kept or evicted.
+func (t *Tracer) Count(k Kind) uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.count
+	return t.counts[k]
 }
 
 // Dropped returns how many events the drop-oldest policy evicted.
@@ -251,7 +177,11 @@ func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.dropped
+	var n uint64
+	for _, c := range t.counts {
+		n += c
+	}
+	return n - uint64(t.count)
 }
 
 // Events returns the live events oldest-first as a fresh slice.

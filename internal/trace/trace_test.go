@@ -10,24 +10,13 @@ import (
 
 func TestNilTracerIsZeroCostDisabled(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
 	if got := tr.NextSpan(); got != 0 {
 		t.Fatalf("nil NextSpan = %d, want 0", got)
 	}
-	// Every recording method must be a safe no-op on nil.
-	tr.Record(Event{})
-	tr.Packet(0, KindPacketSend, 1, "h", "udp", 10)
-	tr.TCPState(0, 1, "h", "established")
-	tr.TCPCwnd(0, 1, "h", 1000)
-	tr.TCPRetx(0, 1, "h", "rto-backoff", 1, 2)
-	tr.TLS(0, 1, "h", "client-hello")
-	tr.RTCP(0, "h", "rtt", 5)
-	tr.Netem(0, "h", "downlink:1.0", 1e6, 0)
+	// Both recording methods must be safe no-ops on nil.
+	tr.Record(Event{Kind: KindPacketSend})
 	tr.Phase(0, "join")
-	tr.Action(0, 1, "h", "trigger")
-	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
+	if tr.Count(KindPacketSend) != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer leaked state")
 	}
 }
@@ -45,9 +34,6 @@ func TestRingDropOldest(t *testing.T) {
 	tr := New(4)
 	for i := 0; i < 7; i++ {
 		tr.Record(Event{At: time.Duration(i), Name: "e"})
-	}
-	if tr.Len() != 4 {
-		t.Fatalf("len = %d, want 4", tr.Len())
 	}
 	if tr.Dropped() != 3 {
 		t.Fatalf("dropped = %d, want 3", tr.Dropped())
@@ -70,10 +56,27 @@ func TestRecordDoesNotAllocate(t *testing.T) {
 	if avg := testing.AllocsPerRun(1000, func() { tr.Record(ev) }); avg != 0 {
 		t.Fatalf("Record allocates %.2f objects/op, want 0", avg)
 	}
-	if avg := testing.AllocsPerRun(1000, func() {
-		tr.Packet(time.Second, KindPacketHop, 2, "nyc", "hop", 100)
-	}); avg != 0 {
-		t.Fatalf("Packet allocates %.2f objects/op, want 0", avg)
+	if avg := testing.AllocsPerRun(1000, func() { tr.Phase(time.Second, "join") }); avg != 0 {
+		t.Fatalf("Phase allocates %.2f objects/op, want 0", avg)
+	}
+}
+
+// TestCountsSurviveEviction: the per-kind counts include every event the
+// ring was handed, the ones it evicted too.
+func TestCountsSurviveEviction(t *testing.T) {
+	tr := New(2)
+	for i := 0; i < 5; i++ {
+		tr.Record(Event{Kind: KindPacketSend})
+	}
+	tr.Record(Event{Kind: KindPacketDeliver})
+	tr.Phase(time.Second, "end")
+	for k, want := range map[Kind]uint64{KindPacketSend: 5, KindPacketDeliver: 1, KindPhase: 1, KindPacketDrop: 0} {
+		if got := tr.Count(k); got != want {
+			t.Errorf("Count(%s) = %d, want %d", k, got, want)
+		}
+	}
+	if tr.Dropped() != 5 || len(tr.Events()) != 2 {
+		t.Fatalf("dropped = %d, kept = %d; want 5, 2", tr.Dropped(), len(tr.Events()))
 	}
 }
 
@@ -104,16 +107,19 @@ func TestCollectorCells(t *testing.T) {
 // populate records a tiny but representative event mix into a cell.
 func populate(tr *Tracer) {
 	tr.Phase(0, "launch")
-	s := tr.NextSpan()
-	tr.Packet(10*time.Millisecond, KindPacketSend, s, "u1", "udp", 120)
-	tr.Packet(11*time.Millisecond, KindPacketHop, s, "nyc", "hop", 120)
-	tr.Packet(12*time.Millisecond, KindPacketDeliver, s, "srv", "deliver", 120)
-	d := tr.NextSpan()
-	tr.Packet(13*time.Millisecond, KindPacketSend, d, "u1", "udp", 80)
-	tr.Packet(14*time.Millisecond, KindPacketDrop, d, "u1", "netem-loss-up", 80)
-	tr.TCPState(monoMs(15), 3, "u1", "syn-sent")
-	tr.TCPCwnd(monoMs(16), 3, "u1", 2920)
-	tr.Netem(monoMs(17), "u1", "downlink:1.0", 1_000_000, 0)
+	s, d := tr.NextSpan(), tr.NextSpan()
+	for _, ev := range []Event{
+		{At: monoMs(10), Kind: KindPacketSend, Span: s, Track: "u1", Name: "udp", Arg: 120},
+		{At: monoMs(11), Kind: KindPacketHop, Span: s, Track: "nyc", Name: "hop", Arg: 120},
+		{At: monoMs(12), Kind: KindPacketDeliver, Span: s, Track: "srv", Name: "deliver", Arg: 120},
+		{At: monoMs(13), Kind: KindPacketSend, Span: d, Track: "u1", Name: "udp", Arg: 80},
+		{At: monoMs(14), Kind: KindPacketDrop, Span: d, Track: "u1", Name: "netem-loss-up", Arg: 80},
+		{At: monoMs(15), Kind: KindTCPState, Span: 3, Track: "u1", Name: "syn-sent"},
+		{At: monoMs(16), Kind: KindTCPCwnd, Span: 3, Track: "u1", Name: "cwnd", Arg: 2920},
+		{At: monoMs(17), Kind: KindNetem, Track: "u1", Name: "downlink:1.0", Arg: 1_000_000},
+	} {
+		tr.Record(ev)
+	}
 }
 
 func monoMs(n int) time.Duration { return time.Duration(n) * time.Millisecond }
@@ -183,16 +189,19 @@ func TestTextExport(t *testing.T) {
 
 func TestAnalyzeActions(t *testing.T) {
 	tr := New(64)
+	action := func(ms int, span uint64, track, name string) {
+		tr.Record(Event{At: monoMs(ms), Kind: KindAction, Span: span, Track: track, Name: name})
+	}
 	// One complete action span with known algebra.
-	tr.Action(monoMs(10), 7, "u1", "trigger")
-	tr.Action(monoMs(12), 7, "u1", "send")
-	tr.Action(monoMs(20), 7, "srv", "server_in")
-	tr.Action(monoMs(23), 7, "srv", "server_out")
-	tr.Action(monoMs(31), 7, "u2", "recv")
-	tr.Action(monoMs(40), 7, "u2", "display")
+	action(10, 7, "u1", "trigger")
+	action(12, 7, "u1", "send")
+	action(20, 7, "srv", "server_in")
+	action(23, 7, "srv", "server_out")
+	action(31, 7, "u2", "recv")
+	action(40, 7, "u2", "display")
 	// An incomplete span (no display) must be skipped.
-	tr.Action(monoMs(50), 8, "u1", "trigger")
-	tr.Action(monoMs(51), 8, "u1", "send")
+	action(50, 8, "u1", "trigger")
+	action(51, 8, "u1", "send")
 
 	samples := AnalyzeActions(tr.Events())
 	if len(samples) != 1 {

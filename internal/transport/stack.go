@@ -156,11 +156,11 @@ type UDPSocket struct {
 // socket (rtpx) has its counts folded at lab teardown.
 func (u *UDPSocket) Enlist(ep netsim.Endpoint) { u.stack.Net.RegisterEndpoint(ep) }
 
-// Tracer exposes the lab's flight recorder handle (nil when disabled).
-func (u *UDPSocket) Tracer() *trace.Tracer { return u.stack.Net.Tracer }
-
-// HostID names the trace track for events recorded against this socket.
-func (u *UDPSocket) HostID() string { return u.stack.Host.ID }
+// Trace records an event on this socket's host track (netsim.Host.Trace),
+// so the voice layer can stamp its RTCP reports.
+func (u *UDPSocket) Trace(kind trace.Kind, name string, arg, arg2 int64) {
+	u.stack.Host.Trace(kind, 0, name, arg, arg2)
+}
 
 // BindUDP binds a UDP socket. Port 0 picks an ephemeral port.
 func (s *Stack) BindUDP(port uint16) (*UDPSocket, error) {

@@ -143,30 +143,25 @@ type Conn struct {
 // connection (secure) has its counts folded at lab teardown.
 func (c *Conn) Enlist(ep netsim.Endpoint) { c.stack.Net.RegisterEndpoint(ep) }
 
-// Tracer exposes the lab's flight recorder handle (nil when disabled), so
-// the secure layer can stamp handshake phases onto this connection's span.
-func (c *Conn) Tracer() *trace.Tracer { return c.stack.Net.Tracer }
-
-// HostID names the trace track this connection's events belong to.
-func (c *Conn) HostID() string { return c.stack.Host.ID }
-
-// Span returns the connection's trace span id (0 when tracing is off).
-func (c *Conn) Span() uint64 { return c.span }
+// Trace records an event on this connection's span and its host's track
+// (netsim.Network.Trace), so the secure layer can stamp handshake phases
+// beside the TCP states.
+func (c *Conn) Trace(kind trace.Kind, name string, arg, arg2 int64) {
+	c.stack.Net.Trace(kind, c.span, c.stack.Host.ID, name, arg, arg2)
+}
 
 // countRetransmit is the single accounting point for retransmitted
 // segments, whichever path (RTO go-back-N, handshake retry, fast
 // retransmit, NewReno partial ACK) triggered them.
 func (c *Conn) countRetransmit() { c.stack.counts.retransmits++ }
 
-// noteCwnd records the congestion-window high-water mark and, when tracing,
-// a counter-track point — deduped so only actual window changes are logged.
+// noteCwnd records the congestion-window high-water mark and a trace
+// counter-track point, deduped so only actual window changes are logged.
 func (c *Conn) noteCwnd() {
 	c.stack.counts.cwndMax = max(c.stack.counts.cwndMax, c.cwnd)
-	if tr := c.stack.Net.Tracer; tr != nil {
-		if v := int64(c.cwnd); v != c.lastCwndTr {
-			c.lastCwndTr = v
-			tr.TCPCwnd(c.now(), c.span, c.stack.Host.ID, v)
-		}
+	if v := int64(c.cwnd); v != c.lastCwndTr {
+		c.lastCwndTr = v
+		c.Trace(trace.KindTCPCwnd, "cwnd", v, 0)
 	}
 }
 
@@ -218,7 +213,7 @@ func (s *Stack) open(local, remote packet.Endpoint, state ConnState, rcvNxt uint
 		s.counts.dialed++
 	}
 	c.span = s.Net.Tracer.NextSpan()
-	s.Net.Tracer.TCPState(s.Net.Sched.Now(), c.span, s.Host.ID, state.String())
+	c.Trace(trace.KindTCPState, state.String(), 0, 0)
 	c.sendSeg(syn, nil)
 	c.sndNxt++ // SYN consumes a sequence number
 	c.noteSndNxt()
@@ -386,10 +381,6 @@ func (c *Conn) pump() {
 
 func (c *Conn) now() time.Duration { return c.stack.Net.Sched.Now() }
 
-// Now exposes the lab's virtual clock, so layers above the connection
-// (secure) can timestamp trace events without scheduler plumbing.
-func (c *Conn) Now() time.Duration { return c.now() }
-
 func (c *Conn) armRTO() {
 	if c.Unacked() == 0 && c.state == StateEstablished {
 		c.rtoDeadline = 0
@@ -452,8 +443,7 @@ func (c *Conn) onRTO() {
 	}
 	// Collapse the window and back off.
 	c.stack.counts.rtoBackoffs++
-	c.stack.Net.Tracer.TCPRetx(c.now(), c.span, c.stack.Host.ID, "rto-backoff",
-		int64(c.retries), int64(c.rto/time.Microsecond))
+	c.Trace(trace.KindTCPRetx, "rto-backoff", int64(c.retries), int64(c.rto/time.Microsecond))
 	c.ssthresh = max(float64(c.Unacked())/2, 2*MSS)
 	c.cwnd = MSS
 	c.inRecovery = false
@@ -504,7 +494,7 @@ func (c *Conn) close(reason string) {
 	c.stack.closedConns = append(c.stack.closedConns, c.audit(reason))
 	c.state = StateClosed
 	c.rtoDeadline = 0
-	c.stack.Net.Tracer.TCPState(c.now(), c.span, c.stack.Host.ID, "closed")
+	c.Trace(trace.KindTCPState, "closed", 0, 0)
 	delete(c.stack.conns, connKey{localPort: c.Local.Port, remote: c.Remote})
 	// Release the payload memory pinned by the send window and the
 	// reassembly queue — a closed conn otherwise holds both for the rest of
@@ -530,7 +520,7 @@ func (c *Conn) receive(p *packet.Packet) {
 			c.irsNxt = c.rcvNxt
 			c.sndUna = t.Ack
 			c.state = StateEstablished
-			c.stack.Net.Tracer.TCPState(c.now(), c.span, c.stack.Host.ID, "established")
+			c.Trace(trace.KindTCPState, "established", 0, 0)
 			c.retries = 0
 			c.rto = initialRTO
 			c.sendSeg(&packet.TCP{Flags: packet.FlagACK, Seq: c.sndNxt, Ack: c.rcvNxt}, nil)
@@ -544,7 +534,7 @@ func (c *Conn) receive(p *packet.Packet) {
 	case StateSynReceived:
 		if t.HasFlag(packet.FlagACK) && t.Ack == c.sndNxt {
 			c.state = StateEstablished
-			c.stack.Net.Tracer.TCPState(c.now(), c.span, c.stack.Host.ID, "established")
+			c.Trace(trace.KindTCPState, "established", 0, 0)
 			c.retries = 0
 			c.rto = initialRTO
 			c.armRTO()
@@ -629,8 +619,7 @@ func (c *Conn) receive(p *packet.Packet) {
 			if c.dupAcks == 3 && !c.inRecovery {
 				// Fast retransmit + NewReno fast recovery.
 				c.stack.counts.fastRetransmits++
-				c.stack.Net.Tracer.TCPRetx(c.now(), c.span, c.stack.Host.ID, "fast-retransmit",
-					int64(c.Unacked()), 0)
+				c.Trace(trace.KindTCPRetx, "fast-retransmit", int64(c.Unacked()), 0)
 				c.ssthresh = max(float64(c.Unacked())/2, 2*MSS)
 				c.cwnd = c.ssthresh + 3*MSS
 				c.inRecovery = true
