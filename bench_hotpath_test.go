@@ -87,7 +87,8 @@ func BenchmarkHotpathMarshal(b *testing.B) {
 }
 
 // BenchmarkHotpathMarshalTo is serialization into a warm reused buffer —
-// what the fabric's pooled forwarding state does per packet.
+// what a tapped packet costs the fabric per tap point (the header write
+// plus the payload copy at Send).
 func BenchmarkHotpathMarshalTo(b *testing.B) {
 	p := benchPacket(packet.MustParseAddr("10.2.0.2"))
 	p.IP.TTL = 64
@@ -96,19 +97,6 @@ func BenchmarkHotpathMarshalTo(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = p.MarshalTo(buf[:0])
-	}
-}
-
-// BenchmarkHotpathPatchTTL is the delivery-side header rewrite that
-// replaced a full re-marshal.
-func BenchmarkHotpathPatchTTL(b *testing.B) {
-	p := benchPacket(packet.MustParseAddr("10.2.0.2"))
-	p.IP.TTL = 64
-	wire := p.Marshal()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		packet.PatchTTL(wire, uint8(64-i%2)) // alternate so the patch never no-ops
 	}
 }
 

@@ -195,6 +195,29 @@ func TestSpecErrors(t *testing.T) {
 	}
 }
 
+// TestBindRejectsUnlinkedSites: a link-cut between two known sites that
+// share no backbone link fails at Bind, with an error naming both sites,
+// instead of panicking in SetLinkDown when the fault fires. On the a -- b --
+// c line, a and c are not adjacent; a and b are.
+func TestBindRejectsUnlinkedSites(t *testing.T) {
+	_, n, _, _ := testNet(t)
+	spec, err := ParseSpec([]byte(`{"faults": [{"kind": "link-cut", "sites": ["a", "c"], "start": "1s"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "chaos spec: fault 0: no link between a and c"
+	if sc, err := spec.Bind(n); err == nil || err.Error() != want || sc != nil {
+		t.Fatalf("Bind = %v, %v; want error %q", sc, err, want)
+	}
+	spec, err = ParseSpec([]byte(`{"faults": [{"kind": "link-cut", "sites": ["b", "a"], "start": "1s"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := spec.Bind(n); err != nil {
+		t.Fatalf("Bind of a link-cut between adjacent sites: %v", err)
+	}
+}
+
 // TestEmptySpecIsNoOp is the byte-identity baseline: binding and running an
 // empty (or nil) spec must schedule nothing at all.
 func TestEmptySpecIsNoOp(t *testing.T) {

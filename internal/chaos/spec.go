@@ -95,7 +95,8 @@ func parseDur(s string, optional bool) (time.Duration, error) {
 func (s *Spec) Empty() bool { return s == nil || len(s.Faults) == 0 }
 
 // Bind resolves the spec's named targets against a network and returns a
-// runnable Schedule. Unknown host IDs or site names are errors.
+// runnable Schedule. Unknown host IDs or site names are errors, and so is a
+// link-cut between two sites that share no backbone link.
 func (s *Spec) Bind(n *netsim.Network) (*Schedule, error) {
 	sc := &Schedule{Net: n}
 	if s == nil {
@@ -122,6 +123,9 @@ func (s *Spec) Bind(n *netsim.Network) (*Schedule, error) {
 			f.SiteB = siteByName(n, sf.Sites[1])
 			if f.SiteA == nil || f.SiteB == nil {
 				return nil, fmt.Errorf("chaos spec: fault %d: unknown site in %v", i, sf.Sites)
+			}
+			if f.SiteA.LinkTo(f.SiteB) == nil {
+				return nil, fmt.Errorf("chaos spec: fault %d: no link between %s and %s", i, sf.Sites[0], sf.Sites[1])
 			}
 		case "partition":
 			f.Kind = Partition

@@ -10,6 +10,7 @@ import (
 	"github.com/svrlab/svrlab/internal/packet"
 	"github.com/svrlab/svrlab/internal/platform"
 	"github.com/svrlab/svrlab/internal/plot"
+	"github.com/svrlab/svrlab/internal/runner"
 	"github.com/svrlab/svrlab/internal/stats"
 )
 
@@ -164,19 +165,35 @@ type DisruptQoERow struct {
 }
 
 // DisruptLatencyLoss reproduces §8.2 for the three shooting-game platforms.
+// Each platform's six labs (the baseline, one per added delay, and the
+// loss-free and lossy forward counts) are six cells of one fan-out, with the
+// seeds and labels of the serial sweep, collected in platform order.
 func DisruptLatencyLoss(e Env) *DisruptQoEResult {
-	res := &DisruptQoEResult{}
-	for _, name := range []platform.Name{platform.Worlds, platform.RecRoom, platform.VRChat} {
-		p := platform.Get(name)
-		row := DisruptQoERow{Platform: name, Game: p.Game.Name}
+	names := []platform.Name{platform.Worlds, platform.RecRoom, platform.VRChat}
+	added := []int{50, 100, 200}
+	losses := []float64{0, 0.20}
+	perPlatform := 1 + len(added) + len(losses)
+	vals := runner.MapObserved(e.Metrics, e.Workers, len(names)*perPlatform, func(i int) float64 {
+		name, k := names[i/perPlatform], i%perPlatform
 		label := "disrupt-lat/" + string(name)
-		base := measureLatency(e, label+"/baseline", name, 2, 8, e.Seed, false)
-		row.BaselineE2EMs = base.E2E.Mean
-		for _, added := range []int{50, 100, 200} {
-			row.AddedMs = append(row.AddedMs, added)
-			row.E2EMs = append(row.E2EMs, latencyWithDelay(e, label, name, added, e.Seed+int64(added)))
+		switch {
+		case k == 0:
+			return measureLatency(e, label+"/baseline", name, 2, 8, e.Seed, false).E2E.Mean
+		case k <= len(added):
+			return latencyWithDelay(e, label, name, added[k-1], e.Seed+int64(added[k-1]))
+		default:
+			return float64(forwardsIn40s(e, label, name, losses[k-1-len(added)], e.Seed^0x44))
 		}
-		row.DeliveredAt20PctLoss = deliveryUnderLoss(e, label, name, 0.20, e.Seed^0x44)
+	})
+	res := &DisruptQoEResult{}
+	for i, name := range names {
+		v := vals[i*perPlatform : (i+1)*perPlatform]
+		row := DisruptQoERow{Platform: name, Game: platform.Get(name).Game.Name, BaselineE2EMs: v[0],
+			AddedMs: append([]int(nil), added...), E2EMs: append([]float64(nil), v[1:1+len(added)]...)}
+		// The share of avatar forwards still delivered at 20% downlink loss.
+		if lossless, lossy := v[1+len(added)], v[2+len(added)]; lossless > 0 {
+			row.DeliveredAt20PctLoss = lossy / lossless
+		}
 		res.Rows = append(res.Rows, row)
 	}
 	return res
@@ -200,17 +217,8 @@ func latencyWithDelay(e Env, label string, name platform.Name, addedMs int, seed
 	return breakdown(l, cs[0], cs[1], ids).E2E.Mean
 }
 
-// deliveryUnderLoss measures the fraction of avatar forwards that still
-// arrive at U1 under downlink random loss.
-func deliveryUnderLoss(e Env, label string, name platform.Name, loss float64, seed int64) float64 {
-	baseline := forwardsIn40s(e, label, name, 0, seed)
-	lossy := forwardsIn40s(e, label, name, loss, seed)
-	if baseline == 0 {
-		return 0
-	}
-	return float64(lossy) / float64(baseline)
-}
-
+// forwardsIn40s counts the avatar forwards that arrive at U1 under
+// downlink random loss.
 func forwardsIn40s(e Env, label string, name platform.Name, loss float64, seed int64) int {
 	l := e.lab(fmt.Sprintf("%s/loss%.0fpct", label, loss*100), seed)
 	defer l.MustConserve()

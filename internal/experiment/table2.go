@@ -54,24 +54,42 @@ type Table2Result struct {
 // ICMP/TCP ping (or WebRTC stats where both fail, as for the Hubs SFU), and
 // infer anycast from three geo-distributed vantage points.
 func Table2(e Env) *Table2Result {
-	// One fan-out cell per platform: the campus probe session plus the
-	// extra-vantage sessions, each building private labs. Rows, extras and
-	// notes are assembled in the canonical platform order regardless of
-	// completion order.
-	all := platform.All()
+	// One fan-out cell per lab: each platform's campus probe session, then
+	// its extra-vantage sessions. Rows, extras and notes are assembled in
+	// that canonical order regardless of completion order.
+	type t2lab struct {
+		p    *platform.Profile
+		site string // an extra vantage; "" for the campus probe session
+	}
+	var labs []t2lab
+	for _, p := range platform.All() {
+		labs = append(labs, t2lab{p: p})
+		for _, sn := range []string{platform.SiteLA, platform.SiteEurope} {
+			if p.Name == platform.Worlds && sn == platform.SiteEurope {
+				continue // Worlds is US/Canada-only
+			}
+			labs = append(labs, t2lab{p: p, site: sn})
+		}
+	}
 	type t2cell struct {
 		row    Table2Row
 		extras []RemoteRTT
 	}
-	cells := runner.MapObserved(e.Metrics, e.Workers, len(all), func(i int) t2cell {
-		p := all[i]
-		return t2cell{row: probePlatform(e, p), extras: probeExtraVantages(e, p)}
+	cells := runner.MapObserved(e.Metrics, e.Workers, len(labs), func(i int) t2cell {
+		lb := labs[i]
+		if lb.site != "" {
+			return t2cell{extras: probeExtraVantage(e, lb.p, lb.site)}
+		}
+		return t2cell{row: probePlatform(e, lb.p)}
 	})
 	res := &Table2Result{}
 	for i, c := range cells {
+		if labs[i].site != "" {
+			res.Extras = append(res.Extras, c.extras...)
+			continue
+		}
 		res.Rows = append(res.Rows, c.row)
-		res.Extras = append(res.Extras, c.extras...)
-		if all[i].Name == platform.Worlds {
+		if labs[i].p.Name == platform.Worlds {
 			res.Skipped = append(res.Skipped, "Horizon Worlds not probed from Europe (available in US/Canada only)")
 		}
 	}
@@ -234,27 +252,22 @@ func inferAnycastFor(l *Lab, server packet.Addr) bool {
 	return probe.InferAnycast(reports, 15*time.Millisecond)
 }
 
-// probeExtraVantages reproduces the §4.2 western-US and Europe checks.
-func probeExtraVantages(e Env, p *platform.Profile) []RemoteRTT {
+// probeExtraVantage reproduces one §4.2 western-US or Europe check: a
+// session from that vantage site and the RTT of each channel it discovers.
+func probeExtraVantage(e Env, p *platform.Profile, site string) []RemoteRTT {
+	l := e.lab("table2/"+string(p.Name)+"/"+site, e.Seed+int64(len(site)))
+	defer l.MustConserve()
+	cs := l.Spawn(p.Name, 2, SpawnOpts{Site: site})
+	sniff := l.Capture(cs[0].Host)
+	l.Sched.RunUntil(20 * time.Second)
+	ctrl, data := discoverServers(l, p, cs, sniff)
 	var out []RemoteRTT
-	sites := []string{platform.SiteLA, platform.SiteEurope}
-	for _, sn := range sites {
-		if p.Name == platform.Worlds && sn == platform.SiteEurope {
-			continue // Worlds is US/Canada-only
-		}
-		l := e.lab("table2/"+string(p.Name)+"/"+sn, e.Seed+int64(len(sn)))
-		defer l.MustConserve()
-		cs := l.Spawn(p.Name, 2, SpawnOpts{Site: sn})
-		sniff := l.Capture(cs[0].Host)
-		l.Sched.RunUntil(20 * time.Second)
-		ctrl, data := discoverServers(l, p, cs, sniff)
-		for _, ch := range []struct {
-			name string
-			rep  ChannelReport
-		}{{"control", ctrl}, {"data", data}} {
-			avg, _ := measureRTT(l, cs[0], sn, ch.rep.Server, p.WebData && ch.name == "data")
-			out = append(out, RemoteRTT{Platform: p.Name, Vantage: sn, Channel: ch.name, RTT: avg})
-		}
+	for _, ch := range []struct {
+		name string
+		rep  ChannelReport
+	}{{"control", ctrl}, {"data", data}} {
+		avg, _ := measureRTT(l, cs[0], site, ch.rep.Server, p.WebData && ch.name == "data")
+		out = append(out, RemoteRTT{Platform: p.Name, Vantage: site, Channel: ch.name, RTT: avg})
 	}
 	return out
 }

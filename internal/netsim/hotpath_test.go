@@ -11,54 +11,142 @@ import (
 	"github.com/svrlab/svrlab/internal/trace"
 )
 
-// TestWireFidelityAcrossFabric is the single-marshal invariant: the bytes the
-// down-tap sees must equal a full re-marshal of the hop-decremented packet
-// (the TTL/checksum patch is exact), and must equal the up-tap bytes in every
-// byte except TTL and header checksum.
+// TestWireFidelityAcrossFabric: the fabric writes a packet's headers in
+// front of its payload only where a tap reads the frame, so each tap must
+// see exactly Marshal() of the packet at its point, whether the other end is
+// tapped or not: the sent packet at the sender's up-tap, and the delivered
+// packet, hop-decremented TTL included, at the receiver's down-tap. The two
+// images differ only in TTL and header checksum.
 func TestWireFidelityAcrossFabric(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		tapUp, tapDown bool
+	}{{"both", true, true}, {"sender-only", true, false}, {"receiver-only", false, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, h1, h2, _, _ := buildTestNet(t)
+			var up, down []byte
+			if tc.tapUp {
+				h1.Tap(func(at time.Duration, dir Dir, wire []byte) {
+					if dir == DirUp {
+						up = append([]byte(nil), wire...)
+					}
+				})
+			}
+			if tc.tapDown {
+				h2.Tap(func(at time.Duration, dir Dir, wire []byte) {
+					if dir == DirDown {
+						down = append([]byte(nil), wire...)
+					}
+				})
+			}
+			var got *packet.Packet
+			h2.Handler = func(p *packet.Packet) { got = p.Clone() }
+
+			// A first frame of the same size class leaves its bytes in the
+			// pooled buffer the checked frame reuses, so a header left
+			// unwritten would show up as stale bytes.
+			stale := udpTo(h2.Addr, []byte("stale-frame-xx"))
+			stale.UDP.SrcPort, stale.UDP.DstPort = 7, 9
+			n.Send(h1, stale)
+			n.Sched.Run()
+			sent := udpTo(h2.Addr, []byte("fidelity-check"))
+			n.Send(h1, sent)
+			n.Sched.Run()
+			if got == nil || string(got.Payload) != "fidelity-check" {
+				t.Fatalf("delivered %+v, want the fidelity-check packet", got)
+			}
+			if tc.tapUp {
+				if want := sent.Marshal(); !bytes.Equal(up, want) {
+					t.Fatalf("up-tap bytes != marshal of the sent packet:\n got %x\nwant %x", up, want)
+				}
+			}
+			if tc.tapDown {
+				if want := got.Marshal(); !bytes.Equal(down, want) {
+					t.Fatalf("down-tap bytes != marshal of the delivered packet:\n got %x\nwant %x", down, want)
+				}
+				if _, err := packet.Decode(down); err != nil {
+					t.Fatalf("down-tap bytes undecodable: %v", err)
+				}
+			}
+			if !tc.tapUp || !tc.tapDown {
+				return
+			}
+			// Up vs down: identical except TTL (byte 8) and checksum (bytes 10-11).
+			if len(up) != len(down) {
+				t.Fatalf("length changed in flight: up=%d down=%d", len(up), len(down))
+			}
+			for i := range up {
+				if i == 8 || i == 10 || i == 11 {
+					continue
+				}
+				if up[i] != down[i] {
+					t.Fatalf("byte %d changed in flight: up=%#x down=%#x", i, up[i], down[i])
+				}
+			}
+			if up[8] == down[8] {
+				t.Fatal("TTL not decremented on the wire")
+			}
+		})
+	}
+}
+
+// TestMixedFramesAllocFree: interleaved ACK-, datagram- and segment-sized
+// frames (40, 300 and 1,440 bytes) cross a warmed fabric, through a tapped
+// sender, without allocating, and arrive intact. Each rides a buffer no
+// larger than its frame's size class (64, 576 or 1,536 bytes), so a small
+// frame never pins a buffer that a large one grew; a frame above the top
+// class crosses too and leaves its buffer to no later frame.
+func TestMixedFramesAllocFree(t *testing.T) {
 	n, h1, h2, _, _ := buildTestNet(t)
-	var up, down []byte
-	h1.Tap(func(at time.Duration, dir Dir, wire []byte) {
-		if dir == DirUp {
-			up = append([]byte(nil), wire...)
+	sizes := []int{40, 300, 1440, 40, 1440, 300, 40, 2000} // the last is sent once
+	const oversize = 7
+	pkts := make([]*packet.Packet, len(sizes))
+	for i, size := range sizes {
+		payload := bytes.Repeat([]byte{byte(i + 1)}, size-packet.IPv4HeaderLen-packet.UDPHeaderLen)
+		pkts[i] = udpTo(h2.Addr, payload)
+		pkts[i].UDP.DstPort = uint16(i)
+	}
+	classCap := func(frame int) int {
+		for _, c := range []int{64, 576, 1536} {
+			if frame <= c {
+				return c
+			}
+		}
+		return frame
+	}
+	h1.Tap(func(_ time.Duration, _ Dir, wire []byte) {
+		if _, ok := packet.PeekFlow(wire); !ok {
+			t.Fatalf("up-tap frame of %d bytes does not decode", len(wire))
 		}
 	})
-	h2.Tap(func(at time.Duration, dir Dir, wire []byte) {
-		if dir == DirDown {
-			down = append([]byte(nil), wire...)
+	delivered := 0
+	h2.Handler = func(p *packet.Packet) {
+		delivered++
+		i := int(p.UDP.DstPort)
+		if !bytes.Equal(p.Payload, pkts[i].Payload) {
+			t.Fatalf("frame %d arrived with a corrupt payload", i)
 		}
-	})
-	var got *packet.Packet
-	h2.Handler = func(p *packet.Packet) { got = p.Clone() }
-
-	n.Send(h1, udpTo(h2.Addr, []byte("fidelity-check")))
+		frame := p.WireLen()
+		if buf := cap(p.Payload) + frame - len(p.Payload); buf > classCap(frame) {
+			t.Fatalf("%d-byte frame rode a %d-byte buffer, above its class (%d)", frame, buf, classCap(frame))
+		}
+	}
+	round := func() {
+		for _, p := range pkts[:oversize] {
+			n.Send(h1, p)
+		}
+		n.Sched.Run()
+	}
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	n.Send(h1, pkts[oversize])
 	n.Sched.Run()
-	if up == nil || down == nil || got == nil {
-		t.Fatal("packet did not cross both taps")
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Fatalf("a round of %d mixed frames allocates %.2f objects, want 0", oversize, avg)
 	}
-
-	// Delivery bytes must be a byte-exact re-marshal of the delivered packet.
-	if want := got.Marshal(); !bytes.Equal(down, want) {
-		t.Fatalf("down-tap bytes != re-marshal of delivered packet:\n got %x\nwant %x", down, want)
-	}
-	// And the patched header must still carry a valid checksum.
-	if _, err := packet.Decode(down); err != nil {
-		t.Fatalf("down-tap bytes undecodable: %v", err)
-	}
-	// Up vs down: identical except TTL (byte 8) and checksum (bytes 10-11).
-	if len(up) != len(down) {
-		t.Fatalf("length changed in flight: up=%d down=%d", len(up), len(down))
-	}
-	for i := range up {
-		if i == 8 || i == 10 || i == 11 {
-			continue
-		}
-		if up[i] != down[i] {
-			t.Fatalf("byte %d changed in flight: up=%#x down=%#x", i, up[i], down[i])
-		}
-	}
-	if up[8] == down[8] {
-		t.Fatal("TTL not decremented on the wire")
+	if want := (64+101)*oversize + 1; delivered != want {
+		t.Fatalf("delivered %d frames, want %d", delivered, want)
 	}
 }
 

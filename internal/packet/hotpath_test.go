@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-func patchTestPackets() []*Packet {
+func shapeTestPackets() []*Packet {
 	return []*Packet{
 		{IP: IPv4{TTL: 64, Protocol: ProtoUDP, Src: MustParseAddr("10.0.0.2"), Dst: MustParseAddr("10.2.0.2"), ID: 7},
 			UDP: &UDP{SrcPort: 1000, DstPort: 2000}, Payload: []byte("avatar-update")},
@@ -18,36 +18,24 @@ func patchTestPackets() []*Packet {
 	}
 }
 
-// TestPatchTTLMatchesRemarshal: for every packet shape and every TTL value,
-// the incremental RFC 1624 patch must produce bytes identical to a full
-// re-marshal with the new TTL — including the 0x0000/0xffff checksum
-// corners that break naive incremental updates.
-func TestPatchTTLMatchesRemarshal(t *testing.T) {
-	for pi, p := range patchTestPackets() {
+// TestPutHeaderInFrontOfPayload: the fabric keeps a payload at HeaderLen
+// in a dirty reused buffer and writes the header in front of it only for a
+// tap. For every packet shape and TTL, that frame must equal Marshal()
+// byte for byte, and PutHeader must not touch the payload bytes.
+func TestPutHeaderInFrontOfPayload(t *testing.T) {
+	for pi, p := range shapeTestPackets() {
 		for ttl := 0; ttl <= 255; ttl++ {
-			wire := p.Marshal()
-			PatchTTL(wire, uint8(ttl))
 			q := *p
 			q.IP.TTL = uint8(ttl)
-			want := q.Marshal()
-			if !bytes.Equal(wire, want) {
-				t.Fatalf("packet %d ttl %d: patched bytes diverge from re-marshal\n got %x\nwant %x", pi, ttl, wire, want)
+			frame := bytes.Repeat([]byte{0xa5}, q.WireLen())
+			copy(frame[q.HeaderLen():], q.Payload)
+			if off := q.PutHeader(frame); off != q.HeaderLen() {
+				t.Fatalf("packet %d: PutHeader returned offset %d, want %d", pi, off, q.HeaderLen())
 			}
-			if _, err := Decode(wire); err != nil {
-				t.Fatalf("packet %d ttl %d: patched wire undecodable: %v", pi, ttl, err)
+			if want := q.Marshal(); !bytes.Equal(frame, want) {
+				t.Fatalf("packet %d ttl %d: header written in place diverges from Marshal\n got %x\nwant %x", pi, ttl, frame, want)
 			}
 		}
-	}
-}
-
-// TestPatchTTLShortBufferNoop: patching a buffer shorter than an IPv4
-// header must be a no-op, not a panic.
-func TestPatchTTLShortBufferNoop(t *testing.T) {
-	short := []byte{0x45, 0, 0, 19}
-	orig := append([]byte(nil), short...)
-	PatchTTL(short, 9)
-	if !bytes.Equal(short, orig) {
-		t.Fatal("PatchTTL wrote into a short buffer")
 	}
 }
 
@@ -56,7 +44,7 @@ func TestPatchTTLShortBufferNoop(t *testing.T) {
 // and must leave no residue when a larger packet's buffer is reused for a
 // smaller one.
 func TestMarshalToReusesBuffer(t *testing.T) {
-	pkts := patchTestPackets()
+	pkts := shapeTestPackets()
 	big := pkts[0]   // UDP with payload
 	small := pkts[2] // ICMP, shorter
 
@@ -80,7 +68,7 @@ func TestMarshalToReusesBuffer(t *testing.T) {
 // TestMarshalToAllocFree: steady-state serialization into a warm buffer
 // allocates nothing.
 func TestMarshalToAllocFree(t *testing.T) {
-	p := patchTestPackets()[0]
+	p := shapeTestPackets()[0]
 	buf := p.MarshalTo(nil)
 	if avg := testing.AllocsPerRun(500, func() {
 		buf = p.MarshalTo(buf[:0])

@@ -134,19 +134,26 @@ type Packet struct {
 // Proto returns the transport protocol of the packet.
 func (p *Packet) Proto() Proto { return p.IP.Protocol }
 
-// WireLen returns the marshaled size in bytes without serializing.
-func (p *Packet) WireLen() int {
-	n := IPv4HeaderLen + len(p.Payload)
+// HeaderLen returns the size of the IPv4 and transport headers Marshal
+// writes in front of the payload.
+func (p *Packet) HeaderLen() int {
 	switch {
 	case p.UDP != nil:
-		n += UDPHeaderLen
+		return IPv4HeaderLen + UDPHeaderLen
 	case p.TCP != nil:
-		n += TCPHeaderLen
+		return IPv4HeaderLen + TCPHeaderLen
 	case p.ICMP != nil:
-		n += ICMPHeaderLen
+		return IPv4HeaderLen + ICMPHeaderLen
 	}
-	return n
+	return IPv4HeaderLen
 }
+
+// WireLen returns the marshaled size in bytes without serializing.
+func (p *Packet) WireLen() int { return p.HeaderLen() + len(p.Payload) }
+
+// MaxWireLen is the largest frame the 16-bit IPv4 total-length field can
+// describe.
+const MaxWireLen = 0xffff
 
 // Clone deep-copies the packet (payload included) so queued copies cannot
 // alias a buffer the sender later mutates.
@@ -192,29 +199,40 @@ func (p *Packet) Marshal() []byte {
 }
 
 // MarshalTo is Marshal into dst's backing array when its capacity suffices
-// (dst is truncated first), allocating only on growth. The fabric's
-// single-marshal fast path reuses one buffer per pooled forwarding state, so
-// steady-state serialization allocates nothing.
+// (dst is truncated first), allocating only on growth: the header write
+// (PutHeader) plus the payload copy.
 func (p *Packet) MarshalTo(dst []byte) []byte {
 	need := p.WireLen()
-	if need > 0xffff {
-		// The IPv4 total-length field is 16 bits; wrapping it would emit a
-		// frame whose decode sees an inconsistent length. The fabric
-		// segments to MSS long before this, so hitting it is a caller bug —
-		// fail loudly instead of corrupting the wire.
-		panic("packet: frame exceeds IPv4 total-length field")
-	}
 	var buf []byte
 	if cap(dst) >= need {
 		buf = dst[:need]
 	} else {
 		buf = make([]byte, need)
 	}
-	total := len(buf)
-	// IPv4 header. Every byte below is written explicitly or zeroed here
-	// (TOS, fragment word, per-transport checksum/urgent bytes), so a dirty
-	// reused buffer serializes identically to a fresh one — the payload copy
-	// at the end covers everything past the transport header.
+	copy(buf[p.PutHeader(buf):], p.Payload)
+	return buf
+}
+
+// PutHeader writes the packet's IPv4 and transport headers, computing lengths
+// and the IPv4 header checksum, into the first HeaderLen bytes of wire and
+// returns HeaderLen, the offset at which the payload belongs. wire must hold
+// at least HeaderLen bytes; the bytes after the header are not touched. The
+// fabric keeps each packet's payload at this offset in its buffer and writes
+// the header in front of it only where a capture tap reads the frame.
+//
+// A frame longer than MaxWireLen panics: wrapping the total-length field
+// would emit a frame whose decode sees an inconsistent length, and every
+// sender segments far below it, so reaching it is a caller bug.
+func (p *Packet) PutHeader(wire []byte) int {
+	hl := p.HeaderLen()
+	total := hl + len(p.Payload)
+	if total > MaxWireLen {
+		panic("packet: frame exceeds IPv4 total-length field")
+	}
+	buf := wire[:hl]
+	// IPv4 header. Every header byte below is written explicitly or zeroed
+	// here (TOS, fragment word, per-transport checksum/urgent bytes), so a
+	// dirty reused buffer serializes identically to a fresh one.
 	buf[0] = 0x45         // version 4, IHL 5
 	buf[1] = 0            // TOS
 	buf[6], buf[7] = 0, 0 // fragment word
@@ -233,7 +251,6 @@ func (p *Packet) MarshalTo(dst []byte) []byte {
 		binary.BigEndian.PutUint16(buf[off+2:], p.UDP.DstPort)
 		binary.BigEndian.PutUint16(buf[off+4:], uint16(UDPHeaderLen+len(p.Payload)))
 		buf[off+6], buf[off+7] = 0, 0 // checksum (unused by the lab)
-		off += UDPHeaderLen
 	case p.TCP != nil:
 		binary.BigEndian.PutUint16(buf[off:], p.TCP.SrcPort)
 		binary.BigEndian.PutUint16(buf[off+2:], p.TCP.DstPort)
@@ -244,47 +261,14 @@ func (p *Packet) MarshalTo(dst []byte) []byte {
 		binary.BigEndian.PutUint16(buf[off+14:], p.TCP.Window)
 		buf[off+16], buf[off+17] = 0, 0 // checksum (unused by the lab)
 		buf[off+18], buf[off+19] = 0, 0 // urgent pointer
-		off += TCPHeaderLen
 	case p.ICMP != nil:
 		buf[off] = p.ICMP.Type
 		buf[off+1] = p.ICMP.Code
 		buf[off+2], buf[off+3] = 0, 0 // checksum (unused by the lab)
 		binary.BigEndian.PutUint16(buf[off+4:], p.ICMP.ID)
 		binary.BigEndian.PutUint16(buf[off+6:], p.ICMP.Seq)
-		off += ICMPHeaderLen
 	}
-	copy(buf[off:], p.Payload)
-	return buf
-}
-
-// PatchTTL rewrites the TTL of a marshaled IPv4 packet in place and repairs
-// the header checksum incrementally (RFC 1624 eq. 3: HC' = ~(~HC + ~m + m')).
-// This is how the fabric's single-marshal fast path produces delivery-side
-// wire bytes: the buffer serialized at Send keeps its payload untouched and
-// only the TTL/checksum word is rewritten, yielding bytes identical to a
-// full re-marshal of the hop-decremented header.
-//
-// The result is bit-identical to recomputing the checksum from scratch: both
-// reductions fold a strictly positive sum into [1, 0xffff] and the two sums
-// are congruent mod 0xffff, so the folded values — and hence the stored
-// complement — agree even in the 0x0000/0xffff corner cases that tripped
-// RFC 1141.
-func PatchTTL(wire []byte, ttl uint8) {
-	if len(wire) < IPv4HeaderLen {
-		return
-	}
-	old := binary.BigEndian.Uint16(wire[8:10]) // TTL<<8 | protocol
-	neu := uint16(ttl)<<8 | old&0xff
-	if old == neu {
-		return
-	}
-	hc := binary.BigEndian.Uint16(wire[10:12])
-	sum := uint32(^hc) + uint32(^old) + uint32(neu)
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
-	}
-	binary.BigEndian.PutUint16(wire[8:10], neu)
-	binary.BigEndian.PutUint16(wire[10:12], ^uint16(sum))
+	return hl
 }
 
 var (

@@ -38,28 +38,34 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestRunReturnsBadChaosSpec: a chaos spec naming a host no cell builds is
-// an error from Run, not a panic on a runner worker. Every fig11 cell lacks
-// client-u9, and the error names the first cell in sweep order at any
-// worker count.
+// TestRunReturnsBadChaosSpec: a chaos spec that does not bind in a cell is
+// an error from Run, not a panic on a runner worker, and the error names the
+// first cell in sweep order at any worker count. Every fig11 cell lacks
+// client-u9, and no table3 cell has a backbone link between campus and
+// europe.
 func TestRunReturnsBadChaosSpec(t *testing.T) {
-	b, err := os.ReadFile(filepath.Join("internal", "experiment", "testdata", "chaos_unknown_host.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := svrlab.ParseChaosSpec(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const want = `experiment: chaos spec in cell fig11/Rec Room/n2: chaos spec: fault 0: unknown host "client-u9"`
-	for _, workers := range []int{1, 4} {
-		res, err := svrlab.Run("fig11", svrlab.Options{Seed: 42, Repeats: 1, Workers: workers, Chaos: spec})
-		if err == nil || err.Error() != want || res != nil {
-			t.Fatalf("workers=%d: Run = %v, %v; want error %q", workers, res, err, want)
+	for _, tc := range []struct{ file, id, cell, cause string }{
+		{"chaos_unknown_host.json", "fig11", "fig11/Rec Room/n2", `fault 0: unknown host "client-u9"`},
+		{"chaos_unlinked_sites.json", "table3", "table3/AltspaceVR/rep0/chat", "fault 0: no link between campus and europe"},
+	} {
+		b, err := os.ReadFile(filepath.Join("internal", "experiment", "testdata", tc.file))
+		if err != nil {
+			t.Fatal(err)
 		}
-		var ce *experiment.ChaosError
-		if !errors.As(err, &ce) || ce.Cell != "fig11/Rec Room/n2" {
-			t.Fatalf("workers=%d: error %v is not a ChaosError for the first cell", workers, err)
+		spec, err := svrlab.ParseChaosSpec(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := "experiment: chaos spec in cell " + tc.cell + ": chaos spec: " + tc.cause
+		for _, workers := range []int{1, 4} {
+			res, err := svrlab.Run(tc.id, svrlab.Options{Seed: 42, Repeats: 1, Workers: workers, Chaos: spec})
+			if err == nil || err.Error() != want || res != nil {
+				t.Fatalf("%s workers=%d: Run = %v, %v; want error %q", tc.file, workers, res, err, want)
+			}
+			var ce *experiment.ChaosError
+			if !errors.As(err, &ce) || ce.Cell != tc.cell {
+				t.Fatalf("%s workers=%d: error %v is not a ChaosError for the first cell", tc.file, workers, err)
+			}
 		}
 	}
 }
