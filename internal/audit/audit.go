@@ -10,7 +10,8 @@
 //	    reassembly segment lingers at or below rcvNxt.
 //	(c) trace agreement — whenever the flight recorder is on, the packet
 //	    send, deliver and drop events it was handed, kept or evicted,
-//	    equal the conservation ledger.
+//	    equal the conservation ledger, and its tcp-retx events equal the
+//	    stacks' fast retransmits and RTO backoffs.
 //	(d) capture bounds — bytes handed to capture taps never exceed what the
 //	    access links actually offered/carried.
 //
@@ -191,8 +192,9 @@ func checkStreams(n *netsim.Network, r *Report) {
 }
 
 // checkTrace compares the flight recorder's packet-span counts against the
-// conservation ledger. The tracer counts every event it was handed, so the
-// check holds in a lab whose ring evicted events too.
+// conservation ledger, and its tcp-retx count against the transport
+// stacks'. The tracer counts every event it was handed, so the check holds
+// in a lab whose ring evicted events too.
 func checkTrace(n *netsim.Network, r *Report) {
 	tr := n.Tracer
 	if tr == nil {
@@ -217,6 +219,15 @@ func checkTrace(n *netsim.Network, r *Report) {
 	}
 	if drops != want {
 		r.fail("trace", "%d drop spans recorded, ledger says %d", drops, want)
+	}
+	var retx int64
+	for _, ep := range n.Endpoints() {
+		if st, ok := ep.(*transport.Stack); ok {
+			retx += st.RetxEvents()
+		}
+	}
+	if got := int64(tr.Count(trace.KindTCPRetx)); got != retx {
+		r.fail("trace", "%d tcp-retx events recorded, stacks say %d", got, retx)
 	}
 }
 

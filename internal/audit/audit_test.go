@@ -112,6 +112,9 @@ func TestAuditLossyRun(t *testing.T) {
 	if rep.Conservation.Drops[netsim.CauseNetemLossUp] == 0 {
 		t.Fatal("20% uplink loss produced no netem drops")
 	}
+	if r.n.Tracer.Count(trace.KindTCPRetx) == 0 {
+		t.Fatal("20% uplink loss produced no tcp-retx events for check (c) to hold")
+	}
 }
 
 // TestAuditMidRunBalances: with packets still inside the fabric the identity
@@ -172,9 +175,16 @@ func TestAuditDetectsLedgerTampering(t *testing.T) {
 
 	r = newRig(t, false)
 	r.transfer(t, 10*1000)
-	r.n.Tracer.Record(trace.Event{Kind: trace.KindPacketDeliver})
+	r.n.Tracer.Record(trace.Event{At: r.s.Now(), Kind: trace.KindPacketDeliver})
 	if rep := audit.Run(r.n); !find(rep, "trace") {
 		t.Fatalf("a deliver span the ledger lacks not flagged:\n%s", rep)
+	}
+
+	r = newRig(t, false)
+	r.transfer(t, 10*1000)
+	r.n.Tracer.Record(trace.Event{At: r.s.Now(), Kind: trace.KindTCPRetx, Name: "fast-retransmit"})
+	if rep := audit.Run(r.n); !find(rep, "trace") {
+		t.Fatalf("a tcp-retx event the stacks lack not flagged:\n%s", rep)
 	}
 }
 

@@ -113,11 +113,11 @@ func TestPartitionTraceStamps(t *testing.T) {
 	sc.Run(s, 0)
 	s.Run()
 	var chaosEvents []trace.Event
-	for _, ev := range tr.Events() {
+	tr.Each(func(ev trace.Event) {
 		if ev.Kind == trace.KindChaos {
 			chaosEvents = append(chaosEvents, ev)
 		}
-	}
+	})
 	if len(chaosEvents) != 2 {
 		t.Fatalf("chaos trace events = %d, want 2", len(chaosEvents))
 	}

@@ -119,18 +119,7 @@ type Sample struct {
 // applied as a real sampler would show.
 func (h *Headset) Instant(t time.Duration, dt time.Duration) Sample {
 	n := h.AvatarsInScene
-	cpu := h.Cost.CPUms(n) + h.ExtraCPUms
-	gpu := h.Cost.GPUms(n) - h.GPUReliefms
-	if gpu < 1 {
-		gpu = 1
-	}
-	binding := math.Max(cpu, gpu)
-	frameMs := pipelineFactor * binding
-	budget := 1000 / h.Class.RefreshHz
-	fps := h.Class.RefreshHz
-	if frameMs > budget {
-		fps = 1000 / frameMs
-	}
+	cpu, gpu, fps := h.frame()
 	noise := func(sd float64) float64 {
 		if h.rng == nil {
 			return 0
@@ -163,17 +152,25 @@ func (h *Headset) Battery() float64 { return h.battery }
 // without mutating any state (no battery drain). Used by clients to model
 // frame-synchronized display latency.
 func (h *Headset) FPSEstimate() float64 {
-	cpu := h.Cost.CPUms(h.AvatarsInScene) + h.ExtraCPUms
-	gpu := h.Cost.GPUms(h.AvatarsInScene) - h.GPUReliefms
+	_, _, fps := h.frame()
+	return fps
+}
+
+// frame is the frame-rate model for the current load: the per-frame CPU
+// and GPU cost in ms (GPU work floored at 1 ms) and the noise-free frame
+// rate, the refresh rate unless the binding resource, with pipeline
+// overhead, overruns the frame budget.
+func (h *Headset) frame() (cpu, gpu, fps float64) {
+	cpu = h.Cost.CPUms(h.AvatarsInScene) + h.ExtraCPUms
+	gpu = h.Cost.GPUms(h.AvatarsInScene) - h.GPUReliefms
 	if gpu < 1 {
 		gpu = 1
 	}
 	frameMs := pipelineFactor * math.Max(cpu, gpu)
-	budget := 1000 / h.Class.RefreshHz
-	if frameMs <= budget {
-		return h.Class.RefreshHz
+	if budget := 1000 / h.Class.RefreshHz; frameMs > budget {
+		return cpu, gpu, 1000 / frameMs
 	}
-	return 1000 / frameMs
+	return cpu, gpu, h.Class.RefreshHz
 }
 
 func clamp(v, lo, hi float64) float64 {

@@ -19,8 +19,7 @@ func TestTraceBreakdownMatchesRig(t *testing.T) {
 		if row.Private {
 			label += "*"
 		}
-		cell := c.Cell(label)
-		sum, n := trace.SummarizeActions(cell.Events())
+		sum, n := trace.SummarizeActions(c.Cell(label))
 		if n == 0 {
 			t.Fatalf("%s: no complete action spans in trace", label)
 		}

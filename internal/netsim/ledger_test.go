@@ -91,11 +91,11 @@ func TestLedgerIsTheOnlyRecord(t *testing.T) {
 				}
 			}
 			var spans []string
-			for _, ev := range n.Tracer.Events() {
+			n.Tracer.Each(func(ev trace.Event) {
 				if ev.Kind == trace.KindPacketDrop {
 					spans = append(spans, ev.Name)
 				}
-			}
+			})
 			if len(spans) != 1 || spans[0] != causes[tc.cause].label {
 				t.Errorf("drop spans = %q, want [%q]", spans, causes[tc.cause].label)
 			}

@@ -37,9 +37,10 @@ type recvStamp struct {
 }
 
 // AnalyzeActions extracts one sample per complete action (all six lifecycle
-// stamps present), choosing the earliest-receiving receiver — for the
-// two-user Table-4 cells that is the U1→U2 path the paper measures.
-func AnalyzeActions(events []Event) []ActionSample {
+// stamps present) among the events t holds, choosing the earliest-receiving
+// receiver — for the two-user Table-4 cells that is the U1→U2 path the
+// paper measures.
+func AnalyzeActions(t *Tracer) []ActionSample {
 	bysSpan := map[uint64]*actionStamps{}
 	get := func(span uint64) *actionStamps {
 		a, ok := bysSpan[span]
@@ -58,9 +59,9 @@ func AnalyzeActions(events []Event) []ActionSample {
 		a.recvs = append(a.recvs, recvStamp{track: track})
 		return &a.recvs[len(a.recvs)-1]
 	}
-	for _, ev := range events {
+	t.Each(func(ev Event) {
 		if ev.Kind != KindAction || ev.Span == 0 {
-			continue
+			return
 		}
 		a := get(ev.Span)
 		switch ev.Name {
@@ -79,7 +80,7 @@ func AnalyzeActions(events []Event) []ActionSample {
 			r := rcv(a, ev.Track)
 			r.display, r.hasDisp = ev.At, true
 		}
-	}
+	})
 
 	spans := make([]uint64, 0, len(bysSpan))
 	for s := range bysSpan {
@@ -121,8 +122,8 @@ func AnalyzeActions(events []Event) []ActionSample {
 
 // SummarizeActions averages AnalyzeActions over all complete actions,
 // returning the summary and the sample count.
-func SummarizeActions(events []Event) (ActionSummary, int) {
-	samples := AnalyzeActions(events)
+func SummarizeActions(t *Tracer) (ActionSummary, int) {
+	samples := AnalyzeActions(t)
 	var sum ActionSummary
 	if len(samples) == 0 {
 		return sum, 0

@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"io"
-	"sort"
 	"strconv"
 	"time"
 )
@@ -18,18 +17,14 @@ func (c *Collector) WriteChrome(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString("{\"traceEvents\":[")
 	first := true
-	for pid, cell := range c.snapshot() {
-		first = writeChromeCell(bw, pid+1, cell, first)
+	for pid, label := range c.Labels() {
+		first = writeChromeCell(bw, pid+1, label, c.Cell(label), first)
 	}
 	bw.WriteString("]}\n")
 	return bw.Flush()
 }
 
-func writeChromeCell(bw *bufio.Writer, pid int, cell cellView, first bool) bool {
-	evs := make([]Event, len(cell.Events))
-	copy(evs, cell.Events)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-
+func writeChromeCell(bw *bufio.Writer, pid int, label string, t *Tracer, first bool) bool {
 	comma := func() {
 		if !first {
 			bw.WriteByte(',')
@@ -42,33 +37,31 @@ func writeChromeCell(bw *bufio.Writer, pid int, cell cellView, first bool) bool 
 	bw.WriteString("{\"ph\":\"M\",\"pid\":")
 	bw.WriteString(strconv.Itoa(pid))
 	bw.WriteString(",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":")
-	writeJSONString(bw, cell.Label)
+	writeJSONString(bw, label)
 	bw.WriteString("}}")
 
 	// Thread (track) metadata in first-seen order.
 	tids := map[string]int{"": 0}
-	var order []string
-	for _, ev := range evs {
-		if _, ok := tids[ev.Track]; !ok {
-			tids[ev.Track] = len(order) + 1
-			order = append(order, ev.Track)
+	t.Each(func(ev Event) {
+		if _, ok := tids[ev.Track]; ok {
+			return
 		}
-	}
-	for i, track := range order {
+		tid := len(tids)
+		tids[ev.Track] = tid
 		comma()
 		bw.WriteString("{\"ph\":\"M\",\"pid\":")
 		bw.WriteString(strconv.Itoa(pid))
 		bw.WriteString(",\"tid\":")
-		bw.WriteString(strconv.Itoa(i + 1))
+		bw.WriteString(strconv.Itoa(tid))
 		bw.WriteString(",\"name\":\"thread_name\",\"args\":{\"name\":")
-		writeJSONString(bw, track)
+		writeJSONString(bw, ev.Track)
 		bw.WriteString("}}")
-	}
+	})
 
-	for _, ev := range evs {
+	t.Each(func(ev Event) {
 		comma()
 		writeChromeEvent(bw, pid, tids[ev.Track], ev)
-	}
+	})
 	return first
 }
 

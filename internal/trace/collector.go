@@ -11,8 +11,9 @@ import (
 // sweep cell. It mirrors obs.Registry: sweep runners request a cell tracer
 // under a deterministic label before the cell runs, cells record into their
 // private tracer without any cross-cell synchronization, and exports walk
-// the cells sorted by label — so collector output is byte-identical at any
-// worker count.
+// the cells sorted by label, each read in place and in time order by
+// Tracer.Each — so collector output is byte-identical at any worker count,
+// and an export copies no ring.
 //
 // A nil *Collector is a valid disabled collector: Cell returns a nil
 // *Tracer and exports write nothing.
@@ -33,9 +34,6 @@ func (c *Collector) Cell(label string) *Tracer {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cells == nil {
-		c.cells = make(map[string]*Tracer)
-	}
 	if t, ok := c.cells[label]; ok {
 		return t
 	}
@@ -56,27 +54,6 @@ func (c *Collector) Labels() []string {
 		out = append(out, l)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// cellView is an exported snapshot of one cell, label-sorted.
-type cellView struct {
-	Label   string
-	Events  []Event
-	Dropped uint64
-}
-
-func (c *Collector) snapshot() []cellView {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]cellView, 0, len(c.cells))
-	for l, t := range c.cells {
-		out = append(out, cellView{Label: l, Events: t.Events(), Dropped: t.Dropped()})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Label < out[j].Label })
 	return out
 }
 

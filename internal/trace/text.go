@@ -4,24 +4,19 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 )
 
 // WriteText exports all cells as a human-readable timeline, one line per
-// event, ordered by virtual time (stable on ties) within each cell.
+// event, in the time order of Tracer.Each within each cell.
 func (c *Collector) WriteText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	for _, cell := range c.snapshot() {
+	for _, label := range c.Labels() {
+		t := c.Cell(label)
 		fmt.Fprintf(bw, "== cell %s (%d events, %d dropped) ==\n",
-			cell.Label, len(cell.Events), cell.Dropped)
-		evs := make([]Event, len(cell.Events))
-		copy(evs, cell.Events)
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-		for _, ev := range evs {
-			writeTextEvent(bw, ev)
-		}
-		if sum, n := SummarizeActions(cell.Events); n > 0 {
+			label, t.count+len(t.phases), t.Dropped())
+		t.Each(func(ev Event) { writeTextEvent(bw, ev) })
+		if sum, n := SummarizeActions(t); n > 0 {
 			fmt.Fprintf(bw, "-- actions: %d complete; mean e2e %.1fms = sender %.1f + network %.1f + server %.1f + receiver %.1f\n",
 				n, sum.E2EMs, sum.SenderMs, sum.NetworkMs, sum.ServerMs, sum.ReceiverMs)
 		}

@@ -19,11 +19,15 @@
 //     with tracing enabled, events land in a preallocated bounded ring
 //     with a drop-oldest policy — still 0 allocs/op per event.
 //
-// Every event reaches the ring through Record, which also counts it under
-// its kind whether the ring keeps it or later evicts it. The lab's layers
-// record through netsim.Network.Trace; only phase markers stamped ahead of
-// time come in through Phase. The end-of-run audit holds the packet-span
-// counts against the packet ledger in every traced lab.
+// Every event but a phase marker reaches the ring through Record, which
+// also counts it under its kind whether the ring keeps it or later evicts
+// it. The lab's layers record through netsim.Network.Trace, which stamps
+// the scheduler's clock, so the ring holds its events in time order;
+// Record enforces that. Phase markers, stamped ahead of time, come in
+// through Phase and are kept in their own short list beside the ring,
+// never evicted. Each reads a tracer in place and in time order, merging
+// the markers into the ring. The end-of-run audit holds the per-kind
+// counts against the ledgers they mirror in every traced lab.
 package trace
 
 import "time"
@@ -96,10 +100,10 @@ type Event struct {
 }
 
 // DefaultCapacity is the ring size of every collector cell. A cell that
-// records more keeps only its last DefaultCapacity events: at seed 42 a
-// traced table4 run with one repeat fits only its Rec Room cell (17,471
-// events), and each of its other five cells drops between 393,963 and
-// 2,175,822 of its oldest events.
+// records more keeps only its last DefaultCapacity events, beside its phase
+// markers: at seed 42 a traced table4 run with one repeat fits only its Rec
+// Room cell (17,471 events), and each of its other five cells drops between
+// 393,959 and 2,175,818 of its oldest events.
 const DefaultCapacity = 1 << 16
 
 // Tracer is a bounded, drop-oldest event ring for one lab. The zero value is
@@ -112,6 +116,8 @@ type Tracer struct {
 	events  []Event
 	start   int              // index of the oldest event
 	count   int              // number of live events
+	newest  time.Duration    // stamp of the newest ring event
+	phases  []Event          // phase markers in time order, never evicted
 	spanSeq uint64           // per-tracer span id counter
 	counts  [numKinds]uint64 // events recorded per kind, kept or evicted
 }
@@ -134,11 +140,17 @@ func (t *Tracer) NextSpan() uint64 {
 }
 
 // Record counts an event under its kind and appends it, evicting the oldest
-// when the ring is full.
+// when the ring is full. Events arrive in time order (Network.Trace stamps
+// the scheduler's clock), so Record panics on one stamped before the newest
+// event the ring holds: Each relies on that order.
 func (t *Tracer) Record(ev Event) {
 	if t == nil {
 		return
 	}
+	if ev.At < t.newest {
+		panic("trace: " + ev.Kind.String() + " event at " + ev.At.String() + " recorded after one at " + t.newest.String())
+	}
+	t.newest = ev.At
 	t.counts[ev.Kind]++
 	if t.count == len(t.events) {
 		// Drop-oldest: overwrite the slot at start.
@@ -160,8 +172,17 @@ func (t *Tracer) Record(ev Event) {
 // Phase records an experiment phase marker. Markers for future phases are
 // recorded immediately with an explicit At stamp — never via scheduled
 // callbacks — so tracing leaves the scheduler's event stream untouched.
+// Markers are kept beside the ring, never evicted, and must come in time
+// order.
 func (t *Tracer) Phase(at time.Duration, name string) {
-	t.Record(Event{At: at, Kind: KindPhase, Name: name})
+	if t == nil {
+		return
+	}
+	if n := len(t.phases); n > 0 && at < t.phases[n-1].At {
+		panic("trace: phase " + name + " at " + at.String() + " recorded after one at " + t.phases[n-1].At.String())
+	}
+	t.counts[KindPhase]++
+	t.phases = append(t.phases, Event{At: at, Kind: KindPhase, Name: name})
 }
 
 // Count returns how many events of kind k were recorded, kept or evicted.
@@ -181,20 +202,29 @@ func (t *Tracer) Dropped() uint64 {
 	for _, c := range t.counts {
 		n += c
 	}
-	return n - uint64(t.count)
+	return n - uint64(t.count+len(t.phases))
 }
 
-// Events returns the live events oldest-first as a fresh slice.
-func (t *Tracer) Events() []Event {
-	if t == nil || t.count == 0 {
-		return nil
+// Each calls fn on every event the tracer holds, in time order, reading the
+// ring in place: oldest first, with each phase marker merged in before the
+// ring events of its instant. A nil tracer holds none.
+func (t *Tracer) Each(fn func(Event)) {
+	if t == nil {
+		return
 	}
-	out := make([]Event, t.count)
-	head := len(t.events) - t.start
-	if head > t.count {
-		head = t.count
+	phases := t.phases
+	for k := 0; k < t.count; k++ {
+		i := t.start + k
+		if i >= len(t.events) {
+			i -= len(t.events)
+		}
+		for len(phases) > 0 && phases[0].At <= t.events[i].At {
+			fn(phases[0])
+			phases = phases[1:]
+		}
+		fn(t.events[i])
 	}
-	copy(out, t.events[t.start:t.start+head])
-	copy(out[head:], t.events[:t.count-head])
-	return out
+	for _, ev := range phases {
+		fn(ev)
+	}
 }

@@ -3,6 +3,9 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -16,9 +19,16 @@ func TestNilTracerIsZeroCostDisabled(t *testing.T) {
 	// Both recording methods must be safe no-ops on nil.
 	tr.Record(Event{Kind: KindPacketSend})
 	tr.Phase(0, "join")
-	if tr.Count(KindPacketSend) != 0 || tr.Dropped() != 0 || tr.Events() != nil {
+	if tr.Count(KindPacketSend) != 0 || tr.Dropped() != 0 || len(held(tr)) != 0 {
 		t.Fatal("nil tracer leaked state")
 	}
+}
+
+// held returns the events tr holds, in the order Each walks them.
+func held(tr *Tracer) []Event {
+	var evs []Event
+	tr.Each(func(ev Event) { evs = append(evs, ev) })
+	return evs
 }
 
 func TestSpanIDsAreSequential(t *testing.T) {
@@ -38,7 +48,7 @@ func TestRingDropOldest(t *testing.T) {
 	if tr.Dropped() != 3 {
 		t.Fatalf("dropped = %d, want 3", tr.Dropped())
 	}
-	evs := tr.Events()
+	evs := held(tr)
 	if len(evs) != 4 {
 		t.Fatalf("events = %d", len(evs))
 	}
@@ -62,7 +72,8 @@ func TestRecordDoesNotAllocate(t *testing.T) {
 }
 
 // TestCountsSurviveEviction: the per-kind counts include every event the
-// ring was handed, the ones it evicted too.
+// ring was handed, the ones it evicted too, and the phase marker beside the
+// ring is kept.
 func TestCountsSurviveEviction(t *testing.T) {
 	tr := New(2)
 	for i := 0; i < 5; i++ {
@@ -75,8 +86,8 @@ func TestCountsSurviveEviction(t *testing.T) {
 			t.Errorf("Count(%s) = %d, want %d", k, got, want)
 		}
 	}
-	if tr.Dropped() != 5 || len(tr.Events()) != 2 {
-		t.Fatalf("dropped = %d, kept = %d; want 5, 2", tr.Dropped(), len(tr.Events()))
+	if tr.Dropped() != 4 || len(held(tr)) != 3 {
+		t.Fatalf("dropped = %d, kept = %d; want 4, 3", tr.Dropped(), len(held(tr)))
 	}
 }
 
@@ -203,7 +214,7 @@ func TestAnalyzeActions(t *testing.T) {
 	action(50, 8, "u1", "trigger")
 	action(51, 8, "u1", "send")
 
-	samples := AnalyzeActions(tr.Events())
+	samples := AnalyzeActions(tr)
 	if len(samples) != 1 {
 		t.Fatalf("samples = %d, want 1", len(samples))
 	}
@@ -225,8 +236,141 @@ func TestAnalyzeActions(t *testing.T) {
 		t.Fatal("segments do not sum to e2e")
 	}
 
-	sum, n := SummarizeActions(tr.Events())
+	sum, n := SummarizeActions(tr)
 	if n != 1 || sum.E2EMs != 30 {
 		t.Fatalf("summary = %+v over %d samples", sum, n)
+	}
+}
+
+// TestOutOfOrderStampsPanic: the ring and the marker list each hold their
+// events in time order, so Record and Phase refuse a stamp before the
+// newest they hold, and count nothing for it. One instant may repeat.
+func TestOutOfOrderStampsPanic(t *testing.T) {
+	tr := New(4)
+	tr.Record(Event{At: monoMs(2), Kind: KindPacketSend})
+	tr.Record(Event{At: monoMs(2), Kind: KindPacketDeliver})
+	tr.Phase(monoMs(5), "actions")
+	tr.Phase(monoMs(5), "steady")
+	for name, record := range map[string]func(){
+		"Record": func() { tr.Record(Event{At: monoMs(1), Kind: KindPacketSend}) },
+		"Phase":  func() { tr.Phase(monoMs(4), "arrange") },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a stamp before the newest it holds", name)
+				}
+			}()
+			record()
+		}()
+	}
+	if tr.Count(KindPacketSend) != 1 || tr.Count(KindPhase) != 2 {
+		t.Fatalf("refused events were counted: %d sends, %d phases", tr.Count(KindPacketSend), tr.Count(KindPhase))
+	}
+}
+
+// TestPhaseMarkersSurviveWrap: markers recorded ahead of a ring that then
+// wraps are all kept, and both exports place each marker before the ring
+// events of its instant.
+func TestPhaseMarkersSurviveWrap(t *testing.T) {
+	tr := New(4)
+	tr.Phase(0, "launch")
+	tr.Phase(monoMs(3), "actions")
+	tr.Phase(monoMs(9), "end")
+	for i := 0; i < 6; i++ {
+		tr.Record(Event{At: monoMs(i), Kind: KindPacketHop, Span: uint64(i + 1), Track: "nyc", Name: "hop"})
+	}
+	c := &Collector{cells: map[string]*Tracer{"cell": tr}}
+
+	var text bytes.Buffer
+	if err := c.Export(&text, "text"); err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, line := range strings.Split(strings.TrimSpace(text.String()), "\n") {
+		lines = append(lines, strings.Join(strings.Fields(line), " "))
+	}
+	want := []string{
+		"== cell cell (7 events, 2 dropped) ==",
+		"0.000000s phase - launch",
+		"0.002000s pkt-hop nyc hop span=3",
+		"0.003000s phase - actions",
+		"0.003000s pkt-hop nyc hop span=4",
+		"0.004000s pkt-hop nyc hop span=5",
+		"0.005000s pkt-hop nyc hop span=6",
+		"0.009000s phase - end",
+	}
+	if strings.Join(lines, "\n") != strings.Join(want, "\n") {
+		t.Errorf("text export:\n%s\nwant:\n%s", strings.Join(lines, "\n"), strings.Join(want, "\n"))
+	}
+
+	var chrome bytes.Buffer
+	if err := c.Export(&chrome, "chrome"); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph   string  `json:"ph"`
+			Name string  `json:"name"`
+			TS   float64 `json:"ts"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(chrome.Bytes(), &doc); err != nil {
+		t.Fatalf("chrome export is not valid JSON: %v", err)
+	}
+	var got []string
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "M" {
+			got = append(got, fmt.Sprintf("%s@%gus", ev.Name, ev.TS))
+		}
+	}
+	wantChrome := "launch@0us pkt@2000us actions@3000us pkt@3000us pkt@4000us pkt@5000us end@9000us"
+	if strings.Join(got, " ") != wantChrome {
+		t.Errorf("chrome events = %s\nwant %s", strings.Join(got, " "), wantChrome)
+	}
+}
+
+// TestExportAllocBound: an export reads each ring in place. Over four full
+// DefaultCapacity rings (18.9 MB of events) a chrome export may allocate
+// 4.7 MB and a text export 28 MB, most of it the text exporter's per-event
+// formatting; one more copy of the rings would take 18.9 MB alone.
+func TestExportAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc bound only holds without -race")
+	}
+	mix := []Event{
+		{Kind: KindPacketSend, Track: "client-u1", Name: "udp", Arg: 1240},
+		{Kind: KindPacketHop, Track: "nyc", Name: "hop", Arg: 1240},
+		{Kind: KindPacketDeliver, Track: "server", Name: "deliver", Arg: 1240},
+	}
+	c := NewCollector()
+	for _, label := range []string{"cell/a", "cell/b", "cell/c", "cell/d"} {
+		tr := c.Cell(label)
+		tr.Phase(monoMs(1), "welcome")
+		tr.Phase(monoMs(90), "social-event")
+		for i := 0; i < DefaultCapacity+len(mix); i++ {
+			ev := mix[i%len(mix)]
+			ev.At, ev.Span = time.Duration(i)*10*time.Microsecond, uint64(i/len(mix)+1)
+			tr.Record(ev)
+		}
+		if tr.Dropped() == 0 {
+			t.Fatalf("%s: the ring did not wrap", label)
+		}
+	}
+	for _, tc := range []struct {
+		format string
+		bound  uint64
+	}{{"chrome", 4_700_000}, {"text", 28_000_000}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := c.Export(io.Discard, tc.format); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s export of four full rings allocated %.1f MB", tc.format, float64(got)/1e6)
+		if got > tc.bound {
+			t.Errorf("%s export allocated %.1f MB, want under %.1f MB", tc.format, float64(got)/1e6, float64(tc.bound)/1e6)
+		}
 	}
 }

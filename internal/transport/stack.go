@@ -73,6 +73,11 @@ func (s *Stack) FlushMetrics(m *obs.Registry) {
 	s.flushed = c
 }
 
+// RetxEvents returns how many fast retransmits and RTO backoffs this
+// stack's connections made. Each records one tcp-retx trace event, so the
+// audit holds a lab's tcp-retx count to the sum over its stacks.
+func (s *Stack) RetxEvents() int64 { return s.counts.fastRetransmits + s.counts.rtoBackoffs }
+
 // connKey names a connection by both of its ends: two connections from
 // one stack to the same remote endpoint differ only in their local port.
 type connKey struct {
