@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/svrlab/svrlab/internal/capture"
-	"github.com/svrlab/svrlab/internal/wiretest"
 )
 
 // checkPcapReader enforces the pcap hardening contract: arbitrary bytes
@@ -46,10 +45,6 @@ func FuzzPcapReader(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Fuzz(checkPcapReader)
-}
-
-func TestPcapReaderCorpusReplay(t *testing.T) {
-	wiretest.Replay(t, "FuzzPcapReader", checkPcapReader)
 }
 
 // TestWritePcapRejectsUnrepresentableRecords pins the writer-side guard: a

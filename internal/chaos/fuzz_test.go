@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"github.com/svrlab/svrlab/internal/wiretest"
 )
 
 // checkChaosSpec enforces the spec-codec hardening contract: arbitrary
@@ -39,10 +37,6 @@ func checkChaosSpec(t *testing.T, data []byte) {
 func FuzzChaosSpec(f *testing.F) {
 	f.Add([]byte(`{"faults": [{"kind": "partition", "site": "us-west", "start": "30s", "duration": "10s"}]}`))
 	f.Fuzz(checkChaosSpec)
-}
-
-func TestChaosSpecCorpusReplay(t *testing.T) {
-	wiretest.Replay(t, "FuzzChaosSpec", checkChaosSpec)
 }
 
 // TestParseSpecBoundsFlaps pins the event fan-out bound: a fault may not

@@ -77,7 +77,9 @@ func measureLatency(e Env, label string, name platform.Name, n, repeats int, see
 
 // breakdown is the Table 4 timestamp algebra: it synchronizes u1's and
 // u2's headset clocks through the AP (§7), in that order, and splits the
-// latency of every action in ids that u2 displayed.
+// latency of every action in ids that u2 displayed. A traced lab also
+// records the result as a phase marker, so the cell's trace carries the
+// row it explains however many action stamps its ring evicted.
 func breakdown(l *Lab, u1, u2 *platform.Client, ids []uint32) LatencyBreakdown {
 	off1 := u1.MeasureClockOffset()
 	off2 := u2.MeasureClockOffset()
@@ -97,7 +99,7 @@ func breakdown(l *Lab, u1, u2 *platform.Client, ids []uint32) LatencyBreakdown {
 		rcv = append(rcv, toMs(display-rt.ReceivedAt))
 		net = append(net, toMs((tr.ServerInAt-tr.SentAt)+(rt.ReceivedAt-tr.ServerOutAt)))
 	}
-	return LatencyBreakdown{
+	b := LatencyBreakdown{
 		E2E:      stats.Summarize(e2e),
 		Sender:   stats.Summarize(snd),
 		Receiver: stats.Summarize(rcv),
@@ -105,6 +107,11 @@ func breakdown(l *Lab, u1, u2 *platform.Client, ids []uint32) LatencyBreakdown {
 		Network:  stats.Summarize(net),
 		Samples:  len(e2e),
 	}
+	if tr := l.Trace(); tr != nil {
+		tr.Phase(l.Sched.Now(), fmt.Sprintf("breakdown: %d of %d actions displayed; e2e %s ms = sender %s + network %s + server %s + receiver %s",
+			b.Samples, len(ids), msf(b.E2E.Mean), msf(b.Sender.Mean), msf(b.Network.Mean), msf(b.Server.Mean), msf(b.Receiver.Mean)))
+	}
+	return b
 }
 
 // Render prints the Table 4 artifact.

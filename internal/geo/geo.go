@@ -7,7 +7,6 @@ package geo
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -97,12 +96,12 @@ const (
 	OwnerUnknown    Owner = "Unknown"
 )
 
-// Record is a registry entry for one address block: the MaxMind-equivalent
-// location plus the WHOIS-equivalent owner. Anycast blocks carry no stable
-// location, mirroring how geolocation databases mislead for anycast (§4.2).
+// Record is a registry entry for one server address: the MaxMind-equivalent
+// location plus the WHOIS-equivalent owner. Anycast addresses carry no
+// stable location, mirroring how geolocation databases mislead for anycast
+// (§4.2).
 type Record struct {
-	Prefix   uint32 // high bits of the address
-	Bits     int    // prefix length (0..32)
+	Addr     uint32
 	Loc      Point
 	Anycast  bool
 	Owner    Owner
@@ -110,49 +109,28 @@ type Record struct {
 }
 
 // Registry is the combined geolocation (MaxMind/ipinfo substitute) and
-// ownership (WHOIS substitute) database for the simulated address space.
+// ownership (WHOIS substitute) database for the simulated address space,
+// keyed by address.
 type Registry struct {
-	records []Record
+	records map[uint32]Record
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{} }
+func NewRegistry() *Registry { return &Registry{records: make(map[uint32]Record)} }
 
-// Add registers a record. Longest-prefix match wins on lookup.
-func (r *Registry) Add(rec Record) error {
-	if rec.Bits < 0 || rec.Bits > 32 {
-		return fmt.Errorf("geo: invalid prefix length %d", rec.Bits)
+// Add registers rec under its address. An address registered twice panics.
+func (r *Registry) Add(rec Record) {
+	if _, dup := r.records[rec.Addr]; dup {
+		panic(fmt.Sprintf("geo: duplicate registry address %#08x", rec.Addr))
 	}
-	rec.Prefix &= mask(rec.Bits)
-	r.records = append(r.records, rec)
-	// Keep sorted by descending prefix length so the first match is the
-	// most specific.
-	sort.SliceStable(r.records, func(i, j int) bool { return r.records[i].Bits > r.records[j].Bits })
-	return nil
+	r.records[rec.Addr] = rec
 }
 
-func mask(bits int) uint32 {
-	if bits <= 0 {
-		return 0
-	}
-	return ^uint32(0) << (32 - bits)
-}
-
-// Lookup finds the most specific record covering addr.
-func (r *Registry) Lookup(addr uint32) (Record, bool) {
-	for _, rec := range r.records {
-		if addr&mask(rec.Bits) == rec.Prefix {
-			return rec, true
-		}
-	}
-	return Record{}, false
-}
-
-// LocationOf reports the region MaxMind would claim for addr. Anycast blocks
-// report RegionUnknown: the database answer is meaningless for them, which is
-// exactly why the paper cross-checks with traceroute.
+// LocationOf reports the region MaxMind would claim for addr. Anycast
+// addresses report RegionUnknown: the database answer is meaningless for
+// them, which is exactly why the paper cross-checks with traceroute.
 func (r *Registry) LocationOf(addr uint32) Region {
-	rec, ok := r.Lookup(addr)
+	rec, ok := r.records[addr]
 	if !ok || rec.Anycast {
 		return RegionUnknown
 	}
@@ -161,7 +139,7 @@ func (r *Registry) LocationOf(addr uint32) Region {
 
 // OwnerOf reports the WHOIS owner for addr.
 func (r *Registry) OwnerOf(addr uint32) Owner {
-	rec, ok := r.Lookup(addr)
+	rec, ok := r.records[addr]
 	if !ok {
 		return OwnerUnknown
 	}
@@ -169,10 +147,4 @@ func (r *Registry) OwnerOf(addr uint32) Owner {
 }
 
 // HostnameOf reports the reverse-DNS name for addr, if registered.
-func (r *Registry) HostnameOf(addr uint32) string {
-	rec, ok := r.Lookup(addr)
-	if !ok {
-		return ""
-	}
-	return rec.Hostname
-}
+func (r *Registry) HostnameOf(addr uint32) string { return r.records[addr].Hostname }

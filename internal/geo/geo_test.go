@@ -95,57 +95,49 @@ func TestRegionOf(t *testing.T) {
 	}
 }
 
-func TestRegistryLongestPrefixMatch(t *testing.T) {
-	r := NewRegistry()
-	if err := r.Add(Record{Prefix: 0x0A000000, Bits: 8, Owner: OwnerAWS, Loc: SanJose}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Add(Record{Prefix: 0x0A010000, Bits: 16, Owner: OwnerMeta, Loc: Ashburn}); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.OwnerOf(0x0A010203); got != OwnerMeta {
-		t.Fatalf("OwnerOf(10.1.2.3) = %v, want Meta (more specific)", got)
-	}
-	if got := r.OwnerOf(0x0A020203); got != OwnerAWS {
-		t.Fatalf("OwnerOf(10.2.2.3) = %v, want AWS", got)
-	}
-	if got := r.OwnerOf(0x0B000001); got != OwnerUnknown {
-		t.Fatalf("OwnerOf(11.0.0.1) = %v, want Unknown", got)
-	}
-}
-
 func TestRegistryAnycastHidesLocation(t *testing.T) {
 	r := NewRegistry()
-	if err := r.Add(Record{Prefix: 0xC0000000, Bits: 8, Owner: OwnerCloudflare, Anycast: true, Loc: SanJose}); err != nil {
-		t.Fatal(err)
-	}
+	r.Add(Record{Addr: 0xC0000001, Owner: OwnerCloudflare, Anycast: true, Loc: SanJose})
+	r.Add(Record{Addr: 0xC0000002, Owner: OwnerAWS, Loc: SanJose})
 	if got := r.LocationOf(0xC0000001); got != RegionUnknown {
 		t.Fatalf("anycast LocationOf = %v, want Unknown", got)
 	}
 	if got := r.OwnerOf(0xC0000001); got != OwnerCloudflare {
 		t.Fatalf("anycast OwnerOf = %v, want Cloudflare", got)
 	}
-}
-
-func TestRegistryInvalidPrefix(t *testing.T) {
-	r := NewRegistry()
-	if err := r.Add(Record{Bits: 33}); err == nil {
-		t.Fatal("Bits=33 accepted")
+	if got := r.LocationOf(0xC0000002); got != RegionUSWest {
+		t.Fatalf("unicast LocationOf = %v, want %v", got, RegionUSWest)
 	}
-	if err := r.Add(Record{Bits: -1}); err == nil {
-		t.Fatal("Bits=-1 accepted")
+	// Only registered addresses are known: a neighbour is not.
+	if got := r.OwnerOf(0xC0000003); got != OwnerUnknown {
+		t.Fatalf("OwnerOf(unregistered) = %v, want Unknown", got)
+	}
+	if got := r.LocationOf(0xC0000003); got != RegionUnknown {
+		t.Fatalf("LocationOf(unregistered) = %v, want Unknown", got)
 	}
 }
 
 func TestRegistryHostname(t *testing.T) {
 	r := NewRegistry()
-	if err := r.Add(Record{Prefix: 0x0A000000, Bits: 24, Owner: OwnerMeta, Hostname: "edge-star-shv-01-iad3.facebook.com"}); err != nil {
-		t.Fatal(err)
-	}
+	r.Add(Record{Addr: 0x0A000001, Owner: OwnerMeta, Hostname: "edge-star-shv-01-iad3.facebook.com"})
 	if got := r.HostnameOf(0x0A000001); got != "edge-star-shv-01-iad3.facebook.com" {
 		t.Fatalf("HostnameOf = %q", got)
 	}
-	if got := r.HostnameOf(0x0B000001); got != "" {
+	if got := r.HostnameOf(0x0A000002); got != "" {
 		t.Fatalf("HostnameOf unknown = %q, want empty", got)
 	}
+}
+
+func TestRegistryDuplicateAddressPanics(t *testing.T) {
+	r := NewRegistry()
+	r.Add(Record{Addr: 0x0A000001, Owner: OwnerMeta})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an address registered twice did not panic")
+		}
+		if got := r.OwnerOf(0x0A000001); got != OwnerMeta {
+			t.Fatalf("OwnerOf after the refused Add = %v, want Meta", got)
+		}
+	}()
+	r.Add(Record{Addr: 0x0A000001, Owner: OwnerAWS})
 }

@@ -11,8 +11,8 @@ import (
 // Fuzz bodies for every decoder in this package. Each enforces the §4.10
 // codec hardening contract: arbitrary bytes never panic, and any input that
 // decodes re-marshals byte-identically (the decoder accepts exactly the
-// marshaler's image). The same bodies run over the checked-in seed corpus
-// in plain `go test` via the corpus-replay tests below.
+// marshaler's image). Plain `go test` runs each target's body over its
+// checked-in seed corpus (testdata/fuzz/<Target>), one subtest per file.
 
 func checkDecodePacket(t *testing.T, data []byte) {
 	p, err := packet.Decode(data)
@@ -45,10 +45,6 @@ func FuzzDecodePacket(f *testing.F) {
 	f.Fuzz(checkDecodePacket)
 }
 
-func TestDecodePacketCorpusReplay(t *testing.T) {
-	wiretest.Replay(t, "FuzzDecodePacket", checkDecodePacket)
-}
-
 func checkDecodeTLSRecord(t *testing.T, data []byte) {
 	rec, body, rest, err := packet.DecodeTLSRecord(data)
 	if err != nil {
@@ -69,10 +65,6 @@ func FuzzDecodeTLSRecord(f *testing.F) {
 	f.Fuzz(checkDecodeTLSRecord)
 }
 
-func TestDecodeTLSRecordCorpusReplay(t *testing.T) {
-	wiretest.Replay(t, "FuzzDecodeTLSRecord", checkDecodeTLSRecord)
-}
-
 func checkDecodeRTP(t *testing.T, data []byte) {
 	h, payload, err := packet.DecodeRTP(data)
 	if err != nil {
@@ -86,10 +78,6 @@ func FuzzDecodeRTP(f *testing.F) {
 	f.Fuzz(checkDecodeRTP)
 }
 
-func TestDecodeRTPCorpusReplay(t *testing.T) {
-	wiretest.Replay(t, "FuzzDecodeRTP", checkDecodeRTP)
-}
-
 func checkDecodeRTCP(t *testing.T, data []byte) {
 	p, err := packet.DecodeRTCP(data)
 	if err != nil {
@@ -101,8 +89,4 @@ func checkDecodeRTCP(t *testing.T, data []byte) {
 func FuzzDecodeRTCP(f *testing.F) {
 	f.Add(packet.MarshalRTCP(packet.RTCPPacket{Type: packet.RTCPSenderReport, SSRC: 1}))
 	f.Fuzz(checkDecodeRTCP)
-}
-
-func TestDecodeRTCPCorpusReplay(t *testing.T) {
-	wiretest.Replay(t, "FuzzDecodeRTCP", checkDecodeRTCP)
 }

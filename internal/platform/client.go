@@ -37,9 +37,9 @@ type Client struct {
 	Wander   bool   // walk around automatically
 	RoomName string // set at JoinEvent
 
-	rng    *rand.Rand
-	space  *world.Space
-	walker *world.Walker
+	rng       *rand.Rand
+	worldPose world.Pose // the user's pose on the venue floor
+	walker    *world.Walker
 
 	ctrlConn   *transport.Conn
 	ctrl       *secure.Session
@@ -92,6 +92,10 @@ type Client struct {
 	VoiceFwdReceived int
 }
 
+// venue is the room every client's avatar moves in; the paper's venues are
+// on the order of 20 m.
+var venue = world.Space{Size: 20}
+
 type remoteAvatar struct {
 	pose    world.Pose
 	lastAt  time.Duration
@@ -105,14 +109,14 @@ func NewClient(d *Deployment, name Name, user, siteName string, hostOctet int) *
 	p := Get(name)
 	h := d.AddVantage("client-"+user, siteName, hostOctet)
 	c := &Client{
-		Dep:     d,
-		Profile: p,
-		User:    user,
-		Host:    h,
-		Stack:   transport.NewStack(d.Net, h),
-		rng:     rand.New(rand.NewSource(int64(hostOctet)*7919 ^ d.rng.Int63())),
-		space:   world.NewSpace(20),
-		remotes: make(map[string]*remoteAvatar),
+		Dep:       d,
+		Profile:   p,
+		User:      user,
+		Host:      h,
+		Stack:     transport.NewStack(d.Net, h),
+		rng:       rand.New(rand.NewSource(int64(hostOctet)*7919 ^ d.rng.Int63())),
+		worldPose: world.Pose{Pos: venue.Center()},
+		remotes:   make(map[string]*remoteAvatar),
 	}
 	c.pose.Body = make([]avatar.Joint, p.Codec.BodyJoints)
 	c.pose.Face = make([]uint8, p.Codec.FaceCoeffs)
@@ -122,7 +126,6 @@ func NewClient(d *Deployment, name Name, user, siteName string, hostOctet int) *
 	c.clockOffset = time.Duration(c.rng.Int63n(int64(4*time.Second))) - 2*time.Second
 	d.lbCounter++
 	c.lbIndex = d.lbCounter
-	c.space.Place(user, world.Pose{Pos: c.space.Center()})
 	return c
 }
 
@@ -195,9 +198,9 @@ func (c *Client) download(n int) *secure.Session {
 	return sess
 }
 
-// JoinEvent enters a social event. Position defaults to a random spot; use
-// StandAt/Turn/Wander to choreograph experiments. Room and user names must
-// fit the wire format's 255-byte length prefix; longer names are a
+// JoinEvent enters a social event. The user stands at the venue's center
+// until StandAt/Turn/Wander choreograph the experiment. Room and user names
+// must fit the wire format's 255-byte length prefix; longer names are a
 // configuration error, rejected here (loudly) rather than silently
 // truncated into a desynced hello frame.
 func (c *Client) JoinEvent(room string) {
@@ -246,7 +249,7 @@ func (c *Client) JoinEvent(room string) {
 	}
 
 	if c.Wander {
-		c.walker = world.NewWalker(c.rng, c.space, c.User)
+		c.walker = world.NewWalker(c.rng, venue, &c.worldPose)
 	}
 	c.startEventTickers()
 }
@@ -412,7 +415,7 @@ func (c *Client) sendAvatar(actionID uint32) {
 // with idle hand sway and the active gesture applied. It draws the sway of
 // hand 0, then hand 1, then each body joint from c.rng.
 func (c *Client) pose3D() {
-	wp, _ := c.space.PoseOf(c.User)
+	wp := c.worldPose
 	rot := avatar.QuatFromYawDeg(wp.Yaw)
 	sway := func() [3]float64 {
 		return [3]float64{
@@ -608,20 +611,16 @@ func (c *Client) StandAt(pos world.Vec2, yaw float64) {
 	if c.walker != nil {
 		c.walker.SetActive(false)
 	}
-	c.space.Place(c.User, world.Pose{Pos: pos, Yaw: yaw})
+	c.worldPose = venue.Clamp(world.Pose{Pos: pos, Yaw: yaw})
 }
 
 // Turn snap-turns the avatar by the given controller clicks (±22.5° each).
 func (c *Client) Turn(clicks int) {
-	p, _ := c.space.PoseOf(c.User)
-	c.space.Place(c.User, world.SnapTurn(p, clicks))
+	c.worldPose = venue.Clamp(world.SnapTurn(c.worldPose, clicks))
 }
 
 // PoseNow returns the user's current world pose.
-func (c *Client) PoseNow() world.Pose {
-	p, _ := c.space.PoseOf(c.User)
-	return p
-}
+func (c *Client) PoseNow() world.Pose { return c.worldPose }
 
 // RemotePose returns the last known pose of another user, if any update has
 // arrived.

@@ -176,13 +176,11 @@ func (d *Deployment) nextAddr(owner geo.Owner) packet.Addr {
 }
 
 func (d *Deployment) registerAddr(a packet.Addr, owner geo.Owner, site string, anycast bool, hostname string) {
-	rec := geo.Record{Prefix: uint32(a), Bits: 32, Owner: owner, Anycast: anycast, Hostname: hostname}
+	rec := geo.Record{Addr: uint32(a), Owner: owner, Anycast: anycast, Hostname: hostname}
 	if !anycast && site != "" {
 		rec.Loc = d.Sites[site].Loc
 	}
-	if err := d.Net.Registry.Add(rec); err != nil {
-		panic(err)
-	}
+	d.Net.Registry.Add(rec)
 }
 
 // deployPlatform builds all server fleets for one platform.

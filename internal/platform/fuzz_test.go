@@ -11,8 +11,8 @@ import (
 // any frame that parses re-marshals byte-identically — which also proves
 // the marshalers can never error on a value their parser produced (parsed
 // names are ≤255 bytes, parsed envelope payloads fit the 16-bit prefix).
-// The same bodies replay over the checked-in seed corpus in plain `go
-// test` via the corpus-replay tests below.
+// Plain `go test` runs each target's body over its checked-in seed corpus
+// (testdata/fuzz/<Target>), one subtest per file.
 
 func checkParseHello(t *testing.T, data []byte) {
 	h, err := parseHello(data)
@@ -32,10 +32,6 @@ func FuzzParseHello(f *testing.F) {
 	f.Fuzz(checkParseHello)
 }
 
-func TestParseHelloCorpusReplay(t *testing.T) {
-	wiretest.Replay(t, "FuzzParseHello", checkParseHello)
-}
-
 func checkParseAvatar(t *testing.T, data []byte) {
 	am, err := parseAvatar(data)
 	if err != nil {
@@ -47,10 +43,6 @@ func checkParseAvatar(t *testing.T, data []byte) {
 func FuzzParseAvatar(f *testing.F) {
 	f.Add(appendAvatar(nil, avatarMsg{Seq: 1, ActionID: 2, SentAtUs: 3, Pose: []byte{4}}))
 	f.Fuzz(checkParseAvatar)
-}
-
-func TestParseAvatarCorpusReplay(t *testing.T) {
-	wiretest.Replay(t, "FuzzParseAvatar", checkParseAvatar)
 }
 
 func checkParseForward(t *testing.T, data []byte) {
@@ -71,10 +63,6 @@ func FuzzParseForward(f *testing.F) {
 	f.Fuzz(checkParseForward)
 }
 
-func TestParseForwardCorpusReplay(t *testing.T) {
-	wiretest.Replay(t, "FuzzParseForward", checkParseForward)
-}
-
 func checkParseSeq(t *testing.T, data []byte) {
 	m, err := parseSeq(data)
 	if err != nil {
@@ -86,10 +74,6 @@ func checkParseSeq(t *testing.T, data []byte) {
 func FuzzParseSeq(f *testing.F) {
 	f.Add(appendSeq(nil, seqMsg{Kind: kindVoice, Seq: 5, Size: 40}))
 	f.Fuzz(checkParseSeq)
-}
-
-func TestParseSeqCorpusReplay(t *testing.T) {
-	wiretest.Replay(t, "FuzzParseSeq", checkParseSeq)
 }
 
 func checkParseVoiceFwd(t *testing.T, data []byte) {
@@ -110,10 +94,6 @@ func FuzzParseVoiceFwd(f *testing.F) {
 	f.Fuzz(checkParseVoiceFwd)
 }
 
-func TestParseVoiceFwdCorpusReplay(t *testing.T) {
-	wiretest.Replay(t, "FuzzParseVoiceFwd", checkParseVoiceFwd)
-}
-
 func checkJSONEnvelope(t *testing.T, data []byte) {
 	inner, err := fromJSONEnvelope(data)
 	if err != nil {
@@ -132,10 +112,6 @@ func FuzzJSONEnvelope(f *testing.F) {
 	f.Fuzz(checkJSONEnvelope)
 }
 
-func TestJSONEnvelopeCorpusReplay(t *testing.T) {
-	wiretest.Replay(t, "FuzzJSONEnvelope", checkJSONEnvelope)
-}
-
 func checkParseCtrlReq(t *testing.T, data []byte) {
 	reqType, user, room, rest, err := parseCtrlReq(data)
 	if err != nil {
@@ -152,8 +128,4 @@ func FuzzParseCtrlReq(f *testing.F) {
 	seed, _ := marshalCtrlReq(reqLogin, "u1", "room-1", nil)
 	f.Add(seed)
 	f.Fuzz(checkParseCtrlReq)
-}
-
-func TestParseCtrlReqCorpusReplay(t *testing.T) {
-	wiretest.Replay(t, "FuzzParseCtrlReq", checkParseCtrlReq)
 }

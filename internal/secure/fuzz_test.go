@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/svrlab/svrlab/internal/secure"
-	"github.com/svrlab/svrlab/internal/wiretest"
 )
 
 // checkMsgReader enforces the framing hardening contract on the
@@ -46,8 +45,4 @@ func checkMsgReader(t *testing.T, data []byte) {
 func FuzzMsgReader(f *testing.F) {
 	f.Add(secure.MarshalMsg(secure.MsgRequest, []byte("body")))
 	f.Fuzz(checkMsgReader)
-}
-
-func TestMsgReaderCorpusReplay(t *testing.T) {
-	wiretest.Replay(t, "FuzzMsgReader", checkMsgReader)
 }

@@ -2,8 +2,8 @@
 // log of typed, virtual-time-stamped events covering the full life of the
 // simulation — packet lifecycle spans (send → hop → deliver or
 // drop-with-cause), TCP state transitions and congestion events, TLS
-// handshake phases, RTP/RTCP reports, netem schedule actions, and experiment
-// phase markers.
+// handshake phases, RTP/RTCP reports, netem schedule actions, action
+// stamps, and phase markers.
 //
 // The package honors the two contracts the rest of the lab is built on:
 //
@@ -23,11 +23,12 @@
 // also counts it under its kind whether the ring keeps it or later evicts
 // it. The lab's layers record through netsim.Network.Trace, which stamps
 // the scheduler's clock, so the ring holds its events in time order;
-// Record enforces that. Phase markers, stamped ahead of time, come in
-// through Phase and are kept in their own short list beside the ring,
-// never evicted. Each reads a tracer in place and in time order, merging
-// the markers into the ring. The end-of-run audit holds the per-kind
-// counts against the ledgers they mirror in every traced lab.
+// Record enforces that. Phase markers come in through Phase and are kept
+// in their own short list beside the ring, never evicted: an experiment's
+// phase boundaries, stamped ahead of time, and a latency cell's breakdown
+// as its rig computed it. Each reads a tracer in place and in time order,
+// merging the markers into the ring. The end-of-run audit holds the
+// per-kind counts against the ledgers they mirror.
 package trace
 
 import "time"
@@ -37,7 +38,7 @@ type Kind uint8
 
 // Event kinds, one per instrumented layer.
 const (
-	KindPhase         Kind = iota // experiment phase marker
+	KindPhase         Kind = iota // phase boundary or latency breakdown
 	KindPacketSend                // packet handed to the fabric
 	KindPacketHop                 // packet crossed a backbone hop
 	KindPacketDeliver             // packet delivered to the destination host
@@ -102,7 +103,7 @@ type Event struct {
 // DefaultCapacity is the ring size of every collector cell. A cell that
 // records more keeps only its last DefaultCapacity events, beside its phase
 // markers: at seed 42 a traced table4 run with one repeat fits only its Rec
-// Room cell (17,471 events), and each of its other five cells drops between
+// Room cell (17,472 events), and each of its other five cells drops between
 // 393,959 and 2,175,818 of its oldest events.
 const DefaultCapacity = 1 << 16
 
@@ -169,7 +170,8 @@ func (t *Tracer) Record(ev Event) {
 	t.count++
 }
 
-// Phase records an experiment phase marker. Markers for future phases are
+// Phase records a marker: an experiment's phase boundary, or a latency
+// cell's breakdown once its actions are done. Markers for future phases are
 // recorded immediately with an explicit At stamp — never via scheduled
 // callbacks — so tracing leaves the scheduler's event stream untouched.
 // Markers are kept beside the ring, never evicted, and must come in time

@@ -198,47 +198,37 @@ func TestTextExport(t *testing.T) {
 	}
 }
 
-func TestAnalyzeActions(t *testing.T) {
-	tr := New(64)
-	action := func(ms int, span uint64, track, name string) {
-		tr.Record(Event{At: monoMs(ms), Kind: KindAction, Span: span, Track: track, Name: name})
-	}
-	// One complete action span with known algebra.
-	action(10, 7, "u1", "trigger")
-	action(12, 7, "u1", "send")
-	action(20, 7, "srv", "server_in")
-	action(23, 7, "srv", "server_out")
-	action(31, 7, "u2", "recv")
-	action(40, 7, "u2", "display")
-	// An incomplete span (no display) must be skipped.
-	action(50, 8, "u1", "trigger")
-	action(51, 8, "u1", "send")
-
-	samples := AnalyzeActions(tr)
-	if len(samples) != 1 {
-		t.Fatalf("samples = %d, want 1", len(samples))
-	}
-	s := samples[0]
-	if s.Span != 7 {
-		t.Fatalf("span = %d", s.Span)
-	}
-	check := func(name string, got, want float64) {
-		if got != want {
-			t.Fatalf("%s = %v ms, want %v", name, got, want)
+// TestTextLineMatchesFmt: the text exporter appends each line by hand,
+// byte for byte what fmt's verbs "%14s %-11s %-22s" and the optional
+// " %s", " span=%d", " arg=%d" and " arg2=%d" fields write, rune-counted
+// padding and overlong tracks included.
+func TestTextLineMatchesFmt(t *testing.T) {
+	for _, ev := range []Event{
+		{},
+		{At: 123456789 * time.Second, Kind: KindChaos, Track: "a-track-longer-than-22-columns", Name: "crash"},
+		{At: 1500 * time.Microsecond, Kind: KindPacketDrop, Span: 1<<64 - 1, Track: "héte-ü", Name: "netem-loss-up", Arg: -3, Arg2: 7},
+		{At: 999_999_999, Kind: KindPhase, Name: "breakdown: 1 of 2 actions displayed", Arg2: -1},
+	} {
+		track := ev.Track
+		if track == "" {
+			track = "-"
 		}
-	}
-	check("e2e", s.E2EMs, 30)
-	check("sender", s.SenderMs, 2)
-	check("server", s.ServerMs, 3)
-	check("receiver", s.ReceiverMs, 9)
-	check("network", s.NetworkMs, 16) // (20-12) + (31-23)
-	if s.SenderMs+s.NetworkMs+s.ServerMs+s.ReceiverMs != s.E2EMs {
-		t.Fatal("segments do not sum to e2e")
-	}
-
-	sum, n := SummarizeActions(tr)
-	if n != 1 || sum.E2EMs != 30 {
-		t.Fatalf("summary = %+v over %d samples", sum, n)
+		want := fmt.Sprintf("%14s %-11s %-22s", fmt.Sprintf("%.6fs", float64(ev.At)/float64(time.Second)), ev.Kind, track)
+		if ev.Name != "" {
+			want += " " + ev.Name
+		}
+		for _, f := range []struct {
+			key string
+			v   any
+			set bool
+		}{{"span", ev.Span, ev.Span != 0}, {"arg", ev.Arg, ev.Arg != 0}, {"arg2", ev.Arg2, ev.Arg2 != 0}} {
+			if f.set {
+				want += fmt.Sprintf(" %s=%d", f.key, f.v)
+			}
+		}
+		if got := string(appendTextEvent(nil, ev)); got != want+"\n" {
+			t.Errorf("text line %q, fmt writes %q", got, want+"\n")
+		}
 	}
 }
 
@@ -332,8 +322,8 @@ func TestPhaseMarkersSurviveWrap(t *testing.T) {
 
 // TestExportAllocBound: an export reads each ring in place. Over four full
 // DefaultCapacity rings (18.9 MB of events) a chrome export may allocate
-// 4.7 MB and a text export 28 MB, most of it the text exporter's per-event
-// formatting; one more copy of the rings would take 18.9 MB alone.
+// 4.7 MB and a text export, which appends every line into one reused
+// buffer, 1 MB; one more copy of the rings would take 18.9 MB alone.
 func TestExportAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc bound only holds without -race")
@@ -360,7 +350,7 @@ func TestExportAllocBound(t *testing.T) {
 	for _, tc := range []struct {
 		format string
 		bound  uint64
-	}{{"chrome", 4_700_000}, {"text", 28_000_000}} {
+	}{{"chrome", 4_700_000}, {"text", 1_000_000}} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if err := c.Export(io.Discard, tc.format); err != nil {

@@ -10,10 +10,12 @@
 //     marshal(parse(b)) byte-identical to b for any b that parses (the
 //     differential re-marshal check).
 //
-// This package holds the pieces those targets share: corpus-file encoding
-// and replay (so `go test ./...` re-executes every checked-in seed and
-// past crasher deterministically, without -fuzz), prefix-truncation sweeps,
-// and byte-identity assertions with readable diffs.
+// This package holds the pieces those targets share: the corpus-file
+// encoding that gencorpus writes the checked-in seeds in, prefix-truncation
+// sweeps, and byte-identity assertions with readable diffs. Plain `go test`
+// runs every file under a target's testdata/fuzz/<Target> as a subtest of
+// that target, so each seed and past crasher replays deterministically
+// without -fuzz.
 package wiretest
 
 import (
@@ -21,7 +23,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -70,42 +71,6 @@ func WriteCorpus(dir string, entries ...[]byte) error {
 		}
 	}
 	return nil
-}
-
-// Replay runs check on every corpus file of the named fuzz target
-// (testdata/fuzz/<target>/ relative to the calling package, where the
-// toolchain both reads seeds and lands crashers). It fails if the corpus
-// directory is missing or empty: every fuzz target ships seeds, so an empty
-// replay means the corpus was lost, not that there is nothing to check.
-func Replay(t *testing.T, target string, check func(t *testing.T, data []byte)) {
-	t.Helper()
-	dir := filepath.Join("testdata", "fuzz", target)
-	files, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("corpus %s: %v", dir, err)
-	}
-	ran := 0
-	sort.Slice(files, func(i, j int) bool { return files[i].Name() < files[j].Name() })
-	for _, f := range files {
-		if f.IsDir() {
-			continue
-		}
-		ran++
-		t.Run(f.Name(), func(t *testing.T) {
-			content, err := os.ReadFile(filepath.Join(dir, f.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			data, err := ParseCorpusEntry(content)
-			if err != nil {
-				t.Fatal(err)
-			}
-			check(t, data)
-		})
-	}
-	if ran == 0 {
-		t.Fatalf("corpus %s: no entries", dir)
-	}
 }
 
 // CheckPrefixes runs check on every strict prefix of frame: whatever a

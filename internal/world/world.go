@@ -5,7 +5,6 @@
 package world
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -119,72 +118,21 @@ func PredictPose(prev Pose, prevAtSec float64, cur Pose, curAtSec float64, atSec
 	return out
 }
 
-// Space is a square room containing user poses.
+// Space is a square room: the floor a client's avatar moves on.
 type Space struct {
-	Size  float64 // side length, meters
-	users map[string]Pose
-	order []string
-}
-
-// NewSpace creates a room. The paper's venues are on the order of 20 m.
-func NewSpace(size float64) *Space {
-	return &Space{Size: size, users: make(map[string]Pose)}
+	Size float64 // side length, meters
 }
 
 // Center returns the room's center point.
-func (s *Space) Center() Vec2 { return Vec2{s.Size / 2, s.Size / 2} }
+func (s Space) Center() Vec2 { return Vec2{s.Size / 2, s.Size / 2} }
 
-// Place sets (or creates) a user's pose, clamped into the room.
-func (s *Space) Place(id string, p Pose) {
+// Clamp returns p with its position clamped into the room and its yaw
+// normalized to [0, 360).
+func (s Space) Clamp(p Pose) Pose {
 	p.Pos.X = clamp(p.Pos.X, 0, s.Size)
 	p.Pos.Y = clamp(p.Pos.Y, 0, s.Size)
 	p.Yaw = NormalizeDeg(p.Yaw)
-	if _, ok := s.users[id]; !ok {
-		s.order = append(s.order, id)
-	}
-	s.users[id] = p
-}
-
-// Remove deletes a user.
-func (s *Space) Remove(id string) {
-	if _, ok := s.users[id]; !ok {
-		return
-	}
-	delete(s.users, id)
-	for i, u := range s.order {
-		if u == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-}
-
-// PoseOf returns a user's pose.
-func (s *Space) PoseOf(id string) (Pose, bool) {
-	p, ok := s.users[id]
-	return p, ok
-}
-
-// Users lists user ids in join order.
-func (s *Space) Users() []string { return append([]string(nil), s.order...) }
-
-// VisibleTo lists the users inside viewer's wedge of the given width,
-// excluding the viewer itself.
-func (s *Space) VisibleTo(viewer string, widthDeg float64) []string {
-	vp, ok := s.users[viewer]
-	if !ok {
-		return nil
-	}
-	var out []string
-	for _, id := range s.order {
-		if id == viewer {
-			continue
-		}
-		if InViewport(vp, s.users[id].Pos, widthDeg) {
-			out = append(out, id)
-		}
-	}
-	return out
+	return p
 }
 
 func clamp(v, lo, hi float64) float64 {
@@ -197,44 +145,41 @@ func clamp(v, lo, hi float64) float64 {
 	return v
 }
 
+// walkSpeedMps is a wandering user's walking speed.
+const walkSpeedMps = 1.2
+
 // Walker generates natural wandering motion: pick a waypoint, walk toward it
 // at walking speed while facing the travel direction, then pick another.
 type Walker struct {
 	rng      *rand.Rand
-	space    *Space
-	id       string
-	SpeedMps float64
+	space    Space
+	pose     *Pose
 	waypoint Vec2
 	active   bool
 }
 
-// NewWalker creates a motion generator for a user already placed in space.
-func NewWalker(rng *rand.Rand, space *Space, id string) *Walker {
-	if _, ok := space.PoseOf(id); !ok {
-		panic(fmt.Sprintf("world: walker for unplaced user %q", id))
-	}
-	return &Walker{rng: rng, space: space, id: id, SpeedMps: 1.2, active: true}
+// NewWalker creates a motion generator that moves *pose around space.
+func NewWalker(rng *rand.Rand, space Space, pose *Pose) *Walker {
+	return &Walker{rng: rng, space: space, pose: pose, active: true}
 }
 
 // SetActive pauses or resumes motion (a user standing still keeps sending
 // pose updates, just with static content — matching real clients).
 func (w *Walker) SetActive(a bool) { w.active = a }
 
-// Step advances the user by dt seconds and returns the new pose.
-func (w *Walker) Step(dt float64) Pose {
-	p, _ := w.space.PoseOf(w.id)
+// Step advances the pose by dt seconds, clamped into the room.
+func (w *Walker) Step(dt float64) {
 	if !w.active {
-		return p
+		return
 	}
+	p := *w.pose
 	to := w.waypoint.Sub(p.Pos)
 	if to.Len() < 0.3 {
 		w.waypoint = Vec2{w.rng.Float64() * w.space.Size, w.rng.Float64() * w.space.Size}
 		to = w.waypoint.Sub(p.Pos)
 	}
 	dir := to.Scale(1 / to.Len())
-	p.Pos = p.Pos.Add(dir.Scale(w.SpeedMps * dt))
+	p.Pos = p.Pos.Add(dir.Scale(walkSpeedMps * dt))
 	p.Yaw = Bearing(Vec2{}, dir)
-	w.space.Place(w.id, p)
-	p, _ = w.space.PoseOf(w.id)
-	return p
+	*w.pose = w.space.Clamp(p)
 }

@@ -89,49 +89,20 @@ func TestSnapTurnQuantization(t *testing.T) {
 	}
 }
 
-func TestSpacePlacementAndRemoval(t *testing.T) {
-	s := NewSpace(20)
-	s.Place("u1", Pose{Pos: Vec2{25, -3}, Yaw: 400})
-	p, ok := s.PoseOf("u1")
-	if !ok {
-		t.Fatal("user missing")
+func TestSpaceClamp(t *testing.T) {
+	s := Space{Size: 20}
+	if c := s.Center(); c != (Vec2{10, 10}) {
+		t.Fatalf("center = %+v", c)
 	}
+	p := s.Clamp(Pose{Pos: Vec2{25, -3}, Yaw: 400})
 	if p.Pos.X != 20 || p.Pos.Y != 0 {
 		t.Fatalf("position not clamped: %+v", p.Pos)
 	}
 	if p.Yaw != 40 {
 		t.Fatalf("yaw not normalized: %v", p.Yaw)
 	}
-	s.Place("u2", Pose{Pos: s.Center()})
-	if got := s.Users(); len(got) != 2 || got[0] != "u1" {
-		t.Fatalf("users = %v", got)
-	}
-	s.Remove("u1")
-	s.Remove("u1") // idempotent
-	if got := s.Users(); len(got) != 1 || got[0] != "u2" {
-		t.Fatalf("users after removal = %v", got)
-	}
-	if _, ok := s.PoseOf("u1"); ok {
-		t.Fatal("removed user still present")
-	}
-}
-
-func TestVisibleToMatchesGeometry(t *testing.T) {
-	s := NewSpace(20)
-	s.Place("viewer", Pose{Pos: Vec2{10, 10}, Yaw: 0}) // facing +X
-	s.Place("ahead", Pose{Pos: Vec2{15, 10}})
-	s.Place("behind", Pose{Pos: Vec2{5, 10}})
-	s.Place("side", Pose{Pos: Vec2{10, 15}}) // 90° off-axis
-	vis := s.VisibleTo("viewer", 150)
-	if len(vis) != 1 || vis[0] != "ahead" {
-		t.Fatalf("visible = %v, want [ahead]", vis)
-	}
-	// Widen to 360: everyone visible.
-	if vis := s.VisibleTo("viewer", 360); len(vis) != 3 {
-		t.Fatalf("360° wedge sees %v", vis)
-	}
-	if vis := s.VisibleTo("ghost", 150); vis != nil {
-		t.Fatal("unknown viewer should see nil")
+	if in := (Pose{Pos: Vec2{3, 17}, Yaw: 90}); s.Clamp(in) != in {
+		t.Fatalf("a pose inside the room moved: %+v", s.Clamp(in))
 	}
 }
 
@@ -140,49 +111,37 @@ func TestViewportSavingFraction(t *testing.T) {
 	// of avatar data. With avatars uniformly around the viewer, the
 	// invisible fraction should approach that.
 	rng := rand.New(rand.NewSource(42))
-	s := NewSpace(20)
-	s.Place("viewer", Pose{Pos: s.Center(), Yaw: 0})
+	s := Space{Size: 20}
+	viewer := Pose{Pos: s.Center(), Yaw: 0}
 	const n = 2000
+	visible := 0
 	for i := 0; i < n; i++ {
 		ang := rng.Float64() * 2 * math.Pi
 		r := 2 + rng.Float64()*6
-		pos := s.Center().Add(Vec2{r * math.Cos(ang), r * math.Sin(ang)})
-		s.Place(string(rune('a'+i%26))+itoa(i), Pose{Pos: pos})
+		if InViewport(viewer, s.Center().Add(Vec2{r * math.Cos(ang), r * math.Sin(ang)}), 150) {
+			visible++
+		}
 	}
-	visible := len(s.VisibleTo("viewer", 150))
 	saved := 1 - float64(visible)/n
 	if saved < 0.54 || saved > 0.62 {
 		t.Fatalf("saving fraction = %.2f, want ≈0.58", saved)
 	}
 }
 
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b []byte
-	for i > 0 {
-		b = append([]byte{byte('0' + i%10)}, b...)
-		i /= 10
-	}
-	return string(b)
-}
-
 func TestWalkerWandersWithinRoom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := NewSpace(20)
-	s.Place("u", Pose{Pos: s.Center()})
-	w := NewWalker(rng, s, "u")
-	start, _ := s.PoseOf("u")
+	s := Space{Size: 20}
+	pose := Pose{Pos: s.Center()}
+	w := NewWalker(rng, s, &pose)
 	var moved float64
-	prev := start.Pos
+	prev := pose.Pos
 	for i := 0; i < 600; i++ { // 60 s at 10 Hz
-		p := w.Step(0.1)
-		if p.Pos.X < 0 || p.Pos.X > 20 || p.Pos.Y < 0 || p.Pos.Y > 20 {
-			t.Fatalf("walked out of room: %+v", p.Pos)
+		w.Step(0.1)
+		if pose.Pos.X < 0 || pose.Pos.X > 20 || pose.Pos.Y < 0 || pose.Pos.Y > 20 {
+			t.Fatalf("walked out of room: %+v", pose.Pos)
 		}
-		moved += p.Pos.Sub(prev).Len()
-		prev = p.Pos
+		moved += pose.Pos.Sub(prev).Len()
+		prev = pose.Pos
 	}
 	// ~1.2 m/s for 60 s ≈ 72 m of path.
 	if moved < 40 || moved > 100 {
@@ -192,28 +151,18 @@ func TestWalkerWandersWithinRoom(t *testing.T) {
 
 func TestWalkerSetActiveFreezes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := NewSpace(20)
-	s.Place("u", Pose{Pos: s.Center()})
-	w := NewWalker(rng, s, "u")
+	s := Space{Size: 20}
+	pose := Pose{Pos: s.Center()}
+	w := NewWalker(rng, s, &pose)
 	w.Step(0.1)
 	w.SetActive(false)
-	before, _ := s.PoseOf("u")
+	before := pose
 	for i := 0; i < 10; i++ {
 		w.Step(0.1)
 	}
-	after, _ := s.PoseOf("u")
-	if before.Pos != after.Pos {
+	if pose != before {
 		t.Fatal("inactive walker moved")
 	}
-}
-
-func TestWalkerUnplacedUserPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for unplaced user")
-		}
-	}()
-	NewWalker(rand.New(rand.NewSource(1)), NewSpace(10), "nobody")
 }
 
 func TestVecOps(t *testing.T) {
