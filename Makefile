@@ -2,7 +2,7 @@
 # everything must build, vet clean, and pass the full test suite with the
 # race detector on (the parallel experiment runner makes the whole suite a
 # concurrency test).
-.PHONY: check gofmt build vet test race golden bench bench-hotpath audit fuzz gencorpus
+.PHONY: check gofmt build vet test race golden bench bench-hotpath audit fuzz
 
 check: gofmt build vet race
 
@@ -43,14 +43,16 @@ audit:
 
 # Fuzz every wire codec — plus the scheduler's differential ordering
 # target — for FUZZTIME each (DESIGN.md "The codec hardening contract",
-# §4.12). Native Go fuzzing takes one target per invocation, so the
-# loop enumerates targets with -list and runs them back to back. Crashers
-# land in testdata/fuzz/<Target>/ and replay forever after in plain
-# `go test`, which runs every corpus file as a subtest of its target. CI
-# runs this with a short FUZZTIME as a smoke pass; use FUZZTIME=60s
-# locally before merging codec changes.
+# §4.12). FUZZPKGS is every package with a `func Fuzz` in a test file, so a
+# target in a new package is fuzzed too. Native Go fuzzing takes one target
+# per invocation, so the loop enumerates targets with -list and runs them
+# back to back. Each target starts from its f.Add seeds, which plain
+# `go test` runs as subtests of the target; crashers land in
+# testdata/fuzz/<Target>/ and replay there the same way. CI runs this with
+# a short FUZZTIME as a smoke pass; use FUZZTIME=60s locally before merging
+# codec changes.
 FUZZTIME ?= 10s
-FUZZPKGS = ./internal/packet ./internal/platform ./internal/capture ./internal/chaos ./internal/secure ./internal/simtime
+FUZZPKGS = $(sort $(patsubst %/,%,$(dir $(shell grep -rl --include='*_test.go' --exclude-dir=bench '^func Fuzz' .))))
 
 fuzz:
 	@set -e; for pkg in $(FUZZPKGS); do \
@@ -59,11 +61,6 @@ fuzz:
 			go test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg; \
 		done; \
 	done
-
-# Regenerate the checked-in fuzz seed corpora (deterministic; a no-op diff
-# on an unchanged tree, which TestCorpusMatchesGencorpus and CI check).
-gencorpus:
-	go run ./internal/wiretest/gencorpus
 
 # Artifact-level benchmark (bench/, a module of its own): regenerates the
 # paper workloads in interleaved child runs, checks each artifact against

@@ -283,6 +283,9 @@ func FuzzSchedulerOrder(f *testing.F) {
 	f.Add([]byte{2, 0, 100, 0, 0, 0, 200, 0, 3, 0, 150, 0, 2, 0, 0, 1})
 	// Far-future traffic plus dispatch-time child schedules.
 	f.Add([]byte{4, 48, 200, 9, 0, 49, 255, 0, 3, 49, 255, 0, 4, 5, 3, 17})
+	// Timers at 13 ns shifted by 0, 3, 9, … 45 bits, then a RunUntil past
+	// them all: one program spanning every scale from nanoseconds to 2^48 ns.
+	f.Add([]byte{0, 0, 13, 0, 0, 3, 13, 0, 0, 9, 13, 0, 0, 15, 13, 0, 0, 21, 13, 0, 0, 27, 13, 0, 0, 33, 13, 0, 0, 39, 13, 0, 0, 45, 13, 0, 3, 49, 255, 0})
 	// Far-future same-tick tie: an event at 255<<35 scheduled before the
 	// clock reaches 200<<35 and one at the same tick scheduled after must
 	// dispatch in seq order.

@@ -2,68 +2,17 @@ package wiretest
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
-func TestCorpusEntryRoundTrip(t *testing.T) {
-	cases := [][]byte{
-		{},
-		{0},
-		[]byte("plain text"),
-		{0x00, 0xff, '\n', '"', '\\', 0x7f},
-		bytes.Repeat([]byte{0xaa}, 300),
+func TestFlipChangesOneByteOfACopy(t *testing.T) {
+	seed := []byte{1, 2, 3}
+	got := Flip(seed, 1, 0x82)
+	if !bytes.Equal(got, []byte{1, 0x80, 3}) {
+		t.Fatalf("Flip = % x, want 01 80 03", got)
 	}
-	for _, data := range cases {
-		got, err := ParseCorpusEntry(CorpusEntry(data))
-		if err != nil {
-			t.Fatalf("% x: %v", data, err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("round trip % x -> % x", data, got)
-		}
-	}
-}
-
-func TestParseCorpusEntryRejectsGarbage(t *testing.T) {
-	for _, content := range []string{
-		"",
-		"not a corpus file",
-		"go test fuzz v1\n",
-		"go test fuzz v1\nint(7)\n",
-		"go test fuzz v1\n[]byte(unquoted)\n",
-	} {
-		if _, err := ParseCorpusEntry([]byte(content)); err == nil {
-			t.Fatalf("%q parsed without error", content)
-		}
-	}
-}
-
-func TestWriteCorpusAndReplay(t *testing.T) {
-	// Write a corpus the way gencorpus does, then read each file back as
-	// the toolchain would replay it.
-	dir := filepath.Join(t.TempDir(), "FuzzScratch")
-	if err := WriteCorpus(dir, []byte("one"), []byte("two")); err != nil {
-		t.Fatal(err)
-	}
-	if files, err := os.ReadDir(dir); err != nil || len(files) != 2 {
-		t.Fatalf("corpus holds %d files (%v), want 2", len(files), err)
-	}
-	for name, want := range map[string]string{"seed-000": "one", "seed-001": "two"} {
-		t.Run(name, func(t *testing.T) {
-			content, err := os.ReadFile(filepath.Join(dir, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			data, err := ParseCorpusEntry(content)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(data) != want {
-				t.Fatalf("replayed %q, want %q", data, want)
-			}
-		})
+	if !bytes.Equal(seed, []byte{1, 2, 3}) {
+		t.Fatalf("Flip changed its input to % x", seed)
 	}
 }
 
