@@ -189,7 +189,6 @@ type Monitor struct {
 	// Samples holds every reading, the only record of how many were taken.
 	Samples []Sample
 	stop    func()
-	flushed int // len(Samples) at the previous FlushMetrics
 }
 
 // Attach starts per-second sampling.
@@ -201,12 +200,11 @@ func Attach(s *simtime.Scheduler, h *Headset) *Monitor {
 	return m
 }
 
-// FlushMetrics adds the samples taken since the previous call to m's
-// "device.samples" counter. A monitor enlisted on the lab's fabric
-// (netsim.Network.RegisterEndpoint) is folded at lab teardown.
+// FlushMetrics adds the samples taken to r's "device.samples" counter. A
+// monitor enlisted on the lab's fabric (netsim.Network.RegisterEndpoint) is
+// folded once, at lab teardown.
 func (m *Monitor) FlushMetrics(r *obs.Registry) {
-	r.Add("device.samples", int64(len(m.Samples)-m.flushed))
-	m.flushed = len(m.Samples)
+	r.Add("device.samples", int64(len(m.Samples)))
 }
 
 // Stop ends sampling.

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/svrlab/svrlab/internal/netsim"
-	"github.com/svrlab/svrlab/internal/packet"
 	"github.com/svrlab/svrlab/internal/simtime"
 	"github.com/svrlab/svrlab/internal/trace"
 )
@@ -37,8 +36,8 @@ type Stage struct {
 	RateBps float64
 	Delay   time.Duration
 	Loss    float64
-	// Filter restricts the impairment to matching packets (e.g. TCP only).
-	Filter func(*packet.Packet) bool
+	// TCPOnly restricts the impairment to TCP packets.
+	TCPOnly bool
 	// Duration of the stage.
 	Duration time.Duration
 }
@@ -83,7 +82,7 @@ func (sc *Schedule) Run(sched *simtime.Scheduler, start time.Duration) (end time
 func (sc *Schedule) apply(st Stage) {
 	var ne *netsim.Netem
 	if !st.IsClear() {
-		ne = &netsim.Netem{RateBps: st.RateBps, Delay: st.Delay, Loss: st.Loss, Filter: st.Filter}
+		ne = &netsim.Netem{RateBps: st.RateBps, Delay: st.Delay, Loss: st.Loss, TCPOnly: st.TCPOnly}
 	}
 	if sc.Dir == Uplink {
 		sc.Host.UpNetem = ne
@@ -129,10 +128,10 @@ func TCPDelayStages() []Stage {
 	for _, s := range []int{5, 10, 15} {
 		out = append(out, Stage{
 			Label: strconv.Itoa(s) + "s", Delay: time.Duration(s) * time.Second,
-			Filter: netsim.FilterTCP, Duration: 60 * time.Second,
+			TCPOnly: true, Duration: 60 * time.Second,
 		})
 	}
-	out = append(out, Stage{Label: "100%", Loss: 1.0, Filter: netsim.FilterTCP, Duration: 60 * time.Second})
+	out = append(out, Stage{Label: "100%", Loss: 1.0, TCPOnly: true, Duration: 60 * time.Second})
 	out = append(out, Stage{Label: "N", Duration: 60 * time.Second})
 	return out
 }

@@ -21,7 +21,7 @@ func TestStageSweepsMatchPaperParameters(t *testing.T) {
 		t.Fatalf("uplink stages = %+v", ul)
 	}
 	tcp := TCPDelayStages()
-	if tcp[0].Delay != 5*time.Second || tcp[3].Loss != 1.0 || tcp[3].Filter == nil {
+	if tcp[0].Delay != 5*time.Second || tcp[3].Loss != 1.0 || !tcp[3].TCPOnly {
 		t.Fatalf("tcp stages = %+v", tcp)
 	}
 	for _, c := range []struct {

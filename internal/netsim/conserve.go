@@ -113,30 +113,32 @@ var (
 	}
 )
 
-// FlushMetrics adds the ledger's growth since the previous call, and the
-// queueing delays and ICMP errors recorded since then, to the metrics
-// registry, then has every registered endpoint fold its own counts the same
-// way; a second call with no traffic in between adds nothing. Every entry
-// is created even when it adds zero, so a quiet lab still lists them. Labs
-// call it once, at teardown (experiment.Lab.MustConserve). Registry adds
-// commute, so a registry shared by parallel cells stays byte-identical at
-// any worker count (DESIGN §4.6).
+// FlushMetrics adds the ledger's totals, the queueing delays and the ICMP
+// errors to the metrics registry, then has every registered endpoint add
+// its own totals. Every entry is created even when it adds zero, so a quiet
+// lab still lists them. A lab calls it once, at teardown
+// (experiment.Lab.MustConserve); a second call on one network panics,
+// because it would add every total again. Registry adds commute, so a
+// registry shared by parallel cells stays byte-identical at any worker
+// count (DESIGN §4.6).
 func (n *Network) FlushMetrics() {
-	c, f, m := n.cons, n.flushed, n.Metrics
-	m.Add("netsim.packets.sent", c.Sent-f.Sent)
-	m.Add("netsim.packets.delivered", c.Delivered-f.Delivered)
-	m.Add("netsim.packets.icmp_injected", c.ICMPInjected-f.ICMPInjected)
-	for i := range c.Drops {
-		m.Add(causes[i].metric, c.Drops[i]-f.Drops[i])
+	if n.flushed {
+		panic("netsim: FlushMetrics called twice on one network")
 	}
-	n.flushed = c
+	n.flushed = true
+	c, m := n.cons, n.Metrics
+	m.Add("netsim.packets.sent", c.Sent)
+	m.Add("netsim.packets.delivered", c.Delivered)
+	m.Add("netsim.packets.icmp_injected", c.ICMPInjected)
+	for i := range c.Drops {
+		m.Add(causes[i].metric, c.Drops[i])
+	}
 	for i, name := range qdelayMetrics {
 		m.AddDurations(name, &n.qdelay[i])
 	}
 	for i, name := range icmpMetrics {
 		m.Add(name, n.icmp[i])
 	}
-	n.qdelay, n.icmp = [numLinkClasses]obs.Durations{}, [numICMPClasses]int64{}
 	for _, ep := range n.endpoints {
 		ep.FlushMetrics(m)
 	}
@@ -164,8 +166,7 @@ func (s *Site) LinkTo(nb *Site) *Link { return s.neighbors[nb] }
 
 // Endpoint is a counting owner attached to the fabric: a transport stack,
 // a TLS session, a voice stream or a headset monitor. Each keeps its counts
-// in plain fields, and FlushMetrics adds their growth since its previous
-// call to m.
+// in plain fields, and FlushMetrics adds their totals to m.
 type Endpoint interface {
 	FlushMetrics(m *obs.Registry)
 }

@@ -67,23 +67,19 @@ func (d Dir) String() string {
 type TapFunc func(at time.Duration, dir Dir, wire []byte)
 
 // Netem is a tc-netem-equivalent impairment applied to one direction of a
-// host's access link. A nil Filter matches every packet; otherwise the
-// impairment applies only to packets for which Filter returns true (used by
-// the Fig. 13 "TCP uplink only" experiments).
+// host's access link, to every packet or, with TCPOnly, to TCP packets
+// alone (the Fig. 13 "TCP uplink only" experiments).
 type Netem struct {
 	RateBps   float64       // token rate cap; 0 = unlimited
 	Delay     time.Duration // added constant delay
 	Loss      float64       // drop probability in [0,1]
-	Filter    func(*packet.Packet) bool
+	TCPOnly   bool          // impair only TCP packets
 	busyUntil time.Duration
 }
 
 func (n *Netem) matches(p *packet.Packet) bool {
-	return n != nil && (n.Filter == nil || n.Filter(p))
+	return n != nil && (!n.TCPOnly || p.IP.Protocol == packet.ProtoTCP)
 }
-
-// FilterTCP matches only TCP packets (for TCP-only impairments).
-func FilterTCP(p *packet.Packet) bool { return p.IP.Protocol == packet.ProtoTCP }
 
 // Link is a unidirectional transmission resource. The zero value is an
 // infinitely fast link with no delay.
@@ -277,9 +273,11 @@ type Network struct {
 	// cons is the Network-local packet ledger. It lives on the Network, not
 	// in the registry, because the registry may be shared across sweep
 	// cells (experiment.Env.Metrics): per-lab conservation can only be
-	// audited against per-network tallies. flushed is the part of cons
-	// already added to Metrics.
-	cons, flushed Conservation
+	// audited against per-network tallies.
+	cons Conservation
+	// flushed records that FlushMetrics has added cons, qdelay, icmp and
+	// the endpoints' counts to Metrics.
+	flushed bool
 
 	// endpoints lists the counting owners attached to this fabric
 	// (transport stacks, TLS sessions, voice streams, headset monitors), in
@@ -288,9 +286,9 @@ type Network struct {
 	endpoints []Endpoint
 
 	// qdelay and icmp hold the facts the ledger does not: queueing delay
-	// per link class and router ICMP errors per type, recorded since the
-	// previous FlushMetrics. Like the ledger they are plain single-owner
-	// tallies, so the per-hop path touches no shared cache line.
+	// per link class and router ICMP errors per type. Like the ledger they
+	// are plain single-owner tallies, so the per-hop path touches no shared
+	// cache line.
 	qdelay [numLinkClasses]obs.Durations
 	icmp   [numICMPClasses]int64
 }
@@ -747,9 +745,9 @@ func (n *Network) Send(h *Host, pkt *packet.Packet) bool {
 	fs.src, fs.dst, fs.path = h, dst, path
 	fs.size = size
 	fs.span = n.Tracer.NextSpan()
-	// The fabric's copy, made field by field: assigning *pkt whole, storing
-	// any pointer or slice taken from pkt, or handing pkt to a func value
-	// (Netem.Filter) would make the caller's packet escape again.
+	// The fabric's copy, made field by field: assigning *pkt whole, or
+	// storing any pointer or slice taken from pkt, would make the caller's
+	// packet escape again.
 	fs.pkt.IP = pkt.IP
 	if pkt.UDP != nil {
 		fs.udp = *pkt.UDP
@@ -872,8 +870,8 @@ func (fs *fwdState) forward() {
 		n.qdelay[linkAccessDown].Observe(qd)
 		if fs.dst.DownNetem.matches(pkt) {
 			// Downlink netem can reorder what the link delivered in order
-			// (its Filter may delay only TCP, and its Delay may change
-			// mid-run), so an impaired delivery is an ordinary event.
+			// (it may delay only TCP, and its Delay may change mid-run),
+			// so an impaired delivery is an ordinary event.
 			d, cause, dropped := n.applyNetem(fs.dst.DownNetem, arrive, fs.size, DirDown)
 			if dropped {
 				n.drop(fs, cause, fs.dst.ID)

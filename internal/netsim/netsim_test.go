@@ -202,7 +202,7 @@ func TestNetemDelayAddsLatency(t *testing.T) {
 
 func TestNetemFilterAppliesSelectively(t *testing.T) {
 	n, h1, h2, _, _ := buildTestNet(t)
-	h1.UpNetem = &Netem{Loss: 1.0, Filter: FilterTCP}
+	h1.UpNetem = &Netem{Loss: 1.0, TCPOnly: true}
 	gotUDP, gotTCP := 0, 0
 	h2.Handler = func(p *packet.Packet) {
 		switch p.IP.Protocol {
@@ -237,7 +237,7 @@ func TestDownNetemReorderMergesWithLinkOrder(t *testing.T) {
 	h1 := n.AddHost("u1", lan, packet.MustParseAddr("10.0.0.2"), ap)
 	h2 := n.AddHost("u2", lan, packet.MustParseAddr("10.0.0.3"), ap)
 	const netemDelay = 5 * time.Millisecond
-	h2.DownNetem = &Netem{Delay: netemDelay, Filter: FilterTCP}
+	h2.DownNetem = &Netem{Delay: netemDelay, TCPOnly: true}
 
 	type arrival struct {
 		label string

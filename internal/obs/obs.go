@@ -127,7 +127,7 @@ func (r *Registry) histSlot(name string, volatile bool) *hist {
 func (r *Registry) Inc(name string) { r.Add(name, 1) }
 
 // Add adds delta to the named counter, creating it at zero if absent, so
-// an owner folding a zero growth still lists the counter.
+// an owner folding a zero total still lists the counter.
 func (r *Registry) Add(name string, delta int64) {
 	if r == nil {
 		return

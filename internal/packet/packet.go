@@ -131,9 +131,6 @@ type Packet struct {
 	Payload []byte
 }
 
-// Proto returns the transport protocol of the packet.
-func (p *Packet) Proto() Proto { return p.IP.Protocol }
-
 // HeaderLen returns the size of the IPv4 and transport headers Marshal
 // writes in front of the payload.
 func (p *Packet) HeaderLen() int {

@@ -77,10 +77,8 @@ type Client struct {
 
 	// The avatar path's reused state: pose3D fills pose and sendAvatar
 	// encodes it into txBuf (and, on web platforms, wraps that in envBuf);
-	// sendSeq builds its frames in txBuf too. handleForward decodes every
-	// remote update into rxPose.
+	// sendSeq builds its frames in txBuf too.
 	pose   avatar.Pose
-	rxPose avatar.Pose
 	txBuf  []byte
 	envBuf []byte
 
@@ -97,7 +95,6 @@ type Client struct {
 var venue = world.Space{Size: 20}
 
 type remoteAvatar struct {
-	pose    world.Pose
 	lastAt  time.Duration
 	lastSeq uint32
 }
@@ -523,13 +520,6 @@ func (c *Client) handleForward(f forwardMsg) {
 		r = &remoteAvatar{}
 		c.remotes[string(f.User)] = r
 	}
-	if err := c.Profile.Codec.Decode(f.Pose, &c.rxPose); err == nil {
-		head := c.rxPose.Head
-		r.pose = world.Pose{
-			Pos: world.Vec2{X: head.Pos[0], Y: head.Pos[2]},
-			Yaw: world.NormalizeDeg(head.Rot.YawDeg()),
-		}
-	}
 	r.lastAt = now
 	c.ForwardsReceived++
 	// Gaps in a peer's forwarded stream count as missing data for the
@@ -621,16 +611,6 @@ func (c *Client) Turn(clicks int) {
 
 // PoseNow returns the user's current world pose.
 func (c *Client) PoseNow() world.Pose { return c.worldPose }
-
-// RemotePose returns the last known pose of another user, if any update has
-// arrived.
-func (c *Client) RemotePose(user string) (world.Pose, bool) {
-	r, ok := c.remotes[user]
-	if !ok {
-		return world.Pose{}, false
-	}
-	return r.pose, true
-}
 
 // VoiceRTT returns the WebRTC (RTCP-derived) RTT estimate for web platforms
 // — the paper's RTCIceCandidatePairStats substitute. Zero when unmeasured.

@@ -248,20 +248,6 @@ func TestPerAvatarMemoryFootprint(t *testing.T) {
 	}
 }
 
-// TestAppStoreSizesExplainPredownloads: Rec Room's install is the largest
-// (pre-downloaded scenes); Worlds' is also large (§5.2).
-func TestAppStoreSizesExplainPredownloads(t *testing.T) {
-	rr := Get(RecRoom).Traffic.AppStoreSizeMB
-	alts := Get(AltspaceVR).Traffic.AppStoreSizeMB
-	vrc := Get(VRChat).Traffic.AppStoreSizeMB
-	if !(rr > 1000 && rr > alts && rr > vrc) {
-		t.Fatalf("Rec Room app size %d MB should be the largest (vs %d, %d)", rr, alts, vrc)
-	}
-	if Get(Hubs).Traffic.AppStoreSizeMB != 0 {
-		t.Fatal("Hubs is browser-based; no install size")
-	}
-}
-
 // TestWorldsHostnamesSeparateChannels checks the §4.1 hostname evidence.
 func TestWorldsHostnamesSeparateChannels(t *testing.T) {
 	sched := simtime.NewScheduler()

@@ -90,7 +90,6 @@ type TrafficModel struct {
 	// Background download sizes (§5.2).
 	InitDownloadBytes int // at app launch / welcome page
 	JoinDownloadBytes int // at every event join (Hubs' missing cache)
-	AppStoreSizeMB    int // install size, for the §5.2 discussion
 }
 
 // GameModel describes the platform's flagship shooting game (§8).
@@ -165,7 +164,6 @@ var profiles = map[Name]*Profile{
 			ReportInterval: 10 * time.Second, ReportUpBytes: 2100, ReportDownBytes: 6200,
 			VoiceDuty:         0.12,
 			InitDownloadBytes: 18 << 20, // 10-30 MB at initialization
-			AppStoreSizeMB:    541,
 		},
 		ViewportAdaptive: true, ViewportWidthDeg: 150,
 		Latency: LatencyModel{
@@ -207,7 +205,6 @@ var profiles = map[Name]*Profile{
 			VoiceDuty:       0.12,
 			// "Preparing for Visitors" downloads ~5 MB per launch.
 			InitDownloadBytes: 5 << 20,
-			AppStoreSizeMB:    1130,
 		},
 		TCPPriority: true,
 		Latency: LatencyModel{
@@ -282,7 +279,6 @@ var profiles = map[Name]*Profile{
 			HeartbeatUpBps: 7_000,
 			VoiceDuty:      0.12,
 			// Pre-downloaded during install: the 1.41 GB app store size.
-			AppStoreSizeMB: 1410,
 		},
 		Latency: LatencyModel{
 			SenderMs: 25.9, SenderJitterMs: 8,
@@ -317,7 +313,6 @@ var profiles = map[Name]*Profile{
 			HeartbeatUpBps:    4_000,
 			VoiceDuty:         0.12,
 			InitDownloadBytes: 22 << 20, // 10-30 MB at initialization
-			AppStoreSizeMB:    793,
 		},
 		Latency: LatencyModel{
 			SenderMs: 27.3, SenderJitterMs: 6,

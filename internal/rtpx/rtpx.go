@@ -62,24 +62,17 @@ type Stream struct {
 	// VoiceSent and VoiceRecv count voice frames, the only record of them.
 	VoiceSent, VoiceRecv int
 
-	// srSent counts RTCP sender reports; flushed is the part of each count
-	// FlushMetrics has already added.
-	srSent  int
-	flushed [len(streamMetrics)]int
+	// srSent counts RTCP sender reports.
+	srSent int
 }
 
-// streamMetrics names, in FlushMetrics order, a stream's counts in the
-// metrics registry.
-var streamMetrics = [...]string{"rtpx.voice_sent", "rtpx.voice_recv", "rtpx.rtcp_sr_sent", "rtpx.rtt_samples"}
-
-// FlushMetrics adds the stream's counts since the previous call to m.
-// Network.FlushMetrics calls it at lab teardown.
+// FlushMetrics adds the stream's counts to m. Network.FlushMetrics calls it
+// once, at lab teardown.
 func (s *Stream) FlushMetrics(m *obs.Registry) {
-	now := [len(streamMetrics)]int{s.VoiceSent, s.VoiceRecv, s.srSent, len(s.RTTSamples)}
-	for i, name := range streamMetrics {
-		m.Add(name, int64(now[i]-s.flushed[i]))
-	}
-	s.flushed = now
+	m.Add("rtpx.voice_sent", int64(s.VoiceSent))
+	m.Add("rtpx.voice_recv", int64(s.VoiceRecv))
+	m.Add("rtpx.rtcp_sr_sent", int64(s.srSent))
+	m.Add("rtpx.rtt_samples", int64(len(s.RTTSamples)))
 }
 
 // NewStream binds a voice stream on sock toward remote. The caller retains

@@ -55,18 +55,6 @@ type Session struct {
 
 	// Records carried, completed handshakes and malformed records.
 	recordsSent, recordsRecv, handshakes, badRecords int
-
-	// flushed and flushedBad are the part of each count FlushMetrics has
-	// already added.
-	flushed    [len(sessionMetrics)]int
-	flushedBad int
-}
-
-// sessionMetrics names, in FlushMetrics order, the counts every session
-// lists in the metrics registry.
-var sessionMetrics = [...]string{
-	"secure.records_sent", "secure.records_recv",
-	"secure.app_bytes_sent", "secure.app_bytes_recv", "secure.handshakes",
 }
 
 func newSession(conn *transport.Conn, client bool) *Session {
@@ -75,18 +63,17 @@ func newSession(conn *transport.Conn, client bool) *Session {
 	return s
 }
 
-// FlushMetrics adds the session's counts since the previous call to m;
-// secure.bad_records appears only once a session has seen a bad record.
-// Network.FlushMetrics calls it at lab teardown.
+// FlushMetrics adds the session's counts to m; secure.bad_records appears
+// only once a session has seen a bad record. Network.FlushMetrics calls it
+// once, at lab teardown.
 func (s *Session) FlushMetrics(m *obs.Registry) {
-	now := [len(sessionMetrics)]int{s.recordsSent, s.recordsRecv, s.AppBytesSent, s.AppBytesRecv, s.handshakes}
-	for i, name := range sessionMetrics {
-		m.Add(name, int64(now[i]-s.flushed[i]))
-	}
-	s.flushed = now
+	m.Add("secure.records_sent", int64(s.recordsSent))
+	m.Add("secure.records_recv", int64(s.recordsRecv))
+	m.Add("secure.app_bytes_sent", int64(s.AppBytesSent))
+	m.Add("secure.app_bytes_recv", int64(s.AppBytesRecv))
+	m.Add("secure.handshakes", int64(s.handshakes))
 	if s.badRecords > 0 {
-		m.Add("secure.bad_records", int64(s.badRecords-s.flushedBad))
-		s.flushedBad = s.badRecords
+		m.Add("secure.bad_records", int64(s.badRecords))
 	}
 }
 

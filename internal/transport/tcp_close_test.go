@@ -46,7 +46,7 @@ func TestTCPEstablishedKeepsFullRetryBudget(t *testing.T) {
 	client, _ := dialPair(t, r)
 	reason := ""
 	client.OnClose = func(s string) { reason = s }
-	r.a.UpNetem = &netsim.Netem{Loss: 1.0, Filter: netsim.FilterTCP}
+	r.a.UpNetem = &netsim.Netem{Loss: 1.0, TCPOnly: true}
 	client.Send([]byte("doomed"))
 	// The handshake budget would kill it inside ~2 minutes; the established
 	// budget keeps retrying far longer.
@@ -71,7 +71,7 @@ func TestCloseNilsBuffers(t *testing.T) {
 	// Strand bytes in the client's send buffer (nothing gets through), and
 	// force an out-of-order segment into the server's reassembly map by
 	// injecting a beyond-rcvNxt data packet directly.
-	r.a.UpNetem = &netsim.Netem{Loss: 1.0, Filter: netsim.FilterTCP}
+	r.a.UpNetem = &netsim.Netem{Loss: 1.0, TCPOnly: true}
 	client.Send(bytes.Repeat([]byte("x"), 64*1024))
 	server.ooo[server.rcvNxt+5000] = []byte("stranded")
 	r.s.RunUntil(r.s.Now() + 2*time.Second)
@@ -107,7 +107,7 @@ func TestCloseReleasesBufferMemory(t *testing.T) {
 	for i := 0; i < conns; i++ {
 		c := r.sa.DialTCP(packet.Endpoint{Addr: r.b.Addr, Port: 443})
 		r.s.RunUntil(r.s.Now() + time.Second)
-		r.a.UpNetem = &netsim.Netem{Loss: 1.0, Filter: netsim.FilterTCP}
+		r.a.UpNetem = &netsim.Netem{Loss: 1.0, TCPOnly: true}
 		c.Send(make([]byte, payload))
 		r.s.RunUntil(r.s.Now() + time.Second)
 		c.Close()
@@ -168,7 +168,7 @@ func TestAuditStreamSentSurvivesRewind(t *testing.T) {
 	r := newRig(t)
 	client, server := dialPair(t, r)
 	server.OnData = func([]byte) {}
-	r.a.UpNetem = &netsim.Netem{Loss: 0.3, Filter: netsim.FilterTCP}
+	r.a.UpNetem = &netsim.Netem{Loss: 0.3, TCPOnly: true}
 	msg := make([]byte, 40*1000)
 	client.Send(msg)
 	r.s.RunUntil(r.s.Now() + 120*time.Second)

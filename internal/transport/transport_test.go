@@ -291,11 +291,12 @@ func TestDrainWaitsForOwedBytes(t *testing.T) {
 	client, server := dialPair(t, r)
 	var got bytes.Buffer
 	server.OnData = func(b []byte) { got.Write(b) }
-	acks := 0
-	r.b.UpNetem = &netsim.Netem{Loss: 1, Filter: func(*packet.Packet) bool {
-		acks++
-		return acks == 1
-	}}
+	handle, acks := r.a.Handler, 0
+	r.a.Handler = func(p *packet.Packet) {
+		if acks++; acks > 1 {
+			handle(p)
+		}
+	}
 	data := bytes.Repeat([]byte("owed"), 10_000)
 	drained := 0
 	onDrain(r.a, client, func() {
@@ -355,7 +356,7 @@ func TestTCPRecoversFromLoss(t *testing.T) {
 	var got bytes.Buffer
 	server.OnData = func(b []byte) { got.Write(b) }
 	// 20% uplink loss on data packets after the handshake.
-	r.a.UpNetem = &netsim.Netem{Loss: 0.2, Filter: netsim.FilterTCP}
+	r.a.UpNetem = &netsim.Netem{Loss: 0.2, TCPOnly: true}
 	msg := bytes.Repeat([]byte("x"), 50*1000)
 	client.Send(msg)
 	r.s.RunUntil(r.s.Now() + 120*time.Second)
@@ -378,7 +379,7 @@ func TestTCPReordersOutOfOrderSegments(t *testing.T) {
 	for i := range msg {
 		msg[i] = byte(i % 251)
 	}
-	r.a.UpNetem = &netsim.Netem{Loss: 0.3, Filter: netsim.FilterTCP}
+	r.a.UpNetem = &netsim.Netem{Loss: 0.3, TCPOnly: true}
 	client.Send(msg)
 	r.s.RunUntil(r.s.Now() + 120*time.Second)
 	if !bytes.Equal(got.Bytes(), msg) {
@@ -391,7 +392,7 @@ func TestTCPStallsUnder100PercentLossThenDies(t *testing.T) {
 	client, _ := dialPair(t, r)
 	closed := ""
 	client.OnClose = func(reason string) { closed = reason }
-	r.a.UpNetem = &netsim.Netem{Loss: 1.0, Filter: netsim.FilterTCP}
+	r.a.UpNetem = &netsim.Netem{Loss: 1.0, TCPOnly: true}
 	client.Send([]byte("doomed"))
 	r.s.RunUntil(r.s.Now() + 30*time.Minute)
 	if client.State() != StateClosed {
@@ -410,7 +411,7 @@ func TestTCPDelayStallsAckAndDrain(t *testing.T) {
 	client, _ := dialPair(t, r)
 	var drainedAt time.Duration
 	onDrain(r.a, client, func() { drainedAt = r.s.Now() })
-	r.a.UpNetem = &netsim.Netem{Delay: 5 * time.Second, Filter: netsim.FilterTCP}
+	r.a.UpNetem = &netsim.Netem{Delay: 5 * time.Second, TCPOnly: true}
 	start := r.s.Now()
 	client.Send([]byte("control-report"))
 	r.s.RunUntil(r.s.Now() + 60*time.Second)
@@ -439,7 +440,7 @@ func TestTCPThroughputRespectsNetemRate(t *testing.T) {
 	client, server := dialPair(t, r)
 	var got int
 	server.OnData = func(b []byte) { got += len(b) }
-	r.a.UpNetem = &netsim.Netem{RateBps: 800_000, Filter: netsim.FilterTCP} // 100 KB/s
+	r.a.UpNetem = &netsim.Netem{RateBps: 800_000, TCPOnly: true} // 100 KB/s
 	client.Send(make([]byte, 800*1000))
 	start := r.s.Now()
 	const window = 10.0
