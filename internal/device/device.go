@@ -188,13 +188,12 @@ func clamp(v, lo, hi float64) float64 {
 type Monitor struct {
 	// Samples holds every reading, the only record of how many were taken.
 	Samples []Sample
-	stop    func()
 }
 
 // Attach starts per-second sampling.
 func Attach(s *simtime.Scheduler, h *Headset) *Monitor {
 	m := &Monitor{}
-	m.stop = s.Ticker(time.Second, func() {
+	s.Ticker(time.Second, func() {
 		m.Samples = append(m.Samples, h.Instant(s.Now(), time.Second))
 	})
 	return m
@@ -205,14 +204,6 @@ func Attach(s *simtime.Scheduler, h *Headset) *Monitor {
 // folded once, at lab teardown.
 func (m *Monitor) FlushMetrics(r *obs.Registry) {
 	r.Add("device.samples", int64(len(m.Samples)))
-}
-
-// Stop ends sampling.
-func (m *Monitor) Stop() {
-	if m.stop != nil {
-		m.stop()
-		m.stop = nil
-	}
 }
 
 // Window returns the samples in [from, to).

@@ -11,7 +11,6 @@ import (
 	"github.com/svrlab/svrlab/internal/packet"
 	"github.com/svrlab/svrlab/internal/platform"
 	"github.com/svrlab/svrlab/internal/render"
-	"github.com/svrlab/svrlab/internal/runner"
 	"github.com/svrlab/svrlab/internal/transport"
 )
 
@@ -50,7 +49,7 @@ func RemoteAblation(e Env) *RemoteResult {
 	name := e.platformOr(platform.RecRoom)
 	p := platform.Get(name)
 	eligible := eligibleCounts(p, e.countsOr([]int{2, 5, 10, 15}))
-	points := runner.MapObserved(e.Metrics, e.Workers, len(eligible), func(i int) RemotePoint {
+	points := cells(e, len(eligible), func(i int) RemotePoint {
 		n := eligible[i]
 		label, seed := fmt.Sprintf("remote/%s/n%d", name, n), e.Seed+int64(n)
 		pt := RemotePoint{Users: n}
@@ -126,26 +125,16 @@ func P2PAblation(e Env) *P2PResult {
 	name := e.platformOr(platform.VRChat)
 	p := platform.Get(name)
 	eligible := eligibleCounts(p, e.countsOr([]int{2, 5, 10}))
-	points := runner.MapObserved(e.Metrics, e.Workers, len(eligible), func(i int) P2PPoint {
+	points := cells(e, len(eligible), func(i int) P2PPoint {
 		n := eligible[i]
 		label, seed := fmt.Sprintf("p2p/%s/n%d", name, n), e.Seed+int64(n)
 		pt := P2PPoint{Users: n}
 		pt.ServerDownBps, _, _, _, _, _ = scalingRun(e, label+"/server-down", name, n, seed)
-		pt.ServerUplinkBps = serverUplink(e, label+"/server-up", name, n, seed)
+		pt.ServerUplinkBps, _ = steadyRates(e, label+"/server-up", name, n, seed^0x77, nil)
 		pt.P2PUplinkBps, pt.P2PDownBps = p2pRun(e, label+"/mesh", p, n, seed)
 		return pt
 	})
 	return &P2PResult{Platform: name, Points: points}
-}
-
-func serverUplink(e Env, label string, name platform.Name, n int, seed int64) float64 {
-	l := e.lab(label, seed^0x77)
-	defer l.MustConserve()
-	cs := l.Spawn(name, n, SpawnOpts{})
-	l.Sched.At(2*time.Second, func() { arrangeCircle(cs) })
-	sniff := l.Capture(cs[0].Host)
-	l.Sched.RunUntil(40 * time.Second)
-	return sniff.MeanBps(capture.MatchUp(l.dataOnly(cs[0])), 15*time.Second, 40*time.Second)
 }
 
 // p2pRun builds an n-client full mesh where each client unicasts its avatar

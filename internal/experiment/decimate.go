@@ -6,7 +6,6 @@ import (
 
 	"github.com/svrlab/svrlab/internal/capture"
 	"github.com/svrlab/svrlab/internal/platform"
-	"github.com/svrlab/svrlab/internal/runner"
 )
 
 // DecimatePoint compares full-rate and decimated forwarding at one event
@@ -35,11 +34,11 @@ func Decimate(e Env) *DecimateResult {
 	const radius = 2.0 // meters; the circle arrangement spaces users wider
 	name := e.platformOr(platform.VRChat)
 	eligible := eligibleCounts(platform.Get(name), e.countsOr([]int{5, 10, 15}))
-	points := runner.MapObserved(e.Metrics, e.Workers, len(eligible), func(i int) DecimatePoint {
+	points := cells(e, len(eligible), func(i int) DecimatePoint {
 		n := eligible[i]
 		label, seed := fmt.Sprintf("decimate/%s/n%d", name, n), e.Seed+int64(n)
-		full := decimateRun(e, label+"/full", name, n, seed, nil)
-		dec := decimateRun(e, label+"/decimated", name, n, seed, &platform.DecimationPolicy{Factor: factor, InteractRadius: radius})
+		_, full := steadyRates(e, label+"/full", name, n, seed, nil)
+		_, dec := steadyRates(e, label+"/decimated", name, n, seed, &platform.DecimationPolicy{Factor: factor, InteractRadius: radius})
 		pt := DecimatePoint{Users: n, FullDownBps: full, DecimatedBps: dec}
 		if full > 0 {
 			pt.SavingFraction = 1 - dec/full
@@ -49,7 +48,11 @@ func Decimate(e Env) *DecimateResult {
 	return &DecimateResult{Platform: name, Factor: factor, Radius: radius, Points: points}
 }
 
-func decimateRun(e Env, label string, name platform.Name, n int, seed int64, policy *platform.DecimationPolicy) float64 {
+// steadyRates runs an n-user event of one platform for 40 s, its users
+// standing in a circle from 2 s and its backend forwarding under policy
+// (nil: at full rate), and returns U1's data-channel uplink and downlink
+// over the steady 15–40 s window.
+func steadyRates(e Env, label string, name platform.Name, n int, seed int64, policy *platform.DecimationPolicy) (up, down float64) {
 	l := e.lab(label, seed)
 	defer l.MustConserve()
 	l.Dep.Backend(name).SetDecimation(policy)
@@ -57,7 +60,9 @@ func decimateRun(e Env, label string, name platform.Name, n int, seed int64, pol
 	l.Sched.At(2*time.Second, func() { arrangeCircle(cs) })
 	sniff := l.Capture(cs[0].Host)
 	l.Sched.RunUntil(40 * time.Second)
-	return sniff.MeanBps(capture.MatchDown(l.dataOnly(cs[0])), 15*time.Second, 40*time.Second)
+	data := l.dataOnly(cs[0])
+	return sniff.MeanBps(capture.MatchUp(data), 15*time.Second, 40*time.Second),
+		sniff.MeanBps(capture.MatchDown(data), 15*time.Second, 40*time.Second)
 }
 
 // Render prints the ablation.

@@ -21,6 +21,7 @@ import (
 	"github.com/svrlab/svrlab/internal/obs"
 	"github.com/svrlab/svrlab/internal/packet"
 	"github.com/svrlab/svrlab/internal/platform"
+	"github.com/svrlab/svrlab/internal/runner"
 	"github.com/svrlab/svrlab/internal/simtime"
 	"github.com/svrlab/svrlab/internal/trace"
 	"github.com/svrlab/svrlab/internal/world"
@@ -87,6 +88,21 @@ func (e Env) countsOr(def []int) []int {
 		return e.Counts
 	}
 	return def
+}
+
+// cells runs fn(0) … fn(n-1), the run's n cells, on up to e.Workers
+// goroutines (runner.Map) and returns their results by index. Each cell
+// counts once in e.Metrics' "runner.cells" and observes its wall time in
+// the "runner.cell_wall" histogram, a volatile series that Snapshot.Stable
+// leaves out, so a run's stable metrics are the same at any worker count.
+func cells[T any](e Env, n int, fn func(i int) T) []T {
+	return runner.Map(e.Workers, n, func(i int) T {
+		start := time.Now()
+		out := fn(i)
+		e.Metrics.Inc("runner.cells")
+		e.Metrics.ObserveWall("runner.cell_wall", time.Since(start))
+		return out
+	})
 }
 
 // ChaosError reports a chaos spec that does not bind in a cell: it names a

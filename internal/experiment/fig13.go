@@ -10,7 +10,6 @@ import (
 	"github.com/svrlab/svrlab/internal/packet"
 	"github.com/svrlab/svrlab/internal/platform"
 	"github.com/svrlab/svrlab/internal/plot"
-	"github.com/svrlab/svrlab/internal/runner"
 	"github.com/svrlab/svrlab/internal/stats"
 )
 
@@ -173,7 +172,7 @@ func DisruptLatencyLoss(e Env) *DisruptQoEResult {
 	added := []int{50, 100, 200}
 	losses := []float64{0, 0.20}
 	perPlatform := 1 + len(added) + len(losses)
-	vals := runner.MapObserved(e.Metrics, e.Workers, len(names)*perPlatform, func(i int) float64 {
+	vals := cells(e, len(names)*perPlatform, func(i int) float64 {
 		name, k := names[i/perPlatform], i%perPlatform
 		label := "disrupt-lat/" + string(name)
 		switch {

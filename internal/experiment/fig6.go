@@ -8,7 +8,6 @@ import (
 	"github.com/svrlab/svrlab/internal/capture"
 	"github.com/svrlab/svrlab/internal/platform"
 	"github.com/svrlab/svrlab/internal/plot"
-	"github.com/svrlab/svrlab/internal/runner"
 	"github.com/svrlab/svrlab/internal/stats"
 	"github.com/svrlab/svrlab/internal/world"
 )
@@ -116,7 +115,7 @@ type Fig6PanelsResult struct {
 // panel order.
 func Fig6Panels(e Env) *Fig6PanelsResult {
 	all := platform.All()
-	panels := runner.MapObserved(e.Metrics, e.Workers, len(all)+1, func(i int) *Fig6Result {
+	panels := cells(e, len(all)+1, func(i int) *Fig6Result {
 		if i < len(all) {
 			return fig6Run(e, "fig6all", all[i].Name, Fig6FacingJoiners)
 		}

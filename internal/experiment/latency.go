@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/svrlab/svrlab/internal/platform"
-	"github.com/svrlab/svrlab/internal/runner"
 	"github.com/svrlab/svrlab/internal/stats"
 )
 
@@ -38,7 +37,7 @@ func Table4(e Env) *Table4Result {
 	// are derived from the row, not the worker, so trace exports stay
 	// byte-identical at any worker count.
 	all := platform.All()
-	rows := runner.MapObserved(e.Metrics, e.Workers, len(all)+1, func(i int) LatencyBreakdown {
+	rows := cells(e, len(all)+1, func(i int) LatencyBreakdown {
 		if i < len(all) {
 			return measureLatency(e, "table4/"+string(all[i].Name), all[i].Name, 2, repeats, e.Seed, false)
 		}
@@ -142,7 +141,7 @@ type Fig11Result struct {
 func Fig11(e Env) *Fig11Result {
 	name, repeats := e.platformOr(platform.RecRoom), e.repeatsOr(10)
 	const minUsers, maxUsers = 2, 7
-	rows := runner.MapObserved(e.Metrics, e.Workers, maxUsers-minUsers+1, func(i int) LatencyBreakdown {
+	rows := cells(e, maxUsers-minUsers+1, func(i int) LatencyBreakdown {
 		n := minUsers + i
 		return measureLatency(e, fmt.Sprintf("fig11/%s/n%d", name, n), name, n, repeats, e.Seed+int64(n)*1337, false)
 	})

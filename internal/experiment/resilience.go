@@ -7,7 +7,6 @@ import (
 	"github.com/svrlab/svrlab/internal/chaos"
 	"github.com/svrlab/svrlab/internal/netsim"
 	"github.com/svrlab/svrlab/internal/platform"
-	"github.com/svrlab/svrlab/internal/runner"
 	"github.com/svrlab/svrlab/internal/stats"
 )
 
@@ -54,7 +53,7 @@ type resCell struct {
 func Resilience(e Env) *ResilienceResult {
 	repeats := e.repeatsOr(3)
 	all := platform.All()
-	cells := runner.MapObserved(e.Metrics, e.Workers, len(all)*repeats, func(i int) resCell {
+	out := cells(e, len(all)*repeats, func(i int) resCell {
 		p, r := all[i/repeats], i%repeats
 		return resilienceCell(e, fmt.Sprintf("resilience/%s/rep%d", p.Name, r), p, e.Seed+int64(r)*101)
 	})
@@ -63,7 +62,7 @@ func Resilience(e Env) *ResilienceResult {
 		var recs, frzs []float64
 		failover := true
 		for r := 0; r < repeats; r++ {
-			c := cells[pi*repeats+r]
+			c := out[pi*repeats+r]
 			recs = append(recs, c.recovery)
 			frzs = append(frzs, c.freeze)
 			failover = failover && c.failover

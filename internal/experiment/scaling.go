@@ -6,7 +6,6 @@ import (
 
 	"github.com/svrlab/svrlab/internal/capture"
 	"github.com/svrlab/svrlab/internal/platform"
-	"github.com/svrlab/svrlab/internal/runner"
 	"github.com/svrlab/svrlab/internal/stats"
 )
 
@@ -48,7 +47,7 @@ type scaleCell struct {
 func Scaling(e Env) *ScalingResult {
 	name, repeats := e.platformOr(platform.VRChat), e.repeatsOr(3)
 	eligible := eligibleCounts(platform.Get(name), e.countsOr(PaperUserCounts))
-	cells := runner.MapObserved(e.Metrics, e.Workers, len(eligible)*repeats, func(i int) scaleCell {
+	out := cells(e, len(eligible)*repeats, func(i int) scaleCell {
 		n, rep := eligible[i/repeats], i%repeats
 		label := fmt.Sprintf("fig7/%s/n%d/rep%d", name, n, rep)
 		d, f, c, g, m, bd := scalingRun(e, label, name, n, e.Seed+int64(rep)*977+int64(n))
@@ -59,7 +58,7 @@ func Scaling(e Env) *ScalingResult {
 		pt := ScalePoint{Users: n}
 		var down, fps, cpu, gpu, mem, batt []float64
 		for rep := 0; rep < repeats; rep++ {
-			c := cells[ci*repeats+rep]
+			c := out[ci*repeats+rep]
 			down = append(down, c.down)
 			fps = append(fps, c.fps)
 			cpu = append(cpu, c.cpu)
@@ -138,7 +137,7 @@ func (r *ScalingResult) Render() string {
 // users) against a self-hosted server. Cells fan out like Scaling's.
 func Fig9(e Env) *ScalingResult {
 	counts, repeats := e.countsOr([]int{15, 20, 25, 28}), e.repeatsOr(2)
-	cells := runner.MapObserved(e.Metrics, e.Workers, len(counts)*repeats, func(i int) scaleCell {
+	out := cells(e, len(counts)*repeats, func(i int) scaleCell {
 		n, rep := counts[i/repeats], i%repeats
 		label := fmt.Sprintf("fig9/n%d/rep%d", n, rep)
 		d, f := fig9Run(e, label, n, e.Seed+int64(rep)*31+int64(n))
@@ -149,7 +148,7 @@ func Fig9(e Env) *ScalingResult {
 		pt := ScalePoint{Users: n}
 		var down, fps []float64
 		for rep := 0; rep < repeats; rep++ {
-			c := cells[ci*repeats+rep]
+			c := out[ci*repeats+rep]
 			down = append(down, c.down)
 			fps = append(fps, c.fps)
 		}

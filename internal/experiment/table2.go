@@ -10,7 +10,6 @@ import (
 	"github.com/svrlab/svrlab/internal/packet"
 	"github.com/svrlab/svrlab/internal/platform"
 	"github.com/svrlab/svrlab/internal/probe"
-	"github.com/svrlab/svrlab/internal/runner"
 	"github.com/svrlab/svrlab/internal/transport"
 )
 
@@ -75,7 +74,7 @@ func Table2(e Env) *Table2Result {
 		row    Table2Row
 		extras []RemoteRTT
 	}
-	cells := runner.MapObserved(e.Metrics, e.Workers, len(labs), func(i int) t2cell {
+	out := cells(e, len(labs), func(i int) t2cell {
 		lb := labs[i]
 		if lb.site != "" {
 			return t2cell{extras: probeExtraVantage(e, lb.p, lb.site)}
@@ -83,7 +82,7 @@ func Table2(e Env) *Table2Result {
 		return t2cell{row: probePlatform(e, lb.p)}
 	})
 	res := &Table2Result{}
-	for i, c := range cells {
+	for i, c := range out {
 		if labs[i].site != "" {
 			res.Extras = append(res.Extras, c.extras...)
 			continue

@@ -9,7 +9,6 @@ import (
 	"github.com/svrlab/svrlab/internal/device"
 	"github.com/svrlab/svrlab/internal/packet"
 	"github.com/svrlab/svrlab/internal/platform"
-	"github.com/svrlab/svrlab/internal/runner"
 	"github.com/svrlab/svrlab/internal/stats"
 )
 
@@ -41,7 +40,7 @@ func Table3(e Env) *Table3Result {
 	// session, both private labs seeded exactly as the serial sweep.
 	all := platform.All()
 	type t3cell struct{ up, down, avatar float64 }
-	cells := runner.MapObserved(e.Metrics, e.Workers, len(all)*repeats, func(i int) t3cell {
+	out := cells(e, len(all)*repeats, func(i int) t3cell {
 		p, r := all[i/repeats], i%repeats
 		label, seed := fmt.Sprintf("table3/%s/rep%d", p.Name, r), e.Seed+int64(r)*101
 		up, down := twoUserRates(e, label+"/chat", p, seed)
@@ -51,7 +50,7 @@ func Table3(e Env) *Table3Result {
 	for pi, p := range all {
 		var ups, downs, avatars []float64
 		for r := 0; r < repeats; r++ {
-			c := cells[pi*repeats+r]
+			c := out[pi*repeats+r]
 			ups = append(ups, c.up)
 			downs = append(downs, c.down)
 			avatars = append(avatars, c.avatar)

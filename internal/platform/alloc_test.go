@@ -47,9 +47,9 @@ func TestParsersAllocFree(t *testing.T) {
 // decodes into another. The bound charges every allocation of one
 // simulated second to that second's uploads: the forward, its delayed
 // send, and what the sync, keepalive and telemetry streams and the fabric
-// allocate besides. Hubs shares the bound: secure.MsgReader hands each TLS
-// message to its handler as a view, and what the server keeps of a
-// forward is its JSON envelope.
+// allocate besides. Hubs shares the bound: the secure session hands each
+// TLS message to its OnMsg handler as a view, and what the server keeps of
+// a forward is its JSON envelope.
 func TestAvatarUpdateAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc bound only holds without -race")

@@ -41,9 +41,8 @@ type Client struct {
 	worldPose world.Pose // the user's pose on the venue floor
 	walker    *world.Walker
 
-	ctrlConn   *transport.Conn
-	ctrl       *secure.Session
-	ctrlReader *secure.MsgReader
+	ctrlConn *transport.Conn
+	ctrl     *secure.Session
 
 	dataSock *transport.UDPSocket
 	dataEP   packet.Endpoint // dataSock's server: the data server, or the SFU on web platforms
@@ -82,7 +81,6 @@ type Client struct {
 	txBuf  []byte
 	envBuf []byte
 
-	stops    []func()
 	menuStop func()
 
 	// ForwardsReceived counts avatar forwards (test observability).
@@ -150,8 +148,7 @@ func (c *Client) MeasureClockOffset() time.Duration {
 func (c *Client) Launch() {
 	c.ctrlConn = c.Stack.DialTCP(c.Dep.ControlEndpoint(c.Profile, c.Host.Site))
 	c.ctrl = secure.Client(c.ctrlConn)
-	c.ctrlReader = &secure.MsgReader{OnMsg: c.onCtrlMsg}
-	c.ctrl.OnData = c.ctrlReader.Feed
+	c.ctrl.OnMsg = c.onCtrlMsg
 	c.ctrl.OnEstablished = func() {
 		c.request(reqLogin, nil)
 		if n := c.Profile.Traffic.InitDownloadBytes; n > 0 {
@@ -167,7 +164,7 @@ func (c *Client) Launch() {
 	// Device monitoring runs for the whole session.
 	c.Monitor = device.Attach(c.Dep.Sched, c.Headset)
 	c.Dep.Net.RegisterEndpoint(c.Monitor)
-	c.stops = append(c.stops, c.Dep.Sched.Ticker(time.Second, c.sceneTick))
+	c.Dep.Sched.Ticker(time.Second, c.sceneTick)
 }
 
 // request issues a control-channel request. User and room names longer
@@ -183,7 +180,7 @@ func (c *Client) request(reqType byte, rest []byte) {
 
 // download fetches n bytes from the platform's asset/CDN host over a
 // dedicated HTTPS connection (the §5.2 background downloads). The client
-// never looks at the asset, so the session has no OnData: it only counts
+// never looks at the asset, so the session has no OnMsg: it only counts
 // the response's bytes as they arrive.
 func (c *Client) download(n int) *secure.Session {
 	ep := c.Dep.AssetEndpoint(c.Profile)
@@ -257,57 +254,57 @@ func (c *Client) startEventTickers() {
 
 	// Avatar pose updates at the platform's tick rate.
 	avatarInterval := time.Second / time.Duration(p.Codec.UpdateHz)
-	c.stops = append(c.stops, sched.Ticker(avatarInterval, func() {
+	sched.Ticker(avatarInterval, func() {
 		if c.walker != nil {
 			c.walker.Step(avatarInterval.Seconds())
 		}
 		c.sendAvatar(0)
-	}))
+	})
 
 	// Heartbeat/state uplink.
 	if p.Traffic.HeartbeatUpBps > 0 && !p.WebData {
 		const payload = 60
-		c.stops = append(c.stops, sched.Ticker(seqInterval(payload, p.Traffic.HeartbeatUpBps), func() {
+		sched.Ticker(seqInterval(payload, p.Traffic.HeartbeatUpBps), func() {
 			c.sendSeq(seqMsg{Kind: kindTelemetry, Seq: 0, Size: payload})
-		}))
+		})
 	}
 	if p.Traffic.HeartbeatUpBps > 0 && p.WebData {
 		// Web platform: heartbeats ride HTTPS.
 		iv := 2 * time.Second
 		n := int(p.Traffic.HeartbeatUpBps / 8 * iv.Seconds())
-		c.stops = append(c.stops, sched.Ticker(iv, func() {
+		sched.Ticker(iv, func() {
 			c.request(reqReport, make([]byte, n))
-		}))
+		})
 	}
 
 	// Worlds status telemetry (uplink-only, absorbed by the server).
 	if p.Traffic.TelemetryUpBps > 0 {
 		const payload = 450
 		var tseq uint32
-		c.stops = append(c.stops, sched.Ticker(seqInterval(payload, p.Traffic.TelemetryUpBps), func() {
+		sched.Ticker(seqInterval(payload, p.Traffic.TelemetryUpBps), func() {
 			tseq++
 			c.sendSeq(seqMsg{Kind: kindTelemetry, Seq: tseq, Size: payload})
-		}))
+		})
 	}
 
 	// Periodic control-channel report spikes (§4.1).
 	if p.Traffic.ReportInterval > 0 {
-		c.stops = append(c.stops, sched.Ticker(p.Traffic.ReportInterval, func() {
+		sched.Ticker(p.Traffic.ReportInterval, func() {
 			c.request(reqReport, make([]byte, p.Traffic.ReportUpBytes))
-		}))
+		})
 	}
 
 	// Voice: two-state talk-spurt model reaching the profile duty cycle.
 	if !c.Muted {
-		c.stops = append(c.stops, sched.Ticker(time.Second, c.voiceStateTick))
+		sched.Ticker(time.Second, c.voiceStateTick)
 		if !p.WebData {
 			var vseq uint32
-			c.stops = append(c.stops, sched.Ticker(20*time.Millisecond, func() {
+			sched.Ticker(20*time.Millisecond, func() {
 				if c.talking && !c.Frozen {
 					vseq++
 					c.sendSeq(seqMsg{Kind: kindVoice, Seq: vseq, Size: 80})
 				}
-			}))
+			})
 		}
 	}
 
@@ -315,13 +312,13 @@ func (c *Client) startEventTickers() {
 	if p.Game.UpBps > 0 {
 		const payload = 300
 		var gseq uint32
-		c.stops = append(c.stops, sched.Ticker(seqInterval(payload, p.Game.UpBps), func() {
+		sched.Ticker(seqInterval(payload, p.Game.UpBps), func() {
 			if !c.gameOn {
 				return
 			}
 			gseq++
 			c.sendSeq(seqMsg{Kind: kindGame, Seq: gseq, Size: payload})
-		}))
+		})
 	}
 }
 
@@ -657,29 +654,6 @@ func (c *Client) FreshRemotes() int {
 		}
 	}
 	return n
-}
-
-// Leave exits the event and stops all event tickers. The data server
-// drops the user from the room; on web platforms the control server does,
-// and the SFU forgets the voice endpoint.
-func (c *Client) Leave() {
-	if c.dataSock != nil {
-		c.dataSock.SendTo(c.dataEP, []byte{kindLeave})
-	}
-	if c.Profile.WebData && c.ctrl != nil {
-		c.request(reqLeave, nil)
-	}
-	c.InEvent = false
-	for _, s := range c.stops {
-		s()
-	}
-	c.stops = nil
-	if c.voice != nil {
-		c.voice.Close()
-	}
-	if c.Monitor != nil {
-		c.Monitor.Stop()
-	}
 }
 
 func (c *Client) onCtrlMsg(kind byte, body []byte) {

@@ -70,8 +70,7 @@ func TestFlushMetricsFoldsEveryOwner(t *testing.T) {
 
 // TestSFUAnswersRTCPOnlyFromMembers: the SFU answers an RTCP sender report
 // with a receiver report only when the sender is a room member. An
-// endpoint that never sent a hello gets none, a member gets one, and one
-// that has left gets none again.
+// endpoint that never sent a hello gets none, and a member gets one.
 func TestSFUAnswersRTCPOnlyFromMembers(t *testing.T) {
 	sched := simtime.NewScheduler()
 	dep := NewDeployment(sched, 5, nil)
@@ -107,8 +106,5 @@ func TestSFUAnswersRTCPOnlyFromMembers(t *testing.T) {
 	}
 	if n := exchange(hello, sr); n != 1 {
 		t.Errorf("a member got %d receiver reports, want 1", n)
-	}
-	if n := exchange([]byte{kindLeave}, sr); n != 0 {
-		t.Errorf("an endpoint that left got %d receiver reports", n)
 	}
 }

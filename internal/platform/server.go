@@ -51,14 +51,13 @@ func newBackend(d *Deployment, p *Profile) *Backend {
 // Room is one social event.
 type Room struct {
 	Name    string
-	members map[string]*Member
-	order   []string
+	members []*Member // in join order
 }
 
 func (b *Backend) room(name string) *Room {
 	r, ok := b.rooms[name]
 	if !ok {
-		r = &Room{Name: name, members: make(map[string]*Member)}
+		r = &Room{Name: name}
 		b.rooms[name] = r
 	}
 	return r
@@ -131,11 +130,12 @@ const (
 
 func (b *Backend) join(roomName, user string, udpServer *DataServer, udpEP packet.Endpoint, ctrl *ctrlSession) *Member {
 	r := b.room(roomName)
-	m, ok := r.members[user]
-	if !ok {
+	var m *Member
+	if i := slices.IndexFunc(r.members, func(o *Member) bool { return o.User == user }); i >= 0 {
+		m = r.members[i]
+	} else {
 		m = &Member{User: user, room: r, joinedAt: b.dep.Sched.Now()}
-		r.members[user] = m
-		r.order = append(r.order, user)
+		r.members = append(r.members, m)
 		b.byUser[user] = m
 		b.startMemberStreams(m)
 	}
@@ -151,18 +151,10 @@ func (b *Backend) join(roomName, user string, udpServer *DataServer, udpEP packe
 	return m
 }
 
+// leave tears a member down: Worlds session expiry is its one caller.
 func (b *Backend) leave(m *Member) {
-	if m == nil || m.room == nil {
-		return
-	}
 	m.stopAll()
-	delete(m.room.members, m.User)
-	for i, u := range m.room.order {
-		if u == m.User {
-			m.room.order = append(m.room.order[:i], m.room.order[i+1:]...)
-			break
-		}
-	}
+	m.room.members = slices.DeleteFunc(m.room.members, func(o *Member) bool { return o == m })
 	delete(b.byUser, m.User)
 	delete(b.byEP, m.udpEP)
 	m.room = nil
@@ -308,9 +300,8 @@ func (b *Backend) handleAvatarUpload(m *Member, frame []byte, private bool) {
 			b.dep.Trace(id).ServerOutAt = b.dep.Sched.Now()
 			b.dep.Net.Trace(trace.KindAction, uint64(id), b.traceTrack(m), "server_out", 0, 0)
 		}
-		for _, user := range room.order {
-			o := room.members[user]
-			if o == nil || o == m {
+		for _, o := range room.members {
+			if o == m {
 				continue
 			}
 			if b.reportMissed(o) > pauseAfter {
@@ -390,9 +381,8 @@ func (b *Backend) handleVoiceUpload(m *Member, payload []byte) {
 		return
 	}
 	b.dep.Sched.After(5*time.Millisecond, func() {
-		for _, user := range room.order {
-			o := room.members[user]
-			if o == nil || o == m || b.reportMissed(o) > pauseAfter {
+		for _, o := range room.members {
+			if o == m || b.reportMissed(o) > pauseAfter {
 				continue
 			}
 			b.deliverCrossInstance(m, o, fwd)
@@ -475,10 +465,6 @@ func (s *DataServer) onDatagram(src packet.Endpoint, payload []byte) {
 		if m := s.member(src); m != nil {
 			m.inGame = true
 		}
-	case kindLeave:
-		if m := s.member(src); m != nil {
-			s.be.leave(m)
-		}
 	default:
 		// Unknown kinds are a protocol violation, not filler: count them
 		// so corruption is visible instead of silently absorbed.
@@ -502,7 +488,6 @@ type CtrlServer struct {
 type ctrlSession struct {
 	srv    *CtrlServer
 	sess   *secure.Session
-	reader *secure.MsgReader
 	member *Member
 }
 
@@ -510,8 +495,7 @@ func newCtrlServer(d *Deployment, p *Profile, be *Backend, h *netsim.Host, priva
 	s := &CtrlServer{dep: d, profile: p, be: be, stack: transport.NewStack(d.Net, h), isPrivate: private}
 	s.stack.ListenTCP(PortControl, func(conn *transport.Conn) {
 		cs := &ctrlSession{srv: s, sess: secure.Server(conn)}
-		cs.reader = &secure.MsgReader{OnMsg: cs.onMsg}
-		cs.sess.OnData = cs.reader.Feed
+		cs.sess.OnMsg = cs.onMsg
 	})
 	return s
 }
@@ -578,8 +562,6 @@ func (cs *ctrlSession) onMsg(kind byte, body []byte) {
 		case reqJoin:
 			s.be.join(room, user, nil, packet.Endpoint{}, cs)
 			cs.respond(make([]byte, 2_000))
-		case reqLeave:
-			s.be.leave(cs.member)
 		}
 	case secure.MsgPush:
 		// Web-platform avatar upload.
@@ -611,9 +593,8 @@ const maxAssetBytes = 512 << 20
 // background downloads of §5.2.
 func newAssetServer(d *Deployment, h *netsim.Host) {
 	transport.NewStack(d.Net, h).ListenTCP(PortAsset, func(conn *transport.Conn) {
-		var reader *secure.MsgReader
 		sess := secure.Server(conn)
-		reader = &secure.MsgReader{OnMsg: func(kind byte, body []byte) {
+		sess.OnMsg = func(kind byte, body []byte) {
 			if kind != secure.MsgRequest || len(body) < 5 || body[0] != reqAsset {
 				return
 			}
@@ -622,8 +603,7 @@ func newAssetServer(d *Deployment, h *netsim.Host) {
 				return
 			}
 			sess.SendZeros(secure.MsgResponse, n)
-		}}
-		sess.OnData = reader.Feed
+		}
 	})
 }
 
@@ -663,8 +643,7 @@ func (s *SFUServer) onDatagram(src packet.Endpoint, payload []byte) {
 	if len(payload) == 0 {
 		return
 	}
-	switch payload[0] {
-	case kindHello:
+	if payload[0] == kindHello {
 		h, err := parseHello(payload)
 		if err != nil {
 			s.dep.Metrics().Inc("platform.wire_parse_err")
@@ -673,12 +652,6 @@ func (s *SFUServer) onDatagram(src packet.Endpoint, payload []byte) {
 		if _, known := s.roomOf[src]; !known {
 			s.rooms[h.Room] = append(s.rooms[h.Room], src)
 			s.roomOf[src] = h.Room
-		}
-		return
-	case kindLeave:
-		if room, known := s.roomOf[src]; known {
-			s.rooms[room] = slices.DeleteFunc(s.rooms[room], func(ep packet.Endpoint) bool { return ep == src })
-			delete(s.roomOf, src)
 		}
 		return
 	}

@@ -50,24 +50,6 @@ func TestTimedActionsDriveFullSession(t *testing.T) {
 	}
 }
 
-func TestLeaveStopsSession(t *testing.T) {
-	sched := simtime.NewScheduler()
-	dep := NewDeployment(sched, 202, nil)
-	u1 := NewClient(dep, RecRoom, "l1", SiteCampus, 10)
-	u2 := NewClient(dep, RecRoom, "l2", SiteCampus, 11)
-	startPair(sched, "bye", u1, u2)
-	sched.At(10*time.Second, u1.Leave)
-	sched.RunUntil(12 * time.Second)
-	before := u2.ForwardsReceived
-	if before == 0 {
-		t.Fatal("no forwards reached the peer before the leave")
-	}
-	sched.RunUntil(20 * time.Second)
-	if u2.ForwardsReceived > before+5 {
-		t.Fatalf("forwards kept flowing after leave: %d -> %d", before, u2.ForwardsReceived)
-	}
-}
-
 func TestGameModeRaisesUplink(t *testing.T) {
 	sched := simtime.NewScheduler()
 	dep := NewDeployment(sched, 203, nil)

@@ -33,7 +33,6 @@ const (
 	kindHello     = 1  // client -> server: join a room
 	kindAvatar    = 2  // client -> server: avatar pose update
 	kindVoice     = 3  // client -> server: voice frame (non-WebRTC platforms)
-	kindLeave     = 4  // client -> server
 	kindForward   = 5  // server -> client: another user's avatar update
 	kindSync      = 6  // server -> client: world-state sync filler
 	kindTelemetry = 7  // client -> server: status telemetry (kept by server)
@@ -50,7 +49,6 @@ const (
 	reqReport = 3
 	reqAsset  = 5 // asset server only (newAssetServer)
 	reqJoin   = 6 // web platforms: join a room over the control channel
-	reqLeave  = 7 // web platforms: leave it
 )
 
 var (

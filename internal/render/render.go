@@ -81,7 +81,6 @@ type Streamer struct {
 	RenderCostMs func() float64
 
 	frame int
-	stop  func()
 }
 
 const mtuPayload = 1200
@@ -90,7 +89,7 @@ const mtuPayload = 1200
 func NewStreamer(sched *simtime.Scheduler, sock *transport.UDPSocket, to packet.Endpoint, enc EncoderModel, res device.Resolution, fps float64) *Streamer {
 	s := &Streamer{sched: sched, sock: sock, to: to, enc: enc, res: res, fps: fps}
 	interval := time.Duration(float64(time.Second) / fps)
-	s.stop = sched.Ticker(interval, s.tick)
+	sched.Ticker(interval, s.tick)
 	return s
 }
 
@@ -122,14 +121,6 @@ func (s *Streamer) emitFrame(frame, size int) {
 		payload[6] = last
 		s.sock.SendTo(s.to, payload)
 		seq++
-	}
-}
-
-// Stop halts the stream.
-func (s *Streamer) Stop() {
-	if s.stop != nil {
-		s.stop()
-		s.stop = nil
 	}
 }
 

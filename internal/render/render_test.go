@@ -85,13 +85,6 @@ func TestStreamingSessionDeliversVideo(t *testing.T) {
 	if gotBps < want*0.85 || gotBps > want*1.1 {
 		t.Fatalf("delivered %.1f Mbps, want ≈%.1f", gotBps/1e6, want/1e6)
 	}
-	sess.Streamer.Stop()
-	sess.Streamer.Stop() // idempotent
-	frames := sess.Viewer.FramesComplete
-	sched.RunUntil(12 * time.Second)
-	if sess.Viewer.FramesComplete > frames+2 {
-		t.Fatal("frames kept flowing after Stop")
-	}
 }
 
 // TestViewerCountsFramesByLastFragment: a frame counts as complete when its

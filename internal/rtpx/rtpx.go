@@ -49,8 +49,6 @@ type Stream struct {
 	// txBuf holds the frame tick is sending; the fabric copies it.
 	txBuf []byte
 
-	stopTick, stopSR func()
-
 	// RTT is the latest RTCP-derived estimate (0 until measured).
 	RTT time.Duration
 	// RTTSamples collects every RTT measurement, the only record of them.
@@ -81,8 +79,8 @@ func NewStream(sched *simtime.Scheduler, sock *transport.UDPSocket, remote packe
 	st := &Stream{sched: sched, sock: sock, remote: remote, SSRC: ssrc, muted: muted}
 	sock.Enlist(st)
 	sock.OnRecv = func(src packet.Endpoint, payload []byte) { st.onPacket(payload) }
-	st.stopTick = sched.Ticker(VoiceFrameInterval, st.tick)
-	st.stopSR = sched.Ticker(rtcpInterval, st.sendSR)
+	sched.Ticker(VoiceFrameInterval, st.tick)
+	sched.Ticker(rtcpInterval, st.sendSR)
 	return st
 }
 
@@ -154,14 +152,5 @@ func (s *Stream) onPacket(b []byte) {
 	s.VoiceRecv++
 	if s.OnVoice != nil {
 		s.OnVoice(h.Seq, payload)
-	}
-}
-
-// Close stops the stream's tickers.
-func (s *Stream) Close() {
-	if s.stopTick != nil {
-		s.stopTick()
-		s.stopSR()
-		s.stopTick, s.stopSR = nil, nil
 	}
 }

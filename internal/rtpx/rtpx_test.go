@@ -121,18 +121,6 @@ func TestOnVoiceCallback(t *testing.T) {
 	}
 }
 
-func TestCloseStopsEmission(t *testing.T) {
-	r := newRig(t, false, false)
-	r.s.RunUntil(time.Second)
-	r.sa.Close()
-	r.sa.Close() // idempotent
-	before := r.sb.VoiceRecv
-	r.s.RunUntil(2 * time.Second)
-	if r.sb.VoiceRecv-before > 3 {
-		t.Fatalf("%d frames after Close", r.sb.VoiceRecv-before)
-	}
-}
-
 func TestCompactNTPRoundTrip(t *testing.T) {
 	for _, d := range []time.Duration{0, time.Second, 90 * time.Second, 12 * time.Minute} {
 		got := fromCompactNTP(compactNTP(d))

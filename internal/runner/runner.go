@@ -14,9 +14,6 @@ package runner
 import (
 	"runtime"
 	"sync"
-	"time"
-
-	"github.com/svrlab/svrlab/internal/obs"
 )
 
 // Workers resolves a requested worker count: values > 0 are used as given,
@@ -76,22 +73,4 @@ func Map[T any](workers, n int, fn func(i int) T) []T {
 		}
 	}
 	return out
-}
-
-// MapObserved is Map plus per-cell accounting into m: a "runner.cells"
-// counter (deterministic) and a "runner.cell_wall" wall-clock histogram.
-// Wall time varies run to run, so that series is volatile — present in
-// Snapshot but excluded from Snapshot.Stable, keeping the Workers-1 vs
-// Workers-N determinism contract intact. A nil m is plain Map.
-func MapObserved[T any](m *obs.Registry, workers, n int, fn func(i int) T) []T {
-	if m == nil {
-		return Map(workers, n, fn)
-	}
-	return Map(workers, n, func(i int) T {
-		start := time.Now()
-		out := fn(i)
-		m.Inc("runner.cells")
-		m.ObserveWall("runner.cell_wall", time.Since(start))
-		return out
-	})
 }

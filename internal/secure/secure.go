@@ -32,14 +32,17 @@ type Session struct {
 
 	// OnEstablished fires when the handshake completes.
 	OnEstablished func()
-	// OnData receives each application record body. The slice is a view
-	// into the receive buffer, valid only during the call: copy what must
-	// outlive it.
-	OnData func([]byte)
+	// OnMsg receives each framed message of the application stream, which
+	// records may split or merge. body is a view into the session's
+	// message buffer, valid only during the call: copy what must outlive
+	// it. A session without OnMsg only counts what it receives.
+	OnMsg func(kind byte, body []byte)
 
 	// rxBuf holds the undecoded tail of the TCP byte stream, compacted to
-	// the front after every delivery, so it stays about one record long.
-	rxBuf []byte
+	// the front after every delivery, so it stays about one record long;
+	// msgBuf holds the unparsed tail of the application stream, compacted
+	// the same way after every record.
+	rxBuf, msgBuf []byte
 
 	// Send-side scratch, reused for every record: rec holds one record's
 	// wire image (the connection copies it), head the plaintext of a
@@ -237,8 +240,8 @@ func (s *Session) onRaw(b []byte) {
 		case packet.TLSApplicationData:
 			s.AppBytesRecv += len(body)
 			s.recordsRecv++
-			if s.OnData != nil {
-				s.OnData(body)
+			if s.OnMsg != nil {
+				s.readMsgs(body)
 			}
 		}
 	}
@@ -296,7 +299,7 @@ const (
 	MsgPush     = 3 // server-initiated (e.g. forwarded avatar state on Hubs)
 )
 
-// MaxMsgLen is the largest message body a MsgReader accepts, and so the
+// MaxMsgLen is the largest message body a session accepts, and so the
 // largest response a control server may send.
 const MaxMsgLen = 16 << 20
 
@@ -311,38 +314,24 @@ func appendMsgHeader(dst []byte, kind byte, n int) []byte {
 	return binary.BigEndian.AppendUint32(append(dst, kind), uint32(n))
 }
 
-// MsgReader incrementally parses framed messages from Session.OnData
-// deliveries (records may split or merge messages). It copies what it
-// keeps, so it may be fed views that are valid only during the call.
-type MsgReader struct {
-	// buf holds the unparsed tail of the stream, compacted to the front
-	// after every Feed.
-	buf []byte
-	// OnMsg receives each message. body is a view into the reader's
-	// buffer, valid only during the call, as Session.OnData's is: copy
-	// what must outlive it.
-	OnMsg func(kind byte, body []byte)
-}
-
-// Feed appends bytes and dispatches every complete message.
-func (r *MsgReader) Feed(b []byte) {
-	r.buf = append(r.buf, b...)
+// readMsgs appends one record's plaintext to msgBuf and hands every
+// complete message to OnMsg. A length prefix beyond MaxMsgLen means the
+// stream is corrupt, so the buffered bytes are dropped.
+func (s *Session) readMsgs(plain []byte) {
+	s.msgBuf = append(s.msgBuf, plain...)
 	off := 0
-	for len(r.buf)-off >= msgHeaderLen {
-		m := r.buf[off:]
+	for len(s.msgBuf)-off >= msgHeaderLen {
+		m := s.msgBuf[off:]
 		n := int(binary.BigEndian.Uint32(m[1:5]))
 		if n > MaxMsgLen {
-			// Corrupt stream; drop everything.
-			r.buf = r.buf[:0]
+			s.msgBuf = s.msgBuf[:0]
 			return
 		}
 		if len(m) < msgHeaderLen+n {
 			break
 		}
 		off += msgHeaderLen + n
-		if r.OnMsg != nil {
-			r.OnMsg(m[0], m[msgHeaderLen:msgHeaderLen+n])
-		}
+		s.OnMsg(m[0], m[msgHeaderLen:msgHeaderLen+n])
 	}
-	r.buf = r.buf[:copy(r.buf, r.buf[off:])]
+	s.msgBuf = s.msgBuf[:copy(s.msgBuf, s.msgBuf[off:])]
 }

@@ -152,7 +152,6 @@ type UDPSocket struct {
 	stack  *Stack
 	Port   uint16
 	OnRecv func(src packet.Endpoint, payload []byte)
-	closed bool
 }
 
 // Enlist adds ep to the fabric's endpoint list, so a layer above the
@@ -180,20 +179,9 @@ func (s *Stack) BindUDP(port uint16) (*UDPSocket, error) {
 
 // SendTo transmits a datagram.
 func (u *UDPSocket) SendTo(dst packet.Endpoint, payload []byte) {
-	if u.closed {
-		return
-	}
 	u.stack.Net.Send(u.stack.Host, &packet.Packet{
 		IP:      packet.IPv4{Protocol: packet.ProtoUDP, Dst: dst.Addr},
 		UDP:     &packet.UDP{SrcPort: u.Port, DstPort: dst.Port},
 		Payload: payload,
 	})
-}
-
-// Close unbinds the socket.
-func (u *UDPSocket) Close() {
-	if !u.closed {
-		u.closed = true
-		delete(u.stack.udp, u.Port)
-	}
 }

@@ -79,26 +79,6 @@ func TestUDPClosedPortGeneratesUnreachable(t *testing.T) {
 	}
 }
 
-func TestUDPCloseStopsDelivery(t *testing.T) {
-	r := newRig(t)
-	srv, _ := r.sb.BindUDP(9000)
-	count := 0
-	srv.OnRecv = func(packet.Endpoint, []byte) { count++ }
-	cli, _ := r.sa.BindUDP(0)
-	cli.SendTo(packet.Endpoint{Addr: r.b.Addr, Port: 9000}, []byte("1"))
-	r.s.Run()
-	srv.Close()
-	cli.SendTo(packet.Endpoint{Addr: r.b.Addr, Port: 9000}, []byte("2"))
-	r.s.Run()
-	if count != 1 {
-		t.Fatalf("count = %d, want 1", count)
-	}
-	// Closed client socket refuses to send.
-	cli.Close()
-	cli.SendTo(packet.Endpoint{Addr: r.b.Addr, Port: 9000}, []byte("3"))
-	r.s.Run()
-}
-
 func TestICMPEchoReply(t *testing.T) {
 	r := newRig(t)
 	var reply *packet.Packet
@@ -282,21 +262,15 @@ func TestStreamKeepsOrderBehindOwedBytes(t *testing.T) {
 	}
 }
 
-// TestDrainWaitsForOwedBytes: an ACK that covers every byte in flight and
-// empties the send buffer leaves Buffered non-zero while a stream still
-// owes bytes. The stream's first two chunks fill the initial window
-// exactly, and the first ACK is dropped, so the second covers them both.
+// TestDrainWaitsForOwedBytes: a connection that owes stream bytes has bytes
+// in flight after every packet the client handles, so an ACK always comes
+// to release more of them, and it drains (Unacked and Buffered, which the
+// Worlds gate polls, both zero) only once every byte is delivered.
 func TestDrainWaitsForOwedBytes(t *testing.T) {
 	r := newRig(t)
 	client, server := dialPair(t, r)
 	var got bytes.Buffer
 	server.OnData = func(b []byte) { got.Write(b) }
-	handle, acks := r.a.Handler, 0
-	r.a.Handler = func(p *packet.Packet) {
-		if acks++; acks > 1 {
-			handle(p)
-		}
-	}
 	data := bytes.Repeat([]byte("owed"), 10_000)
 	drained := 0
 	onDrain(r.a, client, func() {
@@ -305,10 +279,19 @@ func TestDrainWaitsForOwedBytes(t *testing.T) {
 			t.Fatalf("drained with %d of %d bytes delivered", got.Len(), len(data))
 		}
 	})
+	handle, owing := r.a.Handler, 0
+	r.a.Handler = func(p *packet.Packet) {
+		handle(p)
+		if client.owed > 0 {
+			owing++
+			if client.Unacked() == 0 {
+				t.Fatalf("%d bytes owed with nothing in flight", client.owed)
+			}
+		}
+	}
 	client.Stream(len(data), MSS, chunker(data, MSS))
-	if client.Unacked() != 2*MSS || len(client.sendBuf) != 2*MSS || client.owed == 0 {
-		t.Fatalf("%d bytes in flight, %d buffered, %d owed; want the window to end at a chunk boundary",
-			client.Unacked(), len(client.sendBuf), client.owed)
+	if client.owed == 0 {
+		t.Fatal("the window never closed: nothing is owed")
 	}
 	if client.Buffered() != len(data) {
 		t.Fatalf("Buffered = %d, want all %d bytes: the window in flight and the owed rest", client.Buffered(), len(data))
@@ -316,6 +299,9 @@ func TestDrainWaitsForOwedBytes(t *testing.T) {
 	r.s.RunUntil(r.s.Now() + 30*time.Second)
 	if !bytes.Equal(got.Bytes(), data) || drained != 1 {
 		t.Fatalf("received %d of %d bytes, drained %d times", got.Len(), len(data), drained)
+	}
+	if owing == 0 {
+		t.Fatal("the client handled no packet while bytes were owed")
 	}
 }
 
