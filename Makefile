@@ -41,16 +41,16 @@ golden:
 audit:
 	go run ./cmd/svrlab all -seed 42 -repeats 1 -audit
 
-# Fuzz every wire codec — plus the scheduler's differential ordering
-# target — for FUZZTIME each (DESIGN.md "The codec hardening contract",
-# §4.12). FUZZPKGS is every package with a `func Fuzz` in a test file, so a
-# target in a new package is fuzzed too. Native Go fuzzing takes one target
-# per invocation, so the loop enumerates targets with -list and runs them
-# back to back. Each target starts from its f.Add seeds, which plain
-# `go test` runs as subtests of the target; crashers land in
-# testdata/fuzz/<Target>/ and replay there the same way. CI runs this with
-# a short FUZZTIME as a smoke pass; use FUZZTIME=60s locally before merging
-# codec changes.
+# Fuzz every wire codec — plus the differential targets of the scheduler's
+# ordering and the secure session's record parser — for FUZZTIME each
+# (DESIGN.md "The codec hardening contract", §4.12). FUZZPKGS is every
+# package with a `func Fuzz` in a test file, so a target in a new package
+# is fuzzed too. Native Go fuzzing takes one target per invocation, so the
+# loop enumerates targets with -list and runs them back to back. Each
+# target starts from its f.Add seeds, which plain `go test` runs as
+# subtests of the target; crashers land in testdata/fuzz/<Target>/ and
+# replay there the same way. CI runs this with a short FUZZTIME as a smoke
+# pass; use FUZZTIME=60s locally before merging codec changes.
 FUZZTIME ?= 10s
 FUZZPKGS = $(sort $(patsubst %/,%,$(dir $(shell grep -rl --include='*_test.go' --exclude-dir=bench '^func Fuzz' .))))
 

@@ -58,11 +58,16 @@ func AppendTLSRecord(dst []byte, contentType uint8, body []byte) []byte {
 // appendOneTLSRecord appends a single record framing body (which must fit
 // MaxTLSPlaintext) to dst.
 func appendOneTLSRecord(dst []byte, contentType uint8, body []byte) []byte {
-	dst = append(dst, contentType, 3, 3) // TLS 1.2 wire version
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(body)+TLSRecordOverhead))
-	dst = append(dst, body...)
+	dst = append(AppendTLSHeader(dst, contentType, len(body)), body...)
 	var aead [TLSRecordOverhead]byte // explicit nonce and tag: zero in this lab
 	return append(dst, aead[:]...)
+}
+
+// AppendTLSHeader appends to dst the 5-byte header of a record whose
+// plaintext is n bytes, at most MaxTLSPlaintext.
+func AppendTLSHeader(dst []byte, contentType uint8, n int) []byte {
+	dst = append(dst, contentType, 3, 3) // TLS 1.2 wire version
+	return binary.BigEndian.AppendUint16(dst, uint16(n+TLSRecordOverhead))
 }
 
 // Errors distinguishing an incomplete TLS record (feed more bytes) from a
@@ -72,33 +77,44 @@ var (
 	ErrTLSMalformed = errors.New("packet: malformed TLS record")
 )
 
-// DecodeTLSRecord parses one record from the front of b, returning the
-// record, the plaintext body, and the remaining bytes. ErrTLSShort means b
-// is a valid but incomplete prefix; ErrTLSMalformed means no completion of
-// b can be a record MarshalTLSRecord produced — the length field is below
-// the AEAD overhead or above the plaintext ceiling, the protocol version is
-// wrong, or the AEAD expansion bytes (zero in this lab) are corrupted.
-func DecodeTLSRecord(b []byte) (TLSRecord, []byte, []byte, error) {
+// DecodeTLSHeader checks the record header at the front of b. ErrTLSShort
+// means b holds less than a header; ErrTLSMalformed means the protocol
+// version is wrong, or the length field is below the AEAD overhead or above
+// the plaintext ceiling. BodyLen is the length field: the plaintext plus
+// its AEAD expansion.
+func DecodeTLSHeader(b []byte) (TLSRecord, error) {
 	if len(b) < TLSRecordHeaderLen {
-		return TLSRecord{}, nil, nil, ErrTLSShort
+		return TLSRecord{}, ErrTLSShort
 	}
 	if b[1] != 3 || b[2] != 3 {
-		return TLSRecord{}, nil, nil, ErrTLSMalformed
+		return TLSRecord{}, ErrTLSMalformed
 	}
 	n := int(binary.BigEndian.Uint16(b[3:5]))
 	if n < TLSRecordOverhead || n-TLSRecordOverhead > MaxTLSPlaintext {
-		return TLSRecord{}, nil, nil, ErrTLSMalformed
+		return TLSRecord{}, ErrTLSMalformed
 	}
-	if len(b) < TLSRecordHeaderLen+n {
+	return TLSRecord{ContentType: b[0], BodyLen: n}, nil
+}
+
+// DecodeTLSRecord parses one record from the front of b, returning the
+// record, the plaintext body, and the remaining bytes. ErrTLSShort means b
+// is a valid but incomplete prefix; ErrTLSMalformed means no completion of
+// b can be a record MarshalTLSRecord produced — its header fails
+// DecodeTLSHeader, or the AEAD expansion bytes (zero in this lab) are
+// corrupted.
+func DecodeTLSRecord(b []byte) (TLSRecord, []byte, []byte, error) {
+	rec, err := DecodeTLSHeader(b)
+	if err != nil {
+		return TLSRecord{}, nil, nil, err
+	}
+	end := TLSRecordHeaderLen + rec.BodyLen
+	if len(b) < end {
 		return TLSRecord{}, nil, nil, ErrTLSShort
 	}
-	if !allZero(b[TLSRecordHeaderLen+n-TLSRecordOverhead : TLSRecordHeaderLen+n]) {
+	if !allZero(b[end-TLSRecordOverhead : end]) {
 		return TLSRecord{}, nil, nil, ErrTLSMalformed
 	}
-	rec := TLSRecord{ContentType: b[0], BodyLen: n}
-	body := b[TLSRecordHeaderLen : TLSRecordHeaderLen+n-TLSRecordOverhead]
-	rest := b[TLSRecordHeaderLen+n:]
-	return rec, body, rest, nil
+	return rec, b[TLSRecordHeaderLen : end-TLSRecordOverhead], b[end:], nil
 }
 
 // RTP constants.

@@ -606,9 +606,6 @@ func (c *Client) Turn(clicks int) {
 	c.worldPose = venue.Clamp(world.SnapTurn(c.worldPose, clicks))
 }
 
-// PoseNow returns the user's current world pose.
-func (c *Client) PoseNow() world.Pose { return c.worldPose }
-
 // VoiceRTT returns the WebRTC (RTCP-derived) RTT estimate for web platforms
 // — the paper's RTCIceCandidatePairStats substitute. Zero when unmeasured.
 func (c *Client) VoiceRTT() time.Duration {

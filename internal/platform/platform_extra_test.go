@@ -133,24 +133,26 @@ func TestDownloadDeliversWholeResponse(t *testing.T) {
 	if sess.AppBytesRecv != 5+n {
 		t.Fatalf("client session received %d application bytes, want %d", sess.AppBytesRecv, 5+n)
 	}
-	local := sess.Conn().Local
 	var server, client *transport.ConnAudit
-	for _, ep := range dep.Net.Endpoints() {
-		st, ok := ep.(*transport.Stack)
-		if !ok {
-			continue
+	for _, a := range c.Stack.AuditConns() {
+		if a.Remote == dep.AssetEndpoint(c.Profile) {
+			client = &a
 		}
-		for _, a := range st.AuditConns() {
-			switch local {
-			case a.Remote:
-				server = &a
-			case a.Local:
-				client = &a
+	}
+	if client == nil {
+		t.Fatal("the client has no connection to the asset endpoint")
+	}
+	for _, ep := range dep.Net.Endpoints() {
+		if st, ok := ep.(*transport.Stack); ok {
+			for _, a := range st.AuditConns() {
+				if a.Remote == client.Local {
+					server = &a
+				}
 			}
 		}
 	}
-	if server == nil || client == nil {
-		t.Fatalf("asset connection ends found: server %v, client %v", server != nil, client != nil)
+	if server == nil {
+		t.Fatal("no stack holds the server end of the asset connection")
 	}
 	if server.StreamAcked != server.StreamSent || server.BufferedBytes != 0 {
 		t.Fatalf("asset connection not drained: %d of %d bytes acked, %d buffered",

@@ -510,6 +510,18 @@ func TestSessionExpiryLeavesRoom(t *testing.T) {
 			if r := cs[0].remotes["u3"]; r == nil || r.lastAt < 79*time.Second {
 				t.Errorf("u1 stopped hearing u3 (%+v) after u2's control channel fell silent", r)
 			}
+			if p.TCPPriority {
+				// An avatar upload from the expired member's endpoint finds
+				// no member, so the server forwards it to no one.
+				u2, sent := cs[1], sched.Now()
+				u2.dataSock.SendTo(u2.dataEP, p.Codec.Encode(appendAvatar(nil, avatarMsg{Seq: 1}), &u2.pose))
+				sched.RunUntil(sent + 2*time.Second)
+				for _, c := range cs {
+					if r := c.remotes["u2"]; r != nil && r.lastAt >= sent {
+						t.Errorf("%s heard u2 at %v, after u2's session expired", c.User, r.lastAt)
+					}
+				}
+			}
 		})
 	}
 }

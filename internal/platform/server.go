@@ -276,9 +276,6 @@ func (b *Backend) handleAvatarUpload(m *Member, frame []byte, private bool) {
 	}
 
 	room := m.room
-	if room == nil {
-		return
-	}
 	delay := b.serverDelay(room, private)
 	var fwd []byte
 	if p.WebData {
@@ -372,9 +369,6 @@ func (b *Backend) deliverCrossInstance(from, to *Member, payload []byte) {
 // platforms; Hubs voice goes through the SFU instead).
 func (b *Backend) handleVoiceUpload(m *Member, payload []byte) {
 	room := m.room
-	if room == nil {
-		return
-	}
 	fwd, err := marshalVoiceFwd(m.User, payload)
 	if err != nil {
 		b.dep.Metrics().Inc("platform.wire_marshal_err")

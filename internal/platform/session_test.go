@@ -36,7 +36,7 @@ func TestTimedActionsDriveFullSession(t *testing.T) {
 	sched.RunUntil(16 * time.Second)
 
 	// The stand+turn choreography applied: 90° + 4×22.5° = 180°.
-	if got := u1.PoseNow(); got.Yaw != 180 || got.Pos != (world.Vec2{X: 5, Y: 5}) {
+	if got := u1.worldPose; got.Yaw != 180 || got.Pos != (world.Vec2{X: 5, Y: 5}) {
 		t.Fatalf("pose = %+v", got)
 	}
 	if u1.gesture != avatar.GestureWave || u1.gestureUntil != 8*time.Second {

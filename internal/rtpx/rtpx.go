@@ -88,9 +88,6 @@ func NewStream(sched *simtime.Scheduler, sock *transport.UDPSocket, remote packe
 // like a muted WebRTC track.
 func (s *Stream) SetMuted(m bool) { s.muted = m }
 
-// Muted reports the mute state.
-func (s *Stream) Muted() bool { return s.muted }
-
 func (s *Stream) tick() {
 	if s.muted {
 		return

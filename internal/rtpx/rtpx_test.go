@@ -65,8 +65,8 @@ func TestSetMutedMidStream(t *testing.T) {
 	r.s.RunUntil(time.Second)
 	before := r.sb.VoiceRecv
 	r.sa.SetMuted(true)
-	if !r.sa.Muted() {
-		t.Fatal("Muted() = false after SetMuted(true)")
+	if !r.sa.muted {
+		t.Fatal("stream not muted after SetMuted(true)")
 	}
 	r.s.RunUntil(2 * time.Second)
 	after := r.sb.VoiceRecv

@@ -8,7 +8,6 @@ package secure
 
 import (
 	"encoding/binary"
-	"errors"
 
 	"github.com/svrlab/svrlab/internal/obs"
 	"github.com/svrlab/svrlab/internal/packet"
@@ -35,13 +34,22 @@ type Session struct {
 	// OnMsg receives each framed message of the application stream, which
 	// records may split or merge. body is a view into the session's
 	// message buffer, valid only during the call: copy what must outlive
-	// it. A session without OnMsg only counts what it receives.
+	// it. A session without OnMsg only counts what it receives, and so
+	// does one whose OnMsg is set after a record's header has arrived, for
+	// that record.
 	OnMsg func(kind byte, body []byte)
 
-	// rxBuf holds the undecoded tail of the TCP byte stream, compacted to
-	// the front after every delivery, so it stays about one record long;
-	// msgBuf holds the unparsed tail of the application stream, compacted
-	// the same way after every record.
+	// Receive state between deliveries. hdr holds the first nhdr bytes of a
+	// record header that a delivery cut; in is the record whose header is
+	// whole, left how many of its wire bytes are still to come (0 between
+	// records), aead the OR of its AEAD bytes so far, and keep whether its
+	// body is read, into rxBuf. msgBuf holds the unparsed tail of the
+	// application stream, compacted after every record.
+	hdr           [packet.TLSRecordHeaderLen]byte
+	nhdr, left    int
+	in            packet.TLSRecord
+	aead          byte
+	keep          bool
 	rxBuf, msgBuf []byte
 
 	// Send-side scratch, reused for every record: rec holds one record's
@@ -111,12 +119,6 @@ func Server(conn *transport.Conn) *Session {
 	return s
 }
 
-// Established reports whether application data can flow.
-func (s *Session) Established() bool { return s.ready }
-
-// Conn exposes the underlying transport connection (for drain hooks).
-func (s *Session) Conn() *transport.Conn { return s.conn }
-
 // maxRecord is the plaintext size at which application data is cut into
 // records.
 const maxRecord = 4096
@@ -146,15 +148,11 @@ func (s *Session) SendMsg(kind byte, body []byte) {
 	s.sendRecords(body[k:])
 }
 
-// zeros is the plaintext of every SendZeros record. It is only read.
-var zeros [maxRecord]byte
-
 // SendZeros sends one framed message with an n-byte zero body: the same
 // bytes on the wire as SendMsg(kind, make([]byte, n)), without the body.
-// The connection streams the records, framing each into its send buffer
-// only when TCP needs it, so a large download holds about one window of
-// send buffer instead of the whole response. The records are counted when
-// SendZeros is called, as SendMsg counts them.
+// The connection streams the records and keeps none of their bytes: it
+// writes each segment's share of them only when TCP sends it. The records
+// are counted when SendZeros is called, as SendMsg counts them.
 func (s *Session) SendZeros(kind byte, n int) {
 	if !s.ready {
 		s.pending = append(s.pending, MarshalMsg(kind, make([]byte, n)))
@@ -163,17 +161,31 @@ func (s *Session) SendZeros(kind byte, n int) {
 	total := msgHeaderLen + n
 	s.AppBytesSent += total
 	s.recordsSent += (total + maxRecord - 1) / maxRecord
-	left := total
-	s.conn.Stream(wireLen(total), wireLen(maxRecord), func(dst []byte) []byte {
-		k := min(left, maxRecord)
-		body := len(dst) + packet.TLSRecordHeaderLen
-		dst = packet.AppendTLSRecord(dst, packet.TLSApplicationData, zeros[:k])
-		if left == total { // the first record opens with the message header
-			appendMsgHeader(dst[body:body], kind, n)
-		}
-		left -= k
-		return dst
+	s.conn.Stream(wireLen(total), wireLen(maxRecord), func(dst []byte, off int) {
+		zeroRecords(dst, off, kind, n)
 	})
+}
+
+// zeroRecords writes into dst the wire bytes, from stream offset off, of
+// the records that carry a message of kind with an n-byte zero body:
+// zeros, each record's header, and the message header that opens the
+// first record's plaintext.
+func zeroRecords(dst []byte, off int, kind byte, n int) {
+	clear(dst)
+	rec, total := wireLen(maxRecord), msgHeaderLen+n
+	var buf [packet.TLSRecordHeaderLen + msgHeaderLen]byte
+	for r := off / rec; r*rec < off+len(dst); r++ {
+		h := packet.AppendTLSHeader(buf[:0], packet.TLSApplicationData, min(total-r*maxRecord, maxRecord))
+		if r == 0 {
+			h = appendMsgHeader(h, kind, n)
+		}
+		// h lies at stream offset r*rec; copy what of it falls in dst.
+		if at := r*rec - off; at >= 0 {
+			copy(dst[at:], h)
+		} else if -at < len(h) {
+			copy(dst, h[-at:])
+		}
+	}
 }
 
 func (s *Session) sendNow(data []byte) {
@@ -216,36 +228,60 @@ func (s *Session) flushPending() {
 	s.pending = nil
 }
 
-// onRaw reassembles records from the TCP byte stream. A short decode waits
-// for more bytes; a malformed record means the stream is corrupt beyond
-// recovery (record boundaries are lost), so the buffer is dropped and the
-// event counted — a real TLS peer would send a fatal alert here.
+// onRaw parses records where they lie in b, a delivered piece of the TCP
+// byte stream, and checks each record's AEAD bytes there. It copies a
+// record's body only when something reads it: a handshake record, or an
+// application record when OnMsg is set; any other body is only counted. So
+// between deliveries a session keeps at most a header that b cut and one
+// read body. A malformed record means the stream is corrupt beyond
+// recovery (record boundaries are lost), so the rest of b is dropped and
+// the event counted — a real TLS peer would send a fatal alert here.
 func (s *Session) onRaw(b []byte) {
-	s.rxBuf = append(s.rxBuf, b...)
-	off := 0
-	for {
-		rec, body, rest, err := packet.DecodeTLSRecord(s.rxBuf[off:])
-		if errors.Is(err, packet.ErrTLSMalformed) {
-			s.rxBuf = s.rxBuf[:0]
+	for len(b) > 0 {
+		if s.left == 0 {
+			k := copy(s.hdr[s.nhdr:], b)
+			if b, s.nhdr = b[k:], s.nhdr+k; s.nhdr < len(s.hdr) {
+				return
+			}
+			s.nhdr = 0
+			rec, err := packet.DecodeTLSHeader(s.hdr[:])
+			if err != nil {
+				s.badRecords++
+				return
+			}
+			s.in, s.left = rec, rec.BodyLen
+			s.keep = rec.ContentType == packet.TLSHandshake || rec.ContentType == packet.TLSApplicationData && s.OnMsg != nil
+		}
+		// b's share of the record: plaintext, then the AEAD bytes of its
+		// last TLSRecordOverhead.
+		k := min(len(b), s.left)
+		plain := min(k, max(0, s.left-packet.TLSRecordOverhead))
+		if s.keep {
+			s.rxBuf = append(s.rxBuf, b[:plain]...)
+		}
+		for _, c := range b[plain:k] {
+			s.aead |= c
+		}
+		if b, s.left = b[k:], s.left-k; s.left > 0 {
+			return
+		}
+		body, bad := s.rxBuf, s.aead != 0
+		s.rxBuf, s.aead = s.rxBuf[:0], 0
+		if bad {
 			s.badRecords++
 			return
 		}
-		if err != nil {
-			break // need more bytes
-		}
-		off = len(s.rxBuf) - len(rest)
-		switch rec.ContentType {
+		switch s.in.ContentType {
 		case packet.TLSHandshake:
 			s.onHandshake(body)
 		case packet.TLSApplicationData:
-			s.AppBytesRecv += len(body)
+			s.AppBytesRecv += s.in.BodyLen - packet.TLSRecordOverhead
 			s.recordsRecv++
-			if s.OnMsg != nil {
+			if s.keep {
 				s.readMsgs(body)
 			}
 		}
 	}
-	s.rxBuf = s.rxBuf[:copy(s.rxBuf, s.rxBuf[off:])]
 }
 
 func (s *Session) onHandshake(body []byte) {

@@ -55,11 +55,11 @@ func TestHandshakeEstablishesBothSides(t *testing.T) {
 	if !cliUp {
 		t.Fatal("client not established")
 	}
-	if !r.cli.Established() {
-		t.Fatal("client Established() = false")
+	if !r.cli.ready {
+		t.Fatal("client session not ready")
 	}
 	// srvUp may have fired before we attached; accept either signal.
-	if !srvUp && !r.srv.Established() {
+	if !srvUp && !r.srv.ready {
 		t.Fatal("server not established")
 	}
 	if r.srvAccepts != 1 {

@@ -37,7 +37,7 @@ func wireTrace(t *testing.T, early bool, up *netsim.Netem, bodies [][]byte, send
 	})
 	if !early {
 		r.s.RunUntil(2 * time.Second)
-		if r.srv == nil || !r.srv.Established() {
+		if r.srv == nil || !r.srv.ready {
 			t.Fatal("session not established")
 		}
 	}
@@ -117,16 +117,17 @@ func establishedRig(t *testing.T) *rig {
 	t.Helper()
 	r := newRig(t)
 	r.s.RunUntil(2 * time.Second)
-	if r.srv == nil || !r.srv.Established() || !r.cli.Established() {
+	if r.srv == nil || !r.srv.ready || !r.cli.ready {
 		t.Fatal("session not established")
 	}
 	return r
 }
 
 // TestOnRawRecordAllocFree: in steady state, reassembling 4 KiB records
-// from 1400-byte TCP segments allocates nothing per record. The receive
-// buffer is compacted in place, and each record here holds one message,
-// which OnMsg gets as a view, not a copy.
+// from 1400-byte TCP segments allocates nothing per record. Each body,
+// which OnMsg reads, is copied into a receive buffer the session reuses,
+// and each record here holds one message, which OnMsg gets as a view, not
+// a copy.
 func TestOnRawRecordAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc bound only holds without -race")
@@ -154,6 +155,38 @@ func TestOnRawRecordAllocFree(t *testing.T) {
 	}
 	if cap(r.srv.rxBuf) > 4*maxRecord {
 		t.Fatalf("receive buffer grew to %d bytes, want a few KiB", cap(r.srv.rxBuf))
+	}
+}
+
+// TestDownloadAllocFree: a session without OnMsg, an asset download's,
+// checks and counts each record where it lies in the delivered segment and
+// keeps no byte of it, so receiving VRChat's 22 MiB launch download in
+// 1,400-byte segments allocates nothing and never makes a receive buffer.
+// The segments come from the layout SendZeros streams.
+func TestDownloadAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc bound only holds without -race")
+	}
+	const n = 22 << 20
+	wire := wireLen(msgHeaderLen + n)
+	seg := make([]byte, transport.MSS)
+	s := &Session{}
+	feed := func() {
+		for off := 0; off < wire; off += len(seg) {
+			k := min(len(seg), wire-off)
+			zeroRecords(seg[:k], off, MsgResponse, n)
+			s.onRaw(seg[:k])
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, feed); allocs != 0 {
+		t.Fatalf("receiving a %d-byte download allocates %.2f, want 0", n, allocs)
+	}
+	// AllocsPerRun adds a warm-up run.
+	if want := 2 * (msgHeaderLen + n); s.AppBytesRecv != want || s.badRecords != 0 {
+		t.Fatalf("counted %d application bytes and %d bad records, want %d and none", s.AppBytesRecv, s.badRecords, want)
+	}
+	if cap(s.rxBuf) != 0 || cap(s.msgBuf) != 0 {
+		t.Fatalf("receive buffer cap %d, message buffer cap %d, want neither made", cap(s.rxBuf), cap(s.msgBuf))
 	}
 }
 

@@ -83,10 +83,10 @@ func TestUDPSendToAllocFree(t *testing.T) {
 }
 
 // TestStreamAllocBound: a 22 MiB Stream through a lossy path delivers every
-// byte in order while the send array stays at most 2 MiB: the bytes in
-// flight, at most the 524 KB receive window, plus one chunk, with room to
-// grow. The pattern is not zero, so a compaction that slid the wrong bytes
-// would show. A Send of the same 22 MiB grows the send buffer past 22 MiB.
+// byte in order and never makes a send array: pump and retransmitHead read
+// each segment, retransmissions included, into the stack's scratch. The
+// pattern is not zero, so a segment read from the wrong offset would show.
+// A Send of the same 22 MiB grows the send buffer past 22 MiB.
 func TestStreamAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc bound only holds without -race")
@@ -94,9 +94,9 @@ func TestStreamAllocBound(t *testing.T) {
 	r := newRig(t)
 	client, server := dialPair(t, r)
 	r.b.UpNetem = &netsim.Netem{Loss: 0.02}
-	const n, chunk, bound = 22 << 20, 4125, 2 << 20
+	const n, chunk = 22 << 20, 4125
 	pattern := func(i int) byte { return byte(i % 251) }
-	got, maxCap := 0, 0
+	got := 0
 	client.OnData = func(b []byte) {
 		for j, c := range b {
 			if c != pattern(got+j) {
@@ -104,18 +104,15 @@ func TestStreamAllocBound(t *testing.T) {
 			}
 		}
 		got += len(b)
-		maxCap = max(maxCap, cap(server.sendMem))
-	}
-	next := 0
-	server.Stream(n, chunk, func(dst []byte) []byte {
-		k := min(chunk, n-next)
-		for i := range k {
-			dst = append(dst, pattern(next+i))
+		if server.sendMem != nil {
+			t.Fatalf("the stream made a %d-byte send array, want none", cap(server.sendMem))
 		}
-		next += k
-		return dst
+	}
+	server.Stream(n, chunk, func(dst []byte, off int) {
+		for i := range dst {
+			dst[i] = pattern(off + i)
+		}
 	})
-	maxCap = max(maxCap, cap(server.sendMem))
 	r.s.RunUntil(r.s.Now() + 10*time.Minute)
 	if got != n {
 		t.Fatalf("delivered %d of %d bytes", got, n)
@@ -123,10 +120,10 @@ func TestStreamAllocBound(t *testing.T) {
 	if r.sb.counts.retransmits == 0 {
 		t.Fatal("no retransmissions: the path was not lossy")
 	}
-	if maxCap > bound {
-		t.Fatalf("send array grew to %d bytes, want <= %d", maxCap, bound)
+	if server.sendMem != nil {
+		t.Fatalf("the stream made a %d-byte send array, want none", cap(server.sendMem))
 	}
-	if server.Buffered() != 0 || server.fill != nil {
-		t.Fatalf("after the stream: %d bytes buffered, fill kept: %v", server.Buffered(), server.fill != nil)
+	if server.Buffered() != 0 || server.read != nil {
+		t.Fatalf("after the stream: %d bytes buffered, read kept: %v", server.Buffered(), server.read != nil)
 	}
 }

@@ -44,6 +44,10 @@ type Stack struct {
 
 	// counts is what this stack's connections did.
 	counts stackCounts
+
+	// scratch holds a streamed segment while the fabric copies it; it is
+	// made when the stack first streams one, so most stacks never have it.
+	scratch []byte
 }
 
 // stackCounts holds a stack's plain tallies. cwndMax is the largest

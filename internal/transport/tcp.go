@@ -89,12 +89,13 @@ type Conn struct {
 	dupAcks  int
 	retries  int
 
-	// owed bytes follow sendBuf in the stream but are not in it yet: Stream
-	// queued them, and fill appends them at most chunk bytes at a time when
-	// pump or retransmitHead reach them.
-	owed  int
-	chunk int
-	fill  func(dst []byte) []byte
+	// The stream Stream queued follows sendBuf, and the connection keeps
+	// none of its bytes: read writes those from stream offset off into dst
+	// whenever a segment needs them. streamAcked is the offset of its first
+	// unacknowledged byte, streamLen how many bytes Stream has released.
+	read        func(dst []byte, off int)
+	streamAcked int
+	streamLen   int
 
 	// NewReno fast recovery state.
 	inRecovery bool
@@ -174,9 +175,9 @@ func (c *Conn) Unacked() int { return int(c.sndNxt - c.sndUna) }
 // Buffered returns bytes queued (acked-window excluded) awaiting transmit.
 func (c *Conn) Buffered() int { return c.queued() }
 
-// queued is the unacknowledged length of the stream: the send buffer plus
-// the bytes owed to it.
-func (c *Conn) queued() int { return len(c.sendBuf) + c.owed }
+// queued is the unacknowledged length of the byte stream: the send buffer
+// plus the stream's released bytes not yet acknowledged.
+func (c *Conn) queued() int { return len(c.sendBuf) + c.streamLen - c.streamAcked }
 
 // DialTCP opens a connection to dst. The returned Conn is usable for Send
 // immediately: bytes queue until the handshake completes.
@@ -268,54 +269,66 @@ func (c *Conn) Send(data []byte) {
 	if c.state == StateClosed || len(data) == 0 {
 		return
 	}
-	c.materialize(c.queued()) // bytes owed to the stream go first
+	c.materialize() // the stream's unacknowledged bytes go first
 	c.reserve(len(data))
 	c.sendBuf = append(c.sendBuf, data...)
 	c.pump()
 }
 
-// Stream queues n bytes whose content fill appends to dst, at most chunk
-// bytes per call, only when they are needed. While the window is open,
-// Stream appends one chunk and pumps, then repeats, as one Send per chunk
-// would. Once the window closes, the rest stays owed: pump and
-// retransmitHead fill chunks until they hold the bytes they would have cut
-// from a full buffer, so the segments match a Send of the whole stream and
-// the send buffer holds about one window instead of n bytes. fill is
-// dropped when the stream is complete or the connection closes.
-func (c *Conn) Stream(n, chunk int, fill func(dst []byte) []byte) {
+// Stream queues n bytes that read writes into dst from stream offset off
+// whenever a segment needs them; the connection stores none of them. While
+// the window is open, Stream releases one chunk and pumps, then repeats, as
+// one Send per chunk would, so each chunk ends in a segment of its own. Once
+// the window closes, it releases the rest at once: pump and retransmitHead
+// then cut segments as from a Send of the whole stream. read is dropped once
+// every byte is acknowledged, or when the connection closes.
+func (c *Conn) Stream(n, chunk int, read func(dst []byte, off int)) {
 	if c.state == StateClosed || n <= 0 {
 		return
 	}
-	c.materialize(c.queued()) // an earlier stream's bytes go first
-	c.chunk, c.fill = chunk, fill
-	for n > 0 && c.state == StateEstablished && c.window() >= 1 {
-		n -= c.appendChunk()
+	c.materialize() // an earlier stream's unacknowledged bytes go first
+	c.read = read
+	for c.streamLen < n && c.state == StateEstablished && c.window() >= 1 {
+		c.streamLen = min(n, c.streamLen+chunk)
 		c.pump()
 	}
-	if c.owed = n; n == 0 {
-		c.fill = nil
-	}
+	c.streamLen = n
 }
 
-// materialize fills owed chunks into the send buffer until it holds want
-// bytes or nothing is owed.
-func (c *Conn) materialize(want int) {
-	for len(c.sendBuf) < want && c.owed > 0 {
-		if c.owed -= c.appendChunk(); c.owed == 0 {
-			c.fill = nil
-		}
+// materialize moves the stream's unacknowledged bytes into the send buffer,
+// so bytes queued behind them keep their place.
+func (c *Conn) materialize() {
+	if c.read == nil {
+		return
 	}
-}
-
-// appendChunk appends fill's next chunk and returns its length.
-func (c *Conn) appendChunk() int {
-	c.reserve(c.chunk)
+	k := c.streamLen - c.streamAcked
+	c.reserve(k)
 	n := len(c.sendBuf)
-	c.sendBuf = c.fill(c.sendBuf)
-	if len(c.sendBuf) == n {
-		panic("transport: Stream fill appended nothing")
+	c.sendBuf = c.sendBuf[:n+k]
+	c.read(c.sendBuf[n:], c.streamAcked)
+	c.dropStream()
+}
+
+func (c *Conn) dropStream() { c.read, c.streamAcked, c.streamLen = nil, 0, 0 }
+
+// segment returns the n queued bytes at offset off: a view of the send
+// buffer, or the stack's scratch filled from the send buffer's tail and
+// then through read. The fabric copies each segment inside Network.Send, so
+// the scratch is free again once sendSeg returns.
+func (c *Conn) segment(off, n int) []byte {
+	if off+n <= len(c.sendBuf) {
+		return c.sendBuf[off : off+n]
 	}
-	return len(c.sendBuf) - n
+	if c.stack.scratch == nil {
+		c.stack.scratch = make([]byte, MSS)
+	}
+	seg := c.stack.scratch[:n]
+	k := 0
+	if off < len(c.sendBuf) {
+		k = copy(seg, c.sendBuf[off:])
+	}
+	c.read(seg[k:], c.streamAcked+off+k-len(c.sendBuf))
+	return seg
 }
 
 // Grow reserves send-buffer room for n more bytes, so a message written as
@@ -365,9 +378,7 @@ func (c *Conn) pump() {
 			return
 		}
 		n := min(MSS, remain, avail)
-		c.materialize(offset + n)
-		seg := c.sendBuf[offset : offset+n]
-		c.sendSeg(&packet.TCP{Flags: packet.FlagACK | packet.FlagPSH, Seq: c.sndNxt, Ack: c.rcvNxt}, seg)
+		c.sendSeg(&packet.TCP{Flags: packet.FlagACK | packet.FlagPSH, Seq: c.sndNxt, Ack: c.rcvNxt}, c.segment(offset, n))
 		if !c.timing {
 			c.timing = true
 			c.rttSeq = c.sndNxt + uint32(n)
@@ -479,8 +490,7 @@ func (c *Conn) retransmitHead() {
 		if n == 0 {
 			return
 		}
-		c.materialize(n)
-		c.sendSeg(&packet.TCP{Flags: packet.FlagACK | packet.FlagPSH, Seq: c.sndUna, Ack: c.rcvNxt}, c.sendBuf[:n])
+		c.sendSeg(&packet.TCP{Flags: packet.FlagACK | packet.FlagPSH, Seq: c.sndUna, Ack: c.rcvNxt}, c.segment(0, n))
 	}
 }
 
@@ -500,7 +510,7 @@ func (c *Conn) close(reason string) {
 	// reassembly queue — a closed conn otherwise holds both for the rest of
 	// the sweep cell (the same pinning class as capture's Clear fix).
 	c.sendBuf, c.sendMem = nil, nil
-	c.owed, c.fill = 0, nil
+	c.dropStream()
 	c.ooo = nil
 	if c.OnClose != nil {
 		c.OnClose(reason)
@@ -565,10 +575,14 @@ func (c *Conn) receive(p *packet.Packet) {
 		if seqLT(c.sndUna, t.Ack) && seqLEQ(t.Ack, c.sndNxt) {
 			acked := t.Ack - c.sndUna
 			// The SYN consumes a sequence number that never entered the
-			// send buffer; clamp buffer consumption accordingly.
+			// send buffer; clamp buffer consumption accordingly. The ACK
+			// trims the send buffer first, then the stream behind it.
 			bufAck := min(int(acked), c.queued())
-			c.materialize(bufAck)
-			c.sendBuf = c.sendBuf[bufAck:]
+			k := min(bufAck, len(c.sendBuf))
+			c.sendBuf = c.sendBuf[k:]
+			if c.streamAcked += bufAck - k; c.streamAcked == c.streamLen {
+				c.dropStream()
+			}
 			c.sndUna = t.Ack
 			c.dupAcks = 0
 			// Spurious-RTO mitigation (F-RTO flavoured): an ACK covering

@@ -189,15 +189,15 @@ func TestGrowReservesOnceAndKeepsInFlightBytes(t *testing.T) {
 	}
 }
 
-// chunker returns a Stream fill that appends b chunk bytes at a time.
-func chunker(b []byte, chunk int) func([]byte) []byte {
-	return func(dst []byte) []byte {
-		k := min(chunk, len(b))
-		dst = append(dst, b[:k]...)
-		b = b[k:]
-		return dst
-	}
+// reader returns a Stream read that copies b's bytes from stream offset
+// off into dst.
+func reader(b []byte) func(dst []byte, off int) {
+	return func(dst []byte, off int) { copy(dst, b[off:]) }
 }
+
+// unsent is how many of c's stream bytes pump has yet to send, when the
+// stream is all c has queued.
+func unsent(c *Conn) int { return c.streamLen - c.streamAcked - c.Unacked() }
 
 // onDrain calls fn once c owes nothing after having owed bytes: what the
 // Worlds UDP gate polls, Unacked and Buffered, both read zero. The check
@@ -216,9 +216,9 @@ func onDrain(h *netsim.Host, c *Conn, fn func()) {
 }
 
 // TestStreamKeepsOrderBehindOwedBytes: a Send or a second Stream queued
-// while a stream's bytes are still owed lands after them; Buffered and the
-// audit count owed bytes as queued, and the connection drains only once
-// they are all delivered.
+// while a stream still owes bytes (some not yet sent, more not yet acked)
+// lands after them; Buffered and the audit count the stream's unacked bytes
+// as queued, and the connection drains only once they are all delivered.
 func TestStreamKeepsOrderBehindOwedBytes(t *testing.T) {
 	r := newRig(t)
 	client, server := dialPair(t, r)
@@ -240,15 +240,15 @@ func TestStreamKeepsOrderBehindOwedBytes(t *testing.T) {
 			t.Fatalf("drained with %d of %d bytes delivered", got.Len(), len(want))
 		}
 	})
-	client.Stream(len(first), 1000, chunker(first, 1000))
-	if client.owed == 0 {
-		t.Fatal("the window never closed: nothing is owed")
+	client.Stream(len(first), 1000, reader(first))
+	if unsent(client) == 0 {
+		t.Fatal("the window never closed: every stream byte was sent")
 	}
 	if client.Buffered() != len(first) {
 		t.Fatalf("Buffered = %d, want %d", client.Buffered(), len(first))
 	}
 	client.Send(middle)
-	client.Stream(len(last), 1000, chunker(last, 1000))
+	client.Stream(len(last), 1000, reader(last))
 	if client.Buffered() != len(want) || client.audit("").BufferedBytes != len(want) {
 		t.Fatalf("Buffered = %d, audit BufferedBytes = %d, want %d",
 			client.Buffered(), client.audit("").BufferedBytes, len(want))
@@ -262,10 +262,11 @@ func TestStreamKeepsOrderBehindOwedBytes(t *testing.T) {
 	}
 }
 
-// TestDrainWaitsForOwedBytes: a connection that owes stream bytes has bytes
-// in flight after every packet the client handles, so an ACK always comes
-// to release more of them, and it drains (Unacked and Buffered, which the
-// Worlds gate polls, both zero) only once every byte is delivered.
+// TestDrainWaitsForOwedBytes: a connection whose stream has bytes not yet
+// acked has bytes in flight after every packet the client handles, so an
+// ACK always comes to release more of them, and it drains (Unacked and
+// Buffered, which the Worlds gate polls, both zero) only once every byte
+// is delivered.
 func TestDrainWaitsForOwedBytes(t *testing.T) {
 	r := newRig(t)
 	client, server := dialPair(t, r)
@@ -282,16 +283,16 @@ func TestDrainWaitsForOwedBytes(t *testing.T) {
 	handle, owing := r.a.Handler, 0
 	r.a.Handler = func(p *packet.Packet) {
 		handle(p)
-		if client.owed > 0 {
+		if owed := client.streamLen - client.streamAcked; owed > 0 {
 			owing++
 			if client.Unacked() == 0 {
-				t.Fatalf("%d bytes owed with nothing in flight", client.owed)
+				t.Fatalf("%d stream bytes owed with nothing in flight", owed)
 			}
 		}
 	}
-	client.Stream(len(data), MSS, chunker(data, MSS))
-	if client.owed == 0 {
-		t.Fatal("the window never closed: nothing is owed")
+	client.Stream(len(data), MSS, reader(data))
+	if unsent(client) == 0 {
+		t.Fatal("the window never closed: every stream byte was sent")
 	}
 	if client.Buffered() != len(data) {
 		t.Fatalf("Buffered = %d, want all %d bytes: the window in flight and the owed rest", client.Buffered(), len(data))
