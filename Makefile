@@ -2,7 +2,7 @@
 # everything must build, vet clean, and pass the full test suite with the
 # race detector on (the parallel experiment runner makes the whole suite a
 # concurrency test).
-.PHONY: check gofmt build vet test race golden bench bench-hotpath audit fuzz
+.PHONY: check gofmt build vet test race golden bench bench-hotpath audit fuzz cover
 
 check: gofmt build vet race
 
@@ -40,6 +40,23 @@ golden:
 # trace agreement, and capture bounds across the whole reproduction.
 audit:
 	go run ./cmd/svrlab all -seed 42 -repeats 1 -audit
+
+# Production functions that no CLI run reaches: a function listed here is a
+# candidate for deletion (or for a test, if it guards an input no run
+# makes). Builds svrlab with coverage of every package, runs the traced
+# seed-42 reproduction with metrics and audit, table4 with a chrome trace,
+# fig2 with pcaps and resilience under its crash schedule as JSON, then
+# prints each function at 0.0%. Takes a few minutes, so CI does not run it.
+cover:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	mkdir "$$dir/cov" "$$dir/pcap"; \
+	go build -cover -coverpkg=./... -o "$$dir/svrlab" ./cmd/svrlab; \
+	export GOCOVERDIR="$$dir/cov"; \
+	"$$dir/svrlab" all -seed 42 -repeats 1 -metrics -audit -trace /dev/null -trace-format text > /dev/null; \
+	"$$dir/svrlab" run table4 -repeats 2 -trace "$$dir/table4.json" -trace-format chrome > /dev/null; \
+	"$$dir/svrlab" run fig2 -pcap "$$dir/pcap" > /dev/null; \
+	"$$dir/svrlab" run resilience -repeats 1 -chaos internal/experiment/testdata/resilience_crash.json -format json > /dev/null; \
+	go tool covdata func -i "$$dir/cov" | awk '$$NF == "0.0%"'
 
 # Fuzz every wire codec — plus the differential targets of the scheduler's
 # ordering and the secure session's record parser — for FUZZTIME each

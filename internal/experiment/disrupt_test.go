@@ -17,9 +17,9 @@ func TestFig12DownlinkDisruption(t *testing.T) {
 	}
 	// Unconstrained game throughput first: find stage means.
 	// Stage 0 = 1.0 Mbps cap; stage 5 = 0.1; stage 6 = recovery.
-	down0 := r.StageMean(&r.Down, 0)
-	down5 := r.StageMean(&r.Down, 5)
-	downN := r.StageMean(&r.Down, 6)
+	down0 := stageMean(&r.Down, r.Stages, r.Total, 0)
+	down5 := stageMean(&r.Down, r.Stages, r.Total, 5)
+	downN := stageMean(&r.Down, r.Stages, r.Total, 6)
 	if down5 > 0.15e6 {
 		t.Fatalf("0.1 Mbps stage downlink = %.2f Mbps — cap not enforced", down5/1e6)
 	}
@@ -36,20 +36,20 @@ func TestFig12DownlinkDisruption(t *testing.T) {
 		t.Fatalf("recovery stage down = %.2f Mbps vs %.2f initially", downN/1e6, down0/1e6)
 	}
 	// CPU rises and FPS falls under the tightest caps (§8.1).
-	cpu0, cpu5 := r.StageMean(&r.CPU, 0), r.StageMean(&r.CPU, 5)
+	cpu0, cpu5 := stageMean(&r.CPU, r.Stages, r.Total, 0), stageMean(&r.CPU, r.Stages, r.Total, 5)
 	if cpu5 <= cpu0 {
 		t.Fatalf("CPU did not rise under downlink pressure: %.1f -> %.1f", cpu0, cpu5)
 	}
-	fps0, fps5 := r.StageMean(&r.FPS, 0), r.StageMean(&r.FPS, 5)
+	fps0, fps5 := stageMean(&r.FPS, r.Stages, r.Total, 0), stageMean(&r.FPS, r.Stages, r.Total, 5)
 	if fps5 >= fps0 {
 		t.Fatalf("FPS did not fall under pressure: %.1f -> %.1f", fps0, fps5)
 	}
-	if r.StageMean(&r.Stale, 5) <= r.StageMean(&r.Stale, 0) {
+	if stageMean(&r.Stale, r.Stages, r.Total, 5) <= stageMean(&r.Stale, r.Stages, r.Total, 0) {
 		t.Fatal("stale frames did not rise")
 	}
 	// Uplink fluctuation: uplink drops below its unconstrained value when
 	// the client is busy recovering.
-	up0, up5 := r.StageMean(&r.Up, 0), r.StageMean(&r.Up, 5)
+	up0, up5 := stageMean(&r.Up, r.Stages, r.Total, 0), stageMean(&r.Up, r.Stages, r.Total, 5)
 	if up5 >= up0*0.9 {
 		t.Fatalf("uplink unaffected by downlink pressure: %.2f -> %.2f Mbps", up0/1e6, up5/1e6)
 	}
@@ -70,8 +70,8 @@ func TestFig12DownlinkDisruption(t *testing.T) {
 func TestFig13UplinkBandwidthStages(t *testing.T) {
 	r := Fig13(Env{Seed: 151}, Fig13Bandwidth)
 	// Uplink honours the caps: 0.3 Mbps stage ≪ 1.5 Mbps stage.
-	up0 := r.StageMean(&r.UDPUp, 0)
-	up5 := r.StageMean(&r.UDPUp, 5)
+	up0 := stageMean(&r.UDPUp, r.Stages, r.Total, 0)
+	up5 := stageMean(&r.UDPUp, r.Stages, r.Total, 5)
 	if up5 > 0.45e6 {
 		t.Fatalf("0.3 Mbps stage uplink = %.2f Mbps", up5/1e6)
 	}
@@ -80,7 +80,7 @@ func TestFig13UplinkBandwidthStages(t *testing.T) {
 	}
 	// Constrained uplink reduces U1's downlink (the peer's recovery loop
 	// reacts to missing data, §8.1).
-	down0, down5 := r.StageMean(&r.UDPDown, 0), r.StageMean(&r.UDPDown, 5)
+	down0, down5 := stageMean(&r.UDPDown, r.Stages, r.Total, 0), stageMean(&r.UDPDown, r.Stages, r.Total, 5)
 	if down5 >= down0 {
 		t.Fatalf("U1 downlink unaffected by uplink cap: %.2f -> %.2f", down0/1e6, down5/1e6)
 	}

@@ -90,6 +90,13 @@ func stageWindow(stages []disrupt.AppliedStage, total time.Duration, i int) (fro
 	return from, to
 }
 
+// stageMean summarizes a series within the i-th of stages (skipping 5 s of
+// settling).
+func stageMean(ts *stats.TimeSeries, stages []disrupt.AppliedStage, total time.Duration, i int) float64 {
+	from, to := stageWindow(stages, total, i)
+	return ts.MeanInWindow(from+5*time.Second, to)
+}
+
 // stageMarkers labels each stage's start on a Fig 12 or Fig 13 chart.
 func stageMarkers(stages []disrupt.AppliedStage) []plot.Marker {
 	var markers []plot.Marker
@@ -97,12 +104,6 @@ func stageMarkers(stages []disrupt.AppliedStage) []plot.Marker {
 		markers = append(markers, plot.Marker{At: st.At, Label: st.Stage.Label})
 	}
 	return markers
-}
-
-// StageMean summarizes a series within a stage (skipping 5 s of settling).
-func (r *Fig12Result) StageMean(ts *stats.TimeSeries, i int) float64 {
-	from, to := stageWindow(r.Stages, r.Total, i)
-	return ts.MeanInWindow(from+5*time.Second, to)
 }
 
 // Render prints the Figure 12 artifact: throughput chart plus stage table.
@@ -121,12 +122,13 @@ func (r *Fig12Result) Render() string {
 	b.WriteString(chart.Render())
 	t := &Table{Header: []string{"Stage", "Down (Mbps)", "Up (Mbps)", "CPU %", "GPU %", "FPS", "Stale/s"}}
 	for i, st := range r.Stages {
+		mean := func(ts *stats.TimeSeries) float64 { return stageMean(ts, r.Stages, r.Total, i) }
 		t.Add(st.Stage.Label,
-			mbps(r.StageMean(&r.Down, i)), mbps(r.StageMean(&r.Up, i)),
-			fmt.Sprintf("%.1f", r.StageMean(&r.CPU, i)),
-			fmt.Sprintf("%.1f", r.StageMean(&r.GPU, i)),
-			fmt.Sprintf("%.1f", r.StageMean(&r.FPS, i)),
-			fmt.Sprintf("%.1f", r.StageMean(&r.Stale, i)))
+			mbps(mean(&r.Down)), mbps(mean(&r.Up)),
+			fmt.Sprintf("%.1f", mean(&r.CPU)),
+			fmt.Sprintf("%.1f", mean(&r.GPU)),
+			fmt.Sprintf("%.1f", mean(&r.FPS)),
+			fmt.Sprintf("%.1f", mean(&r.Stale)))
 	}
 	b.WriteString(t.String())
 	return b.String()

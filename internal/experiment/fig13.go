@@ -102,12 +102,6 @@ func Fig13(e Env, mode Fig13Mode) *Fig13Result {
 	return res
 }
 
-// StageMean summarizes a series within a stage (skipping 5 s of settling).
-func (r *Fig13Result) StageMean(ts *stats.TimeSeries, i int) float64 {
-	from, to := stageWindow(r.Stages, r.Total, i)
-	return ts.MeanInWindow(from+5*time.Second, to)
-}
-
 // Render prints the Figure 13 artifact.
 func (r *Fig13Result) Render() string {
 	var b strings.Builder
@@ -129,10 +123,8 @@ func (r *Fig13Result) Render() string {
 	b.WriteString(chart.Render())
 	t := &Table{Header: []string{"Stage", "UDP up (Mbps)", "UDP down (Mbps)", "TCP up (Mbps)"}}
 	for i, st := range r.Stages {
-		t.Add(st.Stage.Label,
-			mbps(r.StageMean(&r.UDPUp, i)),
-			mbps(r.StageMean(&r.UDPDown, i)),
-			mbps(r.StageMean(&r.TCPUp, i)))
+		mean := func(ts *stats.TimeSeries) float64 { return stageMean(ts, r.Stages, r.Total, i) }
+		t.Add(st.Stage.Label, mbps(mean(&r.UDPUp)), mbps(mean(&r.UDPDown)), mbps(mean(&r.TCPUp)))
 	}
 	b.WriteString(t.String())
 	fmt.Fprintf(&b, "quiet UDP-uplink seconds inside impaired stages: %d\n", r.UDPGapSeconds)

@@ -162,7 +162,7 @@ func TestAnycastFailoverSkipsDownInstance(t *testing.T) {
 	if got, _ := n.ResolveAnycast(svc, east); got != far {
 		t.Fatalf("resolved %v after crash, want far instance", got.ID)
 	}
-	// Restart flips resolution back (cache invalidated on both transitions).
+	// Restart flips resolution back: every resolution sees the hosts' state.
 	n.SetHostDown(near, false)
 	if got, _ := n.ResolveAnycast(svc, east); got != near {
 		t.Fatalf("resolved %v after restart, want near instance", got.ID)
@@ -175,6 +175,31 @@ func TestAnycastFailoverSkipsDownInstance(t *testing.T) {
 	}
 	_ = h1
 	_ = mid
+}
+
+// TestAnycastFollowsLinkCut: a sender at mid reaches the east instance, the
+// nearer one, until the mid–east link is cut; then the west one; and east
+// again once the link heals.
+func TestAnycastFollowsLinkCut(t *testing.T) {
+	n, _, _, east, west := buildTestNet(t)
+	mid := n.sites[1]
+	svc := packet.MustParseAddr("100.0.0.1")
+	e := n.AddHost("svc-east", east, packet.MustParseAddr("10.0.0.9"), DatacenterAccess())
+	w := n.AddHost("svc-west", west, packet.MustParseAddr("10.2.0.9"), DatacenterAccess())
+	n.AddAnycast(svc, e, w)
+	for _, step := range []struct {
+		down bool
+		want *Host
+	}{{false, e}, {true, w}, {false, e}} {
+		n.SetLinkDown(mid, east, step.down)
+		got, ok := n.ResolveAnycast(svc, mid)
+		if !ok {
+			t.Fatalf("mid–east link down=%v: resolved nothing", step.down)
+		}
+		if got != step.want {
+			t.Fatalf("mid–east link down=%v: resolved %s, want %s", step.down, got.ID, step.want.ID)
+		}
+	}
 }
 
 // TestLinkLedgerBalances checks the per-link conservation ledger: every

@@ -344,9 +344,9 @@ func TestRouteTieBreakPrefersLowerIndex(t *testing.T) {
 	}
 }
 
-// TestAnycastCacheInvalidation: resolutions are memoized, and AddAnycast
-// must invalidate them so a closer instance added later wins.
-func TestAnycastCacheInvalidation(t *testing.T) {
+// TestAnycastNearerInstanceAddedLaterWins: an instance that AddAnycast puts
+// in a group after a resolution wins the next one when it is nearer.
+func TestAnycastNearerInstanceAddedLaterWins(t *testing.T) {
 	n, h1, _, east, west := buildTestNet(t)
 	svc := packet.MustParseAddr("200.0.0.1")
 	far := n.AddHost("far", west, packet.MustParseAddr("10.2.0.9"), DatacenterAccess())
@@ -354,9 +354,8 @@ func TestAnycastCacheInvalidation(t *testing.T) {
 	if got, ok := n.ResolveAnycast(svc, h1.Site); !ok || got != far {
 		t.Fatalf("resolve = %v,%v want far instance", got, ok)
 	}
-	// Resolve again (cache hit), then add a nearer instance.
 	if got, _ := n.ResolveAnycast(svc, h1.Site); got != far {
-		t.Fatal("cached resolution changed spontaneously")
+		t.Fatal("a second resolution changed with nothing edited")
 	}
 	near := n.AddHost("near", east, packet.MustParseAddr("10.0.0.9"), DatacenterAccess())
 	n.AddAnycast(svc, near)

@@ -224,12 +224,6 @@ func (h *Host) runTaps(at time.Duration, dir Dir, pkt *packet.Packet, frame []by
 	}
 }
 
-// anycastKey caches anycast resolution per (service address, sender site).
-type anycastKey struct {
-	addr packet.Addr
-	site int
-}
-
 // Network is the simulated fabric.
 type Network struct {
 	Sched    *simtime.Scheduler
@@ -256,10 +250,6 @@ type Network struct {
 	// means the row has not been computed yet; one Dijkstra run fills the
 	// whole row. A nil routes means the matrix is invalid (topology edit).
 	routes [][][]*Site
-	// anycastCache memoizes ResolveAnycast per (addr, sender site); it is
-	// invalidated together with the route matrix. A nil value records a
-	// known-unresolvable pair.
-	anycastCache map[anycastKey]*Host
 
 	// fwdFree pools forwarding states (and their wire buffers) by wire
 	// class, so the per-packet path allocates nothing once warm.
@@ -301,13 +291,12 @@ func New(s *simtime.Scheduler, seed int64, m *obs.Registry) *Network {
 		m = obs.NewRegistry()
 	}
 	return &Network{
-		Sched:        s,
-		Rng:          rand.New(rand.NewSource(seed)),
-		Registry:     geo.NewRegistry(),
-		Metrics:      m,
-		hosts:        make(map[packet.Addr]*Host),
-		anycast:      make(map[packet.Addr][]*Host),
-		anycastCache: make(map[anycastKey]*Host),
+		Sched:    s,
+		Rng:      rand.New(rand.NewSource(seed)),
+		Registry: geo.NewRegistry(),
+		Metrics:  m,
+		hosts:    make(map[packet.Addr]*Host),
+		anycast:  make(map[packet.Addr][]*Host),
 	}
 }
 
@@ -321,32 +310,13 @@ func (n *Network) Trace(kind trace.Kind, span uint64, track, name string, arg, a
 	}
 }
 
-// invalidateRoutes drops the route matrix and the anycast cache after a
-// topology edit.
-func (n *Network) invalidateRoutes() {
-	n.routes = nil
-	if len(n.anycastCache) > 0 {
-		n.anycastCache = make(map[anycastKey]*Host)
-	}
-}
-
 // SetHostDown crashes (true) or restarts (false) a host. A down host cannot
 // send, packets addressed to it are dropped with cause "host-down", and
 // anycast resolution skips its instances — traffic to a shared service
 // address fails over to the next-nearest up instance (chaos failover). The
 // host's transport state survives: the model is network-level isolation, not
-// process loss. Idempotent; invalidates the anycast cache on transitions so
-// cached resolutions never point at a dead instance.
-func (n *Network) SetHostDown(h *Host, down bool) {
-	if h.down == down {
-		return
-	}
-	h.down = down
-	// Routes between sites are unaffected, but anycast picks must be redone.
-	if len(n.anycastCache) > 0 {
-		n.anycastCache = make(map[anycastKey]*Host)
-	}
-}
+// process loss. Idempotent.
+func (n *Network) SetHostDown(h *Host, down bool) { h.down = down }
 
 // SetLinkDown disables (true) or restores (false) the backbone links between
 // two connected sites, both directions. While down, the route computation
@@ -362,7 +332,7 @@ func (n *Network) SetLinkDown(a, b *Site, down bool) {
 	}
 	la.down = down
 	lb.down = down
-	n.invalidateRoutes()
+	n.routes = nil
 }
 
 // SetSitePartitioned isolates (true) or heals (false) a site by taking every
@@ -380,7 +350,7 @@ func (n *Network) SetSitePartitioned(s *Site, partitioned bool) {
 		}
 	}
 	if changed {
-		n.invalidateRoutes()
+		n.routes = nil
 	}
 }
 
@@ -388,7 +358,7 @@ func (n *Network) SetSitePartitioned(s *Site, partitioned bool) {
 func (n *Network) AddSite(name string, loc geo.Point, router packet.Addr) *Site {
 	s := &Site{Name: name, Loc: loc, Router: router, index: len(n.sites), neighbors: make(map[*Site]*Link)}
 	n.sites = append(n.sites, s)
-	n.invalidateRoutes()
+	n.routes = nil
 	return s
 }
 
@@ -406,7 +376,7 @@ func (n *Network) Connect(a, b *Site) {
 	}
 	a.neighbors[b] = mk()
 	b.neighbors[a] = mk()
-	n.invalidateRoutes()
+	n.routes = nil
 }
 
 // AccessProfile describes a host's last-mile connection.
@@ -456,9 +426,6 @@ func (n *Network) AddAnycast(addr packet.Addr, instances ...*Host) {
 		panic("netsim: anycast group needs at least one instance")
 	}
 	n.anycast[addr] = append(n.anycast[addr], instances...)
-	if len(n.anycastCache) > 0 {
-		n.anycastCache = make(map[anycastKey]*Host)
-	}
 }
 
 // IsAnycast reports whether addr is an anycast service address.
@@ -555,21 +522,13 @@ func (n *Network) pathDelay(path []*Site) time.Duration {
 	return d
 }
 
-// ResolveAnycast picks the instance a sender at the given site would reach.
-// Resolutions are memoized per (addr, site) with the same invalidation as
-// the route matrix, so steady-state anycast sends skip the path comparison.
+// ResolveAnycast picks the instance a sender at the given site would reach:
+// the up instance with the least path delay from it, recomputed on every
+// call, so a host or link going down or up counts from the next send.
 func (n *Network) ResolveAnycast(addr packet.Addr, from *Site) (*Host, bool) {
-	insts := n.anycast[addr]
-	if len(insts) == 0 {
-		return nil, false
-	}
-	key := anycastKey{addr: addr, site: from.index}
-	if h, hit := n.anycastCache[key]; hit {
-		return h, h != nil
-	}
 	var best *Host
 	bestD := time.Duration(1<<62 - 1)
-	for _, h := range insts {
+	for _, h := range n.anycast[addr] {
 		if h.down {
 			continue // crashed instance: fail over to the next-nearest
 		}
@@ -581,7 +540,6 @@ func (n *Network) ResolveAnycast(addr packet.Addr, from *Site) (*Host, bool) {
 			bestD, best = d, h
 		}
 	}
-	n.anycastCache[key] = best
 	return best, best != nil
 }
 

@@ -170,7 +170,7 @@ func (b *Backend) startMemberStreams(m *Member) {
 	if p.Traffic.SyncDownBps > 0 {
 		const payload = 160
 		m.stops = append(m.stops, sched.Ticker(seqInterval(payload, p.Traffic.SyncDownBps), func() {
-			if b.memberGone(m) || b.reportMissed(m) > pauseAfter {
+			if b.reportMissed(m) > pauseAfter {
 				return
 			}
 			syncSeq++
@@ -179,11 +179,8 @@ func (b *Backend) startMemberStreams(m *Member) {
 	}
 
 	// Keepalive: 1/s tiny heartbeat; survives a forwarding pause but not
-	// session expiry.
+	// session expiry. leave stops every ticker of m, this one included.
 	m.stops = append(m.stops, sched.Ticker(time.Second, func() {
-		if b.memberGone(m) {
-			return
-		}
 		if b.reportMissed(m) > expireAfter {
 			b.leave(m)
 			return
@@ -194,7 +191,7 @@ func (b *Backend) startMemberStreams(m *Member) {
 	if p.Game.DownBps > 0 {
 		const payload = 300
 		m.stops = append(m.stops, sched.Ticker(seqInterval(payload, p.Game.DownBps), func() {
-			if b.memberGone(m) || !m.inGame || b.reportMissed(m) > pauseAfter {
+			if !m.inGame || b.reportMissed(m) > pauseAfter {
 				return
 			}
 			gameSeq++
@@ -203,26 +200,34 @@ func (b *Backend) startMemberStreams(m *Member) {
 	}
 }
 
-func (b *Backend) memberGone(m *Member) bool { return m.room == nil }
-
-// sendToMember delivers a data-channel payload to a member over whichever
-// path serves it.
-func (b *Backend) sendToMember(m *Member, payload []byte) {
-	if b.profile.WebData {
-		if m.ctrl != nil {
-			m.ctrl.push(payload)
-		}
-		return
-	}
-	if m.udpServer != nil {
-		m.udpServer.sendTo(m.udpEP, payload)
-	}
-}
-
 // sendSeq sends one seq filler frame to a member.
 func (b *Backend) sendSeq(m *Member, msg seqMsg) {
 	b.txBuf = appendSeq(b.txBuf[:0], msg)
-	b.sendToMember(m, b.txBuf)
+	b.deliver(m, m, b.txBuf)
+}
+
+// deliver makes every server-to-member send: payload goes to member to on
+// behalf of member from (to itself for the server's own streams), on web
+// platforms as an HTTPS push over to's control session, otherwise as a
+// datagram from to's data server, after the backend-mesh hop when another
+// instance serves from. The hop keeps payload, so a caller whose from and
+// to differ must not reuse it. A member that joined a UDP platform over the
+// control channel alone has no data path and gets nothing.
+func (b *Backend) deliver(from, to *Member, payload []byte) {
+	switch {
+	case b.profile.WebData:
+		to.ctrl.sess.SendMsg(secure.MsgPush, payload)
+	case to.udpServer == nil:
+	case from.udpServer == to.udpServer:
+		to.udpServer.sock.SendTo(to.udpEP, payload)
+	default:
+		// Inter-server relay: intra-site mesh hop.
+		b.dep.Sched.After(300*time.Microsecond, func() {
+			if to.room != nil {
+				to.udpServer.sock.SendTo(to.udpEP, payload)
+			}
+		})
+	}
 }
 
 // serverDelay models per-message processing/queueing at the platform server
@@ -324,13 +329,7 @@ func (b *Backend) handleAvatarUpload(m *Member, frame []byte, private bool) {
 			if b.decimated(m, o, seq) {
 				continue
 			}
-			if p.WebData {
-				if o.ctrl != nil {
-					o.ctrl.push(fwd)
-				}
-			} else {
-				b.deliverCrossInstance(m, o, fwd)
-			}
+			b.deliver(m, o, fwd)
 		}
 	})
 }
@@ -347,24 +346,6 @@ func (b *Backend) traceTrack(m *Member) string {
 	return ""
 }
 
-// deliverCrossInstance sends a forward to another member, adding the small
-// backend-mesh hop when the recipient is served by a different instance.
-func (b *Backend) deliverCrossInstance(from, to *Member, payload []byte) {
-	if to.udpServer == nil {
-		return
-	}
-	if from.udpServer == to.udpServer {
-		to.udpServer.sendTo(to.udpEP, payload)
-		return
-	}
-	// Inter-server relay: intra-site mesh hop.
-	b.dep.Sched.After(300*time.Microsecond, func() {
-		if to.room != nil {
-			to.udpServer.sendTo(to.udpEP, payload)
-		}
-	})
-}
-
 // handleVoiceUpload forwards a voice frame to the other members (UDP
 // platforms; Hubs voice goes through the SFU instead).
 func (b *Backend) handleVoiceUpload(m *Member, payload []byte) {
@@ -379,7 +360,7 @@ func (b *Backend) handleVoiceUpload(m *Member, payload []byte) {
 			if o == m || b.reportMissed(o) > pauseAfter {
 				continue
 			}
-			b.deliverCrossInstance(m, o, fwd)
+			b.deliver(m, o, fwd)
 		}
 	})
 }
@@ -404,10 +385,6 @@ func newDataServer(d *Deployment, be *Backend, h *netsim.Host) *DataServer {
 	s.sock = sock
 	sock.OnRecv = s.onDatagram
 	return s
-}
-
-func (s *DataServer) sendTo(ep packet.Endpoint, payload []byte) {
-	s.sock.SendTo(ep, payload)
 }
 
 // member resolves the sending client and, when its datagrams have started
@@ -492,11 +469,6 @@ func newCtrlServer(d *Deployment, p *Profile, be *Backend, h *netsim.Host, priva
 		cs.sess.OnMsg = cs.onMsg
 	})
 	return s
-}
-
-// push delivers a server-initiated message (Hubs avatar forwards, sync).
-func (cs *ctrlSession) push(payload []byte) {
-	cs.sess.SendMsg(secure.MsgPush, payload)
 }
 
 // control request body layout: [reqType][userLen][user][roomLen][room][rest...]

@@ -88,26 +88,17 @@ func (s *Session) FlushMetrics(m *obs.Registry) {
 	}
 }
 
-// Client starts a TLS handshake on an already-dialed connection.
+// Client starts a TLS handshake on conn, whose TCP handshake must not have
+// completed yet (a connection DialTCP just returned): Client takes the
+// connection's OnEstablished and sends the ClientHello from it.
 func Client(conn *transport.Conn) *Session {
 	s := newSession(conn, true)
 	conn.OnData = s.onRaw
-	start := func() {
+	conn.OnEstablished = func() {
 		hello := make([]byte, clientHelloLen)
 		hello[0] = 1 // ClientHello type marker inside the record body
 		conn.Trace(trace.KindTLS, "client-hello", 0, 0)
 		s.sendRecord(packet.TLSHandshake, hello)
-	}
-	if conn.State() == transport.StateEstablished {
-		start()
-	} else {
-		prev := conn.OnEstablished
-		conn.OnEstablished = func() {
-			if prev != nil {
-				prev()
-			}
-			start()
-		}
 	}
 	return s
 }
@@ -130,7 +121,7 @@ func (s *Session) Send(data []byte) {
 		s.pending = append(s.pending, append([]byte(nil), data...))
 		return
 	}
-	s.sendNow(data)
+	s.sendRecords(data)
 }
 
 // SendMsg sends one framed message: the same bytes on the wire as
@@ -141,7 +132,6 @@ func (s *Session) SendMsg(kind byte, body []byte) {
 		s.pending = append(s.pending, MarshalMsg(kind, body))
 		return
 	}
-	s.conn.Grow(wireLen(msgHeaderLen + len(body)))
 	k := min(len(body), maxRecord-msgHeaderLen)
 	s.head = append(appendMsgHeader(s.head[:0], kind, len(body)), body[:k]...)
 	s.sendAppRecord(s.head)
@@ -188,11 +178,6 @@ func zeroRecords(dst []byte, off int, kind byte, n int) {
 	}
 }
 
-func (s *Session) sendNow(data []byte) {
-	s.conn.Grow(wireLen(len(data)))
-	s.sendRecords(data)
-}
-
 // sendRecords cuts data into maxRecord-sized application records.
 func (s *Session) sendRecords(data []byte) {
 	for len(data) > 0 {
@@ -223,7 +208,7 @@ func wireLen(n int) int {
 
 func (s *Session) flushPending() {
 	for _, d := range s.pending {
-		s.sendNow(d)
+		s.sendRecords(d)
 	}
 	s.pending = nil
 }

@@ -191,8 +191,9 @@ func TestDownloadAllocFree(t *testing.T) {
 }
 
 // TestSendMsgAllocBound: SendMsg on an established session allocates at
-// most once per message — the send buffer's single growth. Records are
-// framed in session scratch, and no message frame is built.
+// most once per message on average: the send buffer's growths, which double
+// its array. Records are framed in session scratch, and no message frame is
+// built.
 func TestSendMsgAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc bound only holds without -race")

@@ -26,7 +26,7 @@ type Stack struct {
 	Net  *netsim.Network
 
 	udp       map[uint16]*UDPSocket
-	listeners map[uint16]*Listener
+	listeners map[uint16]func(*Conn)
 	conns     map[connKey]*Conn
 	nextPort  uint16
 
@@ -93,7 +93,7 @@ func NewStack(n *netsim.Network, h *netsim.Host) *Stack {
 		Host:      h,
 		Net:       n,
 		udp:       make(map[uint16]*UDPSocket),
-		listeners: make(map[uint16]*Listener),
+		listeners: make(map[uint16]func(*Conn)),
 		conns:     make(map[connKey]*Conn),
 		nextPort:  33000,
 		EchoReply: true,

@@ -56,17 +56,10 @@ func (s ConnState) String() string {
 	return "closed"
 }
 
-// Listener accepts inbound TCP connections on a port.
-type Listener struct {
-	Port     uint16
-	OnAccept func(*Conn)
-}
-
-// ListenTCP registers a listener.
-func (s *Stack) ListenTCP(port uint16, onAccept func(*Conn)) *Listener {
-	l := &Listener{Port: port, OnAccept: onAccept}
-	s.listeners[port] = l
-	return l
+// ListenTCP makes the stack accept connections on port, handing each new
+// one to onAccept.
+func (s *Stack) ListenTCP(port uint16, onAccept func(*Conn)) {
+	s.listeners[port] = onAccept
 }
 
 // Conn is one TCP connection endpoint.
@@ -132,7 +125,6 @@ type Conn struct {
 	// Callbacks.
 	OnData        func([]byte)
 	OnEstablished func()
-	OnClose       func(reason string)
 
 	// span groups this connection's trace events; lastCwndTr dedups cwnd
 	// trace points so the recorder only sees actual window changes.
@@ -236,15 +228,12 @@ func (s *Stack) handleTCP(p *packet.Packet) {
 		return
 	}
 	// New connection?
-	if l, ok := s.listeners[p.TCP.DstPort]; ok && p.TCP.HasFlag(packet.FlagSYN) && !p.TCP.HasFlag(packet.FlagACK) {
+	if accept, ok := s.listeners[p.TCP.DstPort]; ok && p.TCP.HasFlag(packet.FlagSYN) && !p.TCP.HasFlag(packet.FlagACK) {
 		// Answer from the address the client targeted: for anycast
 		// services this is the shared service address, not the instance's
 		// own — otherwise the client's handshake would never match its
 		// connection.
-		c := s.open(packet.Endpoint{Addr: p.IP.Dst, Port: p.TCP.DstPort}, key.remote, StateSynReceived, p.TCP.Seq+1)
-		if l.OnAccept != nil {
-			l.OnAccept(c)
-		}
+		accept(s.open(packet.Endpoint{Addr: p.IP.Dst, Port: p.TCP.DstPort}, key.remote, StateSynReceived, p.TCP.Seq+1))
 		return
 	}
 	// No listener: RST (silently ignore for simplicity).
@@ -329,16 +318,6 @@ func (c *Conn) segment(off, n int) []byte {
 	}
 	c.read(seg[k:], c.streamAcked+off+k-len(c.sendBuf))
 	return seg
-}
-
-// Grow reserves send-buffer room for n more bytes, so a message written as
-// several Sends moves the buffer at most once instead of once per growth
-// step.
-func (c *Conn) Grow(n int) {
-	if c.state == StateClosed {
-		return
-	}
-	c.reserve(n)
 }
 
 // reserve makes room for k more bytes after sendBuf. When the live bytes
@@ -512,9 +491,6 @@ func (c *Conn) close(reason string) {
 	c.sendBuf, c.sendMem = nil, nil
 	c.dropStream()
 	c.ooo = nil
-	if c.OnClose != nil {
-		c.OnClose(reason)
-	}
 }
 
 // Close tears the connection down locally (no FIN exchange is modelled; the
@@ -551,9 +527,9 @@ func (c *Conn) receive(p *packet.Packet) {
 			if c.OnEstablished != nil {
 				c.OnEstablished()
 			}
-			c.pump()
 		}
-		// Fall through: the ACK may carry data.
+		// Fall through: the ACK takes the SYN off and pumps what the
+		// application queued meanwhile, and may carry data.
 	case StateClosed:
 		return
 	}
@@ -565,19 +541,25 @@ func (c *Conn) receive(p *packet.Packet) {
 
 	// ---- ACK processing ----
 	if t.HasFlag(packet.FlagACK) {
+		// The SYN consumes a sequence number that never entered the send
+		// buffer: while it is unacknowledged, an ACK covers one byte fewer
+		// of the buffer.
+		var syn uint32
+		if c.sndUna == c.iss {
+			syn = 1
+		}
 		// After a go-back-N rewind, a cumulative ACK for pre-rewind data can
 		// exceed the rewound sndNxt. It is still a genuine ACK for bytes the
 		// receiver holds; fast-forward sndNxt so the advance is accepted.
-		if seqLT(c.sndNxt, t.Ack) && t.Ack-c.sndUna <= uint32(c.queued())+1 {
+		if seqLT(c.sndNxt, t.Ack) && t.Ack-c.sndUna <= uint32(c.queued())+syn {
 			c.sndNxt = t.Ack
 			c.noteSndNxt()
 		}
 		if seqLT(c.sndUna, t.Ack) && seqLEQ(t.Ack, c.sndNxt) {
 			acked := t.Ack - c.sndUna
-			// The SYN consumes a sequence number that never entered the
-			// send buffer; clamp buffer consumption accordingly. The ACK
-			// trims the send buffer first, then the stream behind it.
-			bufAck := min(int(acked), c.queued())
+			// The ACK trims the send buffer first, then the stream behind
+			// it.
+			bufAck := int(acked - syn)
 			k := min(bufAck, len(c.sendBuf))
 			c.sendBuf = c.sendBuf[k:]
 			if c.streamAcked += bufAck - k; c.streamAcked == c.streamLen {
@@ -726,6 +708,3 @@ func (c *Conn) sampleRTT(m time.Duration) {
 		c.rto = maxRTO
 	}
 }
-
-// SRTT exposes the smoothed RTT estimate (zero before the first sample).
-func (c *Conn) SRTT() time.Duration { return c.srtt }

@@ -10,6 +10,16 @@ import (
 	"github.com/svrlab/svrlab/internal/packet"
 )
 
+// closeReason returns the reason in s's close record of the one connection
+// it has closed, failing unless it has closed exactly one.
+func closeReason(t *testing.T, s *Stack) string {
+	t.Helper()
+	if len(s.closedConns) != 1 {
+		t.Fatalf("%s has %d close records, want 1", s.Host.ID, len(s.closedConns))
+	}
+	return s.closedConns[0].CloseReason
+}
+
 // TestTCPConnectTimeoutFast: a SYN into silence must give up after the
 // handshake retry budget (~1 minute of virtual time), not the full
 // data-path exponential-backoff schedule (~half an hour), and must report
@@ -18,14 +28,12 @@ func TestTCPConnectTimeoutFast(t *testing.T) {
 	r := newRig(t)
 	// Port 9999 has no listener and the stack sends no RST: pure silence,
 	// exactly what a crashed server looks like.
-	reason := ""
 	c := r.sa.DialTCP(packet.Endpoint{Addr: r.b.Addr, Port: 9999})
-	c.OnClose = func(s string) { reason = s }
 	r.s.RunUntil(2 * time.Minute)
 	if c.State() != StateClosed {
 		t.Fatalf("state = %v after 2 min of silence, want closed", c.State())
 	}
-	if reason != "connect timeout" {
+	if reason := closeReason(t, r.sa); reason != "connect timeout" {
 		t.Fatalf("close reason = %q, want \"connect timeout\"", reason)
 	}
 	r.net.FlushMetrics() // a lab's counts reach the registry at teardown
@@ -44,21 +52,19 @@ func TestTCPConnectTimeoutFast(t *testing.T) {
 func TestTCPEstablishedKeepsFullRetryBudget(t *testing.T) {
 	r := newRig(t)
 	client, _ := dialPair(t, r)
-	reason := ""
-	client.OnClose = func(s string) { reason = s }
 	r.a.UpNetem = &netsim.Netem{Loss: 1.0, TCPOnly: true}
 	client.Send([]byte("doomed"))
 	// The handshake budget would kill it inside ~2 minutes; the established
 	// budget keeps retrying far longer.
 	r.s.RunUntil(r.s.Now() + 5*time.Minute)
 	if client.State() == StateClosed {
-		t.Fatalf("established conn closed after only 5 min (reason %q): handshake cap leaked", reason)
+		t.Fatalf("established conn closed after only 5 min (reason %q): handshake cap leaked", closeReason(t, r.sa))
 	}
 	r.s.RunUntil(r.s.Now() + 40*time.Minute)
 	if client.State() != StateClosed {
 		t.Fatal("established conn never hit the retry limit")
 	}
-	if reason != "too many retransmissions" {
+	if reason := closeReason(t, r.sa); reason != "too many retransmissions" {
 		t.Fatalf("close reason = %q, want \"too many retransmissions\"", reason)
 	}
 }
