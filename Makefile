@@ -45,8 +45,9 @@ audit:
 # candidate for deletion (or for a test, if it guards an input no run
 # makes). Builds svrlab with coverage of every package, runs the traced
 # seed-42 reproduction with metrics and audit, table4 with a chrome trace,
-# fig2 with pcaps and resilience under its crash schedule as JSON, then
-# prints each function at 0.0%. Takes a few minutes, so CI does not run it.
+# fig2 with pcaps, resilience under its crash schedule as JSON and table2
+# with VRChat's control server down, then prints each function at 0.0%.
+# Takes a few minutes, so CI does not run it.
 cover:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	mkdir "$$dir/cov" "$$dir/pcap"; \
@@ -56,6 +57,7 @@ cover:
 	"$$dir/svrlab" run table4 -repeats 2 -trace "$$dir/table4.json" -trace-format chrome > /dev/null; \
 	"$$dir/svrlab" run fig2 -pcap "$$dir/pcap" > /dev/null; \
 	"$$dir/svrlab" run resilience -repeats 1 -chaos internal/experiment/testdata/resilience_crash.json -format json > /dev/null; \
+	"$$dir/svrlab" run table2 -metrics -audit -chaos internal/experiment/testdata/table2_ctrl_down.json > /dev/null; \
 	go tool covdata func -i "$$dir/cov" | awk '$$NF == "0.0%"'
 
 # Fuzz every wire codec — plus the differential targets of the scheduler's

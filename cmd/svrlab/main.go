@@ -12,7 +12,7 @@
 //	-seed N        random seed (default 42)
 //	-repeats N     repetition count override (0 = experiment default)
 //	-platform P    platform override for single-platform experiments
-//	-users a,b,c   user-count sweep override
+//	-users a,b,c   user-count sweep override, each count at most once
 //	-workers N     worker pool size for parallel sweeps (0 = GOMAXPROCS);
 //	               any value yields bit-identical artifacts
 //	-format F      artifact output format: text (default) or json
@@ -41,6 +41,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -271,6 +272,11 @@ func buildOpts(seed int64, repeats int, platformName, users string, workers int)
 			n, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil || n <= 0 {
 				fmt.Fprintf(os.Stderr, "bad user count %q\n", part)
+				os.Exit(2)
+			}
+			// Each count labels its cells, and a trace label names one cell.
+			if slices.Contains(opts.Counts, n) {
+				fmt.Fprintf(os.Stderr, "user count %d given twice\n", n)
 				os.Exit(2)
 			}
 			opts.Counts = append(opts.Counts, n)

@@ -12,20 +12,11 @@ import (
 	"github.com/svrlab/svrlab/internal/trace"
 )
 
-// Direction selects which side of the host's access link is impaired.
-type Direction int
-
+// The side of the host's access link a schedule impairs.
 const (
-	Uplink Direction = iota
-	Downlink
+	Uplink   = netsim.DirUp
+	Downlink = netsim.DirDown
 )
-
-func (d Direction) String() string {
-	if d == Uplink {
-		return "uplink"
-	}
-	return "downlink"
-}
 
 // Stage is one impairment period.
 type Stage struct {
@@ -48,7 +39,7 @@ func (s Stage) IsClear() bool { return s.RateBps == 0 && s.Delay == 0 && s.Loss 
 // Schedule applies stages back to back.
 type Schedule struct {
 	Host   *netsim.Host
-	Dir    Direction
+	Dir    netsim.Dir
 	Stages []Stage
 
 	// Applied records (start, stage) pairs as they take effect.

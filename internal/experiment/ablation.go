@@ -53,7 +53,8 @@ func RemoteAblation(e Env) *RemoteResult {
 		n := eligible[i]
 		label, seed := fmt.Sprintf("remote/%s/n%d", name, n), e.Seed+int64(n)
 		pt := RemotePoint{Users: n}
-		pt.LocalDownBps, pt.LocalFPS, _, _, _, _ = scalingRun(e, label+"/local", name, n, seed)
+		local := scalingRun(e, label+"/local", name, n, seed)
+		pt.LocalDownBps, pt.LocalFPS = local.down, local.fps
 		pt.RemoteDownBps, pt.RemoteFramesPS, pt.RemoteFPS = remoteRun(e, label+"/remote", p, n, seed)
 		return pt
 	})
@@ -129,7 +130,7 @@ func P2PAblation(e Env) *P2PResult {
 		n := eligible[i]
 		label, seed := fmt.Sprintf("p2p/%s/n%d", name, n), e.Seed+int64(n)
 		pt := P2PPoint{Users: n}
-		pt.ServerDownBps, _, _, _, _, _ = scalingRun(e, label+"/server-down", name, n, seed)
+		pt.ServerDownBps = scalingRun(e, label+"/server-down", name, n, seed).down
 		pt.ServerUplinkBps, _ = steadyRates(e, label+"/server-up", name, n, seed^0x77, nil)
 		pt.P2PUplinkBps, pt.P2PDownBps = p2pRun(e, label+"/mesh", p, n, seed)
 		return pt

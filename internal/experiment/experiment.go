@@ -23,6 +23,7 @@ import (
 	"github.com/svrlab/svrlab/internal/platform"
 	"github.com/svrlab/svrlab/internal/runner"
 	"github.com/svrlab/svrlab/internal/simtime"
+	"github.com/svrlab/svrlab/internal/stats"
 	"github.com/svrlab/svrlab/internal/trace"
 	"github.com/svrlab/svrlab/internal/world"
 )
@@ -103,6 +104,27 @@ func cells[T any](e Env, n int, fn func(i int) T) []T {
 		e.Metrics.ObserveWall("runner.cell_wall", time.Since(start))
 		return out
 	})
+}
+
+// perPoint runs fn(p, rep) for every point p and rep in [0, repeats), as
+// the cells of one fan-out in that order, and returns each point's results
+// by repeat.
+func perPoint[P, T any](e Env, points []P, repeats int, fn func(p P, rep int) T) [][]T {
+	out := cells(e, len(points)*repeats, func(i int) T { return fn(points[i/repeats], i%repeats) })
+	reps := make([][]T, len(points))
+	for i := range reps {
+		reps[i] = out[i*repeats : (i+1)*repeats]
+	}
+	return reps
+}
+
+// summary summarizes f of each of one point's repeats.
+func summary[T any](reps []T, f func(T) float64) stats.Summary {
+	vals := make([]float64, len(reps))
+	for i, r := range reps {
+		vals[i] = f(r)
+	}
+	return stats.Summarize(vals)
 }
 
 // ChaosError reports a chaos spec that does not bind in a cell: it names a

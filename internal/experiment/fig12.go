@@ -7,6 +7,7 @@ import (
 
 	"github.com/svrlab/svrlab/internal/capture"
 	"github.com/svrlab/svrlab/internal/disrupt"
+	"github.com/svrlab/svrlab/internal/netsim"
 	"github.com/svrlab/svrlab/internal/packet"
 	"github.com/svrlab/svrlab/internal/platform"
 	"github.com/svrlab/svrlab/internal/plot"
@@ -29,35 +30,39 @@ type Fig12Result struct {
 // shooting game, U1's downlink capped at 1/0.7/0.5/0.3/0.2/0.1 Mbps for
 // 40 s each, then released.
 func Fig12(e Env) *Fig12Result {
-	l := e.lab("fig12", e.Seed)
+	u1, sniff, stages, total := arenaClash(e, "fig12", disrupt.Downlink, disrupt.DownlinkBandwidthStages(), 10*time.Second)
+	udp := capture.FilterProto(packet.ProtoUDP)
+	res := &Fig12Result{
+		Platform: platform.Worlds,
+		Stages:   stages,
+		Up:       sniff.Series(capture.MatchUp(udp), 0, total, time.Second),
+		Down:     sniff.Series(capture.MatchDown(udp), 0, total, time.Second),
+		Total:    total,
+	}
+	res.CPU, res.GPU, res.FPS, res.Stale = monitorSeries(u1, total)
+	return res
+}
+
+// arenaClash runs the §8.1 lab: two Worlds users play Arena Clash from
+// 5 s, U1's dir side is impaired by stages from 20 s, and the run ends tail
+// after the last stage. It returns U1, U1's capture, the stages as applied
+// and the run's length.
+func arenaClash(e Env, label string, dir netsim.Dir, stages []disrupt.Stage, tail time.Duration) (*platform.Client, *capture.Sniffer, []disrupt.AppliedStage, time.Duration) {
+	l := e.lab(label, e.Seed)
 	defer l.MustConserve()
-	name := platform.Worlds
-	cs := l.Spawn(name, 2, SpawnOpts{})
+	cs := l.Spawn(platform.Worlds, 2, SpawnOpts{})
 	l.Sched.At(5*time.Second, func() {
 		arrangeCircle(cs)
 		cs[0].SetGame(true)
 		cs[1].SetGame(true)
 	})
 	sniff := l.Capture(cs[0].Host)
-
-	sc := &disrupt.Schedule{Host: cs[0].Host, Dir: disrupt.Downlink, Stages: disrupt.DownlinkBandwidthStages()}
+	sc := &disrupt.Schedule{Host: cs[0].Host, Dir: dir, Stages: stages}
 	end := sc.Run(l.Sched, 20*time.Second)
 	l.Trace().Phase(20*time.Second, "disruption")
 	l.Trace().Phase(end, "recovery")
-	l.Sched.RunUntil(end + 10*time.Second)
-
-	total := end + 10*time.Second
-	udp := capture.FilterProto(packet.ProtoUDP)
-	res := &Fig12Result{
-		Platform: name,
-		Stages:   sc.Applied,
-		Up:       sniff.Series(capture.MatchUp(udp), 0, total, time.Second),
-		Down:     sniff.Series(capture.MatchDown(udp), 0, total, time.Second),
-		Total:    total,
-	}
-	// Device series from the monitor samples.
-	res.CPU, res.GPU, res.FPS, res.Stale = monitorSeries(cs[0], total)
-	return res
+	l.Sched.RunUntil(end + tail)
+	return cs[0], sniff, sc.Applied, end + tail
 }
 
 // monitorSeries converts monitor samples into aligned time series.

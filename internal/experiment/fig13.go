@@ -44,55 +44,33 @@ type Fig13Result struct {
 
 // Fig13 reproduces the §8.1 uplink experiments on Worlds in game mode.
 func Fig13(e Env, mode Fig13Mode) *Fig13Result {
-	label := "fig13/bandwidth"
+	label, stages := "fig13/bandwidth", disrupt.UplinkBandwidthStages()
 	if mode == Fig13TCPOnly {
-		label = "fig13/tcponly"
+		label, stages = "fig13/tcponly", disrupt.TCPDelayStages()
 	}
-	l := e.lab(label, e.Seed)
-	defer l.MustConserve()
-	cs := l.Spawn(platform.Worlds, 2, SpawnOpts{})
-	l.Sched.At(5*time.Second, func() {
-		arrangeCircle(cs)
-		cs[0].SetGame(true)
-		cs[1].SetGame(true)
-	})
-	sniff := l.Capture(cs[0].Host)
-
-	var stages []disrupt.Stage
-	if mode == Fig13Bandwidth {
-		stages = disrupt.UplinkBandwidthStages()
-	} else {
-		stages = disrupt.TCPDelayStages()
-	}
-	sc := &disrupt.Schedule{Host: cs[0].Host, Dir: disrupt.Uplink, Stages: stages}
-	end := sc.Run(l.Sched, 20*time.Second)
-	l.Trace().Phase(20*time.Second, "disruption")
-	l.Trace().Phase(end, "recovery")
-	l.Sched.RunUntil(end + 20*time.Second)
-
-	total := end + 20*time.Second
+	u1, sniff, applied, total := arenaClash(e, label, disrupt.Uplink, stages, 20*time.Second)
 	udp := capture.FilterProto(packet.ProtoUDP)
 	tcp := capture.FilterProto(packet.ProtoTCP)
 	res := &Fig13Result{
-		Mode:    mode,
-		Stages:  sc.Applied,
-		UDPUp:   sniff.Series(capture.MatchUp(udp), 0, total, time.Second),
-		UDPDown: sniff.Series(capture.MatchDown(udp), 0, total, time.Second),
-		TCPUp:   sniff.Series(capture.MatchUp(tcp), 0, total, time.Second),
-		Total:   total,
-		Frozen:  cs[0].Frozen,
+		Mode:     mode,
+		Stages:   applied,
+		UDPUp:    sniff.Series(capture.MatchUp(udp), 0, total, time.Second),
+		UDPDown:  sniff.Series(capture.MatchDown(udp), 0, total, time.Second),
+		TCPUp:    sniff.Series(capture.MatchUp(tcp), 0, total, time.Second),
+		Total:    total,
+		Frozen:   u1.Frozen,
+		FrozenAt: u1.FrozenAt,
 	}
-	res.FrozenAt = cs[0].FrozenAt
 	// TCP uplink cannot tell recovery: retransmissions toward a dead server
 	// keep it nonzero. Downlink TCP in the final clear stage can.
-	final := sc.Applied[len(sc.Applied)-1].At
+	final := applied[len(applied)-1].At
 	res.TCPRecovered = sniff.Bytes(capture.MatchDown(tcp), final, total) > 0
 	// Count quiet UDP-uplink seconds inside impaired stages.
-	for i, st := range sc.Applied {
+	for i, st := range applied {
 		if st.Stage.IsClear() {
 			continue
 		}
-		from, to := stageWindow(sc.Applied, total, i)
+		from, to := stageWindow(applied, total, i)
 		for _, v := range res.UDPUp.Window(from+2*time.Second, to) {
 			if v < 1000 {
 				res.UDPGapSeconds++

@@ -2,10 +2,10 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/svrlab/svrlab/internal/chaos"
-	"github.com/svrlab/svrlab/internal/netsim"
 	"github.com/svrlab/svrlab/internal/platform"
 	"github.com/svrlab/svrlab/internal/stats"
 )
@@ -53,25 +53,16 @@ type resCell struct {
 func Resilience(e Env) *ResilienceResult {
 	repeats := e.repeatsOr(3)
 	all := platform.All()
-	out := cells(e, len(all)*repeats, func(i int) resCell {
-		p, r := all[i/repeats], i%repeats
+	reps := perPoint(e, all, repeats, func(p *platform.Profile, r int) resCell {
 		return resilienceCell(e, fmt.Sprintf("resilience/%s/rep%d", p.Name, r), p, e.Seed+int64(r)*101)
 	})
 	res := &ResilienceResult{fromChaos: !e.Chaos.Empty()}
-	for pi, p := range all {
-		var recs, frzs []float64
-		failover := true
-		for r := 0; r < repeats; r++ {
-			c := out[pi*repeats+r]
-			recs = append(recs, c.recovery)
-			frzs = append(frzs, c.freeze)
-			failover = failover && c.failover
-		}
+	for i, p := range all {
 		res.Rows = append(res.Rows, ResilienceRow{
 			Platform: p.Name,
-			Recovery: stats.Summarize(recs),
-			Freeze:   stats.Summarize(frzs),
-			Failover: failover,
+			Recovery: summary(reps[i], func(c resCell) float64 { return c.recovery }),
+			Freeze:   summary(reps[i], func(c resCell) float64 { return c.freeze }),
+			Failover: !slices.ContainsFunc(reps[i], func(c resCell) bool { return !c.failover }),
 		})
 	}
 	return res
@@ -89,8 +80,8 @@ func resilienceCell(e Env, label string, p *platform.Profile, seed int64) resCel
 	// exact instance serving it (for anycast, the nearest pool member).
 	if e.Chaos.Empty() {
 		l.Sched.At(resSteadyAt, func() {
-			srv := servingHost(n, observer)
-			if srv == nil {
+			srv, ok := n.Resolve(observer.DataEndpointAddr(), observer.Host.Site)
+			if !ok {
 				panic("experiment: resilience could not resolve the serving data instance")
 			}
 			sc := &chaos.Schedule{Net: n, Faults: []chaos.Fault{{
@@ -141,22 +132,6 @@ func resilienceCell(e Env, label string, p *platform.Profile, seed int64) resCel
 		c.failover = recoveredAt < resHealAt
 	}
 	return c
-}
-
-// servingHost resolves the fabric host behind a client's data endpoint:
-// the anycast-nearest pool instance, or the unicast host itself.
-func servingHost(n *netsim.Network, c *platform.Client) *netsim.Host {
-	addr := c.DataEndpointAddr()
-	if n.IsAnycast(addr) {
-		if h, ok := n.ResolveAnycast(addr, c.Host.Site); ok {
-			return h
-		}
-		return nil
-	}
-	if h, ok := n.HostByAddr(addr); ok {
-		return h
-	}
-	return nil
 }
 
 // Render formats the Table-2-style artifact.

@@ -47,39 +47,26 @@ type scaleCell struct {
 func Scaling(e Env) *ScalingResult {
 	name, repeats := e.platformOr(platform.VRChat), e.repeatsOr(3)
 	eligible := eligibleCounts(platform.Get(name), e.countsOr(PaperUserCounts))
-	out := cells(e, len(eligible)*repeats, func(i int) scaleCell {
-		n, rep := eligible[i/repeats], i%repeats
-		label := fmt.Sprintf("fig7/%s/n%d/rep%d", name, n, rep)
-		d, f, c, g, m, bd := scalingRun(e, label, name, n, e.Seed+int64(rep)*977+int64(n))
-		return scaleCell{d, f, c, g, m, bd}
+	reps := perPoint(e, eligible, repeats, func(n, rep int) scaleCell {
+		return scalingRun(e, fmt.Sprintf("fig7/%s/n%d/rep%d", name, n, rep), name, n, e.Seed+int64(rep)*977+int64(n))
 	})
 	res := &ScalingResult{Platform: name, Repeats: repeats}
-	for ci, n := range eligible {
-		pt := ScalePoint{Users: n}
-		var down, fps, cpu, gpu, mem, batt []float64
-		for rep := 0; rep < repeats; rep++ {
-			c := out[ci*repeats+rep]
-			down = append(down, c.down)
-			fps = append(fps, c.fps)
-			cpu = append(cpu, c.cpu)
-			gpu = append(gpu, c.gpu)
-			mem = append(mem, c.mem)
-			batt = append(batt, c.batt)
-		}
-		pt.DownBps = stats.Summarize(down)
-		pt.FPS = stats.Summarize(fps)
-		pt.CPU = stats.Summarize(cpu)
-		pt.GPU = stats.Summarize(gpu)
-		pt.MemMB = stats.Summarize(mem)
-		pt.Battery = stats.Summarize(batt)
-		res.Points = append(res.Points, pt)
+	for i, n := range eligible {
+		res.Points = append(res.Points, ScalePoint{Users: n,
+			DownBps: summary(reps[i], func(c scaleCell) float64 { return c.down }),
+			FPS:     summary(reps[i], func(c scaleCell) float64 { return c.fps }),
+			CPU:     summary(reps[i], func(c scaleCell) float64 { return c.cpu }),
+			GPU:     summary(reps[i], func(c scaleCell) float64 { return c.gpu }),
+			MemMB:   summary(reps[i], func(c scaleCell) float64 { return c.mem }),
+			Battery: summary(reps[i], func(c scaleCell) float64 { return c.batt }),
+		})
 	}
 	return res
 }
 
 // scalingRun is one event: n users in a circle, everyone visible, measured
 // over a 40 s steady window.
-func scalingRun(e Env, label string, name platform.Name, n int, seed int64) (downBps, fps, cpu, gpu, mem, battDrain float64) {
+func scalingRun(e Env, label string, name platform.Name, n int, seed int64) (c scaleCell) {
 	l := e.lab(label, seed)
 	defer l.MustConserve()
 	l.Trace().Phase(2*time.Second, "arrange")
@@ -90,12 +77,12 @@ func scalingRun(e Env, label string, name platform.Name, n int, seed int64) (dow
 	l.Sched.RunUntil(60 * time.Second)
 
 	f := l.dataOnly(cs[0])
-	downBps = sniff.MeanBps(capture.MatchDown(f), 20*time.Second, 60*time.Second)
-	fps, cpu, gpu, mem = cs[0].Monitor.Means(20*time.Second, 60*time.Second)
+	c.down = sniff.MeanBps(capture.MatchDown(f), 20*time.Second, 60*time.Second)
+	c.fps, c.cpu, c.gpu, c.mem = cs[0].Monitor.Means(20*time.Second, 60*time.Second)
 	// Battery drain over the same 20-60 s steady window as throughput and
 	// FPS, anchored at the 20 s battery snapshot (not an assumed full
 	// charge) so warm-up drain is excluded. Units: %/min.
-	battDrain = cs[0].Monitor.BatteryDrainPerMin(20*time.Second, 60*time.Second)
+	c.batt = cs[0].Monitor.BatteryDrainPerMin(20*time.Second, 60*time.Second)
 	return
 }
 
@@ -137,29 +124,22 @@ func (r *ScalingResult) Render() string {
 // users) against a self-hosted server. Cells fan out like Scaling's.
 func Fig9(e Env) *ScalingResult {
 	counts, repeats := e.countsOr([]int{15, 20, 25, 28}), e.repeatsOr(2)
-	out := cells(e, len(counts)*repeats, func(i int) scaleCell {
-		n, rep := counts[i/repeats], i%repeats
-		label := fmt.Sprintf("fig9/n%d/rep%d", n, rep)
-		d, f := fig9Run(e, label, n, e.Seed+int64(rep)*31+int64(n))
-		return scaleCell{down: d, fps: f}
+	reps := perPoint(e, counts, repeats, func(n, rep int) scaleCell {
+		return fig9Run(e, fmt.Sprintf("fig9/n%d/rep%d", n, rep), n, e.Seed+int64(rep)*31+int64(n))
 	})
 	res := &ScalingResult{Platform: platform.Hubs, Repeats: repeats, Private: true}
-	for ci, n := range counts {
-		pt := ScalePoint{Users: n}
-		var down, fps []float64
-		for rep := 0; rep < repeats; rep++ {
-			c := out[ci*repeats+rep]
-			down = append(down, c.down)
-			fps = append(fps, c.fps)
-		}
-		pt.DownBps = stats.Summarize(down)
-		pt.FPS = stats.Summarize(fps)
-		res.Points = append(res.Points, pt)
+	for i, n := range counts {
+		res.Points = append(res.Points, ScalePoint{Users: n,
+			DownBps: summary(reps[i], func(c scaleCell) float64 { return c.down }),
+			FPS:     summary(reps[i], func(c scaleCell) float64 { return c.fps }),
+		})
 	}
 	return res
 }
 
-func fig9Run(e Env, label string, n int, seed int64) (downBps, fps float64) {
+// fig9Run is one private event, measured over a 35 s steady window. It
+// fills the cell's downlink and FPS alone.
+func fig9Run(e Env, label string, n int, seed int64) (c scaleCell) {
 	l := e.lab(label, seed)
 	defer l.MustConserve()
 	l.Dep.DeployPrivateHubs(platform.SiteUSEast)
@@ -170,7 +150,7 @@ func fig9Run(e Env, label string, n int, seed int64) (downBps, fps float64) {
 	// All Hubs data rides HTTPS to the private server + RTP keepalive.
 	p := platform.Get(platform.Hubs)
 	f := l.notAsset(p)
-	downBps = sniff.MeanBps(capture.MatchDown(f), 15*time.Second, 50*time.Second)
-	fps, _, _, _ = cs[0].Monitor.Means(15*time.Second, 50*time.Second)
+	c.down = sniff.MeanBps(capture.MatchDown(f), 15*time.Second, 50*time.Second)
+	c.fps, _, _, _ = cs[0].Monitor.Means(15*time.Second, 50*time.Second)
 	return
 }

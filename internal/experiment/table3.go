@@ -40,22 +40,16 @@ func Table3(e Env) *Table3Result {
 	// session, both private labs seeded exactly as the serial sweep.
 	all := platform.All()
 	type t3cell struct{ up, down, avatar float64 }
-	out := cells(e, len(all)*repeats, func(i int) t3cell {
-		p, r := all[i/repeats], i%repeats
+	reps := perPoint(e, all, repeats, func(p *platform.Profile, r int) t3cell {
 		label, seed := fmt.Sprintf("table3/%s/rep%d", p.Name, r), e.Seed+int64(r)*101
 		up, down := twoUserRates(e, label+"/chat", p, seed)
 		return t3cell{up: up, down: down, avatar: avatarShare(e, label+"/diff", p, seed)}
 	})
 	res := &Table3Result{Repeats: repeats}
-	for pi, p := range all {
-		var ups, downs, avatars []float64
-		for r := 0; r < repeats; r++ {
-			c := out[pi*repeats+r]
-			ups = append(ups, c.up)
-			downs = append(downs, c.down)
-			avatars = append(avatars, c.avatar)
-		}
-		us, ds, as := stats.Summarize(ups), stats.Summarize(downs), stats.Summarize(avatars)
+	for i, p := range all {
+		us := summary(reps[i], func(c t3cell) float64 { return c.up })
+		ds := summary(reps[i], func(c t3cell) float64 { return c.down })
+		as := summary(reps[i], func(c t3cell) float64 { return c.avatar })
 		res.Rows = append(res.Rows, Table3Row{
 			Platform: p.Name,
 			UpMean:   us.Mean, UpStd: us.Std,

@@ -102,7 +102,7 @@ func TestTable4TraceCarriesBreakdown(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			var got []string
-			c.Cell("table4/" + name).Each(func(ev trace.Event) {
+			c.Lookup("table4/" + name).Each(func(ev trace.Event) {
 				if ev.Kind == trace.KindPhase && strings.HasPrefix(ev.Name, "breakdown:") {
 					got = append(got, ev.Name)
 				}

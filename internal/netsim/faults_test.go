@@ -155,22 +155,22 @@ func TestAnycastFailoverSkipsDownInstance(t *testing.T) {
 	far := n.AddHost("svc-west", west, packet.MustParseAddr("10.2.0.9"), DatacenterAccess())
 	n.AddAnycast(svc, near, far)
 
-	if got, _ := n.ResolveAnycast(svc, east); got != near {
+	if got, _ := n.Resolve(svc, east); got != near {
 		t.Fatalf("resolved %v, want near instance", got.ID)
 	}
 	n.SetHostDown(near, true)
-	if got, _ := n.ResolveAnycast(svc, east); got != far {
+	if got, _ := n.Resolve(svc, east); got != far {
 		t.Fatalf("resolved %v after crash, want far instance", got.ID)
 	}
 	// Restart flips resolution back: every resolution sees the hosts' state.
 	n.SetHostDown(near, false)
-	if got, _ := n.ResolveAnycast(svc, east); got != near {
+	if got, _ := n.Resolve(svc, east); got != near {
 		t.Fatalf("resolved %v after restart, want near instance", got.ID)
 	}
 	// Both instances down: unresolvable.
 	n.SetHostDown(near, true)
 	n.SetHostDown(far, true)
-	if _, ok := n.ResolveAnycast(svc, east); ok {
+	if _, ok := n.Resolve(svc, east); ok {
 		t.Fatal("resolved an anycast group with every instance down")
 	}
 	_ = h1
@@ -192,7 +192,7 @@ func TestAnycastFollowsLinkCut(t *testing.T) {
 		want *Host
 	}{{false, e}, {true, w}, {false, e}} {
 		n.SetLinkDown(mid, east, step.down)
-		got, ok := n.ResolveAnycast(svc, mid)
+		got, ok := n.Resolve(svc, mid)
 		if !ok {
 			t.Fatalf("mid–east link down=%v: resolved nothing", step.down)
 		}

@@ -351,15 +351,15 @@ func TestAnycastNearerInstanceAddedLaterWins(t *testing.T) {
 	svc := packet.MustParseAddr("200.0.0.1")
 	far := n.AddHost("far", west, packet.MustParseAddr("10.2.0.9"), DatacenterAccess())
 	n.AddAnycast(svc, far)
-	if got, ok := n.ResolveAnycast(svc, h1.Site); !ok || got != far {
+	if got, ok := n.Resolve(svc, h1.Site); !ok || got != far {
 		t.Fatalf("resolve = %v,%v want far instance", got, ok)
 	}
-	if got, _ := n.ResolveAnycast(svc, h1.Site); got != far {
+	if got, _ := n.Resolve(svc, h1.Site); got != far {
 		t.Fatal("a second resolution changed with nothing edited")
 	}
 	near := n.AddHost("near", east, packet.MustParseAddr("10.0.0.9"), DatacenterAccess())
 	n.AddAnycast(svc, near)
-	if got, ok := n.ResolveAnycast(svc, h1.Site); !ok || got != near {
+	if got, ok := n.Resolve(svc, h1.Site); !ok || got != near {
 		t.Fatalf("resolve after AddAnycast = %v,%v want near instance", got, ok)
 	}
 }

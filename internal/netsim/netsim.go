@@ -44,8 +44,8 @@ const DefaultTTL = 64
 // perHopCost models router forwarding latency at every site hop.
 const perHopCost = 100 * time.Microsecond
 
-// Dir tells a capture tap which way a packet crossed the tap point, from the
-// host's perspective.
+// Dir names a side of a host's access link, from the host's perspective:
+// the way a packet crossed a capture tap, or the side a netem impairs.
 type Dir int
 
 const (
@@ -55,9 +55,9 @@ const (
 
 func (d Dir) String() string {
 	if d == DirUp {
-		return "up"
+		return "uplink"
 	}
-	return "down"
+	return "downlink"
 }
 
 // TapFunc observes wire bytes crossing a host's access point. The bytes are
@@ -412,12 +412,6 @@ func (n *Network) AddHost(id string, site *Site, addr packet.Addr, ap AccessProf
 	return h
 }
 
-// HostByAddr resolves a unicast host address.
-func (n *Network) HostByAddr(a packet.Addr) (*Host, bool) {
-	h, ok := n.hosts[a]
-	return h, ok
-}
-
 // AddAnycast binds a shared service address to a set of host instances.
 // Sends to addr resolve to the instance nearest (in path delay) to the
 // sender's site, mirroring BGP anycast.
@@ -427,9 +421,6 @@ func (n *Network) AddAnycast(addr packet.Addr, instances ...*Host) {
 	}
 	n.anycast[addr] = append(n.anycast[addr], instances...)
 }
-
-// IsAnycast reports whether addr is an anycast service address.
-func (n *Network) IsAnycast(addr packet.Addr) bool { return len(n.anycast[addr]) > 0 }
 
 // computeRoutes runs Dijkstra from a and materializes the minimum-delay
 // site path to every reachable site, filling each path backwards in linear
@@ -522,10 +513,15 @@ func (n *Network) pathDelay(path []*Site) time.Duration {
 	return d
 }
 
-// ResolveAnycast picks the instance a sender at the given site would reach:
-// the up instance with the least path delay from it, recomputed on every
-// call, so a host or link going down or up counts from the next send.
-func (n *Network) ResolveAnycast(addr packet.Addr, from *Site) (*Host, bool) {
+// Resolve returns the host that a packet to addr, sent from a host at site
+// from, reaches: the host with that address, or else the up instance of
+// the anycast group at addr with the least path delay from that site. The
+// pick is recomputed on every call, so a host or link going down or up
+// counts from the next send.
+func (n *Network) Resolve(addr packet.Addr, from *Site) (*Host, bool) {
+	if h, ok := n.hosts[addr]; ok {
+		return h, true
+	}
 	var best *Host
 	bestD := time.Duration(1<<62 - 1)
 	for _, h := range n.anycast[addr] {
@@ -677,14 +673,11 @@ func (n *Network) Send(h *Host, pkt *packet.Packet) bool {
 		return false
 	}
 
-	dst, ok := n.hosts[pkt.IP.Dst]
-	if !ok {
-		if dst, ok = n.ResolveAnycast(pkt.IP.Dst, h.Site); !ok {
-			n.drop(nil, CauseUnroutable, h.ID)
-			return false
-		}
+	dst, ok := n.Resolve(pkt.IP.Dst, h.Site)
+	var path []*Site
+	if ok {
+		path = n.sitePath(h.Site, dst.Site)
 	}
-	path := n.sitePath(h.Site, dst.Site)
 	if path == nil {
 		n.drop(nil, CauseUnroutable, h.ID)
 		return false
@@ -967,11 +960,9 @@ func (n *Network) countICMP(icmpType uint8) {
 // PathRouters exposes the router addresses a packet from h to dst would
 // traverse — used by tests to validate traceroute output.
 func (n *Network) PathRouters(h *Host, dstAddr packet.Addr) []packet.Addr {
-	dst, ok := n.hosts[dstAddr]
+	dst, ok := n.Resolve(dstAddr, h.Site)
 	if !ok {
-		if dst, ok = n.ResolveAnycast(dstAddr, h.Site); !ok {
-			return nil
-		}
+		return nil
 	}
 	path := n.sitePath(h.Site, dst.Site)
 	out := make([]packet.Addr, 0, len(path))

@@ -317,13 +317,14 @@ func TestAnycastResolvesNearestInstance(t *testing.T) {
 	sWest := n.AddHost("svc-west", west, packet.MustParseAddr("10.2.0.50"), DatacenterAccess())
 	n.AddAnycast(svcAddr, sEast, sWest)
 
-	if !n.IsAnycast(svcAddr) {
-		t.Fatal("IsAnycast = false")
+	// A unicast address resolves to its own host, however far.
+	if got, ok := n.Resolve(sEast.Addr, west); !ok || got != sEast {
+		t.Fatalf("unicast %v from west resolves to %v, want svc-east", sEast.Addr, got)
 	}
-	if got, _ := n.ResolveAnycast(svcAddr, east); got != sEast {
+	if got, _ := n.Resolve(svcAddr, east); got != sEast {
 		t.Fatalf("east resolves to %v, want east instance", got.ID)
 	}
-	if got, _ := n.ResolveAnycast(svcAddr, west); got != sWest {
+	if got, _ := n.Resolve(svcAddr, west); got != sWest {
 		t.Fatalf("west resolves to %v, want west instance", got.ID)
 	}
 

@@ -81,8 +81,6 @@ type Client struct {
 	txBuf  []byte
 	envBuf []byte
 
-	menuStop func()
-
 	// ForwardsReceived counts avatar forwards (test observability).
 	ForwardsReceived int
 	VoiceFwdReceived int
@@ -156,7 +154,7 @@ func (c *Client) Launch() {
 		}
 	}
 	// Welcome-page menu browsing.
-	c.menuStop = c.Dep.Sched.Ticker(7*time.Second, func() {
+	c.Dep.Sched.Ticker(7*time.Second, func() {
 		if !c.InEvent {
 			c.request(reqMenu, nil)
 		}
@@ -203,10 +201,6 @@ func (c *Client) JoinEvent(room string) {
 	}
 	c.RoomName = room
 	c.InEvent = true
-	if c.menuStop != nil {
-		c.menuStop()
-		c.menuStop = nil
-	}
 	if n := c.Profile.Traffic.JoinDownloadBytes; n > 0 {
 		c.download(n) // Hubs re-downloads the scene every join (§5.2)
 	}
@@ -234,7 +228,7 @@ func (c *Client) JoinEvent(room string) {
 		}
 		c.dataSock = sock
 		c.dataEP = c.Dep.DataEndpoint(p, c.Host.Site, c.lbIndex)
-		sock.OnRecv = c.onDatagram
+		sock.OnRecv = c.onDownlink
 		hello, err := marshalHello(helloMsg{Room: room, User: c.User})
 		if err != nil {
 			panic(fmt.Sprintf("platform: JoinEvent(%q): %v", room, err))
@@ -465,8 +459,9 @@ func (c *Client) PerformAction() uint32 {
 	return id
 }
 
-// onDatagram handles data-channel downlink.
-func (c *Client) onDatagram(src packet.Endpoint, payload []byte) {
+// onDownlink handles one downlink frame from src: a datagram on the data
+// socket, or on web platforms the frame a control-channel push carries.
+func (c *Client) onDownlink(src packet.Endpoint, payload []byte) {
 	if len(payload) == 0 {
 		return
 	}
@@ -653,26 +648,22 @@ func (c *Client) FreshRemotes() int {
 	return n
 }
 
+// onCtrlMsg takes a web platform's downlink off the control session: a
+// push carries an avatar forward in its JSON envelope, or one of the
+// server's own frames bare, and either frame goes to onDownlink.
 func (c *Client) onCtrlMsg(kind byte, body []byte) {
 	if kind != secure.MsgPush {
 		return
 	}
-	// Web-platform downlink: pushed avatar forwards and sync.
-	inner, err := fromJSONEnvelope(body)
-	if err != nil {
-		// Non-envelope push (sync filler).
-		if len(body) > 0 && body[0] == kindSync {
-			if m, err := parseSeq(body); err == nil {
-				c.trackLoss(&c.lastSyncSeq, m.Seq)
-			}
+	if len(body) > 0 && body[0] == '{' {
+		inner, err := fromJSONEnvelope(body)
+		if err != nil {
+			c.Dep.Metrics().Inc("platform.wire_parse_err")
+			return
 		}
-		return
+		body = inner
 	}
-	if len(inner) > 0 && inner[0] == kindForward {
-		if f, err := parseForward(inner); err == nil {
-			c.handleForward(f)
-		}
-	}
+	c.onDownlink(c.ctrlConn.Remote, body)
 }
 
 // String describes the client.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/svrlab/svrlab/internal/obs"
+	"github.com/svrlab/svrlab/internal/secure"
 	"github.com/svrlab/svrlab/internal/wiretest"
 )
 
@@ -253,6 +254,33 @@ func TestDataServerSurvivesHostileDatagrams(t *testing.T) {
 	}
 	if got := counterValue(dep.Metrics(), "platform.wire_unknown_kind"); got < 1 {
 		t.Fatalf("wire_unknown_kind = %d, want >= 1", got)
+	}
+}
+
+// TestHubsClientCountsMalformedPush: a web client's downlink rides HTTPS
+// pushes, so a pushed envelope whose forward is cut short counts as a parse
+// error, as a short datagram does on the UDP platforms, and reaches no
+// avatar.
+func TestHubsClientCountsMalformedPush(t *testing.T) {
+	sched, dep, cs := lab(t, Hubs, 1, 1)
+	sched.RunUntil(2 * time.Second)
+	m := dep.Backend(Hubs).byUser["u1"]
+	if m == nil || m.ctrl == nil {
+		t.Fatal("u1 not joined over the control channel")
+	}
+	fwd, _ := appendForward(nil, "u2", appendAvatar(nil, avatarMsg{Seq: 1}))
+	body, err := appendEnvelope(nil, fwd[:len(fwd)-3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := counterValue(dep.Metrics(), "platform.wire_parse_err")
+	m.ctrl.sess.SendMsg(secure.MsgPush, body)
+	sched.RunUntil(3 * time.Second)
+	if got := counterValue(dep.Metrics(), "platform.wire_parse_err") - before; got != 1 {
+		t.Fatalf("wire_parse_err rose by %d, want 1", got)
+	}
+	if cs[0].ForwardsReceived != 0 {
+		t.Fatalf("ForwardsReceived = %d, want 0", cs[0].ForwardsReceived)
 	}
 }
 

@@ -250,16 +250,14 @@ type VantageReport struct {
 	Hops        []Hop
 }
 
-// PenultimateHop returns the last router before the destination (zero Addr
-// if unknown).
+// PenultimateHop returns the last router before the destination, or zero
+// Addr when no hop reached it: a trace that dies short of the destination
+// says nothing about where it is.
 func (v VantageReport) PenultimateHop() packet.Addr {
 	for i, h := range v.Hops {
 		if h.Reached && i > 0 {
 			return v.Hops[i-1].Addr
 		}
-	}
-	if n := len(v.Hops); n >= 2 {
-		return v.Hops[n-2].Addr
 	}
 	return 0
 }

@@ -217,6 +217,27 @@ func TestInferAnycastNeedsAnRTTSample(t *testing.T) {
 	}
 }
 
+// TestInferUnicastWhenDestinationUnreached: three traceroutes toward a
+// crashed server die at different routers. No hop reached the destination,
+// so no vantage has a penultimate hop and the divergence is no evidence.
+func TestInferUnicastWhenDestinationUnreached(t *testing.T) {
+	mk := func(last string) VantageReport {
+		return VantageReport{Hops: []Hop{
+			{TTL: 1, Addr: packet.MustParseAddr("10.0.0.1")},
+			{TTL: 2, Addr: packet.MustParseAddr(last)},
+		}}
+	}
+	reports := []VantageReport{mk("10.5.0.1"), mk("10.6.0.1"), mk("10.7.0.1")}
+	for _, r := range reports {
+		if h := r.PenultimateHop(); h != 0 {
+			t.Fatalf("unreached trace has penultimate hop %v, want none", h)
+		}
+	}
+	if InferAnycast(reports, 15*time.Millisecond) {
+		t.Fatal("traces that never reached the destination inferred anycast")
+	}
+}
+
 func TestEndToEndAnycastInference(t *testing.T) {
 	// Build a network with a true anycast service and verify the full
 	// measurement pipeline (ping + traceroute from two vantages) infers it.

@@ -18,7 +18,7 @@ func (c *Collector) WriteChrome(w io.Writer) error {
 	bw.WriteString("{\"traceEvents\":[")
 	first := true
 	for pid, label := range c.Labels() {
-		first = writeChromeCell(bw, pid+1, label, c.Cell(label), first)
+		first = writeChromeCell(bw, pid+1, label, c.Lookup(label), first)
 	}
 	bw.WriteString("]}\n")
 	return bw.Flush()

@@ -25,21 +25,32 @@ type Collector struct {
 // NewCollector creates an empty collector.
 func NewCollector() *Collector { return &Collector{cells: make(map[string]*Tracer)} }
 
-// Cell returns the tracer for the given cell label, creating it on first
-// use with a ring of DefaultCapacity events. Labels must be unique per
-// cell: requesting an existing label returns the same tracer.
+// Cell creates the tracer of a new cell label, with a ring of
+// DefaultCapacity events. A label names one cell: asking for one a second
+// time panics, because two labs recording into one tracer would interleave
+// or break its time order.
 func (c *Collector) Cell(label string) *Tracer {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if t, ok := c.cells[label]; ok {
-		return t
+	if _, dup := c.cells[label]; dup {
+		panic("trace: cell label " + label + " used twice")
 	}
 	t := New(DefaultCapacity)
 	c.cells[label] = t
 	return t
+}
+
+// Lookup returns the tracer of a cell label, or nil if no cell has it.
+func (c *Collector) Lookup(label string) *Tracer {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.cells[label]
 }
 
 // Labels returns all cell labels sorted.

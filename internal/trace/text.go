@@ -15,7 +15,7 @@ func (c *Collector) WriteText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	var line []byte
 	for _, label := range c.Labels() {
-		t := c.Cell(label)
+		t := c.Lookup(label)
 		line = append(append(line[:0], "== cell "...), label...)
 		line = strconv.AppendInt(append(line, " ("...), int64(t.count+len(t.phases)), 10)
 		line = strconv.AppendUint(append(line, " events, "...), t.Dropped(), 10)

@@ -93,17 +93,28 @@ func TestCountsSurviveEviction(t *testing.T) {
 
 func TestCollectorCells(t *testing.T) {
 	var nilC *Collector
-	if nilC.Cell("x") != nil {
+	if nilC.Cell("x") != nil || nilC.Lookup("x") != nil {
 		t.Fatal("nil collector returned a tracer")
 	}
 	c := NewCollector()
+	if c.Lookup("sweep/b") != nil {
+		t.Fatal("Lookup of an unused label returned a tracer")
+	}
 	a := c.Cell("sweep/b")
 	if a == nil {
 		t.Fatal("Cell returned nil on a live collector")
 	}
-	if c.Cell("sweep/b") != a {
-		t.Fatal("same label returned a different tracer")
+	if c.Lookup("sweep/b") != a {
+		t.Fatal("Lookup returned a different tracer")
 	}
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "sweep/b") {
+				t.Fatalf("repeated label: recovered %v, want a panic naming sweep/b", r)
+			}
+		}()
+		c.Cell("sweep/b")
+	}()
 	c.Cell("sweep/a")
 	labels := c.Labels()
 	if len(labels) != 2 || labels[0] != "sweep/a" || labels[1] != "sweep/b" {
